@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import cart_reference
 from pkwbench.errors import (
     EmptyData,
     MalformedModel,
@@ -203,6 +207,16 @@ def test_exact_tree_drives_training_error_to_zero():
     assert np.array_equal(tree.predict(X), y)
 
 
+def test_tree_with_a_level_of_over_16k_splits_is_exact():
+    # 2**16 distinct rows split down to single-row leaves; 2**15 nodes split
+    # at depth 15, so their child keys no longer fit in int16
+    x = np.arange(2.0**16)
+    tree = fit_tree(x.reshape(-1, 1), x)
+    assert tree.n_leaves == x.size
+    assert tree.n_nodes == 2 * x.size - 1
+    assert np.array_equal(tree.predict(x.reshape(-1, 1)), x)
+
+
 def test_tree_guards():
     with pytest.raises(EmptyData):
         fit_tree(np.empty((0, 2)), np.empty(0))
@@ -215,6 +229,107 @@ def test_tree_guards():
     tree = fit_tree(np.ones((3, 2)), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ShapeMismatch):
         tree.predict(np.ones((3, 5)))
+
+
+# exact CART against the per-node reference grower
+
+# Feature values drawn from a small pool make ties.  The pool holds two
+# adjacent doubles whose midpoint rounds up to the upper one and a pair whose
+# sum overflows: the two cases of the threshold fallback.
+_X_POOL = (
+    -2.0,
+    0.0,
+    1.0,
+    1.0000000000000002,
+    1.0000000000000004,
+    3.0,
+    1e308,
+    float(np.nextafter(1e308, np.inf)),
+)
+# y * y overflows above about 1.3e154 and turns scores inf or NaN; opposite
+# huge values cancel in sums but not in squares
+_HUGE_Y = st.sampled_from((-1e160, 1e160, -1e153, 1e153, 0.0, 1.0)) | st.floats(
+    -2e160, 2e160
+)
+
+
+@st.composite
+def _cart_problems(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    X = draw(arrays(np.float64, (n, d), elements=st.sampled_from(_X_POOL)))
+    if d > 1 and draw(st.booleans()):
+        X[:, 1] = X[:, 0]  # duplicated column, like B_i == B_o in the features
+    if draw(st.booleans()):
+        X[:, -1] = X[0, -1]  # constant column
+    kind = draw(st.sampled_from(["steps", "floats", "constant", "huge"]))
+    if kind == "steps":
+        y = draw(arrays(np.float64, n, elements=st.sampled_from((0.0, 0.25, 1.0))))
+    elif kind == "floats":
+        y = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    elif kind == "constant":
+        y = np.full(n, draw(st.floats(-1e3, 1e3)))
+    else:
+        y = draw(arrays(np.float64, n, elements=_HUGE_Y))
+    params = TreeParams(
+        max_depth=draw(st.none() | st.integers(1, 8)),
+        min_samples_leaf=draw(st.integers(1, 4)),
+        min_samples_split=draw(st.integers(2, 6)),
+    )
+    return X, y, params
+
+
+def _reference_arrays(X, y, rows, params, rng=None):
+    with np.errstate(all="ignore"):
+        return cart_reference._grow(X, y, rows, params, rng, X.shape[1])
+
+
+def _assert_same_nodes(tree, want):
+    got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cart_problems())
+def test_fit_tree_matches_the_per_node_grower(problem):
+    X, y, params = problem
+    want = _reference_arrays(X, y, np.arange(X.shape[0]), params)
+    _assert_same_nodes(fit_tree(X, y, params), want)
+
+
+def _bootstrap(seed, k, n):
+    """The generator and rows ``fit_forest`` draws for its tree ``k``."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+    return rng, rng.integers(0, n, size=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cart_problems(), st.integers(0, 2**32 - 1))
+def test_forest_trees_on_every_feature_match_the_per_node_grower(problem, seed):
+    X, y, params = problem
+    n, d = X.shape
+    forest = fit_forest(X, y, n_trees=2, seed=seed, params=params, max_features=d)
+    for k, tree in enumerate(forest.trees):
+        # with every feature a candidate, no subset is drawn
+        rng, rows = _bootstrap(seed, k, n)
+        _assert_same_nodes(tree, _reference_arrays(X, y, rows, params, rng))
+
+
+@pytest.mark.parametrize("max_depth", [3, 8, None])
+@pytest.mark.parametrize("min_samples_leaf", [1, 5])
+def test_deep_trees_on_oracle_rows_match_the_per_node_grower(max_depth, min_samples_leaf):
+    # hundreds of rows: many levels and split searches over several blocks
+    X, y = _oracle_rows(40, seed=23, sigma=0.005)
+    n, d = X.shape
+    params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    want = _reference_arrays(X, y, np.arange(n), params)
+    _assert_same_nodes(fit_tree(X, y, params), want)
+    forest = fit_forest(X, y, n_trees=1, seed=4, params=params, max_features=d)
+    rng, rows = _bootstrap(4, 0, n)
+    _assert_same_nodes(forest.trees[0], _reference_arrays(X, y, rows, params, rng))
 
 
 # forests
