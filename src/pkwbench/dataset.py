@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import EmptyBin, EmptyData, TooFewGeometries, ZeroVariance
+from .errors import EmptyBin, EmptyData, ParseError, TooFewGeometries, ZeroVariance
 from .geometry import (
     FEATURE_NAMES,
     PkwDerived,
@@ -363,6 +363,33 @@ def read_manifest(path, labels: list[LabeledSample] | None = None,
     return manifest, fixed
 
 
+_SPLIT_COLUMNS = ("geometry_id", "Q_lps", "partition")
+_PARTITIONS = ("train", "val", "test")
+
+
+def _read_csv(path, required, convert) -> list:
+    """``convert`` applied to each row of a CSV file with a header.
+
+    A row that lacks one of the ``required`` columns, as a row cut short
+    does, or that ``convert`` rejects with ``ValueError`` raises
+    :class:`ParseError` with the row's line number.
+    """
+    out = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                missing = [c for c in required if row.get(c) is None]
+                if missing:
+                    raise ValueError(f"row lacks {', '.join(missing)}")
+                out.append(convert(row))
+            except ValueError as exc:
+                raise ParseError(
+                    f"{path} row {reader.line_num}: {exc}", row=reader.line_num
+                ) from None
+    return out
+
+
 def write_labels_csv(path, labels: list[LabeledSample]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -377,17 +404,19 @@ def write_labels_csv(path, labels: list[LabeledSample]) -> None:
             ])
 
 
+def _label_from_row(row) -> LabeledSample:
+    return LabeledSample(
+        geometry_id=row["geometry_id"],
+        Q=float(row["Q_lps"]) / 1000.0,
+        H_t=float(row["H_t_m"]) if row.get("H_t_m") else None,
+        c_D=float(row["c_D"]),
+        source=row["source"])
+
+
 def read_labels_csv(path) -> list[LabeledSample]:
-    out: list[LabeledSample] = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(LabeledSample(
-                geometry_id=row["geometry_id"],
-                Q=float(row["Q_lps"]) / 1000.0,
-                H_t=float(row["H_t_m"]) if row.get("H_t_m") else None,
-                c_D=float(row["c_D"]),
-                source=row["source"]))
-    return out
+    # the head column is optional
+    required = ("geometry_id", "Q_lps", "c_D", "source")
+    return _read_csv(path, required, _label_from_row)
 
 
 _NAME_POLICY = (
@@ -408,22 +437,25 @@ def policy_from_name(name: str) -> str:
 def write_split_csv(path, split: SplitAssignment) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["geometry_id", "Q_lps", "partition"])
+        writer.writerow(_SPLIT_COLUMNS)
         for part, pairs in (("train", split.train), ("val", split.val),
                             ("test", split.test)):
             for gid, q in sorted(pairs):
                 writer.writerow([gid, f"{q * 1000.0:.9g}", part])
 
 
+def _split_pair_from_row(row):
+    part = row["partition"]
+    if part not in _PARTITIONS:
+        raise ValueError(f"unknown partition {part!r}")
+    return part, (row["geometry_id"], float(row["Q_lps"]) / 1000.0)
+
+
 def read_split_csv(path, name: str | None = None) -> SplitAssignment:
     stem = name if name is not None else os.path.splitext(os.path.basename(path))[0]
-    parts: dict[str, set] = {"train": set(), "val": set(), "test": set()}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            part = row["partition"]
-            if part not in parts:
-                raise ValueError(f"unknown partition {part!r}")
-            parts[part].add((row["geometry_id"], float(row["Q_lps"]) / 1000.0))
+    parts: dict[str, set] = {part: set() for part in _PARTITIONS}
+    for part, pair in _read_csv(path, _SPLIT_COLUMNS, _split_pair_from_row):
+        parts[part].add(pair)
     return SplitAssignment(name=stem, policy=policy_from_name(stem),
                            train=frozenset(parts["train"]),
                            val=frozenset(parts["val"]),

@@ -4,7 +4,9 @@
 used before it grew trees level by level, copied unchanged.  The
 differential tests in ``test_surrogates.py`` require the production grower
 to return the same node arrays, bit for bit, whenever no random feature
-subsets are drawn.
+subsets are drawn.  ``fit_gbm`` is the boosting stage loop from before
+stages shared one presort: each stage fits a tree to the residuals as
+``fit_tree`` does and adds the tree's predictions for the training rows.
 """
 
 import math
@@ -125,3 +127,34 @@ def _grow(X, y, rows, params, feature_rng, max_features):
         np.asarray(right, dtype=np.int32),
         np.asarray(value, dtype=float),
     )
+
+
+def _predict(arrays, X):
+    """Route each row from the root, ``x <= threshold`` to the left."""
+    feature, threshold, left, right, value = arrays
+    out = np.empty(X.shape[0])
+    for i, x in enumerate(X):
+        node = 0
+        while feature[node] != _LEAF:
+            go_left = x[feature[node]] <= threshold[node]
+            node = left[node] if go_left else right[node]
+        out[i] = value[node]
+    return out
+
+
+def fit_gbm(X, y, n_trees, learning_rate, params):
+    """Return the base value, the training MSE path and every stage's arrays."""
+    base = float(np.mean(y))
+    current = np.full(y.shape, base)
+    path = [float(np.mean((y - current) ** 2))]
+    stages = []
+    rows = np.arange(X.shape[0])
+    for _ in range(n_trees):
+        residual = y - current
+        if not np.isfinite(residual).all():
+            raise ValueError("targets must be finite")
+        arrays = _grow(X, residual, rows, params, None, X.shape[1])
+        stages.append(arrays)
+        current = current + learning_rate * _predict(arrays, X)
+        path.append(float(np.mean((y - current) ** 2)))
+    return base, path, stages

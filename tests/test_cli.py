@@ -442,8 +442,61 @@ def test_bench_is_reproducible(tmp_path):
     assert left == right
 
 
+def test_bench_fits_each_distinct_training_set_once(tmp_path, monkeypatch):
+    fitted = []
+    fit = pkwbench.cli._fit_model
+
+    def counting_fit(args, ws, manifest, split, seed):
+        fitted.append(split.name)
+        return fit(args, ws, manifest, split, seed)
+
+    monkeypatch.setattr(pkwbench.cli, "_fit_model", counting_fit)
+    ws = tmp_path / "ws"
+    assert run(bench_args(ws)) == 0
+    # id-f100 holds exactly the id split's pairs, so it reuses that fit
+    assert len(fitted) == 12
+    assert "id-f100" not in fitted
+    by_name = {r["split"]: r for r in read_rows(ws / "reports" / "bench.csv")}
+    full, ladder_top = by_name["id"], by_name["id-f100"]
+    for column in ("model", "partition", "n_train", "n_eval", "mse", "r2",
+                   "mae", "max_ae"):
+        assert ladder_top[column] == full[column]
+
+
 def test_bench_rejects_external_oracles(tmp_path, capsys):
     argv = ["bench", "--workspace", tmp_path, "--n", 40, "--seed", 3,
             "--oracle", "csv=whatever.csv"]
     assert run(argv) == 1
     assert "synthetic" in stderr_record(capsys)["message"]
+
+
+# truncated artifacts
+
+
+def _cut_last_line(path):
+    """Cut a file in the middle of its last line, as an interrupted write."""
+    text = path.read_text()
+    start = text.rstrip("\n").rindex("\n") + 1
+    path.write_text(text[: start + (len(text) - start) // 2])
+
+
+@pytest.mark.parametrize("artifact", ["labels/labels.csv", "splits/id.csv"])
+def test_truncated_csv_artifacts_fail_with_a_parse_error(tmp_path, capsys, artifact):
+    ws = tmp_path / "ws"
+    steps = [
+        ["sample", "--workspace", ws, "--n", N_DESIGNS, "--seed", MASTER_SEED],
+        ["label", "--workspace", ws, "--sigma", "0.0", "--seed", 13],
+        ["split", "--workspace", ws, "--policy", "id", "--seed", 17],
+    ]
+    for argv in steps:
+        assert run(argv) == 0
+    _cut_last_line(ws / artifact)
+    capsys.readouterr()
+    train = ["train", "--workspace", ws, "--model", "tree", "--split", "id",
+             "--seed", 19]
+    assert run(train) == 1
+    record = stderr_record(capsys)
+    assert record["error"] == "ParseError"
+    assert record["command"] == "train"
+    last_row = len((ws / artifact).read_text().splitlines())
+    assert f"{artifact.split('/')[-1]} row {last_row}:" in record["message"]

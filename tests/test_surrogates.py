@@ -1,5 +1,7 @@
 """Tests for metrics, trees, forests, boosting, and model files."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -447,6 +449,60 @@ def test_gbm_guards():
         fit_gbm(X, y, n_trees=0)
     with pytest.raises(EmptyData):
         fit_gbm(np.empty((0, 1)), np.empty(0))
+
+
+def _assert_same_boosting(model, want):
+    base, path, stages = want
+    assert np.float64(model.base_value).tobytes() == np.float64(base).tobytes()
+    assert np.asarray(model.train_mse_path).tobytes() == np.asarray(path).tobytes()
+    assert len(model.trees) == len(stages)
+    for tree, arrays in zip(model.trees, stages):
+        _assert_same_nodes(tree, arrays)
+
+
+def _check_gbm_against_stage_loop(X, y, n_trees, max_depth, rate, min_leaf):
+    params = TreeParams(max_depth=max_depth, min_samples_leaf=min_leaf)
+    with np.errstate(all="ignore"):
+        want = cart_reference.fit_gbm(X, y, n_trees, rate, params)
+        got = fit_gbm(X, y, n_trees=n_trees, max_depth=max_depth,
+                      learning_rate=rate, min_samples_leaf=min_leaf)
+    _assert_same_boosting(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _cart_problems(),
+    st.integers(1, 20),
+    st.sampled_from((0.05, 0.5, 1.0)),
+    st.sampled_from((None, 1, 2, 3, 5)),
+)
+def test_gbm_matches_the_fit_tree_stage_loop(problem, n_trees, rate, max_depth):
+    X, y, params = problem
+    _check_gbm_against_stage_loop(
+        X, y, n_trees, max_depth, rate, params.min_samples_leaf
+    )
+
+
+def test_gbm_on_oracle_rows_matches_the_fit_tree_stage_loop():
+    # every geometry repeats at each discharge, so geometry columns are tied
+    X, y = _oracle_rows(30, seed=29, sigma=0.005)
+    _check_gbm_against_stage_loop(X, y, 25, 3, 0.05, 1)
+
+
+def test_gbm_targets_whose_mean_overflows_are_rejected():
+    X = np.arange(4.0).reshape(-1, 1)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="targets must be finite"):
+            fit_gbm(X, np.full(4, 1.7e308))
+
+
+def test_gbm_targets_whose_squares_overflow_give_an_infinite_path():
+    X = np.arange(4.0).reshape(-1, 1)
+    y = np.array([1.7e308, -1.7e308, 1.7e308, -1.7e308])
+    with np.errstate(over="ignore"):
+        boosted = fit_gbm(X, y, n_trees=5, learning_rate=1.0)
+    assert boosted.train_mse_path == (math.inf,) * 6
+    _check_gbm_against_stage_loop(X, y, 5, 3, 1.0, 1)
 
 
 # permutation importance
