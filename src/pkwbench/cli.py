@@ -569,7 +569,8 @@ def _cmd_train(args) -> int:
 
 def _eval_model(ws, manifest, model, pairs, args):
     if isinstance(model, PointNetMini):
-        X, y = _cloud_arrays(ws, manifest, pairs, args.points, args.seed or 0)
+        # subsample with the seed the training clouds were subsampled with
+        X, y = _cloud_arrays(ws, manifest, pairs, args.points, model.config.seed)
     else:
         X, y = _tabular_arrays(manifest, pairs)
     return compute_metrics(y, model.predict(X))

@@ -332,30 +332,44 @@ def write_manifest(path, manifest: DatasetManifest, fixed: PkwFixed) -> None:
 
 def read_manifest(path, labels: list[LabeledSample] | None = None,
                   fixed: PkwFixed | None = None) -> tuple[DatasetManifest, PkwFixed]:
+    """Read a manifest written by :func:`write_manifest`.
+
+    A line that is not a JSON object, lacks a field, holds a field of the
+    wrong type or value, or names an unknown record kind, as a line cut
+    short does, raises :class:`ParseError` with the line number.
+    """
     geometries: dict[str, GeometryRecord] = {}
     provenance: dict = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            kind = row.get("kind")
-            if kind == "provenance":
-                provenance = {k: v for k, v in row.items() if k != "kind"}
-                stored = provenance.pop("fixed", None)
-                if stored is not None and fixed is None:
-                    fixed = PkwFixed(W=stored["W"], P=stored["P"],
-                                     N_u=stored["N_u"])
-            elif kind == "geometry":
-                sample = PkwSample(**row["params"])
-                use = fixed if fixed is not None else PkwFixed()
-                geometries[row["geometry_id"]] = GeometryRecord(
-                    geometry_id=row["geometry_id"], sample=sample,
-                    derived=derive(use, sample),
-                    mesh_path=row.get("mesh_path"),
-                    cloud_path=row.get("cloud_path"))
-            else:
-                raise ValueError(f"line {line_no}: unknown record kind {kind!r}")
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError("record is not a JSON object")
+                kind = row.get("kind")
+                if kind == "provenance":
+                    provenance = {k: v for k, v in row.items() if k != "kind"}
+                    stored = provenance.pop("fixed", None)
+                    if stored is not None and fixed is None:
+                        fixed = PkwFixed(W=stored["W"], P=stored["P"],
+                                         N_u=stored["N_u"])
+                elif kind == "geometry":
+                    sample = PkwSample(**row["params"])
+                    use = fixed if fixed is not None else PkwFixed()
+                    geometries[row["geometry_id"]] = GeometryRecord(
+                        geometry_id=row["geometry_id"], sample=sample,
+                        derived=derive(use, sample),
+                        mesh_path=row.get("mesh_path"),
+                        cloud_path=row.get("cloud_path"))
+                else:
+                    raise ValueError(f"unknown record kind {kind!r}")
+            except (KeyError, TypeError, ValueError) as exc:
+                detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise ParseError(
+                    f"{path} line {line_no}: {detail}", row=line_no
+                ) from None
     fixed = fixed if fixed is not None else PkwFixed()
     manifest = DatasetManifest(geometries=geometries,
                                labels=list(labels) if labels else [],

@@ -549,35 +549,40 @@ def tessellate(regions: list[PlanRegion], x_segments: int = 8) -> TriangleMesh:
     return mesh
 
 
-def _edge_tables(mesh: TriangleMesh):
-    t = mesh.triangles
-    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    undirected = np.sort(directed, axis=1)
-    return directed, undirected
+def _edge_keys(mesh: TriangleMesh):
+    """One int64 key per triangle edge, as (directed, undirected) arrays.
+
+    The directed edge a -> b has key ``a * n_vertices + b``, and its
+    undirected form ``min(a, b) * n_vertices + max(a, b)``.  Counting keys
+    with a 1-D ``np.unique`` counts edges as row-wise unique on the (a, b)
+    pairs does, and sorted keys list the pairs in the same order.
+    """
+    t = mesh.triangles.astype(np.int64, copy=False)
+    a = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
+    b = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+    n = mesh.n_vertices
+    return a * n + b, np.minimum(a, b) * n + np.maximum(a, b)
 
 
 def _problem_edges(mesh: TriangleMesh, limit: int = 32):
-    directed, undirected = _edge_tables(mesh)
-    und_keys, counts = np.unique(undirected, axis=0, return_counts=True)
-    bad = und_keys[counts != 2]
-    dir_keys, dir_counts = np.unique(directed, axis=0, return_counts=True)
-    dup_dir = dir_keys[dir_counts > 1]
-    out = [tuple(e) for e in bad[:limit]]
-    out += [tuple(e) for e in dup_dir[: max(0, limit - len(out))]]
-    return out
+    directed, undirected = _edge_keys(mesh)
+    und_keys, counts = np.unique(undirected, return_counts=True)
+    dir_keys, dir_counts = np.unique(directed, return_counts=True)
+    bad = np.concatenate([und_keys[counts != 2], dir_keys[dir_counts > 1]])
+    return [divmod(key, mesh.n_vertices) for key in bad[:limit]]
 
 
 def validate_mesh(mesh: TriangleMesh) -> MeshReport:
     """Check closedness, orientation consistency, and signed volume."""
     if mesh.n_triangles == 0:
         raise EmptyMesh("mesh has no triangles")
-    directed, undirected = _edge_tables(mesh)
-    _, inverse, counts = np.unique(undirected, axis=0, return_inverse=True, return_counts=True)
+    directed, undirected = _edge_keys(mesh)
+    _, counts = np.unique(undirected, return_counts=True)
     n_boundary = int(np.sum(counts == 1))
     n_nonmanifold = int(np.sum(counts > 2))
     # An undirected edge used twice must be traversed once in each direction;
     # two equal directed edges mean a flipped triangle.
-    _, dir_counts = np.unique(directed, axis=0, return_counts=True)
+    _, dir_counts = np.unique(directed, return_counts=True)
     n_flipped = int(np.sum(dir_counts > 1))
     n_nonmanifold += n_flipped
 

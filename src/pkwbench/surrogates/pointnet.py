@@ -10,6 +10,12 @@ unit cube and q is the discharge min-max scaled over the 50..250 l/s range.
 Training is plain minibatch Adam on the mean squared error with early
 stopping on a validation set; the weights that scored the best validation
 MSE are the ones the fitted model keeps.
+
+No pass holds more activations than one training batch: prediction and
+the per-epoch evaluation push ``batch_size`` clouds at a time through the
+per-point layers and the pool, then run the head once on the pooled
+vectors.  The chunked result is bit-identical to one pass over the whole
+set, so memory grows with ``batch_size x points``, not with the set size.
 """
 
 from __future__ import annotations
@@ -135,29 +141,57 @@ class PointNetMini:
     def n_parameters(self) -> int:
         return sum(v.size for v in self.params.values())
 
-    def _forward(self, X, need_cache=False):
-        h = X
-        cache = {"acts": [X]}
-        for i in range(len(_LAYER_DIMS)):
-            z = h @ self.params[f"W{i}"] + self.params[f"b{i}"]
-            last = i == len(_LAYER_DIMS) - 1
-            h = z if last else np.maximum(z, 0.0)
-            if need_cache:
-                cache[f"mask{i}"] = None if last else z > 0.0
+    def _forward(self, h, cache=None, layers=range(len(_LAYER_DIMS))):
+        """Run ``h`` through ``layers``; fill ``cache`` for backprop if given.
+
+        Each layer adds its bias and applies ReLU in place.  The pool reads
+        each channel at its first-maximum point, so ties route
+        deterministically, and the mask cached for the pooled layer is
+        taken on the pooled values: it is that layer's mask at the argmax.
+        """
+        for i in layers:
+            z = h @ self.params[f"W{i}"]
+            z += self.params[f"b{i}"]
+            if i < len(_LAYER_DIMS) - 1:
+                if cache is not None and i != _POOL_AFTER:
+                    cache[f"mask{i}"] = z > 0.0
+                np.maximum(z, 0.0, out=z)
             if i == _POOL_AFTER:
-                # first-maximum argmax keeps tie routing deterministic
-                cache["argmax"] = np.argmax(h, axis=1)
-                cache["pre_pool_shape"] = h.shape
-                h = np.max(h, axis=1)
-            if need_cache:
-                cache["acts"].append(h)
-        return h[:, 0], cache
+                argmax = np.argmax(z, axis=1)
+                pre_pool_shape = z.shape
+                z = np.take_along_axis(z, argmax[:, None, :], axis=1)[:, 0]
+                if cache is not None:
+                    cache["argmax"] = argmax
+                    cache["pre_pool_shape"] = pre_pool_shape
+                    cache[f"mask{i}"] = z > 0.0
+            if cache is not None:
+                cache["acts"].append(z)
+            h = z
+        return h
+
+    def _predict(self, X) -> np.ndarray:
+        """Predictions for checked clouds, holding one batch's activations.
+
+        The per-point layers and the pool run on ``config.batch_size``
+        clouds at a time; the head then runs once on all pooled vectors.
+        The per-point products are one GEMM per cloud, so chunking them
+        changes no bits, whereas BLAS rounds a 2-D product by its row
+        count (a one-row chunk goes through gemv), so the head is not
+        chunked.  Predictions equal a full-set pass bit for bit.
+        """
+        size = self.config.batch_size
+        encoder = range(_POOL_AFTER + 1)
+        # an empty set still runs one (empty) chunk, so the result is (0,)
+        pooled = np.concatenate([
+            self._forward(X[start : start + size], layers=encoder)
+            for start in range(0, max(X.shape[0], 1), size)
+        ])
+        head = range(_POOL_AFTER + 1, len(_LAYER_DIMS))
+        return self._forward(pooled, layers=head)[:, 0]
 
     def predict(self, X) -> np.ndarray:
         """Predict one scalar per cloud; accepts a single cloud too."""
-        X = _check_clouds(X)
-        out, _ = self._forward(X)
-        return out
+        return self._predict(_check_clouds(X))
 
     def loss_and_gradients(self, X, y):
         """Mean squared error over the batch and its parameter gradients."""
@@ -165,7 +199,8 @@ class PointNetMini:
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape[0] != X.shape[0]:
             raise ShapeMismatch(f"{X.shape[0]} clouds but {y.shape[0]} targets")
-        out, cache = self._forward(X, need_cache=True)
+        cache = {"acts": [X]}
+        out = self._forward(X, cache)[:, 0]
         err = out - y
         loss = float(np.mean(err**2))
         grads = {}
@@ -177,14 +212,13 @@ class PointNetMini:
             if i == _POOL_AFTER + 1:
                 # route the pooled gradient back to the winning points
                 pooled_grad = delta @ self.params[f"W{i}"].T
-                a_in_flat = a_in
-                grads[f"W{i}"] = a_in_flat.T @ delta
+                grads[f"W{i}"] = a_in.T @ delta
                 grads[f"b{i}"] = delta.sum(axis=0)
+                pooled_grad *= cache[f"mask{i - 1}"]
                 delta = np.zeros(cache["pre_pool_shape"])
                 np.put_along_axis(
                     delta, cache["argmax"][:, None, :], pooled_grad[:, None, :], axis=1
                 )
-                delta *= cache[f"mask{i - 1}"]
                 continue
             if a_in.ndim == 3:
                 flat_in = a_in.reshape(-1, a_in.shape[2])
@@ -197,7 +231,7 @@ class PointNetMini:
             if i > 0:
                 delta = delta @ self.params[f"W{i}"].T
                 if i - 1 != _POOL_AFTER:
-                    delta = delta * cache[f"mask{i - 1}"]
+                    delta *= cache[f"mask{i - 1}"]
         return loss, grads
 
     # flat views for finite-difference probing and serialization
@@ -236,7 +270,9 @@ def fit_pointnet_mini(
     Without an explicit validation set the training set doubles as one,
     which turns early stopping into plain convergence detection.  The
     returned model's ``history`` records per-epoch train and validation
-    MSE plus the epoch whose weights were kept.
+    MSE plus the epoch whose weights were kept.  Each epoch's train and
+    validation MSE is evaluated in chunks of ``config.batch_size`` clouds,
+    bit-identical to a single pass over the whole set.
     """
     config = config or PointNetConfig()
     X = _check_clouds(train_clouds)
@@ -262,8 +298,7 @@ def fit_pointnet_mini(
     step = 0
 
     def evaluate(Xe, ye):
-        pred, _ = model._forward(Xe)
-        return float(np.mean((pred - ye) ** 2))
+        return float(np.mean((model._predict(Xe) - ye) ** 2))
 
     best_val = np.inf
     best_params = {k: v.copy() for k, v in model.params.items()}

@@ -8,6 +8,7 @@ cheap assertions do not redo the expensive stages.
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +401,21 @@ def test_pointnet_cli_chain(pipeline):
     assert float(row["mse"]) >= 0.0
 
 
+def test_pointnet_eval_subsamples_with_the_training_seed(pipeline, tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline, ws, ignore=shutil.ignore_patterns("models", "reports"))
+    train = ["train", "--workspace", ws, "--model", "pointnet", "--split", "id",
+             "--seed", 5, "--points", 64, "--epochs", 1]
+    assert run(train) == 0
+    evaluate = ["eval", "--workspace", ws, "--model", "pointnet", "--split", "id",
+                "--partition", "test", "--points", 64, "--force"]
+    rows = []
+    for seed_args in (["--seed", 5], []):
+        assert run(evaluate + seed_args) == 0
+        rows.append(read_rows(ws / "reports" / "eval-id-pointnet-test.csv"))
+    assert rows[0] == rows[1]
+
+
 # benchmark matrix
 
 
@@ -500,3 +516,23 @@ def test_truncated_csv_artifacts_fail_with_a_parse_error(tmp_path, capsys, artif
     assert record["command"] == "train"
     last_row = len((ws / artifact).read_text().splitlines())
     assert f"{artifact.split('/')[-1]} row {last_row}:" in record["message"]
+
+
+def test_truncated_manifest_fails_with_a_parse_error(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    steps = [
+        ["sample", "--workspace", ws, "--n", N_DESIGNS, "--seed", MASTER_SEED],
+        ["label", "--workspace", ws, "--sigma", "0.0", "--seed", 13],
+    ]
+    for argv in steps:
+        assert run(argv) == 0
+    manifest = ws / "params" / MANIFEST_NAME
+    manifest.write_bytes(manifest.read_bytes()[:-40])
+    capsys.readouterr()
+    split = ["split", "--workspace", ws, "--policy", "id", "--seed", 17]
+    assert run(split) == 1
+    record = stderr_record(capsys)
+    assert record["error"] == "ParseError"
+    assert record["command"] == "split"
+    last_line = len(manifest.read_text().splitlines())
+    assert f"{MANIFEST_NAME} line {last_line}:" in record["message"]

@@ -26,7 +26,7 @@ from pkwbench.dataset import (
     write_manifest,
     write_split_csv,
 )
-from pkwbench.errors import EmptyBin, EmptyData, TooFewGeometries
+from pkwbench.errors import EmptyBin, EmptyData, ParseError, TooFewGeometries
 from pkwbench.geometry import PkwFixed, PkwSample, derive
 from pkwbench.hydraulics import LabeledSample, OracleConfig, paper_schedule
 from pkwbench.sampling import generate_batch, paper_default_space
@@ -307,6 +307,25 @@ def test_manifest_round_trip(tmp_path, manifest):
     # deterministic bytes
     write_manifest(tmp_path / "again.jsonl", manifest, FIXED)
     assert (tmp_path / "again.jsonl").read_bytes() == mpath.read_bytes()
+
+
+@pytest.mark.parametrize("bad_line, detail", [
+    ('[1, 2]', "not a JSON object"),
+    ('{"kind": "design"}', "unknown record kind 'design'"),
+    ('{"kind": "geometry", "geometry_id": "g9"}', "missing field 'params'"),
+    ('{"kind": "geometry", "geometry_id": "g9", "params": {"B_b": 1}}', "argument"),
+    ('{"kind": "geometry", "geometry_id": "g9", "params": {', "Expecting"),
+])
+def test_malformed_manifest_line_raises_parse_error(tmp_path, manifest, bad_line, detail):
+    mpath = tmp_path / "manifest.jsonl"
+    write_manifest(mpath, manifest, FIXED)
+    lines = mpath.read_text().splitlines()
+    lines.insert(2, bad_line)
+    mpath.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=detail) as info:
+        read_manifest(mpath)
+    assert info.value.row == 3
+    assert "line 3: " in str(info.value)
 
 
 def test_split_round_trip(tmp_path, manifest):

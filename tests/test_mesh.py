@@ -14,7 +14,9 @@ from pkwbench.errors import DegenerateRegion, EmptyMesh
 from pkwbench.geometry import PkwFixed, PkwSample, derive, validate, feasible_bounds
 from pkwbench.mesh import (
     REGION_KINDS,
+    MeshReport,
     TriangleMesh,
+    _problem_edges,
     analytic_volume,
     build_regions,
     crest_trace_length,
@@ -254,3 +256,49 @@ def test_crest_trace_needs_a_mesh():
     with pytest.raises(EmptyMesh):
         crest_trace_length(TriangleMesh(
             vertices=np.zeros((0, 3)), triangles=np.zeros((0, 3), dtype=np.int64)))
+
+
+def _axis0_report(mesh):
+    """validate_mesh as it counted edges before: row-wise unique on pairs."""
+    t = mesh.triangles
+    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    undirected = np.sort(directed, axis=1)
+    _, counts = np.unique(undirected, axis=0, return_counts=True)
+    _, dir_counts = np.unique(directed, axis=0, return_counts=True)
+    n_boundary = int(np.sum(counts == 1))
+    n_nonmanifold = int(np.sum(counts > 2)) + int(np.sum(dir_counts > 1))
+    v = mesh.vertices
+    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    return MeshReport(
+        watertight=(n_boundary == 0 and n_nonmanifold == 0),
+        n_boundary_edges=n_boundary,
+        n_nonmanifold_edges=n_nonmanifold,
+        signed_volume=float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0),
+        bbox_min=tuple(v.min(axis=0)),
+        bbox_max=tuple(v.max(axis=0)),
+    ), directed, undirected
+
+
+def _axis0_problem_edges(directed, undirected, limit=32):
+    und_keys, counts = np.unique(undirected, axis=0, return_counts=True)
+    dir_keys, dir_counts = np.unique(directed, axis=0, return_counts=True)
+    out = [tuple(e) for e in und_keys[counts != 2][:limit]]
+    out += [tuple(e) for e in dir_keys[dir_counts > 1][: max(0, limit - len(out))]]
+    return out
+
+
+@pytest.mark.parametrize("defect", ["none", "dropped", "flipped", "duplicated"])
+def test_edge_keys_count_as_row_wise_unique(defect):
+    mesh = solid_mesh(derive(FIXED, HAND), FIXED)
+    tris = mesh.triangles.copy()
+    if defect == "dropped":
+        tris = np.delete(tris, 17, axis=0)
+    elif defect == "flipped":
+        tris[17] = tris[17][::-1]
+    elif defect == "duplicated":
+        tris = np.concatenate([tris, tris[17:18]])
+    mesh = TriangleMesh(vertices=mesh.vertices, triangles=tris)
+    want, directed, undirected = _axis0_report(mesh)
+    assert validate_mesh(mesh) == want
+    assert want.watertight == (defect == "none")
+    assert _problem_edges(mesh) == _axis0_problem_edges(directed, undirected)

@@ -1,17 +1,24 @@
 """Tests for the point-set regression network."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pointnet_reference
 from pkwbench.errors import MalformedModel, NonFiniteLoss, ShapeMismatch
 from pkwbench.surrogates import (
     PointNetConfig,
+    PointNetMini,
     attach_discharge,
     fit_pointnet_mini,
     load_model,
     normalize_discharge,
     save_model,
 )
+from pkwbench.surrogates.pointnet import _init_params
 
 N_PARAMETERS = 21_121  # frozen by the layer widths 4-64-64-128 pool 64-1
 
@@ -205,3 +212,126 @@ def test_network_round_trip(tmp_path):
     truncated.write_bytes(path.read_bytes()[:-40])
     with pytest.raises(MalformedModel):
         load_model(truncated)
+
+
+# differential tests against the full-set network in pointnet_reference.py
+
+
+@st.composite
+def _net_problems(draw):
+    """Clouds, targets and a batch size that stress chunking and the pool.
+
+    Set sizes are drawn independently of the batch size, so most are not
+    multiples of it and many fit in a single chunk.  Clouds may hold one
+    point or repeat their points (argmax ties), and scaled inputs of both
+    signs leave whole ReLU channels dead.
+    """
+    n = draw(st.integers(1, 40))
+    n_points = draw(st.integers(1, 12))
+    batch_size = draw(st.sampled_from((1, 2, 3, 5, 8, 32)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, n_points, 3))
+    if draw(st.booleans()):
+        pts = draw(st.sampled_from((-50.0, 50.0))) * (pts - 0.5)
+    if n_points > 1 and draw(st.booleans()):
+        pts[:, n_points // 2 :] = pts[:, : n_points - n_points // 2]
+    X = attach_discharge(pts, rng.uniform(0.05, 0.25, size=n))
+    y = rng.uniform(0.3, 0.6, size=n)
+    return X, y, batch_size, seed
+
+
+def _kill_channels(params, rng):
+    """Biases so negative that some channels of each hidden layer never fire."""
+    params = {k: v.copy() for k, v in params.items()}
+    for i in range(4):
+        b = params[f"b{i}"]
+        b[rng.random(b.size) < 0.3] = -1e3
+    return params
+
+
+@settings(max_examples=200, deadline=None)
+@given(_net_problems(), st.booleans())
+def test_loss_gradients_and_predict_match_the_reference(problem, dead):
+    X, y, batch_size, seed = problem
+    rng = np.random.default_rng(seed)
+    params = _init_params(rng)
+    if dead:
+        params = _kill_channels(params, rng)
+    config = PointNetConfig(batch_size=batch_size)
+    model = PointNetMini(params, config=config)
+    reference = pointnet_reference.ReferencePointNet(params, config=config)
+    loss, grads = model.loss_and_gradients(X, y)
+    want_loss, want_grads = reference.loss_and_gradients(X, y)
+    assert loss == want_loss
+    assert grads.keys() == want_grads.keys()
+    for key, grad in grads.items():
+        assert np.array_equal(grad, want_grads[key]), key
+    assert np.array_equal(model.predict(X), reference.predict(X))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_net_problems(), st.integers(0, 12), st.integers(1, 3), st.integers(1, 2))
+def test_fit_matches_the_reference(problem, n_val, max_epochs, patience):
+    X, y, batch_size, seed = problem
+    config = PointNetConfig(batch_size=batch_size, max_epochs=max_epochs,
+                            patience=patience, seed=seed)
+    # n_val == 0: the training set doubles as the validation set
+    Xv = X[:n_val][::-1] if n_val else None
+    yv = y[:n_val][::-1] if n_val else None
+    got = fit_pointnet_mini(X, y, Xv, yv, config=config)
+    want = pointnet_reference.fit_pointnet_mini(X, y, Xv, yv, config=config)
+    assert np.array_equal(got.parameter_vector(), want.parameter_vector())
+    assert got.history == want.history
+    assert np.array_equal(got.predict(X), want.predict(X))
+
+
+def test_predict_on_no_clouds_is_empty():
+    model = PointNetMini(_init_params(np.random.default_rng(0)))
+    out = model.predict(np.zeros((0, 5, 4)))
+    assert out.shape == (0,)
+    assert out.dtype == np.float64
+
+
+@pytest.mark.parametrize("n_clouds, batch_size", [(40, 32), (7, 32), (40, 3)])
+def test_nonfinite_loss_message_matches_the_reference(n_clouds, batch_size):
+    X = _toy_clouds(n_clouds, 8, seed=13)
+    y = np.random.default_rng(14).uniform(0.3, 0.6, size=n_clouds)
+    config = PointNetConfig(learning_rate=1e155, max_epochs=3, seed=0,
+                            batch_size=batch_size)
+    messages = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fit in (fit_pointnet_mini, pointnet_reference.fit_pointnet_mini):
+            with pytest.raises(NonFiniteLoss) as info:
+                fit(X, y, config=config)
+            messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def _peak_traced_bytes(fn):
+    """Peak bytes traced while ``fn`` runs; numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_memory_grows_with_the_batch_not_the_set():
+    model = PointNetMini(_init_params(np.random.default_rng(0)))
+    small = _toy_clouds(32, 128, seed=18)
+    large = _toy_clouds(256, 128, seed=19)
+    small_peak = _peak_traced_bytes(lambda: model.predict(small))
+    large_peak = _peak_traced_bytes(lambda: model.predict(large))
+    assert large_peak <= 1.1 * small_peak, (small_peak, large_peak)
+
+
+def test_fit_epoch_memory_grows_with_the_batch_not_the_set():
+    config = PointNetConfig(max_epochs=1, seed=0)
+    peaks = []
+    for n_clouds in (64, 256):
+        X = _toy_clouds(n_clouds, 128, seed=20)
+        y = np.random.default_rng(21).uniform(0.3, 0.6, size=n_clouds)
+        peaks.append(_peak_traced_bytes(lambda: fit_pointnet_mini(X, y, config=config)))
+    assert peaks[1] <= 1.1 * peaks[0], peaks
