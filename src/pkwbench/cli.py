@@ -48,7 +48,7 @@ from .dataset import (
 from .errors import ArtifactExists, MissingArtifact, PkwError
 from .geometry import derive, feature_vector, write_params
 from .hydraulics import OracleConfig, ingest_labels, paper_schedule
-from .mesh import analytic_volume, crest_trace_length, solid_mesh, validate_mesh
+from .mesh import _solid_mesh_report, analytic_volume, crest_trace_length
 from .pointcloud import normalize_unit_cube, read_cloud, sample_surface, subsample, write_cloud
 from .sampling import paper_default_space, screening_space, generate_batch, VARIABLE_NAMES
 from .stlio import read_stl, write_stl
@@ -301,11 +301,53 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _mesh_one(gid, derived, fixed, x_segments):
-    mesh = solid_mesh(derived, fixed, x_segments=x_segments)
-    report = validate_mesh(mesh)
-    crest = crest_trace_length(mesh)
-    return mesh, report, crest
+def _pool_size(jobs: int, n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` jobs: ``--jobs``, capped at the task
+    count and at the CPUs this process may run on, and at least one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, n_tasks, cpus))
+
+
+def _run_jobs(fn, tasks, jobs: int) -> list:
+    """``fn(*task)`` for every task, results in task order.
+
+    One worker runs the jobs here in this process; more run them in a
+    process pool, since the per-design work is pure Python that threads
+    cannot overlap.  ``fn`` must be a module-level function and the tasks
+    plain picklable data.  The pool takes the platform's default start
+    method (fork on Linux before Python 3.14): the CLI starts no threads
+    of its own, and a spawned worker would first spend about 0.3 s
+    re-importing numpy and pkwbench, as long as a small stage takes.
+    """
+    workers = _pool_size(jobs, len(tasks))
+    if workers == 1:
+        return [fn(*task) for task in tasks]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
+
+
+def _mesh_job(gid, derived, fixed, x_segments):
+    """Mesh one design: ``(gid, (mesh, report, crest), None)`` or
+    ``(gid, None, error)``."""
+    try:
+        mesh, report = _solid_mesh_report(derived, fixed, x_segments)
+        return gid, (mesh, report, crest_trace_length(mesh)), None
+    except PkwError as exc:
+        return gid, None, exc
+
+
+def _cloud_job(gid, stl_path, n, seed):
+    """Sample one cloud: ``(gid, cloud, None)`` or ``(gid, None, error)``."""
+    try:
+        if not stl_path.exists():
+            raise MissingArtifact(f"no mesh for {gid}; run mesh first")
+        cloud = sample_surface(read_stl(stl_path), n, seed=seed, geometry_id=gid)
+        return gid, normalize_unit_cube(cloud), None
+    except PkwError as exc:
+        return gid, None, exc
 
 
 def _cmd_mesh(args) -> int:
@@ -321,34 +363,19 @@ def _cmd_mesh(args) -> int:
     for gid in gids:
         _claim(ws / "meshes" / f"{gid}.stl", args.force)
 
-    def job(gid):
-        try:
-            return gid, _mesh_one(
-                gid, manifest.geometries[gid].derived, fixed, args.x_segments
-            ), None
-        except PkwError as exc:
-            return gid, None, exc
-
-    results = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for gid, ok, err in pool.map(job, gids):
-            results[gid] = (ok, err)
-
+    tasks = [(gid, manifest.geometries[gid].derived, fixed, args.x_segments)
+             for gid in gids]
     config = {"x_segments": args.x_segments, "ids": list(args.ids or [])}
     failures = []
     rows = []
-    for gid in gids:
-        ok, err = results[gid]
+    for gid, ok, err in _run_jobs(_mesh_job, tasks, args.jobs):
         stl_path = ws / "meshes" / f"{gid}.stl"
         if err is not None:
             _mark_failed(stl_path, err)
-            failures.append((gid, err))
+            failures.append(gid)
             continue
         mesh, report, crest = ok
         write_stl(stl_path, mesh, geometry_id=gid)
-        if not report.watertight:
-            _mark_failed(stl_path, PkwError("mesh is not watertight"))
-            failures.append((gid, PkwError(f"{gid}: mesh is not watertight")))
         derived = manifest.geometries[gid].derived
         volume = analytic_volume(derived, fixed)
         rows.append({
@@ -375,7 +402,7 @@ def _cmd_mesh(args) -> int:
         record = {
             "error": "MeshStageFailures",
             "message": f"{len(failures)} designs failed to mesh",
-            "geometry_ids": [gid for gid, _ in failures],
+            "geometry_ids": failures,
         }
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1
@@ -390,28 +417,11 @@ def _cmd_cloud(args) -> int:
     gids = sorted(manifest.geometries)
     targets = {gid: _claim(ws / "clouds" / f"{gid}.wnpc", args.force) for gid in gids}
 
-    def job(gid):
-        stl_path = ws / "meshes" / f"{gid}.stl"
-        try:
-            if not stl_path.exists():
-                raise MissingArtifact(f"no mesh for {gid}; run mesh first")
-            mesh = read_stl(stl_path)
-            cloud = sample_surface(
-                mesh, args.n, seed=_stage_seed(seed, rank[gid]), geometry_id=gid
-            )
-            return gid, normalize_unit_cube(cloud), None
-        except PkwError as exc:
-            return gid, None, exc
-
-    results = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for gid, cloud, err in pool.map(job, gids):
-            results[gid] = (cloud, err)
-
+    tasks = [(gid, ws / "meshes" / f"{gid}.stl", args.n, _stage_seed(seed, rank[gid]))
+             for gid in gids]
     failures = []
     written = 0
-    for gid in gids:
-        cloud, err = results[gid]
+    for gid, cloud, err in _run_jobs(_cloud_job, tasks, args.jobs):
         if err is not None:
             _mark_failed(targets[gid], err)
             failures.append(gid)
@@ -598,10 +608,17 @@ def _cmd_eval(args) -> int:
         split, args.model, args.partition, len(split.train), report, args.paper_scale
     )
     _write_report(out_path, [row], args.paper_scale)
-    _write_meta(out_path, "eval", args.seed, {
+    config = {
         "split": split.name, "model": args.model, "partition": args.partition,
         "paper_scale": args.paper_scale,
-    })
+    }
+    if isinstance(model, PointNetMini):
+        # _eval_model subsampled --points per cloud with the training seed
+        seed = model.config.seed
+        config["points"] = args.points
+    else:
+        seed = args.seed
+    _write_meta(out_path, "eval", seed, config)
     r2_text = "undefined" if report.r2 is None else f"{report.r2:.4f}"
     print(
         f"{split.name}/{args.model}/{args.partition}: "
@@ -692,15 +709,30 @@ def _cmd_bench(args) -> int:
 # parser
 
 
+def _jobs_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number >= 1 (here or in PKWBENCH_JOBS), got {text!r}"
+        )
+    return jobs
+
+
 def _add_common(sub, seed_help="master seed for this stage"):
     sub.add_argument("--workspace", default=os.environ.get("PKWBENCH_WORKSPACE", "workspace"),
                      help="workspace directory (env PKWBENCH_WORKSPACE)")
     sub.add_argument("--seed", type=int, default=None, help=seed_help)
     sub.add_argument("--force", action="store_true",
                      help="allow overwriting existing artifacts")
-    sub.add_argument("--jobs", type=int,
-                     default=int(os.environ.get("PKWBENCH_JOBS", "1")),
-                     help="worker threads for per-geometry stages (env PKWBENCH_JOBS)")
+    # a string default goes through _jobs_count, so a bad PKWBENCH_JOBS is a
+    # usage error of the command, not a traceback while building the parser
+    sub.add_argument("--jobs", type=_jobs_count,
+                     default=os.environ.get("PKWBENCH_JOBS", "1"),
+                     help="worker processes for per-geometry stages, at most one "
+                     "per available CPU (env PKWBENCH_JOBS)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -481,6 +481,11 @@ def tessellate(regions: list[PlanRegion], x_segments: int = 8) -> TriangleMesh:
     The result is watertight and outward-oriented; a failed stitch raises
     StitchFailure with the offending edges attached.
     """
+    return _tessellate(regions, x_segments)[0]
+
+
+def _tessellate(regions: list[PlanRegion], x_segments: int):
+    """``tessellate``, returning ``(mesh, report)`` from its one validation."""
     if x_segments < 1:
         raise ValueError("x_segments must be >= 1")
     stations = _stations(regions, x_segments)
@@ -546,7 +551,7 @@ def tessellate(regions: list[PlanRegion], x_segments: int = 8) -> TriangleMesh:
             f"tessellation left {report.n_boundary_edges} boundary and "
             f"{report.n_nonmanifold_edges} non-manifold edges", edges=bad,
         )
-    return mesh
+    return mesh, report
 
 
 def _edge_keys(mesh: TriangleMesh):
@@ -689,3 +694,8 @@ def crest_trace_length(mesh: TriangleMesh, tol: float = 1e-9) -> float:
 def solid_mesh(derived: PkwDerived, fixed: PkwFixed, x_segments: int = 8) -> TriangleMesh:
     """Convenience wrapper: build regions and tessellate."""
     return tessellate(build_regions(derived, fixed), x_segments=x_segments)
+
+
+def _solid_mesh_report(derived: PkwDerived, fixed: PkwFixed, x_segments: int):
+    """``solid_mesh`` plus the watertight ``MeshReport`` it validated with."""
+    return _tessellate(build_regions(derived, fixed), x_segments)

@@ -54,7 +54,16 @@ def write_stl(path, mesh: TriangleMesh, geometry_id: str = "") -> None:
 
 
 def read_stl(path) -> TriangleMesh:
-    """Read a binary STL, welding vertices by exact float32 equality."""
+    """Read a binary STL, welding vertices by exact float32 equality.
+
+    The weld sorts the corners lexicographically on (x, y, z) with one
+    stable ``np.lexsort``, starts a new vertex wherever a corner differs from
+    its sorted neighbour, and numbers the vertices with a ``cumsum``
+    scattered back through the sort.  Vertices come out in sorted order, as
+    from ``np.unique(corners, axis=0, return_inverse=True)``; like it, the
+    weld compares floats, so 0.0 and -0.0 are one vertex (here keeping the
+    sign of the corner read first).
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 84:
         raise MalformedStl(f"{path}: file shorter than the 84-byte fixed part")
@@ -68,11 +77,15 @@ def read_stl(path) -> TriangleMesh:
         raise EmptyMesh(f"{path}: STL contains no triangles")
     records = np.frombuffer(raw, dtype=_RECORD, count=count, offset=84)
 
-    corners = np.stack([records["v0"], records["v1"], records["v2"]], axis=1)
-    flat = corners.reshape(-1, 3)
-    unique, inverse = np.unique(flat, axis=0, return_inverse=True)
-    triangles = inverse.reshape(-1, 3).astype(np.int64)
+    flat = np.stack([records["v0"], records["v1"], records["v2"]], axis=1).reshape(-1, 3)
+    order = np.lexsort((flat[:, 2], flat[:, 1], flat[:, 0]))
+    ordered = flat[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(ordered), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
     return TriangleMesh(
-        vertices=unique.astype(np.float64),
-        triangles=triangles,
+        vertices=ordered[first].astype(np.float64),
+        triangles=inverse.reshape(-1, 3),
     )

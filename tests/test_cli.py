@@ -15,11 +15,16 @@ import numpy as np
 import pytest
 
 import pkwbench
+import pkwbench.cli as cli
+import pkwbench.mesh
 from pkwbench.cli import (
     MANIFEST_NAME,
     SUBDIRS,
     _REPORT_COLUMNS,
     _SCALED_COLUMNS,
+    _config_hash,
+    _pool_size,
+    _run_jobs,
     build_parser,
     main,
 )
@@ -173,6 +178,52 @@ def test_jobs_env_variable_sets_parser_default(monkeypatch):
     assert args.jobs == 3
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "x", "1.5", ""])
+def test_bad_jobs_is_a_usage_error(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        run(["mesh", "--workspace", tmp_path, "--jobs", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("pkwbench mesh: error: argument --jobs:")
+
+
+@pytest.mark.parametrize("value", ["0", "x"])
+def test_bad_jobs_env_variable_is_a_usage_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("PKWBENCH_JOBS", value)
+    build_parser()  # a bad default fails the command, not the parser build
+    with pytest.raises(SystemExit) as exc:
+        run(["sample", "--workspace", tmp_path, "--n", 3, "--seed", 1])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "PKWBENCH_JOBS" in err.splitlines()[-1]
+    # an explicit --jobs overrides the bad default
+    assert run(["sample", "--workspace", tmp_path, "--n", 3, "--seed", 1, "--jobs", 1]) == 0
+
+
+def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert _pool_size(2, 40) == 2
+    assert _pool_size(64, 40) == 3
+    assert _pool_size(64, 2) == 2
+    assert _pool_size(4, 0) == 1
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+    assert _pool_size(64, 40) == 5
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert _pool_size(64, 40) == 1
+
+
+def test_one_worker_runs_jobs_without_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single worker must not start a process pool")
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _run_jobs(divmod, [(7, 2), (9, 4)], jobs=8) == [(3, 1), (2, 1)]
+
+
 def test_version_flag_reports_package_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -207,6 +258,64 @@ def test_parallel_mesh_matches_serial(tmp_path):
     stl_a = (ws_a / "meshes" / "g000000.stl").read_bytes()
     stl_b = (ws_b / "meshes" / "g000000.stl").read_bytes()
     assert stl_a == stl_b
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_parallel_cloud_matches_serial(tmp_path):
+    ws = tmp_path / "meshed"
+    assert run(["sample", "--workspace", ws, "--n", 6, "--seed", 9]) == 0
+    assert run(["mesh", "--workspace", ws]) == 0
+    for jobs in (1, 2):
+        shutil.copytree(ws, tmp_path / f"jobs{jobs}")
+        argv = ["cloud", "--workspace", tmp_path / f"jobs{jobs}", "--n", 300,
+                "--seed", 4, "--jobs", jobs]
+        assert run(argv) == 0
+    clouds_a = _tree_bytes(tmp_path / "jobs1" / "clouds")
+    clouds_b = _tree_bytes(tmp_path / "jobs2" / "clouds")
+    assert len(clouds_a) == 7  # six clouds and the stage sidecar
+    assert clouds_a == clouds_b
+
+
+def test_parallel_failures_match_serial(tmp_path, capsys):
+    # at this seed g000001 passes the feasibility gate, then its downstream
+    # crest wall pinches in build_regions
+    ws = tmp_path / "sampled"
+    assert run(["sample", "--workspace", ws, "--n", 40, "--seed", 11]) == 0
+    capsys.readouterr()
+    errors = []
+    for jobs in (1, 2):
+        copy = tmp_path / f"jobs{jobs}"
+        shutil.copytree(ws, copy)
+        assert run(["mesh", "--workspace", copy, "--ids", "g000000", "g000001",
+                    "g000002", "--jobs", jobs]) == 1
+        assert run(["cloud", "--workspace", copy, "--n", 100, "--seed", 3,
+                    "--jobs", jobs]) == 1
+        errors.append(capsys.readouterr().err)
+    marker = json.loads((tmp_path / "jobs2" / "meshes" / "g000001.stl.failed").read_text())
+    assert marker["error"] == "DegenerateRegion"
+    assert errors[0] == errors[1]
+    assert json.loads(errors[1].splitlines()[0])["geometry_ids"] == ["g000001"]
+    assert _tree_bytes(tmp_path / "jobs1") == _tree_bytes(tmp_path / "jobs2")
+
+
+def test_mesh_validates_each_design_once(tmp_path, monkeypatch):
+    calls = []
+    validate = pkwbench.mesh.validate_mesh
+
+    def counting(mesh):
+        calls.append(mesh.n_triangles)
+        return validate(mesh)
+
+    monkeypatch.setattr(pkwbench.mesh, "validate_mesh", counting)
+    # catch a call through a name the CLI imported, as well
+    monkeypatch.setattr(cli, "validate_mesh", counting, raising=False)
+    assert run(["sample", "--workspace", tmp_path, "--n", 4, "--seed", 9]) == 0
+    assert run(["mesh", "--workspace", tmp_path, "--jobs", 1]) == 0
+    rows = read_rows(tmp_path / "meshes" / "mesh_reports.csv")
+    assert calls == [int(r["n_triangles"]) for r in rows]
 
 
 def test_mesh_failures_leave_markers_and_fail_the_stage(tmp_path, capsys):
@@ -414,6 +523,28 @@ def test_pointnet_eval_subsamples_with_the_training_seed(pipeline, tmp_path):
         assert run(evaluate + seed_args) == 0
         rows.append(read_rows(ws / "reports" / "eval-id-pointnet-test.csv"))
     assert rows[0] == rows[1]
+
+
+def test_pointnet_eval_sidecar_records_seed_and_points(pipeline, tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline, ws, ignore=shutil.ignore_patterns("models", "reports"))
+    train = ["train", "--workspace", ws, "--model", "pointnet", "--split", "id",
+             "--seed", 5, "--points", 32, "--epochs", 1]
+    assert run(train) == 0
+    sidecar = ws / "reports" / "eval-id-pointnet-test.csv.meta.json"
+    hashes = []
+    for points in (32, 64):
+        evaluate = ["eval", "--workspace", ws, "--model", "pointnet", "--split", "id",
+                    "--points", points, "--force"]
+        assert run(evaluate) == 0
+        meta = json.loads(sidecar.read_text())
+        assert meta["seed"] == 5
+        hashes.append(meta["config_hash"])
+    assert hashes[0] == _config_hash({
+        "split": "id", "model": "pointnet", "partition": "test",
+        "paper_scale": False, "points": 32,
+    })
+    assert hashes[0] != hashes[1]
 
 
 # benchmark matrix

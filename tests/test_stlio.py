@@ -4,11 +4,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkwbench.errors import EmptyMesh, MalformedStl
 from pkwbench.geometry import PkwFixed, PkwSample, derive
 from pkwbench.mesh import TriangleMesh, mesh_volume, solid_mesh, validate_mesh
-from pkwbench.stlio import read_stl, write_stl
+from pkwbench.stlio import _RECORD, read_stl, write_stl
 
 
 def _tetrahedron():
@@ -93,3 +95,76 @@ def test_read_rejects_zero_facets(tmp_path):
     path.write_bytes(b"\x00" * 80 + struct.pack("<I", 0))
     with pytest.raises(EmptyMesh):
         read_stl(path)
+
+
+# the sort-based weld against the row-wise np.unique weld it replaced
+
+
+def reference_weld(path):
+    """``read_stl``'s former weld: row-wise ``np.unique`` on the corners."""
+    raw = path.read_bytes()
+    (count,) = struct.unpack_from("<I", raw, 80)
+    records = np.frombuffer(raw, dtype=_RECORD, count=count, offset=84)
+    corners = np.stack([records["v0"], records["v1"], records["v2"]], axis=1)
+    flat = corners.reshape(-1, 3)
+    unique, inverse = np.unique(flat, axis=0, return_inverse=True)
+    return unique.astype(np.float64), inverse.reshape(-1, 3).astype(np.int64)
+
+
+def _write_corners(path, corners):
+    """Binary STL with exactly these float32 corners, shape (m, 3, 3)."""
+    records = np.zeros(len(corners), dtype=_RECORD)
+    records["v0"], records["v1"], records["v2"] = corners[:, 0], corners[:, 1], corners[:, 2]
+    path.write_bytes(b"\0" * 80 + struct.pack("<I", len(corners)) + records.tobytes())
+
+
+def _assert_same_weld(path):
+    mesh = read_stl(path)
+    ref_vertices, ref_triangles = reference_weld(path)
+    assert mesh.vertices.dtype == np.float64 and mesh.triangles.dtype == np.int64
+    # == on purpose: the reference's unstable sort keeps either sign of a
+    # welded +-0.0, so only the values, not the sign bits, must agree
+    assert mesh.vertices.shape == ref_vertices.shape
+    assert np.all(mesh.vertices == ref_vertices)
+    assert np.array_equal(mesh.triangles, ref_triangles)
+
+
+_coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(width=32, allow_nan=False),
+)
+
+
+@st.composite
+def _corner_sets(draw):
+    """Triangles over a small pool of points, so corners repeat, triangles
+    share corners and edges, and some triangles repeat a corner."""
+    pool = draw(st.lists(st.tuples(_coordinates, _coordinates, _coordinates),
+                         min_size=1, max_size=10))
+    index = st.integers(0, len(pool) - 1)
+    triangles = draw(st.lists(st.tuples(index, index, index), min_size=1, max_size=30))
+    return np.asarray(pool, dtype=np.float32)[np.asarray(triangles)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corner_sets())
+def test_weld_matches_row_unique(tmp_path_factory, corners):
+    path = tmp_path_factory.mktemp("weld") / "drawn.stl"
+    _write_corners(path, corners)
+    _assert_same_weld(path)
+
+
+def test_weld_joins_signed_zeros(tmp_path):
+    corners = np.array([[[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, -0.0, 2.0]]],
+                       dtype=np.float32)
+    _write_corners(tmp_path / "zeros.stl", corners)
+    mesh = read_stl(tmp_path / "zeros.stl")
+    assert mesh.n_vertices == 2
+    assert mesh.triangles.tolist() == [[1, 1, 0]]
+
+
+def test_weld_matches_row_unique_on_a_weir(tmp_path):
+    fixed = PkwFixed()
+    sample = PkwSample(B_b=0.40, R_B_i=0.5, T_s=0.02, W_i_u=0.20, W_i_d=0.14)
+    write_stl(tmp_path / "weir.stl", solid_mesh(derive(fixed, sample), fixed), "weir")
+    _assert_same_weld(tmp_path / "weir.stl")
