@@ -221,8 +221,9 @@ def _cloud_arrays(ws: Path, manifest: DatasetManifest, pairs, n_points: int, see
         clouds.append(cache[gid])
         discharges.append(q)
         targets.append(labels[(gid, q)])
+    points = np.stack(clouds) if clouds else np.empty((0, n_points, 3))
     return (
-        attach_discharge(np.stack(clouds), np.asarray(discharges)),
+        attach_discharge(points, np.asarray(discharges)),
         np.asarray(targets),
     )
 
@@ -552,7 +553,10 @@ def _fit_model(args, ws, manifest, split, seed):
             return fit_forest(X, y, n_trees=_ensemble_size(args, "forest"), seed=seed)
         return fit_gbm(X, y, n_trees=_ensemble_size(args, "gbm"))
     X, y = _cloud_arrays(ws, manifest, split.train, args.points, seed)
-    Xv, yv = _cloud_arrays(ws, manifest, split.val, args.points, seed)
+    # no validation pairs: the training set doubles as the validation set
+    Xv = yv = None
+    if split.val:
+        Xv, yv = _cloud_arrays(ws, manifest, split.val, args.points, seed)
     config = PointNetConfig(max_epochs=args.epochs, seed=seed)
     return fit_pointnet_mini(X, y, Xv, yv, config=config)
 

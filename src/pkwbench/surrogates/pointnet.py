@@ -11,11 +11,19 @@ Training is plain minibatch Adam on the mean squared error with early
 stopping on a validation set; the weights that scored the best validation
 MSE are the ones the fitted model keeps.
 
+The max pool passes gradient to one point per (cloud, channel): the
+channel's first-maximum point.  A cloud's distinct such points are its
+critical points, a few dozen of several hundred on real clouds, and the
+backward pass runs the per-point layers on those rows alone.  Only a
+training step takes the ``argmax``; prediction and evaluation pool with a
+plain ``max``.
+
 No pass holds more activations than one training batch: prediction and
 the per-epoch evaluation push ``batch_size`` clouds at a time through the
 per-point layers and the pool, then run the head once on the pooled
 vectors.  The chunked result is bit-identical to one pass over the whole
 set, so memory grows with ``batch_size x points``, not with the set size.
+A training step holds no per-point gradient, only the gathered rows.
 """
 
 from __future__ import annotations
@@ -144,26 +152,29 @@ class PointNetMini:
     def _forward(self, h, cache=None, layers=range(len(_LAYER_DIMS))):
         """Run ``h`` through ``layers``; fill ``cache`` for backprop if given.
 
-        Each layer adds its bias and applies ReLU in place.  The pool reads
-        each channel at its first-maximum point, so ties route
-        deterministically, and the mask cached for the pooled layer is
-        taken on the pooled values: it is that layer's mask at the argmax.
+        Each layer adds its bias and applies ReLU in place.  ReLU is
+        monotone, so it commutes with the max pool: the pooled layer pools
+        its biased pre-activation and applies ReLU to the pooled vectors
+        only.  Without a cache the pool is a plain ``max``; with one it
+        reads each channel at its first-maximum point and caches those
+        ``argmax`` indices, the critical points the backward pass runs on.
         """
         for i in layers:
             z = h @ self.params[f"W{i}"]
             z += self.params[f"b{i}"]
-            if i < len(_LAYER_DIMS) - 1:
-                if cache is not None and i != _POOL_AFTER:
-                    cache[f"mask{i}"] = z > 0.0
-                np.maximum(z, 0.0, out=z)
             if i == _POOL_AFTER:
-                argmax = np.argmax(z, axis=1)
-                pre_pool_shape = z.shape
-                z = np.take_along_axis(z, argmax[:, None, :], axis=1)[:, 0]
-                if cache is not None:
+                if cache is None:
+                    z = z.max(axis=1)
+                else:
+                    # argmax over a non-last axis copies its input, so it
+                    # runs one cloud at a time
+                    argmax = np.empty((z.shape[0], z.shape[2]), dtype=np.intp)
+                    for cloud, out in zip(z, argmax):
+                        np.argmax(cloud, axis=0, out=out)
+                    z = np.take_along_axis(z, argmax[:, None, :], axis=1)[:, 0]
                     cache["argmax"] = argmax
-                    cache["pre_pool_shape"] = pre_pool_shape
-                    cache[f"mask{i}"] = z > 0.0
+            if i < len(_LAYER_DIMS) - 1:
+                np.maximum(z, 0.0, out=z)
             if cache is not None:
                 cache["acts"].append(z)
             h = z
@@ -194,7 +205,14 @@ class PointNetMini:
         return self._predict(_check_clouds(X))
 
     def loss_and_gradients(self, X, y):
-        """Mean squared error over the batch and its parameter gradients."""
+        """Mean squared error over the batch and its parameter gradients.
+
+        The head backpropagates densely on the pooled vectors.  Below the
+        pool only each cloud's critical points (the distinct argmax rows
+        of its channels) receive a gradient, so the per-point layers
+        backpropagate on those R rows alone, gathered from the cached
+        activations: no (clouds, points, channels) gradient is built.
+        """
         X = _check_clouds(X)
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape[0] != X.shape[0]:
@@ -207,31 +225,26 @@ class PointNetMini:
         # d loss / d output, padded back to the (n, 1) layer shape
         delta = (2.0 / y.size) * err[:, None]
         acts = cache["acts"]
-        for i in reversed(range(len(_LAYER_DIMS))):
-            a_in = acts[i]
-            if i == _POOL_AFTER + 1:
-                # route the pooled gradient back to the winning points
-                pooled_grad = delta @ self.params[f"W{i}"].T
-                grads[f"W{i}"] = a_in.T @ delta
-                grads[f"b{i}"] = delta.sum(axis=0)
-                pooled_grad *= cache[f"mask{i - 1}"]
-                delta = np.zeros(cache["pre_pool_shape"])
-                np.put_along_axis(
-                    delta, cache["argmax"][:, None, :], pooled_grad[:, None, :], axis=1
-                )
-                continue
-            if a_in.ndim == 3:
-                flat_in = a_in.reshape(-1, a_in.shape[2])
-                flat_delta = delta.reshape(-1, delta.shape[2])
-            else:
-                flat_in = a_in
-                flat_delta = delta
-            grads[f"W{i}"] = flat_in.T @ flat_delta
-            grads[f"b{i}"] = flat_delta.sum(axis=0)
+        for i in reversed(range(_POOL_AFTER + 1, len(_LAYER_DIMS))):
+            grads[f"W{i}"] = acts[i].T @ delta
+            grads[f"b{i}"] = delta.sum(axis=0)
+            delta = delta @ self.params[f"W{i}"].T
+            delta *= acts[i] > 0.0
+        # delta is d loss / d pooled pre-activation; each (cloud, channel)
+        # sends it to one critical row, and owns that row's cell alone
+        n_clouds, n_points = X.shape[:2]
+        keys = cache["argmax"] + n_points * np.arange(n_clouds)[:, None]
+        rows, slot = np.unique(keys, return_inverse=True)
+        channels = np.arange(keys.shape[1])
+        delta_rows = np.zeros((rows.size, keys.shape[1]))
+        delta_rows[slot.reshape(keys.shape), channels] = delta
+        for i in reversed(range(_POOL_AFTER + 1)):
+            a_in = acts[i].reshape(-1, acts[i].shape[2])[rows]
+            grads[f"W{i}"] = a_in.T @ delta_rows
+            grads[f"b{i}"] = delta_rows.sum(axis=0)
             if i > 0:
-                delta = delta @ self.params[f"W{i}"].T
-                if i - 1 != _POOL_AFTER:
-                    delta *= cache[f"mask{i - 1}"]
+                delta_rows = delta_rows @ self.params[f"W{i}"].T
+                delta_rows *= a_in > 0.0
         return loss, grads
 
     # flat views for finite-difference probing and serialization

@@ -4,9 +4,13 @@
 ``fit_pointnet_mini`` are ``pkwbench.surrogates.pointnet`` as it was before
 its layers ran in place, the pool read its values at the argmax and
 evaluation ran in batch-sized chunks, copied unchanged except that the
-reference fit builds a ``ReferencePointNet``.  The differential tests in
+reference fit builds a ``ReferencePointNet``.  Its backward pass is dense:
+it scatters the pooled gradient into a full (clouds, points, channels)
+array and backpropagates every point.  The differential tests in
 ``test_pointnet.py`` require the production network to return the same
-parameters, histories, losses, gradients and predictions, bit for bit.
+losses and predictions bit for bit, and the same gradients, and the
+parameters and histories a fit derives from them, up to reassociation of
+float64 sums.
 """
 
 import numpy as np

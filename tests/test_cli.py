@@ -610,6 +610,20 @@ def test_bench_fits_each_distinct_training_set_once(tmp_path, monkeypatch):
         assert ladder_top[column] == full[column]
 
 
+def test_bench_pointnet_runs_with_an_empty_validation_partition(tmp_path):
+    # at this seed two ood-geom splits hold no validation pairs; their fits
+    # fall back to validating on the training set
+    ws = tmp_path / "ws"
+    argv = ["bench", "--workspace", ws, "--n", N_DESIGNS, "--seed", MASTER_SEED,
+            "--model", "pointnet", "--cloud-points", 300, "--points", 64,
+            "--epochs", 1]
+    assert run(argv) == 0
+    rows = read_rows(ws / "reports" / "bench.csv")
+    assert len(rows) == 13
+    assert {r["model"] for r in rows} == {"pointnet"}
+    assert not read_split_csv(ws / "splits" / "ood-geom-alpha_le2.csv").val
+
+
 def test_bench_rejects_external_oracles(tmp_path, capsys):
     argv = ["bench", "--workspace", tmp_path, "--n", 40, "--seed", 3,
             "--oracle", "csv=whatever.csv"]

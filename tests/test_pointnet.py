@@ -83,7 +83,9 @@ def test_single_cloud_prediction_shape():
     model = _quick_fit(X, np.array([0.3, 0.4]))
     out = model.predict(X[0])
     assert out.shape == (1,)
-    assert out[0] == model.predict(X)[0]
+    # BLAS rounds the head by its row count, so a one-row predict may
+    # differ from a batch predict by reassociation only
+    assert abs(out[0] - model.predict(X)[0]) <= 1e-12
 
 
 def test_analytic_gradients_match_finite_differences():
@@ -216,6 +218,19 @@ def test_network_round_trip(tmp_path):
 
 # differential tests against the full-set network in pointnet_reference.py
 
+# The backward pass below the pool sums over the critical rows only, where
+# the reference sums over every point; BLAS then reduces in another order,
+# so gradients, and the weights and MSEs a fit derives from them, may differ
+# from the reference by reassociation of float64 sums.
+_REASSOCIATION = 1e-12
+
+
+def _assert_close(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    bound = _REASSOCIATION * max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert np.all(np.abs(got - want) <= bound), what
+
 
 @st.composite
 def _net_problems(draw):
@@ -266,7 +281,7 @@ def test_loss_gradients_and_predict_match_the_reference(problem, dead):
     assert loss == want_loss
     assert grads.keys() == want_grads.keys()
     for key, grad in grads.items():
-        assert np.array_equal(grad, want_grads[key]), key
+        _assert_close(grad, want_grads[key], key)
     assert np.array_equal(model.predict(X), reference.predict(X))
 
 
@@ -281,9 +296,11 @@ def test_fit_matches_the_reference(problem, n_val, max_epochs, patience):
     yv = y[:n_val][::-1] if n_val else None
     got = fit_pointnet_mini(X, y, Xv, yv, config=config)
     want = pointnet_reference.fit_pointnet_mini(X, y, Xv, yv, config=config)
-    assert np.array_equal(got.parameter_vector(), want.parameter_vector())
-    assert got.history == want.history
-    assert np.array_equal(got.predict(X), want.predict(X))
+    assert got.history["best_epoch"] == want.history["best_epoch"]
+    _assert_close(got.parameter_vector(), want.parameter_vector(), "parameters")
+    for key in ("train_mse", "val_mse", "best_val_mse"):
+        _assert_close(got.history[key], want.history[key], key)
+    _assert_close(got.predict(X), want.predict(X), "predictions")
 
 
 def test_predict_on_no_clouds_is_empty():
@@ -325,6 +342,23 @@ def test_predict_memory_grows_with_the_batch_not_the_set():
     small_peak = _peak_traced_bytes(lambda: model.predict(small))
     large_peak = _peak_traced_bytes(lambda: model.predict(large))
     assert large_peak <= 1.1 * small_peak, (small_peak, large_peak)
+
+
+def test_gradient_step_builds_no_dense_pre_pool_gradient():
+    X = _toy_clouds(32, 512, seed=22)
+    y = np.random.default_rng(23).uniform(0.3, 0.6, size=32)
+    params = _init_params(np.random.default_rng(24))
+    model = PointNetMini(params)
+    reference = pointnet_reference.ReferencePointNet(params)
+    peak = _peak_traced_bytes(lambda: model.loss_and_gradients(X, y))
+    reference_peak = _peak_traced_bytes(lambda: reference.loss_and_gradients(X, y))
+    # one (clouds, points, 128) float64 array, the size of that gradient
+    pre_pool_bytes = 32 * 512 * 128 * 8
+    assert peak <= reference_peak - pre_pool_bytes, (peak, reference_peak)
+    # a step needs the cached layer-0 and layer-1 activations, together one
+    # pre-pool array, and the layer-2 pre-activation; a dense gradient held
+    # next to the cached activations would exceed this too
+    assert peak <= 2.125 * pre_pool_bytes, peak
 
 
 def test_fit_epoch_memory_grows_with_the_batch_not_the_set():
