@@ -67,8 +67,6 @@ class GeometryRecord:
     geometry_id: str
     sample: PkwSample
     derived: PkwDerived
-    mesh_path: str | None = None
-    cloud_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -324,8 +322,6 @@ def write_manifest(path, manifest: DatasetManifest, fixed: PkwFixed) -> None:
                 "kind": "geometry",
                 "geometry_id": gid,
                 "params": {k: getattr(rec.sample, k) for k in _SAMPLE_FIELDS},
-                "mesh_path": rec.mesh_path,
-                "cloud_path": rec.cloud_path,
             }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
@@ -360,9 +356,7 @@ def read_manifest(path, labels: list[LabeledSample] | None = None,
                     use = fixed if fixed is not None else PkwFixed()
                     geometries[row["geometry_id"]] = GeometryRecord(
                         geometry_id=row["geometry_id"], sample=sample,
-                        derived=derive(use, sample),
-                        mesh_path=row.get("mesh_path"),
-                        cloud_path=row.get("cloud_path"))
+                        derived=derive(use, sample))
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
             except (KeyError, TypeError, ValueError) as exc:

@@ -185,25 +185,3 @@ def read_cloud(path, geometry_id: str = "") -> PointCloud:
                           source_geometry_id=geometry_id)
     except ValueError as exc:
         raise MalformedCloud(str(exc))
-
-
-def write_xyz(path, cloud: PointCloud) -> None:
-    """Text alternative: one comma-separated x,y,z triple per line.
-
-    Coordinates only; frame and transform metadata are not representable.
-    """
-    np.savetxt(path, cloud.points, fmt="%.9g", delimiter=",")
-
-
-def read_xyz(path, geometry_id: str = "") -> PointCloud:
-    """Read a text cloud; the result is treated as world-meters."""
-    try:
-        pts = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise MalformedCloud(f"unparseable text cloud: {exc}")
-    if pts.size == 0:
-        pts = np.zeros((0, 3))
-    if pts.shape[1] != 3:
-        raise MalformedCloud(f"expected 3 columns, found {pts.shape[1]}")
-    return PointCloud(points=pts, frame=FRAME_WORLD, scale=1.0,
-                      offset=np.zeros(3), source_geometry_id=geometry_id)

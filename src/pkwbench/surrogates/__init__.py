@@ -1,8 +1,9 @@
 """Surrogate models for discharge-coefficient regression.
 
 Tabular models (tree, forest, boosting) consume the engineered feature
-vector; the point-cloud network consumes sampled surface points with the
-discharge appended per point.  Everything trains deterministically from an
+vector and all fit to one packed type, ``TreeEnsemble``; the point-cloud
+network consumes sampled surface points with the discharge appended per
+point.  Everything trains deterministically from an
 explicit seed and round-trips through one binary container format.
 """
 
@@ -21,16 +22,7 @@ from .pointnet import (
     normalize_discharge,
 )
 from .serialize import load_model, save_model
-from .trees import (
-    BoostedModel,
-    ForestModel,
-    RegressionTree,
-    TreeParams,
-    fit_forest,
-    fit_gbm,
-    fit_tree,
-    permutation_importance,
-)
+from .trees import TreeEnsemble, TreeParams, fit_forest, fit_gbm, fit_tree
 
 __all__ = [
     "MetricReport",
@@ -39,13 +31,10 @@ __all__ = [
     "r_squared",
     "timed_single_predictions",
     "TreeParams",
-    "RegressionTree",
-    "ForestModel",
-    "BoostedModel",
+    "TreeEnsemble",
     "fit_tree",
     "fit_forest",
     "fit_gbm",
-    "permutation_importance",
     "PointNetConfig",
     "PointNetMini",
     "attach_discharge",

@@ -4,6 +4,12 @@ Layout: a fixed header (magic ``WNSM``, format version, model kind byte),
 a JSON block carrying hyperparameters and array shapes, then the raw
 little-endian array payload in the order the JSON block declares.  Arrays
 round-trip bit for bit, so a reloaded model predicts identically.
+
+There are two kinds: a tree ensemble (a single tree, a forest or boosting,
+which share one packed layout) and the point network.  Version 2 gave the
+three tree models that one kind.  Version 1 files are not read: a model is
+cheap to refit, so ``load_model`` asks for ``pkwbench train --force``
+instead of keeping a second reader.
 """
 
 from __future__ import annotations
@@ -15,17 +21,15 @@ import numpy as np
 
 from ..errors import MalformedModel
 from .pointnet import PointNetConfig, PointNetMini
-from .trees import BoostedModel, ForestModel, RegressionTree, TreeParams
+from .trees import TreeEnsemble, TreeParams
 
 __all__ = ["save_model", "load_model"]
 
 _MAGIC = b"WNSM"
-_VERSION = 1
+_VERSION = 2
 _PREFIX = struct.Struct("<4sHBI")  # magic, version, kind, header length
 
 _KIND_TREE = 1
-_KIND_FOREST = 2
-_KIND_GBM = 3
 _KIND_POINTNET = 4
 
 _TREE_FIELDS = (
@@ -56,31 +60,6 @@ def _params_from_json(obj) -> TreeParams:
         raise MalformedModel(f"bad tree hyperparameter block: {exc}") from exc
 
 
-def _tree_blobs(tree: RegressionTree):
-    for name, dtype in _TREE_FIELDS:
-        yield np.ascontiguousarray(getattr(tree, name), dtype=dtype)
-
-
-def _pack_trees(trees):
-    counts = [tree.n_nodes for tree in trees]
-    blobs = []
-    for tree in trees:
-        blobs.extend(_tree_blobs(tree))
-    return counts, blobs
-
-
-def _unpack_trees(reader, counts, n_features, params):
-    trees = []
-    for count in counts:
-        fields = {}
-        for name, dtype in _TREE_FIELDS:
-            fields[name] = reader.take(count, dtype)
-        trees.append(
-            RegressionTree(n_features=n_features, params=params, **fields)
-        )
-    return trees
-
-
 class _PayloadReader:
     def __init__(self, buf):
         self.buf = buf
@@ -104,36 +83,20 @@ class _PayloadReader:
 
 
 def _describe(model):
-    if isinstance(model, RegressionTree):
-        counts, blobs = _pack_trees([model])
+    if isinstance(model, TreeEnsemble):
         header = {
             "n_features": model.n_features,
-            "params": _params_to_json(model.params),
-            "tree_nodes": counts,
+            "offsets": model.offsets.tolist(),
+            "base": model.base,
+            "rate": model.rate,
+            "average": model.average,
+            "info": {**model.info, "params": _params_to_json(model.info["params"])},
         }
+        blobs = [
+            np.ascontiguousarray(getattr(model, name), dtype=dtype)
+            for name, dtype in _TREE_FIELDS
+        ]
         return _KIND_TREE, header, blobs
-    if isinstance(model, ForestModel):
-        counts, blobs = _pack_trees(model.trees)
-        header = {
-            "n_features": model.n_features,
-            "params": _params_to_json(model.params),
-            "tree_nodes": counts,
-            "seed": model.seed,
-            "bootstrap": model.bootstrap,
-            "max_features": model.max_features,
-        }
-        return _KIND_FOREST, header, blobs
-    if isinstance(model, BoostedModel):
-        counts, blobs = _pack_trees(model.trees)
-        header = {
-            "n_features": model.n_features,
-            "params": _params_to_json(model.params),
-            "tree_nodes": counts,
-            "base_value": model.base_value,
-            "learning_rate": model.learning_rate,
-            "train_mse_path": list(model.train_mse_path),
-        }
-        return _KIND_GBM, header, blobs
     if isinstance(model, PointNetMini):
         keys = model._key_order()
         header = {
@@ -156,7 +119,7 @@ def _history_to_json(history):
     return out
 
 
-def _history_from_json(obj):
+def _tuples_from_json(obj):
     out = {}
     for key, val in obj.items():
         out[key] = tuple(val) if isinstance(val, list) else val
@@ -184,7 +147,10 @@ def load_model(path):
     if magic != _MAGIC:
         raise MalformedModel(f"bad magic {magic!r}")
     if version != _VERSION:
-        raise MalformedModel(f"unsupported container version {version}")
+        raise MalformedModel(
+            f"unsupported container version {version}; this build reads version "
+            f"{_VERSION} only, so rerun `pkwbench train --force` to refit the model"
+        )
     header_end = _PREFIX.size + header_len
     if len(raw) < header_end:
         raise MalformedModel("header is truncated")
@@ -195,11 +161,7 @@ def load_model(path):
     reader = _PayloadReader(raw[header_end:])
     try:
         if kind == _KIND_TREE:
-            model = _load_tree(header, reader)
-        elif kind == _KIND_FOREST:
-            model = _load_forest(header, reader)
-        elif kind == _KIND_GBM:
-            model = _load_gbm(header, reader)
+            model = _load_trees(header, reader)
         elif kind == _KIND_POINTNET:
             model = _load_pointnet(header, reader)
         else:
@@ -210,38 +172,25 @@ def load_model(path):
     return model
 
 
-def _load_tree(header, reader):
-    params = _params_from_json(header["params"])
-    trees = _unpack_trees(reader, header["tree_nodes"], header["n_features"], params)
-    if len(trees) != 1:
-        raise MalformedModel(f"tree container holds {len(trees)} trees")
-    return trees[0]
-
-
-def _load_forest(header, reader):
-    params = _params_from_json(header["params"])
-    trees = _unpack_trees(reader, header["tree_nodes"], header["n_features"], params)
-    return ForestModel(
-        trees=tuple(trees),
-        n_features=header["n_features"],
-        seed=header["seed"],
-        bootstrap=header["bootstrap"],
-        max_features=header["max_features"],
-        params=params,
-    )
-
-
-def _load_gbm(header, reader):
-    params = _params_from_json(header["params"])
-    trees = _unpack_trees(reader, header["tree_nodes"], header["n_features"], params)
-    return BoostedModel(
-        base_value=header["base_value"],
-        learning_rate=header["learning_rate"],
-        trees=tuple(trees),
-        n_features=header["n_features"],
-        params=params,
-        train_mse_path=tuple(header["train_mse_path"]),
-    )
+def _load_trees(header, reader):
+    try:
+        offsets = np.array(header["offsets"], dtype=np.int64)
+        fields = {name: reader.take(offsets[-1], dtype) for name, dtype in _TREE_FIELDS}
+        info = _tuples_from_json(header["info"])
+        info["params"] = _params_from_json(info["params"])
+        # construction checks that every member's links point forward inside
+        # it and name a known feature, so predict cannot loop or overrun
+        return TreeEnsemble(
+            **fields,
+            offsets=offsets,
+            n_features=header["n_features"],
+            base=float(header["base"]),
+            rate=float(header["rate"]),
+            average=bool(header["average"]),
+            info=info,
+        )
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
+        raise MalformedModel(f"inconsistent tree arrays: {exc}") from exc
 
 
 def _load_pointnet(header, reader):
@@ -255,7 +204,7 @@ def _load_pointnet(header, reader):
         raise MalformedModel(f"bad network config block: {exc}") from exc
     try:
         return PointNetMini(
-            params, config=config, history=_history_from_json(header["history"])
+            params, config=config, history=_tuples_from_json(header["history"])
         )
     except Exception as exc:
         raise MalformedModel(f"inconsistent network weights: {exc}") from exc

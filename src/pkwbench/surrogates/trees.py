@@ -1,6 +1,8 @@
 """Regression trees, bagged forests, and least-squares gradient boosting.
 
-The tree fitter is exact greedy CART: every split candidate is the midpoint
+All three fit to one type, :class:`TreeEnsemble`: the node arrays of every
+member tree packed end to end, with one predict loop for every kind.  The
+tree fitter is exact greedy CART: every split candidate is the midpoint
 of two consecutive distinct sorted values, and the winner minimizes the
 summed within-child squared error.  Ties are broken deterministically by the
 lowest feature index, then the lowest threshold, so a fit is a pure function
@@ -15,17 +17,13 @@ import math
 import numpy as np
 
 from ..errors import EmptyData, ShapeMismatch
-from .metrics import compute_metrics
 
 __all__ = [
     "TreeParams",
-    "RegressionTree",
-    "ForestModel",
-    "BoostedModel",
+    "TreeEnsemble",
     "fit_tree",
     "fit_forest",
     "fit_gbm",
-    "permutation_importance",
 ]
 
 _LEAF = -1
@@ -49,19 +47,35 @@ class TreeParams:
 
 
 @dataclasses.dataclass(frozen=True)
-class RegressionTree:
-    """Flat-array decision tree.
+class TreeEnsemble:
+    """A single tree, a bagged forest or a boosted model, as packed arrays.
 
-    ``feature[i] == -1`` marks node ``i`` as a leaf; for internal nodes the
-    child arrays give node indices and routing is ``x <= threshold`` left.
-    ``value`` holds the training-target mean of every node, so leaves carry
-    the prediction and internal entries double as fallback diagnostics.
+    Member ``k`` owns nodes ``offsets[k]:offsets[k + 1]`` of the five node
+    arrays.  ``feature[i] == -1`` marks node ``i`` as a leaf; an internal
+    node routes ``x <= threshold[i]`` to ``left[i]`` and the rest to
+    ``right[i]``, and both links are global node ids.  ``value`` holds the
+    training-target mean of every node, so leaves carry the prediction and
+    internal entries double as fallback diagnostics.
 
-    Node 0 is the root, and children are allocated in pairs: the children
-    of the ``i``-th internal node in preorder (left subtree first) are
-    ``2i + 1`` (left) and ``2i + 2`` (right).  This is not preorder
-    numbering; a right child's id precedes the ids in its left sibling's
-    subtree.  ``.wnsm`` files store the arrays in this order.
+    Within a member, the root comes first and children are allocated in
+    pairs: the children of the member's ``i``-th internal node in preorder
+    (left subtree first) are its nodes ``2i + 1`` (left) and ``2i + 2``
+    (right).  This is not preorder numbering; a right child's id precedes
+    the ids in its left sibling's subtree.  Every link points to a larger
+    id inside its member, so a walk from a root reaches a leaf in fewer
+    steps than the member has nodes.  ``.wnsm`` files store the arrays in
+    this order, and construction rejects arrays that break these rules.
+
+    A prediction starts at ``base`` and adds ``rate`` times each member's
+    leaf value, one member at a time in member order; with ``average`` set
+    the sum is then divided by the member count.  A tree is base -0.0, rate
+    1 and no average; a forest is base -0.0, rate 1 and the average; boosting
+    is the target mean as base and the learning rate as rate.  -0.0 is the
+    additive identity, so a tree passes its leaf values through unchanged,
+    signed zeros included.  ``info`` records how the model was fit
+    (``params``; ``seed``, ``bootstrap`` and ``max_features`` for a forest;
+    ``learning_rate`` and ``train_mse_path`` for boosting); predict never
+    reads it.
     """
 
     feature: np.ndarray
@@ -69,36 +83,92 @@ class RegressionTree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    offsets: np.ndarray
     n_features: int
-    params: TreeParams
+    base: float
+    rate: float
+    average: bool
+    info: dict
+
+    def __post_init__(self):
+        offsets = self.offsets
+        n = self.feature.size
+        if offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0 or offsets[-1] != n:
+            raise ValueError(f"member offsets {offsets.tolist()} do not cover {n} nodes")
+        sizes = np.diff(offsets)
+        if (sizes < 1).any():
+            raise ValueError("every member needs at least one node")
+        ids = np.arange(n)
+        end = np.repeat(offsets[1:], sizes)
+        bad = (self.feature < 0) | (self.feature >= self.n_features)
+        for child in (self.left, self.right):
+            bad |= (child <= ids) | (child >= end)
+        bad &= self.feature != _LEAF
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"node {i} splits on feature {self.feature[i]} with children "
+                f"{self.left[i]} and {self.right[i]}; a split needs a feature "
+                f"below {self.n_features} and children after it in its member"
+            )
+
+    @property
+    def n_trees(self) -> int:
+        return self.offsets.size - 1
 
     @property
     def n_nodes(self) -> int:
         return int(self.feature.size)
 
-    @property
-    def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.feature == _LEAF))
-
-    @property
-    def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=int)
-        for i in range(self.n_nodes):
-            if self.feature[i] != _LEAF:
-                depths[self.left[i]] = depths[i] + 1
-                depths[self.right[i]] = depths[i] + 1
-        return int(depths.max())
-
     def predict(self, X) -> np.ndarray:
-        X = _check_matrix(X, self.n_features)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        pending = np.nonzero(self.feature[node] != _LEAF)[0]
-        while pending.size:
-            cur = node[pending]
-            go_left = X[pending, self.feature[cur]] <= self.threshold[cur]
-            node[pending] = np.where(go_left, self.left[cur], self.right[cur])
-            pending = pending[self.feature[node[pending]] != _LEAF]
-        return self.value[node]
+        X = np.ascontiguousarray(_check_matrix(X, self.n_features))
+        n_trees = self.n_trees
+        out = np.empty(X.shape[0])
+        # a block of rows holds about _BLOCK (row, member) cells, which keeps
+        # the index arrays small at any batch size; rows do not interact
+        step = max(1, _BLOCK // n_trees)
+        for first in range(0, X.shape[0], step):
+            rows = X[first : first + step]
+            node = np.tile(self.offsets[:-1], rows.shape[0])
+            at = np.repeat(np.arange(0, rows.size, rows.shape[1]), n_trees)
+            pending = np.flatnonzero(self.feature[node] != _LEAF)
+            while pending.size:
+                cur = node[pending]
+                go_left = rows.take(at[pending] + self.feature[cur]) <= self.threshold[cur]
+                node[pending] = np.where(go_left, self.left[cur], self.right[cur])
+                pending = pending[self.feature[node[pending]] != _LEAF]
+            terms = self.rate * self.value[node].reshape(-1, n_trees)
+            terms[:, 0] += self.base
+            # accumulate adds in member order for one row and for many alike;
+            # a reduction would sum a single row pairwise
+            out[first : first + step] = np.add.accumulate(terms, axis=1)[:, -1]
+        if self.average:
+            out /= n_trees
+        return out
+
+
+# The benchmark's tracer (perfbench/tracer.py) looks the model classes up by
+# these names, which predate the single ensemble type, and wraps ``predict``.
+RegressionTree = ForestModel = BoostedModel = TreeEnsemble
+
+
+def _pack(members, n_features, info, *, base=-0.0, rate=1.0, average=False):
+    """One :class:`TreeEnsemble` from the node arrays of its members.
+
+    Each member is a ``_number_nodes`` tuple with member-local child ids.
+    """
+    counts = [arrays[0].size for arrays in members]
+    offsets = np.zeros(len(members) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    feature, threshold, left, right, value = map(np.concatenate, zip(*members))
+    inner = feature != _LEAF
+    shift = np.repeat(offsets[:-1], counts)[inner]
+    left[inner] += shift
+    right[inner] += shift
+    return TreeEnsemble(
+        feature, threshold, left, right, value, offsets,
+        n_features=n_features, base=base, rate=rate, average=average, info=info,
+    )
 
 
 def _check_matrix(X, n_features=None):
@@ -162,7 +232,7 @@ def _grow(Xr, yr, order, params, feature_rng, max_features):
     is filled when the row leaves the search, and equals what the tree
     predicts for it, since ``x > threshold`` is the negation of ``x <=
     threshold`` on finite features.  The node arrays come out in the layout
-    :class:`RegressionTree` documents.
+    :class:`TreeEnsemble` documents for one member.
     """
     d, n = Xr.shape
     fitted = np.empty(n)
@@ -344,7 +414,7 @@ def _score_block(Xr, yr, order, starts, sizes, features, min_leaf):
 
 
 def _number_nodes(levels):
-    """Number level-ordered nodes in the layout :class:`RegressionTree` uses.
+    """Number level-ordered nodes in the member layout of :class:`TreeEnsemble`.
 
     ``levels`` holds ``(feature, threshold, value)`` per depth, and the
     children of a depth's ``r``-th split node are entries ``2r`` and
@@ -383,34 +453,13 @@ def _number_nodes(levels):
     return feature_out, threshold_out, left_out, right_out, value_out
 
 
-def fit_tree(X, y, params: TreeParams | None = None) -> RegressionTree:
+def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:
     """Fit an exact greedy least-squares tree."""
     X, y = _check_training_pair(X, y)
     params = params or TreeParams()
     Xr, order = _presort(X, np.arange(X.shape[0]))
     arrays, _ = _grow(Xr, y, order, params, feature_rng=None, max_features=X.shape[1])
-    return RegressionTree(*arrays, n_features=X.shape[1], params=params)
-
-
-@dataclasses.dataclass(frozen=True)
-class ForestModel:
-    """Bagged ensemble of trees; the prediction is their plain mean."""
-
-    trees: tuple
-    n_features: int
-    seed: int
-    bootstrap: bool
-    max_features: int
-    params: TreeParams
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
-
-    def predict(self, X) -> np.ndarray:
-        X = _check_matrix(X, self.n_features)
-        stacked = np.stack([tree.predict(X) for tree in self.trees])
-        return stacked.mean(axis=0)
+    return _pack([arrays], X.shape[1], {"params": params})
 
 
 def fit_forest(
@@ -421,8 +470,8 @@ def fit_forest(
     params: TreeParams | None = None,
     bootstrap: bool = True,
     max_features: int | None = None,
-) -> ForestModel:
-    """Fit a random forest regressor.
+) -> TreeEnsemble:
+    """Fit a random forest regressor; the prediction is the members' mean.
 
     Every tree gets its own generator derived from ``(seed, tree_index)``,
     a bootstrap resample of the full training size, and a fresh feature
@@ -445,44 +494,16 @@ def fit_forest(
         raise ValueError(f"max_features must be in [1, {d}], got {max_features}")
     n = X.shape[0]
     all_rows = np.arange(n)
-    trees = []
+    members = []
     for k in range(n_trees):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
         rows = rng.integers(0, n, size=n) if bootstrap else all_rows
         Xr, order = _presort(X, rows)
         arrays, _ = _grow(Xr, y[rows], order, params, rng, max_features)
-        trees.append(RegressionTree(*arrays, n_features=d, params=params))
-    return ForestModel(
-        trees=tuple(trees),
-        n_features=d,
-        seed=seed,
-        bootstrap=bootstrap,
-        max_features=max_features,
-        params=params,
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class BoostedModel:
-    """Additive stagewise model: constant base plus shrunken trees."""
-
-    base_value: float
-    learning_rate: float
-    trees: tuple
-    n_features: int
-    params: TreeParams
-    train_mse_path: tuple
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
-
-    def predict(self, X) -> np.ndarray:
-        X = _check_matrix(X, self.n_features)
-        out = np.full(X.shape[0], self.base_value)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        members.append(arrays)
+    info = {"params": params, "seed": seed, "bootstrap": bootstrap,
+            "max_features": max_features}
+    return _pack(members, d, info, average=True)
 
 
 def fit_gbm(
@@ -492,14 +513,15 @@ def fit_gbm(
     max_depth: int | None = 3,
     learning_rate: float = 0.05,
     min_samples_leaf: int = 1,
-) -> BoostedModel:
+) -> TreeEnsemble:
     """Fit least-squares gradient boosting.
 
     The base prediction is the target mean; every stage fits a depth-capped
     tree to the current residuals and adds it with the learning rate as
     shrinkage.  Because each tree projects the residuals onto leaf means,
-    the training MSE recorded in ``train_mse_path`` (one entry before any
-    stage, then one per stage) never increases for rates in (0, 1].
+    the training MSE recorded in ``info["train_mse_path"]`` (one entry
+    before any stage, then one per stage) never increases for rates in
+    (0, 1].
 
     X is checked and presorted once per fit; each stage grows from a copy
     of that presort.  A stage adds the leaf means the grower assigned to the
@@ -520,7 +542,7 @@ def fit_gbm(
     base = float(np.mean(y))
     current = np.full(y.shape, base)
     path = [float(np.mean((y - current) ** 2))]
-    trees = []
+    stages = []
     for _ in range(n_trees):
         residual = y - current
         # an overflowing mean or leaf value makes the residuals infinite
@@ -530,42 +552,9 @@ def fit_gbm(
         arrays, fitted = _grow(
             Xr, residual, order, params, feature_rng=None, max_features=d
         )
-        trees.append(RegressionTree(*arrays, n_features=d, params=params))
+        stages.append(arrays)
         current = current + learning_rate * fitted
         path.append(float(np.mean((y - current) ** 2)))
-    return BoostedModel(
-        base_value=base,
-        learning_rate=learning_rate,
-        trees=tuple(trees),
-        n_features=d,
-        params=params,
-        train_mse_path=tuple(path),
-    )
-
-
-def permutation_importance(model, X, y, seed: int = 0, repeats: int = 10):
-    """Mean MSE increase after shuffling one feature column at a time.
-
-    Shuffling breaks the association between a column and the target while
-    keeping its marginal distribution, so a column the model ignores scores
-    about zero.  Returns an array with one value per feature; values can be
-    slightly negative for irrelevant columns, that is noise, not signal.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    X = _check_matrix(X, getattr(model, "n_features", None))
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] != X.shape[0]:
-        raise ShapeMismatch(f"{X.shape[0]} rows but {y.shape[0]} targets")
-    baseline = compute_metrics(y, model.predict(X)).mse
-    rng = np.random.default_rng(seed)
-    n, d = X.shape
-    importance = np.zeros(d)
-    for j in range(d):
-        shuffled = X.copy()
-        acc = 0.0
-        for _ in range(repeats):
-            shuffled[:, j] = X[rng.permutation(n), j]
-            acc += compute_metrics(y, model.predict(shuffled)).mse - baseline
-        importance[j] = acc / repeats
-    return importance
+    info = {"params": params, "learning_rate": learning_rate,
+            "train_mse_path": tuple(path)}
+    return _pack(stages, d, info, base=base, rate=learning_rate)

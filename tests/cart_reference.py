@@ -7,6 +7,11 @@ to return the same node arrays, bit for bit, whenever no random feature
 subsets are drawn.  ``fit_gbm`` is the boosting stage loop from before
 stages shared one presort: each stage fits a tree to the residuals as
 ``fit_tree`` does and adds the tree's predictions for the training rows.
+
+``tree_predict``, ``forest_predict`` and ``gbm_predict`` are the predict
+loops of the three model classes that ``TreeEnsemble`` replaced, copied
+unchanged; ``members`` slices a packed ensemble back into their per-tree
+arrays.
 """
 
 import math
@@ -158,3 +163,44 @@ def fit_gbm(X, y, n_trees, learning_rate, params):
         current = current + learning_rate * _predict(arrays, X)
         path.append(float(np.mean((y - current) ** 2)))
     return base, path, stages
+
+
+def members(model):
+    """Each member of a ``TreeEnsemble`` as ``(feature, threshold, left,
+    right, value)`` arrays with member-local child ids."""
+    out = []
+    for lo, hi in zip(model.offsets[:-1], model.offsets[1:]):
+        feature = model.feature[lo:hi]
+        inner = feature != _LEAF
+        links = []
+        for child in (model.left[lo:hi], model.right[lo:hi]):
+            links.append(np.where(inner, child - lo, child).astype(np.int32))
+        out.append((feature, model.threshold[lo:hi], *links, model.value[lo:hi]))
+    return out
+
+
+def tree_predict(arrays, X):
+    """``RegressionTree.predict``: step every row down until all sit at leaves."""
+    feature, threshold, left, right, value = arrays
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    pending = np.nonzero(feature[node] != _LEAF)[0]
+    while pending.size:
+        cur = node[pending]
+        go_left = X[pending, feature[cur]] <= threshold[cur]
+        node[pending] = np.where(go_left, left[cur], right[cur])
+        pending = pending[feature[node[pending]] != _LEAF]
+    return value[node]
+
+
+def forest_predict(trees, X):
+    """``ForestModel.predict``: the plain mean of the member predictions."""
+    stacked = np.stack([tree_predict(arrays, X) for arrays in trees])
+    return stacked.mean(axis=0)
+
+
+def gbm_predict(base_value, learning_rate, trees, X):
+    """``BoostedModel.predict``: the base plus each shrunken stage in turn."""
+    out = np.full(X.shape[0], base_value)
+    for arrays in trees:
+        out += learning_rate * tree_predict(arrays, X)
+    return out

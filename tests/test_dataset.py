@@ -309,6 +309,23 @@ def test_manifest_round_trip(tmp_path, manifest):
     assert (tmp_path / "again.jsonl").read_bytes() == mpath.read_bytes()
 
 
+def test_manifest_lines_with_the_retired_path_keys_still_load(tmp_path, manifest):
+    # manifests written before the unused mesh_path/cloud_path fields were
+    # dropped carry both keys as null on every geometry line
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(path, manifest, FIXED)
+    lines = path.read_text().splitlines()
+    assert all('"mesh_path"' not in line for line in lines)
+    old = [lines[0]] + [line[:-1] + ', "cloud_path": null, "mesh_path": null}'
+                        for line in lines[1:]]
+    legacy = tmp_path / "legacy.jsonl"
+    legacy.write_text("\n".join(old) + "\n")
+    back, _ = read_manifest(legacy)
+    assert set(back.geometries) == set(manifest.geometries)
+    for gid, rec in manifest.geometries.items():
+        assert back.geometries[gid].sample.as_tuple() == rec.sample.as_tuple()
+
+
 @pytest.mark.parametrize("bad_line, detail", [
     ('[1, 2]', "not a JSON object"),
     ('{"kind": "design"}', "unknown record kind 'design'"),

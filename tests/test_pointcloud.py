@@ -17,12 +17,10 @@ from pkwbench.pointcloud import (
     denormalize,
     normalize_unit_cube,
     read_cloud,
-    read_xyz,
     sample_surface,
     subsample,
     triangle_areas,
     write_cloud,
-    write_xyz,
 )
 
 FIXED = PkwFixed()
@@ -261,15 +259,3 @@ def test_binary_rejects_garbage(tmp_path):
     (tmp_path / "count.wnpc").write_bytes(bytes(bad))
     with pytest.raises(MalformedCloud):
         read_cloud(tmp_path / "count.wnpc")
-
-
-def test_xyz_round_trip(tmp_path):
-    cloud = _box_cloud(0.4, 0.3, 0.2, n=64, seed=1)
-    path = tmp_path / "c.xyz"
-    write_xyz(path, cloud)
-    back = read_xyz(path)
-    assert back.frame == FRAME_WORLD
-    np.testing.assert_allclose(back.points, cloud.points, rtol=1e-8, atol=1e-12)
-    (tmp_path / "bad.xyz").write_text("1,2\n")
-    with pytest.raises(MalformedCloud):
-        read_xyz(tmp_path / "bad.xyz")

@@ -1,5 +1,6 @@
 """Tests for metrics, trees, forests, boosting, and model files."""
 
+import json
 import math
 
 import numpy as np
@@ -19,19 +20,19 @@ from pkwbench.geometry import FEATURE_NAMES, derive, feature_vector
 from pkwbench.hydraulics import OracleConfig, paper_schedule, synthetic_cd
 from pkwbench.sampling import generate_batch, paper_default_space
 from pkwbench.surrogates import (
-    BoostedModel,
     MetricReport,
+    TreeEnsemble,
     TreeParams,
     compute_metrics,
     fit_forest,
     fit_gbm,
     fit_tree,
     load_model,
-    permutation_importance,
     r_squared,
     save_model,
     timed_single_predictions,
 )
+from pkwbench.surrogates import serialize
 
 # hand arithmetic: errors (0.02, -0.02, 0.01), squared sum 9e-4,
 # total sum of squares around the mean 0.02, so R^2 = 1 - 0.045
@@ -132,13 +133,25 @@ def test_metrics_guards():
 # single trees
 
 
+def _n_leaves(tree):
+    return int(np.count_nonzero(tree.feature == -1))
+
+
+def _depth(tree):
+    """Depth of a single packed tree; children follow their parents."""
+    depth = np.zeros(tree.n_nodes, dtype=int)
+    for i in np.flatnonzero(tree.feature != -1):
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return int(depth.max())
+
+
 def test_step_data_tree():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
     tree = fit_tree(X, y)
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 2.5
-    assert tree.n_leaves == 2
+    assert _n_leaves(tree) == 2
     assert np.array_equal(tree.predict(X), y)
     # routing sends values at the threshold to the left child
     assert tree.predict(np.array([[2.5]]))[0] == 0.0
@@ -179,10 +192,10 @@ def test_tree_stopping_rules():
     X = rng.random((40, 3))
     y = rng.random(40)
     stump = fit_tree(X, y, TreeParams(max_depth=1))
-    assert stump.depth == 1
+    assert _depth(stump) == 1
     assert stump.n_nodes == 3
     deep = fit_tree(X, y)
-    assert deep.depth > 1
+    assert _depth(deep) > 1
     # four rows cannot split into two children of three
     leafy = fit_tree(
         np.arange(4.0).reshape(-1, 1),
@@ -214,7 +227,7 @@ def test_tree_with_a_level_of_over_16k_splits_is_exact():
     # at depth 15, so their child keys no longer fit in int16
     x = np.arange(2.0**16)
     tree = fit_tree(x.reshape(-1, 1), x)
-    assert tree.n_leaves == x.size
+    assert _n_leaves(tree) == x.size
     assert tree.n_nodes == 2 * x.size - 1
     assert np.array_equal(tree.predict(x.reshape(-1, 1)), x)
 
@@ -286,8 +299,7 @@ def _reference_arrays(X, y, rows, params, rng=None):
         return cart_reference._grow(X, y, rows, params, rng, X.shape[1])
 
 
-def _assert_same_nodes(tree, want):
-    got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+def _assert_same_nodes(got, want):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert a.shape == b.shape
@@ -299,7 +311,7 @@ def _assert_same_nodes(tree, want):
 def test_fit_tree_matches_the_per_node_grower(problem):
     X, y, params = problem
     want = _reference_arrays(X, y, np.arange(X.shape[0]), params)
-    _assert_same_nodes(fit_tree(X, y, params), want)
+    _assert_same_nodes(cart_reference.members(fit_tree(X, y, params))[0], want)
 
 
 def _bootstrap(seed, k, n):
@@ -314,7 +326,7 @@ def test_forest_trees_on_every_feature_match_the_per_node_grower(problem, seed):
     X, y, params = problem
     n, d = X.shape
     forest = fit_forest(X, y, n_trees=2, seed=seed, params=params, max_features=d)
-    for k, tree in enumerate(forest.trees):
+    for k, tree in enumerate(cart_reference.members(forest)):
         # with every feature a candidate, no subset is drawn
         rng, rows = _bootstrap(seed, k, n)
         _assert_same_nodes(tree, _reference_arrays(X, y, rows, params, rng))
@@ -328,10 +340,11 @@ def test_deep_trees_on_oracle_rows_match_the_per_node_grower(max_depth, min_samp
     n, d = X.shape
     params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     want = _reference_arrays(X, y, np.arange(n), params)
-    _assert_same_nodes(fit_tree(X, y, params), want)
+    _assert_same_nodes(cart_reference.members(fit_tree(X, y, params))[0], want)
     forest = fit_forest(X, y, n_trees=1, seed=4, params=params, max_features=d)
     rng, rows = _bootstrap(4, 0, n)
-    _assert_same_nodes(forest.trees[0], _reference_arrays(X, y, rows, params, rng))
+    _assert_same_nodes(cart_reference.members(forest)[0],
+                       _reference_arrays(X, y, rows, params, rng))
 
 
 # forests
@@ -343,7 +356,8 @@ def test_forest_prediction_is_exact_tree_mean():
     y = rng.random(120)
     forest = fit_forest(X, y, n_trees=10, seed=2)
     probe = rng.random((30, 5))
-    member = np.stack([t.predict(probe) for t in forest.trees])
+    member = np.stack([cart_reference.tree_predict(t, probe)
+                       for t in cart_reference.members(forest)])
     np.testing.assert_allclose(forest.predict(probe), member.mean(axis=0), atol=1e-12)
 
 
@@ -358,10 +372,10 @@ def test_forest_seeding_and_determinism():
     assert np.array_equal(a.predict(probe), b.predict(probe))
     assert not np.array_equal(a.predict(probe), c.predict(probe))
     # bootstrap resampling must differentiate the members
-    first, second = a.trees[0], a.trees[1]
+    first, second = cart_reference.members(a)[:2]
     assert not (
-        first.n_nodes == second.n_nodes
-        and np.array_equal(first.threshold, second.threshold)
+        first[0].size == second[0].size
+        and np.array_equal(first[1], second[1])
     )
 
 
@@ -380,8 +394,8 @@ def test_forest_default_feature_subset_size():
     X = rng.random((30, 9))
     y = rng.random(30)
     forest = fit_forest(X, y, n_trees=2, seed=1)
-    assert forest.max_features == 3
-    assert fit_forest(X[:, :4], y, n_trees=2, seed=1).max_features == 2
+    assert forest.info["max_features"] == 3
+    assert fit_forest(X[:, :4], y, n_trees=2, seed=1).info["max_features"] == 2
 
 
 def test_forest_training_r2_on_noiseless_labels():
@@ -411,7 +425,7 @@ def test_gbm_training_loss_monotone():
     X = rng.random((150, 5))
     y = X @ rng.random(5) + 0.1 * rng.standard_normal(150)
     boosted = fit_gbm(X, y, n_trees=60)
-    path = np.asarray(boosted.train_mse_path)
+    path = np.asarray(boosted.info["train_mse_path"])
     assert path.shape == (61,)
     assert path[0] == pytest.approx(np.var(y), rel=1e-12)
     assert np.all(np.diff(path) <= 1e-15)
@@ -422,7 +436,7 @@ def test_gbm_step_data_converges():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
     boosted = fit_gbm(X, y, n_trees=10, learning_rate=1.0)
-    assert boosted.train_mse_path[-1] < 1e-6
+    assert boosted.info["train_mse_path"][-1] < 1e-6
     np.testing.assert_allclose(boosted.predict(X), y, atol=1e-9)
 
 
@@ -432,9 +446,9 @@ def test_gbm_prediction_is_affine_in_members():
     y = rng.random(80)
     boosted = fit_gbm(X, y, n_trees=25)
     probe = rng.random((20, 3))
-    manual = np.full(20, boosted.base_value)
-    for tree in boosted.trees:
-        manual += boosted.learning_rate * tree.predict(probe)
+    manual = np.full(20, boosted.base)
+    for tree in cart_reference.members(boosted):
+        manual += boosted.rate * cart_reference.tree_predict(tree, probe)
     np.testing.assert_allclose(boosted.predict(probe), manual, atol=1e-12)
 
 
@@ -453,10 +467,10 @@ def test_gbm_guards():
 
 def _assert_same_boosting(model, want):
     base, path, stages = want
-    assert np.float64(model.base_value).tobytes() == np.float64(base).tobytes()
-    assert np.asarray(model.train_mse_path).tobytes() == np.asarray(path).tobytes()
-    assert len(model.trees) == len(stages)
-    for tree, arrays in zip(model.trees, stages):
+    assert np.float64(model.base).tobytes() == np.float64(base).tobytes()
+    assert np.asarray(model.info["train_mse_path"]).tobytes() == np.asarray(path).tobytes()
+    assert model.n_trees == len(stages)
+    for tree, arrays in zip(cart_reference.members(model), stages):
         _assert_same_nodes(tree, arrays)
 
 
@@ -501,35 +515,62 @@ def test_gbm_targets_whose_squares_overflow_give_an_infinite_path():
     y = np.array([1.7e308, -1.7e308, 1.7e308, -1.7e308])
     with np.errstate(over="ignore"):
         boosted = fit_gbm(X, y, n_trees=5, learning_rate=1.0)
-    assert boosted.train_mse_path == (math.inf,) * 6
+    assert boosted.info["train_mse_path"] == (math.inf,) * 6
     _check_gbm_against_stage_loop(X, y, 5, 3, 1.0, 1)
 
 
-# permutation importance
+# one predict loop for every ensemble kind
 
 
-def test_importance_constant_column_scores_zero():
-    rng = np.random.default_rng(53)
-    X = rng.random((200, 3))
-    X[:, 1] = 0.25
-    y = 2.0 * X[:, 0] + 0.5 * X[:, 2]
-    forest = fit_forest(X, y, n_trees=10, seed=4)
-    scores = permutation_importance(forest, X, y, seed=0, repeats=5)
-    assert scores.shape == (3,)
-    assert scores[1] == 0.0
-    assert scores[0] > scores[1]
-    assert scores[2] > scores[1]
+@settings(max_examples=150, deadline=None)
+@given(_cart_problems(), st.integers(1, 12), st.integers(0, 2**32 - 1), st.data())
+def test_packed_predict_matches_the_per_model_loops(problem, n_trees, seed, data):
+    X, y, params = problem
+    # two rows at least: the reference forest mean sums a single row pairwise
+    probe = data.draw(arrays(np.float64, st.tuples(st.integers(2, 12), st.just(X.shape[1])),
+                             elements=st.sampled_from(_X_POOL)))
+    probe = np.vstack([X, probe])
+    with np.errstate(all="ignore"):
+        tree = fit_tree(X, y, params)
+        forest = fit_forest(X, y, n_trees=n_trees, seed=seed, params=params)
+        boosted = fit_gbm(X, y, n_trees=n_trees, max_depth=params.max_depth,
+                          learning_rate=0.5, min_samples_leaf=params.min_samples_leaf)
+        want = (
+            cart_reference.tree_predict(cart_reference.members(tree)[0], probe),
+            cart_reference.forest_predict(cart_reference.members(forest), probe),
+            cart_reference.gbm_predict(boosted.base, boosted.rate,
+                                       cart_reference.members(boosted), probe),
+        )
+        got = (tree.predict(probe), forest.predict(probe), boosted.predict(probe))
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
-def test_importance_reproducible_and_ranks_strong_features():
-    X, y = _oracle_rows(80, seed=19)
-    forest = fit_forest(X, y, n_trees=20, seed=5)
-    scores = permutation_importance(forest, X, y, seed=9)
-    again = permutation_importance(forest, X, y, seed=9)
-    np.testing.assert_array_equal(scores, again)
-    top3 = set(np.argsort(scores)[-3:])
-    assert FEATURE_NAMES.index("Q") in top3
-    assert FEATURE_NAMES.index("alpha_deg") in top3
+def test_one_row_predict_matches_the_batch_bit_for_bit():
+    X, y = _oracle_rows(20, seed=5, sigma=0.005)
+    probe, _ = _oracle_rows(6, seed=6, sigma=0.005)
+    models = (fit_tree(X, y), fit_forest(X, y, n_trees=12, seed=1),
+              fit_gbm(X, y, n_trees=40))
+    for model in models:
+        batch = model.predict(probe)
+        one = np.concatenate([model.predict(row[None, :]) for row in probe])
+        assert one.tobytes() == batch.tobytes()
+
+
+def test_packed_ensemble_layout():
+    rng = np.random.default_rng(79)
+    X = rng.random((40, 3))
+    y = rng.random(40)
+    forest = fit_forest(X, y, n_trees=3, seed=2)
+    assert forest.n_nodes == sum(m[0].size for m in cart_reference.members(forest))
+    assert forest.offsets[0] == 0 and forest.offsets[-1] == forest.n_nodes
+    assert not hasattr(forest, "trees")
+    assert (forest.base, forest.rate, forest.average) == (0.0, 1.0, True)
+    tree = fit_tree(X, y)
+    assert (tree.n_trees, tree.rate, tree.average) == (1, 1.0, False)
+    assert math.copysign(1.0, tree.base) == -1.0
+    boosted = fit_gbm(X, y, n_trees=4, learning_rate=0.1)
+    assert (boosted.base, boosted.rate, boosted.average) == (float(np.mean(y)), 0.1, False)
 
 
 # timed prediction
@@ -557,13 +598,11 @@ def test_timed_predictions_match_untimed():
 
 
 def _assert_trees_equal(a, b):
-    assert np.array_equal(a.feature, b.feature)
-    assert np.array_equal(a.threshold, b.threshold)
-    assert np.array_equal(a.left, b.left)
-    assert np.array_equal(a.right, b.right)
-    assert np.array_equal(a.value, b.value)
-    assert a.params == b.params
-    assert a.n_features == b.n_features
+    for name in ("feature", "threshold", "left", "right", "value", "offsets"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert (a.n_features, a.base, a.rate, a.average) == (
+        b.n_features, b.base, b.rate, b.average)
+    assert a.info == b.info
 
 
 def test_tree_round_trip(tmp_path):
@@ -587,12 +626,10 @@ def test_forest_round_trip(tmp_path):
     path = tmp_path / "forest.wnsm"
     save_model(path, forest)
     back = load_model(path)
-    assert back.seed == 11
-    assert back.bootstrap is True
-    assert back.max_features == forest.max_features
+    assert back.info["seed"] == 11
+    assert back.info["bootstrap"] is True
     assert back.n_trees == 4
-    for t1, t2 in zip(forest.trees, back.trees):
-        _assert_trees_equal(t1, t2)
+    _assert_trees_equal(forest, back)
     probe = rng.random((20, 5))
     assert np.array_equal(forest.predict(probe), back.predict(probe))
 
@@ -605,10 +642,8 @@ def test_gbm_round_trip(tmp_path):
     path = tmp_path / "gbm.wnsm"
     save_model(path, boosted)
     back = load_model(path)
-    assert isinstance(back, BoostedModel)
-    assert back.base_value == boosted.base_value
-    assert back.learning_rate == boosted.learning_rate
-    assert back.train_mse_path == boosted.train_mse_path
+    assert isinstance(back, TreeEnsemble)
+    _assert_trees_equal(boosted, back)
     probe = rng.random((15, 3))
     assert np.array_equal(boosted.predict(probe), back.predict(probe))
 
@@ -632,6 +667,77 @@ def test_model_file_garbage_rejected(tmp_path):
     reject(raw[:4] + (99).to_bytes(2, "little") + raw[6:])
     reject(raw[:6] + (42).to_bytes(1, "little") + raw[7:])
     reject(raw + b"\x00" * 8)
+
+
+def _write(tmp_path, payload):
+    path = tmp_path / "bad.wnsm"
+    path.write_bytes(payload)
+    return path
+
+
+def _rewrite(raw, edit_header=None, field=None, index=0, value=0):
+    """A saved tree model with its JSON header or one payload entry changed."""
+    magic, version, kind, header_len = serialize._PREFIX.unpack_from(raw)
+    start = serialize._PREFIX.size
+    header = json.loads(raw[start : start + header_len])
+    payload = bytearray(raw[start + header_len :])
+    n_nodes = len(payload) // sum(np.dtype(t).itemsize for _, t in serialize._TREE_FIELDS)
+    at = 0
+    for name, dtype in serialize._TREE_FIELDS:
+        column = np.frombuffer(payload, dtype=dtype, count=n_nodes, offset=at)
+        if name == field:
+            column[index] = value
+        at += column.nbytes
+    if edit_header is not None:
+        edit_header(header)
+    text = json.dumps(header, sort_keys=True).encode()
+    return serialize._PREFIX.pack(magic, version, kind, len(text)) + text + bytes(payload)
+
+
+def test_model_file_with_bad_tree_links_rejected(tmp_path):
+    # predict would loop forever on a self link and index out of bounds on
+    # the others, so each must fail at load time
+    rng = np.random.default_rng(83)
+    tree = fit_tree(rng.random((30, 1)), rng.random(30))
+    assert tree.feature[0] == 0 and tree.n_nodes > 3
+    path = tmp_path / "m.wnsm"
+    save_model(path, tree)
+    raw = path.read_bytes()
+    n = tree.n_nodes
+
+    def offsets(values):
+        return lambda header: header.update(offsets=values)
+
+    cases = [
+        dict(field="left", index=0, value=0),
+        dict(field="right", index=0, value=0),
+        dict(field="feature", index=0, value=7),
+        dict(field="feature", index=0, value=-2),
+        dict(field="left", index=0, value=10**6),
+        dict(field="right", index=0, value=-5),
+        dict(edit_header=offsets([0, n + 1])),
+        dict(edit_header=offsets([0, n - 1])),
+        dict(edit_header=offsets([1, n])),
+        dict(edit_header=offsets([0, 1, n])),
+        dict(edit_header=offsets([0])),
+        dict(edit_header=offsets("x")),
+    ]
+    assert load_model(path).n_nodes == n
+    assert load_model(_write(tmp_path, _rewrite(raw))).n_nodes == n
+    for case in cases:
+        bad = _write(tmp_path, _rewrite(raw, **case))
+        with pytest.raises(MalformedModel):
+            load_model(bad)
+
+
+def test_version_1_model_file_asks_for_a_refit(tmp_path):
+    rng = np.random.default_rng(89)
+    path = tmp_path / "m.wnsm"
+    save_model(path, fit_tree(rng.random((10, 2)), rng.random(10)))
+    raw = path.read_bytes()
+    old = _write(tmp_path, raw[:4] + (1).to_bytes(2, "little") + raw[6:])
+    with pytest.raises(MalformedModel, match=r"version 1.*train --force"):
+        load_model(old)
 
 
 def test_save_model_rejects_unknown_objects(tmp_path):
