@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import _atomic_write
 from .dataset import (
     DATA_FRACTIONS,
     DatasetManifest,
@@ -103,16 +104,14 @@ def _write_meta(artifact: Path, command: str, seed, payload: dict) -> None:
         "config_hash": _config_hash(payload),
         "tool_version": __version__,
     }
-    artifact.with_name(artifact.name + ".meta.json").write_text(
-        json.dumps(meta, sort_keys=True) + "\n"
-    )
+    with _atomic_write(artifact.with_name(artifact.name + ".meta.json")) as fh:
+        fh.write(json.dumps(meta, sort_keys=True) + "\n")
 
 
 def _mark_failed(path: Path, exc: Exception) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
-    path.with_name(path.name + ".failed").write_text(
-        json.dumps(record, sort_keys=True) + "\n"
-    )
+    with _atomic_write(path.with_name(path.name + ".failed")) as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _load_manifest(ws: Path, with_labels: bool = False):
@@ -252,7 +251,7 @@ def _metric_row(split, model_name, partition, n_train, report, paper_scale):
 
 def _write_report(path: Path, rows, paper_scale: bool) -> None:
     columns = _REPORT_COLUMNS + (_SCALED_COLUMNS if paper_scale else ())
-    with path.open("w", newline="") as fh:
+    with _atomic_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(columns))
         writer.writeheader()
         for row in rows:
@@ -389,7 +388,7 @@ def _cmd_mesh(args) -> int:
             "crest_trace": f"{crest:.9g}",
             "crest_parametric": f"{derived.L:.9g}",
         })
-    with report_path.open("w", newline="") as fh:
+    with _atomic_write(report_path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=[
             "geometry_id", "n_vertices", "n_triangles", "watertight",
             "signed_volume", "analytic_volume", "crest_trace", "crest_parametric",
@@ -713,16 +712,25 @@ def _cmd_bench(args) -> int:
 # parser
 
 
-def _jobs_count(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a whole number >= 1 (here or in PKWBENCH_JOBS), got {text!r}"
-        )
-    return jobs
+def _count(env: str | None = None):
+    """The argparse type of a count: a whole number >= 1.
+
+    A bad count is a usage error before any work starts.  ``env`` names the
+    environment variable a string default was read from, for the message.
+    """
+    where = f" (here or in {env})" if env else ""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"must be a whole number >= 1{where}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _add_common(sub, seed_help="master seed for this stage"):
@@ -731,9 +739,9 @@ def _add_common(sub, seed_help="master seed for this stage"):
     sub.add_argument("--seed", type=int, default=None, help=seed_help)
     sub.add_argument("--force", action="store_true",
                      help="allow overwriting existing artifacts")
-    # a string default goes through _jobs_count, so a bad PKWBENCH_JOBS is a
+    # a string default goes through the type, so a bad PKWBENCH_JOBS is a
     # usage error of the command, not a traceback while building the parser
-    sub.add_argument("--jobs", type=_jobs_count,
+    sub.add_argument("--jobs", type=_count("PKWBENCH_JOBS"),
                      default=os.environ.get("PKWBENCH_JOBS", "1"),
                      help="worker processes for per-geometry stages, at most one "
                      "per available CPU (env PKWBENCH_JOBS)")
@@ -749,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("sample", help="draw feasible designs onto the step grid")
-    p.add_argument("--n", type=int, required=True, help="number of designs")
+    p.add_argument("--n", type=_count(), required=True, help="number of designs")
     p.add_argument("--space", choices=("paper", "screening"), default="paper")
     p.add_argument("--step-mm", action="append", metavar="VAR=VALUE",
                    help="override one step size (mm; ratios are unitless)")
@@ -761,14 +769,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = subs.add_parser("mesh", help="tessellate sampled designs into STL solids")
-    p.add_argument("--x-segments", type=int, default=8,
+    p.add_argument("--x-segments", type=_count(), default=8,
                    help="extra streamwise subdivisions per region")
     p.add_argument("--ids", nargs="*", default=None, help="subset of geometry ids")
     _add_common(p)
     p.set_defaults(func=_cmd_mesh)
 
     p = subs.add_parser("cloud", help="sample surface point clouds from meshes")
-    p.add_argument("--n", type=int, default=100_000, help="points per cloud")
+    p.add_argument("--n", type=_count(), default=100_000, help="points per cloud")
     _add_common(p)
     p.set_defaults(func=_cmd_cloud)
 
@@ -789,11 +797,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("train", help="fit one surrogate on one split")
     p.add_argument("--model", choices=MODEL_CHOICES, required=True)
     p.add_argument("--split", required=True, help="split name, e.g. id")
-    p.add_argument("--trees", type=int, default=None,
+    p.add_argument("--trees", type=_count(), default=None,
                    help="ensemble size (forest defaults to 100, gbm to 300)")
-    p.add_argument("--points", type=int, default=5000,
+    p.add_argument("--points", type=_count(), default=5000,
                    help="points per cloud fed to the network")
-    p.add_argument("--epochs", type=int, default=500,
+    p.add_argument("--epochs", type=_count(), default=500,
                    help="training epoch cap for the network")
     _add_common(p)
     p.set_defaults(func=_cmd_train)
@@ -804,12 +812,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", choices=("train", "val", "test"), default="test")
     p.add_argument("--paper-scale", action="store_true",
                    help="append display-scaled metric columns")
-    p.add_argument("--points", type=int, default=5000)
+    p.add_argument("--points", type=_count(), default=5000)
     _add_common(p)
     p.set_defaults(func=_cmd_eval)
 
     p = subs.add_parser("bench", help="run the full split-matrix benchmark")
-    p.add_argument("--n", type=int, default=200, help="number of designs")
+    p.add_argument("--n", type=_count(), default=200, help="number of designs")
     p.add_argument("--space", choices=("paper", "screening"), default="paper")
     p.add_argument("--step-mm", action="append", metavar="VAR=VALUE")
     p.add_argument("--lo-mm", action="append", metavar="VAR=VALUE")
@@ -818,11 +826,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.005)
     p.add_argument("--model", action="append", choices=MODEL_CHOICES,
                    default=None, help="repeatable; default forest")
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--points", type=int, default=5000)
-    p.add_argument("--cloud-points", type=int, default=100_000)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--x-segments", type=int, default=8)
+    p.add_argument("--trees", type=_count(), default=None)
+    p.add_argument("--points", type=_count(), default=5000)
+    p.add_argument("--cloud-points", type=_count(), default=100_000)
+    p.add_argument("--epochs", type=_count(), default=500)
+    p.add_argument("--x-segments", type=_count(), default=8)
     p.add_argument("--paper-scale", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_bench)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .atomic import _atomic_write
 from .errors import EmptyBin, EmptyData, ParseError, TooFewGeometries, ZeroVariance
 from .geometry import (
     FEATURE_NAMES,
@@ -311,7 +312,7 @@ _SAMPLE_FIELDS = ("B_b", "R_B_i", "R_B_o", "T_s", "W_i_u", "W_i_d")
 
 
 def write_manifest(path, manifest: DatasetManifest, fixed: PkwFixed) -> None:
-    with open(path, "w") as fh:
+    with _atomic_write(path) as fh:
         head = {"kind": "provenance", "tool_version": __version__,
                 "fixed": {"W": fixed.W, "P": fixed.P, "N_u": fixed.N_u}}
         head.update(manifest.provenance)
@@ -399,7 +400,7 @@ def _read_csv(path, required, convert) -> list:
 
 
 def write_labels_csv(path, labels: list[LabeledSample]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["geometry_id", "Q_lps", "H_t_m", "c_D", "source"])
         for lab in labels:
@@ -443,7 +444,7 @@ def policy_from_name(name: str) -> str:
 
 
 def write_split_csv(path, split: SplitAssignment) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SPLIT_COLUMNS)
         for part, pairs in (("train", split.train), ("val", split.val),

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import _atomic_write
 from .errors import DegenerateGeometry, NonPositiveOutletWidth, ParseError
 
 # Feasible box relative to the weir height P, bounds inclusive.
@@ -297,8 +298,7 @@ def write_params(path, records) -> None:
 
     records: iterable of (geometry_id, PkwFixed, PkwSample, PkwDerived).
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_PARAM_COLUMNS)
         for geometry_id, fixed, sample, derived in records:

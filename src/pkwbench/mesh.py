@@ -16,8 +16,10 @@ Under the overhangs the fill thins to a slab of thickness T_s; inside the
 base footprint it is monolithic down to the bed.
 
 Tessellation emits top and bottom skins per region plus the exposed parts of
-every vertical interface, welding vertices on an integer lattice at 1e-9 m so
-shared corners coincide exactly.
+every vertical interface.  It evaluates each distinct profile once over all
+stations of all chains and edges, collects the triangle corners in arrays,
+and welds them in one numpy pass on an integer lattice at 1e-9 m, so shared
+corners coincide exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +44,11 @@ _MIN_WIDTH = 1e-9      # plan footprints narrower than this are degenerate
 
 
 class Const:
-    """Constant height profile."""
+    """Constant height profile.
+
+    Every profile evaluates one point with ``value`` and an array of points
+    with ``values``; both give the same floats.
+    """
 
     __slots__ = ("c",)
 
@@ -51,6 +57,9 @@ class Const:
 
     def value(self, x: float, at: float) -> float:
         return self.c
+
+    def values(self, x: np.ndarray, at: np.ndarray) -> np.ndarray:
+        return np.full(len(x), self.c, dtype=np.float64)
 
     def breaks(self) -> list[float]:
         return []
@@ -75,6 +84,10 @@ class Clamped:
             return self.hi
         return v
 
+    def values(self, x: np.ndarray, at: np.ndarray) -> np.ndarray:
+        v = self.a + self.b * x
+        return np.where(v < self.lo, self.lo, np.where(v > self.hi, self.hi, v))
+
     def breaks(self) -> list[float]:
         if self.b == 0.0:
             return []
@@ -98,6 +111,15 @@ class Piecewise:
 
     def value(self, x: float, at: float) -> float:
         return self.parts[bisect_right(self.cuts, at)].value(x, at)
+
+    def values(self, x: np.ndarray, at: np.ndarray) -> np.ndarray:
+        part = np.searchsorted(self.cuts, at, side="right")
+        out = np.empty(len(x), dtype=np.float64)
+        for k, p in enumerate(self.parts):
+            m = part == k
+            if m.any():
+                out[m] = p.values(x[m], at[m])
+        return out
 
     def breaks(self) -> list[float]:
         out = list(self.cuts)
@@ -281,6 +303,14 @@ def _piece_at(pieces: list[PlanRegion], x: float) -> Optional[PlanRegion]:
     return None
 
 
+def _pieces_at(pieces: list[PlanRegion], x: np.ndarray) -> np.ndarray:
+    """``_piece_at`` for every x, as piece indices; -1 where none covers x."""
+    out = np.full(len(x), -1, dtype=np.int64)
+    for k in range(len(pieces) - 1, -1, -1):
+        out[(pieces[k].x0 <= x) & (x <= pieces[k].x1)] = k
+    return out
+
+
 def _crossing_stations(regions, mandatory):
     """x positions where interval boundaries of adjacent regions cross."""
     out = []
@@ -318,49 +348,66 @@ def _stations(regions: list[PlanRegion], x_segments: int) -> list[float]:
     return out
 
 
+def _weld(rows: np.ndarray):
+    """Group the equal rows of an (n, 3) array with one stable lexsort.
+
+    Returns ``(first, group)``: groups are numbered in lexicographic row
+    order, ``first[g]`` is the index of the first row of group ``g`` and
+    ``group[i]`` the group of row ``i``.  Rows compare with ``!=``, so for
+    float rows 0.0 and -0.0 are one group.
+    """
+    order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
+    ordered = rows[order]
+    start = np.empty(len(rows), dtype=bool)
+    start[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=start[1:])
+    group = np.empty(len(rows), dtype=np.int64)
+    group[order] = np.cumsum(start) - 1
+    return order[start], group
+
+
 class _Builder:
-    """Accumulates triangles with lattice-welded vertices."""
+    """Collects triangles in blocks; ``finish`` welds and orients them.
+
+    The emitters hand over blocks of triangles as raw corners and the
+    direction each normal must face.  ``finish`` keys every corner on the
+    ``LATTICE`` grid (``np.rint``, half to even), welds equal keys into one
+    vertex that keeps the coordinates of its first corner, and numbers the
+    vertices in the order their first corners were added.  It drops a
+    triangle with a repeated vertex or a zero orientation score, the dot
+    product of the direction with the cross product of the raw corners, and
+    winds the rest so that the score is positive.
+    """
 
     def __init__(self):
-        self.key_to_index: dict[tuple[int, int, int], int] = {}
-        self.vertices: list[tuple[float, float, float]] = []
-        self.triangles: list[tuple[int, int, int]] = []
+        self.corners: list[np.ndarray] = []     # (m, 3, 3) blocks
+        self.directions: list[np.ndarray] = []  # (m, 3) blocks
 
-    def _index(self, p) -> int:
-        key = (round(p[0] * LATTICE), round(p[1] * LATTICE), round(p[2] * LATTICE))
-        idx = self.key_to_index.get(key)
-        if idx is None:
-            idx = len(self.vertices)
-            self.key_to_index[key] = idx
-            self.vertices.append(p)
-        return idx
+    def add(self, corners: np.ndarray, directions: np.ndarray):
+        self.corners.append(corners)
+        self.directions.append(directions)
 
-    def add_tri(self, pa, pb, pc, direction):
-        ia, ib, ic = self._index(pa), self._index(pb), self._index(pc)
-        if len({ia, ib, ic}) < 3:
-            return
-        ux, uy, uz = pb[0] - pa[0], pb[1] - pa[1], pb[2] - pa[2]
-        vx, vy, vz = pc[0] - pa[0], pc[1] - pa[1], pc[2] - pa[2]
+    def finish(self) -> TriangleMesh:
+        points = np.concatenate(self.corners).reshape(-1, 3)
+        first, group = _weld(np.rint(points * LATTICE).astype(np.int64))
+        by_occurrence = np.argsort(first)
+        vertex_id = np.empty(len(first), dtype=np.int64)
+        vertex_id[by_occurrence] = np.arange(len(first))
+        tris = vertex_id[group].reshape(-1, 3)
+
+        a, b, c = points[0::3], points[1::3], points[2::3]
+        d = np.concatenate(self.directions)
+        ux, uy, uz = (b - a).T
+        vx, vy, vz = (c - a).T
         nx = uy * vz - uz * vy
         ny = uz * vx - ux * vz
         nz = ux * vy - uy * vx
-        s = nx * direction[0] + ny * direction[1] + nz * direction[2]
-        if s == 0.0:
-            return
-        if s > 0.0:
-            self.triangles.append((ia, ib, ic))
-        else:
-            self.triangles.append((ia, ic, ib))
-
-    def add_quad(self, p00, p01, p11, p10, direction):
-        self.add_tri(p00, p01, p11, direction)
-        self.add_tri(p00, p11, p10, direction)
-
-    def finish(self) -> TriangleMesh:
-        return TriangleMesh(
-            vertices=np.asarray(self.vertices, dtype=np.float64),
-            triangles=np.asarray(self.triangles, dtype=np.int64),
-        )
+        s = nx * d[:, 0] + ny * d[:, 1] + nz * d[:, 2]
+        keep = ((tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
+                & (tris[:, 0] != tris[:, 2]) & (s != 0.0))
+        flip = ~(s > 0.0)
+        tris[flip] = tris[flip][:, [0, 2, 1]]
+        return TriangleMesh(vertices=points[first[by_occurrence]], triangles=tris[keep])
 
 
 class _VerticalFaces:
@@ -368,111 +415,253 @@ class _VerticalFaces:
 
     Faces meeting along a vertical line (x, y) must subdivide it identically,
     otherwise hairline T-junctions open up at profile jumps. Emission is
-    therefore deferred: first every face corner registers its z on its line,
-    then each face is triangulated against the union of nodes on its two
-    lines with a zipper walk.
+    therefore deferred: first every skin corner and every face corner is
+    recorded as an (x, y, z) node, then each face is triangulated against
+    the union of nodes on its two lines with a zipper walk.
+
+    Nodes are keyed on the ``LATTICE`` grid; a line is one (x, y) key, and
+    the nodes of a line with one z key are one level of it.  A level takes
+    the z of the node noted first, except where several distinct floats
+    share its key (profiles crossing at a station agree only to an ulp):
+    there it takes the one that a set of the line's z values, filled in
+    noting order, yields last, as keying a dict on that set does.  Meshes
+    then come out the same, bit for bit, as from building per-line sets
+    while noting.
     """
 
     def __init__(self):
-        self.faces = []
-        self.nodes: dict[tuple[int, int], set[float]] = {}
+        self.nodes: list[np.ndarray] = []       # (n, 3) blocks
+        self.n_nodes = 0
+        self.faces: list[np.ndarray] = []       # first of the four nodes of each face
+        self.directions: list[np.ndarray] = []  # (n, 3) blocks
 
-    def _note(self, x, y, z):
-        key = (round(x * LATTICE), round(y * LATTICE))
-        self.nodes.setdefault(key, set()).add(z)
+    def note(self, points: np.ndarray):
+        """Record (n, 3) points as nodes of their vertical lines."""
+        self.nodes.append(points)
+        self.n_nodes += len(points)
 
-    def add(self, xa, ya, za0, za1, xb, yb, zb0, zb1, direction):
-        if za0 > za1:
-            za0, za1 = za1, za0
-        if zb0 > zb1:
-            zb0, zb1 = zb1, zb0
-        for z in (za0, za1):
-            self._note(xa, ya, z)
-        for z in (zb0, zb1):
-            self._note(xb, yb, z)
-        self.faces.append((xa, ya, za0, za1, xb, yb, zb0, zb1, direction))
+    def add(self, xa, ya, za0, za1, xb, yb, zb0, zb1, directions):
+        """Add the faces spanning z from za0 to za1 on line (xa, ya) and from
+        zb0 to zb1 on line (xb, yb); every argument is an array, one entry
+        (one row of ``directions``) per face."""
+        swap_a, swap_b = za0 > za1, zb0 > zb1
+        za0, za1 = np.where(swap_a, za1, za0), np.where(swap_a, za0, za1)
+        zb0, zb1 = np.where(swap_b, zb1, zb0), np.where(swap_b, zb0, zb1)
+        corners = np.stack([
+            np.stack([xa, ya, za0], axis=1), np.stack([xa, ya, za1], axis=1),
+            np.stack([xb, yb, zb0], axis=1), np.stack([xb, yb, zb1], axis=1),
+        ], axis=1)
+        self.faces.append(self.n_nodes + 4 * np.arange(len(xa)))
+        self.directions.append(directions)
+        self.note(corners.reshape(-1, 3))
 
-    def note_corner(self, x, y, z):
-        self._note(x, y, z)
-
-    def _chain(self, x, y, z0, z1):
-        k0 = round(z0 * LATTICE)
-        k1 = round(z1 * LATTICE)
-        pts = [(x, y, z0)]
-        if k1 > k0:
-            line = self.nodes.get((round(x * LATTICE), round(y * LATTICE)), ())
-            inner = {round(z * LATTICE): z for z in line if k0 < round(z * LATTICE) < k1}
-            pts.extend((x, y, inner[k]) for k in sorted(inner))
-            pts.append((x, y, z1))
-        return pts
+    def _levels(self, nodes: np.ndarray):
+        """``(level, z)``: the level of every node, numbered by line and
+        then by z key, and the z of every level."""
+        keys = np.rint(nodes * LATTICE).astype(np.int64)
+        first, level = _weld(keys)
+        z = nodes[first, 2]
+        clash = np.unique(level[nodes[:, 2] != z[level]])
+        if clash.size:
+            line_keys = keys[first, :2]
+            new_line = np.ones(len(first), dtype=bool)
+            new_line[1:] = np.any(line_keys[1:] != line_keys[:-1], axis=1)
+            line = np.cumsum(new_line) - 1  # of every level
+            for ln in np.unique(line[clash]):
+                on_line = np.flatnonzero(line[level] == ln)
+                last = {round(v * LATTICE): v for v in set(nodes[on_line, 2].tolist())}
+                for lv in clash[line[clash] == ln]:
+                    z[lv] = last[round(z[lv] * LATTICE)]
+        return level, z
 
     def emit(self, builder: _Builder):
-        for xa, ya, za0, za1, xb, yb, zb0, zb1, direction in self.faces:
-            left = self._chain(xa, ya, za0, za1)
-            right = self._chain(xb, yb, zb0, zb1)
-            i = j = 0
-            while i < len(left) - 1 or j < len(right) - 1:
-                z_next_l = left[i + 1][2] if i < len(left) - 1 else math.inf
-                z_next_r = right[j + 1][2] if j < len(right) - 1 else math.inf
-                if z_next_l <= z_next_r:
-                    builder.add_tri(left[i], right[j], left[i + 1], direction)
-                    i += 1
-                else:
-                    builder.add_tri(left[i], right[j], right[j + 1], direction)
-                    j += 1
+        nodes = np.concatenate(self.nodes)
+        level, level_z = self._levels(nodes)
+
+        # The chain of a face side runs from its low node to its high node
+        # through every level of the line in between: a level lies strictly
+        # between the two z keys exactly when its number does.
+        face = np.concatenate(self.faces)
+        lo = np.stack([face, face + 2], axis=1).ravel()  # left, right per face
+        hi = lo + 1
+        length = level[hi] - level[lo] + 1
+        side = np.repeat(np.arange(len(lo)), length)
+        start = np.cumsum(length) - length
+        pos = np.arange(len(side)) - start[side]
+        chain_z = level_z[level[lo][side] + pos]
+        chain_z[start] = nodes[lo, 2]
+        top = length > 1
+        chain_z[(start + length - 1)[top]] = nodes[hi[top], 2]
+        chain = np.column_stack([nodes[lo[side], 0], nodes[lo[side], 1], chain_z])
+
+        # The zipper walk merges the two chains of a face above their first
+        # nodes in z order, the left one first on a tie.  Each merged node
+        # closes a triangle with the nodes the walk stands on in both chains.
+        step = np.flatnonzero(pos > 0)
+        step = step[np.lexsort((side[step] % 2, chain_z[step], side[step] // 2))]
+        step_face = side[step] // 2
+        is_right = side[step] % 2
+        face_start = np.searchsorted(step_face, step_face)
+        right_before = np.cumsum(is_right) - is_right
+        right_before -= right_before[face_start]
+        left_before = np.arange(len(step)) - face_start - right_before
+        corners = np.stack([
+            chain[start[2 * step_face] + left_before],
+            chain[start[2 * step_face + 1] + right_before],
+            chain[step],
+        ], axis=1)
+        builder.add(corners, np.concatenate(self.directions)[step_face])
 
 
-def _interval_bands(walls, xa, xb, y_line, left, right, mid):
-    """Exposed wall faces along one plan edge over [xa, xb].
+_UP, _DOWN = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+_PLUS_Y, _MINUS_Y = (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)
+_PLUS_X, _MINUS_X = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)
 
-    left/right are the regions below/above the edge in y, either of which may
-    be None (void). A band is emitted where exactly one side is solid.
+
+class _Profiles:
+    """The distinct height profiles of a set of regions, evaluated in bulk.
+
+    Every region shares its profiles with many others, so an evaluation
+    over all stations of all chains or edges takes one ``values`` call per
+    distinct profile.  A profile is referred to by its index here; -1
+    stands for no profile (a void side) and evaluates to NaN.
     """
-    funcs = []
-    if left is not None:
-        funcs += [left.z_lo, left.z_hi]
-    if right is not None:
-        funcs += [right.z_lo, right.z_hi]
-    if not funcs:
-        return
-    mids = [f.value(mid, mid) for f in funcs]
-    order = sorted(range(len(funcs)), key=mids.__getitem__)
-    ya, yb = y_line.value(xa), y_line.value(xb)
-    for k in range(len(order) - 1):
-        f_lo, f_hi = funcs[order[k]], funcs[order[k + 1]]
-        band_mid = 0.5 * (mids[order[k]] + mids[order[k + 1]])
-        in_left = left is not None and left.z_lo.value(mid, mid) <= band_mid <= left.z_hi.value(mid, mid)
-        in_right = right is not None and right.z_lo.value(mid, mid) <= band_mid <= right.z_hi.value(mid, mid)
-        if in_left == in_right:
-            continue
-        direction = (0.0, 1.0, 0.0) if in_left else (0.0, -1.0, 0.0)
-        walls.add(xa, ya, f_lo.value(xa, mid), f_hi.value(xa, mid),
-                  xb, yb, f_lo.value(xb, mid), f_hi.value(xb, mid), direction)
+
+    def __init__(self, regions: list[PlanRegion]):
+        self.profiles = []
+        self.index: dict[int, int] = {}
+        for r in regions:
+            for prof in (r.z_lo, r.z_hi):
+                if id(prof) not in self.index:
+                    self.index[id(prof)] = len(self.profiles)
+                    self.profiles.append(prof)
+
+    def ids(self, profiles, piece: np.ndarray) -> np.ndarray:
+        """The index of ``profiles[piece[i]]`` for every i; -1 where
+        ``piece`` is -1."""
+        table = np.array([self.index[id(p)] for p in profiles] + [-1])
+        return table[piece]
+
+    def values(self, pid: np.ndarray, x: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """``value(x[i], at[i])`` of profile ``pid[i]`` for every i."""
+        out = np.full(len(pid), np.nan)
+        for k, prof in enumerate(self.profiles):
+            m = pid == k
+            if m.any():
+                out[m] = prof.values(x[m], at[m])
+        return out
 
 
-def _station_bands(walls, x_s, y_lo, y_hi, left, right, mid_l, mid_r):
-    """Exposed wall faces at one station of a streamwise chain."""
-    lz0 = lz1 = rz0 = rz1 = None
-    vals = []
-    if left is not None:
-        lz0, lz1 = left.z_lo.value(x_s, mid_l), left.z_hi.value(x_s, mid_l)
-        vals += [lz0, lz1]
-    if right is not None:
-        rz0, rz1 = right.z_lo.value(x_s, mid_r), right.z_hi.value(x_s, mid_r)
-        vals += [rz0, rz1]
-    if not vals:
-        return
-    vals = sorted(set(vals))
-    ya, yb = y_lo.value(x_s), y_hi.value(x_s)
-    for k in range(len(vals) - 1):
-        z0, z1 = vals[k], vals[k + 1]
-        zm = 0.5 * (z0 + z1)
-        in_left = left is not None and lz0 <= zm <= lz1
-        in_right = right is not None and rz0 <= zm <= rz1
-        if in_left == in_right:
-            continue
-        direction = (1.0, 0.0, 0.0) if in_left else (-1.0, 0.0, 0.0)
-        walls.add(x_s, ya, z0, z1, x_s, yb, z0, z1, direction)
+def _skin_quads(chains, chain_pieces, x: np.ndarray, profiles: _Profiles) -> np.ndarray:
+    """Top and bottom skins of all chains as (m, 2, 4, 3) quad corners.
+
+    Each station interval of a chain is covered by exactly one piece, picked
+    by the interval midpoint, so near-coincident stations can never
+    double-cover a strip; it gives its z_hi quad and then its z_lo quad.
+    """
+    xa, xb = x[:-1], x[1:]
+    mid = 0.5 * (xa + xb)
+    rows, ys, z_hi, z_lo = [], [], [], []
+    for chain, piece in zip(chains, chain_pieces):
+        k = np.flatnonzero(piece >= 0)
+        y_lo, y_hi = chain[0].y_lo, chain[0].y_hi  # shared by the whole chain
+        rows.append(k)
+        ys.append(np.stack([y_lo.value(xa[k]), y_hi.value(xa[k]),
+                            y_hi.value(xb[k]), y_lo.value(xb[k])], axis=1))
+        z_hi.append(profiles.ids([r.z_hi for r in chain], piece[k]))
+        z_lo.append(profiles.ids([r.z_lo for r in chain], piece[k]))
+    k = np.concatenate(rows)
+    xa, xb, mid = xa[k], xb[k], mid[k]
+    px = np.stack([xa, xa, xb, xb], axis=1)
+    py = np.concatenate(ys)
+    quads = []
+    for pid in (np.concatenate(z_hi), np.concatenate(z_lo)):
+        za, zb = profiles.values(pid, xa, mid), profiles.values(pid, xb, mid)
+        quads.append(np.stack([px, py, np.stack([za, za, zb, zb], axis=1)], axis=2))
+    return np.stack(quads, axis=1)
+
+
+def _edge_bands(walls, edge_groups, x: np.ndarray, profiles: _Profiles):
+    """Exposed wall faces along every plan edge, station interval by interval.
+
+    Below and above an edge in y lie pieces; over an interval either side
+    may be missing (void).  The bands lie between consecutive profile values
+    at the interval midpoint, and a band is emitted where exactly one side
+    is solid.  A missing side's two profile slots hold NaN, which sorts last
+    and fails every comparison, so it neither bounds a band nor counts as
+    solid.
+    """
+    xa, xb = x[:-1], x[1:]
+    mid = 0.5 * (xa + xb)
+    slots, ya, yb = [], [], []
+    for line, below, above in edge_groups:
+        left, right = _pieces_at(below, mid), _pieces_at(above, mid)
+        slots.append(np.stack([
+            profiles.ids([r.z_lo for r in below], left),
+            profiles.ids([r.z_hi for r in below], left),
+            profiles.ids([r.z_lo for r in above], right),
+            profiles.ids([r.z_hi for r in above], right),
+        ], axis=1))
+        ya.append(line.value(xa))
+        yb.append(line.value(xb))
+    pid = np.concatenate(slots).ravel()
+    n_edges = len(slots)
+    at = np.repeat(np.tile(mid, n_edges), 4)
+    xa, xb = np.tile(xa, n_edges), np.tile(xb, n_edges)
+    v_mid = profiles.values(pid, at, at).reshape(-1, 4)
+    v_a = profiles.values(pid, np.repeat(xa, 4), at).reshape(-1, 4)
+    v_b = profiles.values(pid, np.repeat(xb, 4), at).reshape(-1, 4)
+
+    order = np.argsort(v_mid, axis=1, kind="stable")
+    ranked = np.take_along_axis(v_mid, order, axis=1)
+    band_mid = 0.5 * (ranked[:, :-1] + ranked[:, 1:])
+    in_left = (v_mid[:, :1] <= band_mid) & (band_mid <= v_mid[:, 1:2])
+    in_right = (v_mid[:, 2:3] <= band_mid) & (band_mid <= v_mid[:, 3:])
+    row, k = np.nonzero(in_left != in_right)
+    f_lo, f_hi = order[row, k], order[row, k + 1]
+    walls.add(xa[row], np.concatenate(ya)[row], v_a[row, f_lo], v_a[row, f_hi],
+              xb[row], np.concatenate(yb)[row], v_b[row, f_lo], v_b[row, f_hi],
+              np.where(in_left[row, k, None], _PLUS_Y, _MINUS_Y))
+
+
+def _station_bands(walls, chains, chain_pieces, x: np.ndarray, profiles: _Profiles):
+    """Exposed wall faces of every chain at its stations.
+
+    At each station the pieces of the intervals on either side may differ
+    (a profile jumps, or the chain starts or ends).  The bands lie between
+    consecutive distinct profile values there, and a band is emitted where
+    exactly one side is solid; a station with the same two profile values
+    on both sides has none.  Missing sides hold NaN, as in ``_edge_bands``.
+    """
+    mid = 0.5 * (x[:-1] + x[1:])
+    none = np.array([-1])
+    slots, ya, yb = [], [], []
+    for chain, piece in zip(chains, chain_pieces):
+        left, right = np.concatenate([none, piece]), np.concatenate([piece, none])
+        z_lo, z_hi = [r.z_lo for r in chain], [r.z_hi for r in chain]
+        slots.append(np.stack([profiles.ids(z_lo, left), profiles.ids(z_hi, left),
+                               profiles.ids(z_lo, right), profiles.ids(z_hi, right)], axis=1))
+        ya.append(chain[0].y_lo.value(x))
+        yb.append(chain[0].y_hi.value(x))
+    n_chains = len(slots)
+    # the left pieces are evaluated at the midpoint of the interval before
+    # the station, the right ones at the midpoint of the interval after it
+    mid_l, mid_r = np.concatenate([[np.nan], mid]), np.concatenate([mid, [np.nan]])
+    at = np.tile(np.stack([mid_l, mid_l, mid_r, mid_r], axis=1), (n_chains, 1)).ravel()
+    xs = np.tile(x, n_chains)
+    lz0, lz1, rz0, rz1 = profiles.values(
+        np.concatenate(slots).ravel(), np.repeat(xs, 4), at).reshape(-1, 4).T
+
+    same = (lz0 == rz0) & (lz1 == rz1)
+    vals = np.sort(np.stack([lz0, lz1, rz0, rz1], axis=1), axis=1)
+    z0, z1 = vals[:, :-1], vals[:, 1:]
+    zm = 0.5 * (z0 + z1)
+    in_left = (lz0[:, None] <= zm) & (zm <= lz1[:, None])
+    in_right = (rz0[:, None] <= zm) & (zm <= rz1[:, None])
+    row, k = np.nonzero((z0 != z1) & (in_left != in_right) & ~same[:, None])
+    z0, z1 = z0[row, k], z1[row, k]
+    walls.add(xs[row], np.concatenate(ya)[row], z0, z1, xs[row], np.concatenate(yb)[row], z0, z1,
+              np.where(in_left[row, k, None], _PLUS_X, _MINUS_X))
 
 
 def tessellate(regions: list[PlanRegion], x_segments: int = 8) -> TriangleMesh:
@@ -488,59 +677,26 @@ def _tessellate(regions: list[PlanRegion], x_segments: int):
     """``tessellate``, returning ``(mesh, report)`` from its one validation."""
     if x_segments < 1:
         raise ValueError("x_segments must be >= 1")
-    stations = _stations(regions, x_segments)
+    x = np.asarray(_stations(regions, x_segments), dtype=np.float64)
+    mid = 0.5 * (x[:-1] + x[1:])
     chains = _chain_groups(regions)
-    builder = _Builder()
+    chain_pieces = [_pieces_at(chain, mid) for chain in chains]
+    profiles = _Profiles(regions)
     walls = _VerticalFaces()
-    skins = []
 
-    # Top and bottom skins. Each station interval of a chain is covered by
-    # exactly one piece, picked by the interval midpoint, so near-coincident
-    # stations can never double-cover a strip. The skins are registered
-    # first so their corners participate in the vertical-line subdivision,
-    # then emitted as plain quads.
-    for chain in chains:
-        for k in range(len(stations) - 1):
-            xa, xb = stations[k], stations[k + 1]
-            mid = 0.5 * (xa + xb)
-            r = _piece_at(chain, mid)
-            if r is None:
-                continue
-            ya0, ya1 = r.y_lo.value(xa), r.y_hi.value(xa)
-            yb0, yb1 = r.y_lo.value(xb), r.y_hi.value(xb)
-            for prof, direction in ((r.z_hi, (0.0, 0.0, 1.0)), (r.z_lo, (0.0, 0.0, -1.0))):
-                z_a, z_b = prof.value(xa, mid), prof.value(xb, mid)
-                skins.append(((xa, ya0, z_a), (xa, ya1, z_a), (xb, yb1, z_b), (xb, yb0, z_b), direction))
-                for p in skins[-1][:4]:
-                    walls.note_corner(*p)
+    # The skins are noted first so that their corners take part in the
+    # vertical-line subdivision, then emitted as plain quads.
+    skins = _skin_quads(chains, chain_pieces, x, profiles)
+    walls.note(skins.reshape(-1, 3))
+    # Wall faces along plan edges (slanted key faces, outer walls), then at
+    # stations where profiles jump or a chain starts or ends.
+    _edge_bands(walls, _edge_groups(regions), x, profiles)
+    _station_bands(walls, chains, chain_pieces, x, profiles)
 
-    # Wall faces along plan edges (slanted key faces, outer walls).
-    for line, below, above in _edge_groups(regions):
-        for k in range(len(stations) - 1):
-            xa, xb = stations[k], stations[k + 1]
-            mid = 0.5 * (xa + xb)
-            _interval_bands(walls, xa, xb, line, _piece_at(below, mid), _piece_at(above, mid), mid)
-
-    # Wall faces at stations where profiles jump or a chain starts or ends.
-    for chain in chains:
-        y_lo, y_hi = chain[0].y_lo, chain[0].y_hi
-        for k in range(len(stations)):
-            x_s = stations[k]
-            mid_l = 0.5 * (stations[k - 1] + x_s) if k > 0 else None
-            mid_r = 0.5 * (x_s + stations[k + 1]) if k + 1 < len(stations) else None
-            left = _piece_at(chain, mid_l) if mid_l is not None else None
-            right = _piece_at(chain, mid_r) if mid_r is not None else None
-            if left is None and right is None:
-                continue
-            if left is not None and right is not None:
-                lz = (left.z_lo.value(x_s, mid_l), left.z_hi.value(x_s, mid_l))
-                rz = (right.z_lo.value(x_s, mid_r), right.z_hi.value(x_s, mid_r))
-                if lz == rz:
-                    continue
-            _station_bands(walls, x_s, y_lo, y_hi, left, right, mid_l, mid_r)
-
-    for p00, p01, p11, p10, direction in skins:
-        builder.add_quad(p00, p01, p11, p10, direction)
+    builder = _Builder()
+    # each quad (p00, p01, p11, p10) is the triangles (p00, p01, p11), (p00, p11, p10)
+    builder.add(skins[:, :, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 3),
+                np.tile([_UP, _UP, _DOWN, _DOWN], (len(skins), 1)))
     walls.emit(builder)
 
     mesh = builder.finish()
@@ -655,12 +811,11 @@ def crest_trace_length(mesh: TriangleMesh, tol: float = 1e-9) -> float:
     tris = mesh.triangles[np.all(at_top[mesh.triangles], axis=1)]
     if tris.size == 0:
         raise EmptyMesh("no faces at the crest elevation")
-    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    border = uniq[counts == 1]
+    _, undirected = _edge_keys(TriangleMesh(vertices=v, triangles=tris))
+    keys, counts = np.unique(undirected, return_counts=True)
+    border_a, border_b = np.divmod(keys[counts == 1], len(v))
     y_wall_lo, y_wall_hi = v[:, 1].min(), v[:, 1].max()
-    pa, pb = v[border[:, 0]], v[border[:, 1]]
+    pa, pb = v[border_a], v[border_b]
     on_wall = ((np.abs(pa[:, 1] - y_wall_lo) <= tol) & (np.abs(pb[:, 1] - y_wall_lo) <= tol)) | (
         (np.abs(pa[:, 1] - y_wall_hi) <= tol) & (np.abs(pb[:, 1] - y_wall_hi) <= tol))
     pa, pb = pa[~on_wall], pb[~on_wall]
@@ -670,24 +825,40 @@ def crest_trace_length(mesh: TriangleMesh, tol: float = 1e-9) -> float:
     transverse = np.abs(dx) <= tol
     total = float(np.hypot(dx[transverse], dy[transverse]).sum()) / 2.0
 
-    lines: dict[tuple[int, int], list[float]] = {}
-    for k in np.nonzero(~transverse)[0]:
-        slope = dy[k] / dx[k]
-        intercept = pa[k, 1] - slope * pa[k, 0]
-        key = (round(slope / tol), round(intercept / tol))
-        lines.setdefault(key, [slope]).extend((pa[k, 0], pb[k, 0]))
-    by_slope: dict[int, list[tuple[float, float, float, float]]] = {}
-    for (ks, ki), rec in lines.items():
-        by_slope.setdefault(ks, []).append((ki * tol, rec[0], min(rec[1:]), max(rec[1:])))
-    for group in by_slope.values():
-        group.sort()
-        if len(group) % 2:
-            raise StitchFailure("crest trace found an unpaired sidewall line")
-        for m in range(0, len(group), 2):
-            _, slope, lo_a, hi_a = group[m]
-            _, _, lo_b, hi_b = group[m + 1]
-            extent = max(hi_a, hi_b) - min(lo_a, lo_b)
-            total += extent * math.hypot(1.0, slope)
+    # Streamwise edges group into plan lines keyed by rounded slope and
+    # intercept; a line keeps the slope of its first edge and the extent of
+    # all of them.  Slope groups come in the order their first edges do, and
+    # inside a group lines sort by (intercept key, slope, extent), so that
+    # consecutive lines pair into wall strips.
+    k = np.flatnonzero(~transverse)
+    if k.size == 0:
+        return total
+    slope = dy[k] / dx[k]
+    intercept = pa[k, 1] - slope * pa[k, 0]
+    # whole-number keys kept as floats; adding 0.0 turns -0.0 into 0.0
+    k_slope = np.rint(slope / tol) + 0.0
+    k_icpt = np.rint(intercept / tol) + 0.0
+    order = np.lexsort((k_icpt, k_slope))
+    new_line = np.ones(len(order), dtype=bool)
+    new_line[1:] = ((k_slope[order][1:] != k_slope[order][:-1])
+                    | (k_icpt[order][1:] != k_icpt[order][:-1]))
+    line_start = np.flatnonzero(new_line)
+    first = order[new_line]
+    xa, xb = pa[k, 0][order], pb[k, 0][order]
+    lo = np.minimum.reduceat(np.minimum(xa, xb), line_start)
+    hi = np.maximum.reduceat(np.maximum(xa, xb), line_start)
+    line_slope = slope[first]
+    new_group = np.ones(len(first), dtype=bool)
+    new_group[1:] = k_slope[first][1:] != k_slope[first][:-1]
+    group = np.cumsum(new_group) - 1
+    if np.any(np.bincount(group) % 2):
+        raise StitchFailure("crest trace found an unpaired sidewall line")
+    group_rank = np.minimum.reduceat(first, np.flatnonzero(new_group))[group]
+    seq = np.lexsort((hi, lo, line_slope, k_icpt[first] * tol, group_rank))
+    a, b = seq[0::2], seq[1::2]
+    extent = np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b])
+    for e, s in zip(extent.tolist(), line_slope[a].tolist()):
+        total += e * math.hypot(1.0, s)
     return total
 
 

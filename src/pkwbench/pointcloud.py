@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import _atomic_write
 from .errors import DegenerateExtent, EmptyMesh, MalformedCloud
 from .mesh import TriangleMesh
 
@@ -155,7 +156,7 @@ def write_cloud(path, cloud: PointCloud) -> None:
                           _FRAME_FLAGS[cloud.frame], cloud.scale,
                           *cloud.offset)
     payload = cloud.points.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
+    with _atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
 

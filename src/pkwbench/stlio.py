@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import _atomic_write
 from .errors import EmptyMesh, MalformedStl
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, _weld
 
 _TOOL_TAG = b"pkwbench-solid"
 
@@ -47,7 +48,7 @@ def write_stl(path, mesh: TriangleMesh, geometry_id: str = "") -> None:
 
     header = (_TOOL_TAG + b" " + geometry_id.encode("ascii", "replace"))[:80]
     header = header.ljust(80, b"\0")
-    with Path(path).open("wb") as fh:
+    with _atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(struct.pack("<I", len(t)))
         fh.write(records.tobytes())
@@ -56,13 +57,11 @@ def write_stl(path, mesh: TriangleMesh, geometry_id: str = "") -> None:
 def read_stl(path) -> TriangleMesh:
     """Read a binary STL, welding vertices by exact float32 equality.
 
-    The weld sorts the corners lexicographically on (x, y, z) with one
-    stable ``np.lexsort``, starts a new vertex wherever a corner differs from
-    its sorted neighbour, and numbers the vertices with a ``cumsum``
-    scattered back through the sort.  Vertices come out in sorted order, as
-    from ``np.unique(corners, axis=0, return_inverse=True)``; like it, the
-    weld compares floats, so 0.0 and -0.0 are one vertex (here keeping the
-    sign of the corner read first).
+    The corners are welded with the mesher's ``_weld``: one stable
+    ``np.lexsort`` on (x, y, z).  Vertices come out in sorted order, as from
+    ``np.unique(corners, axis=0, return_inverse=True)``; like it, the weld
+    compares floats, so 0.0 and -0.0 are one vertex (here keeping the sign
+    of the corner read first).
     """
     raw = Path(path).read_bytes()
     if len(raw) < 84:
@@ -78,14 +77,8 @@ def read_stl(path) -> TriangleMesh:
     records = np.frombuffer(raw, dtype=_RECORD, count=count, offset=84)
 
     flat = np.stack([records["v0"], records["v1"], records["v2"]], axis=1).reshape(-1, 3)
-    order = np.lexsort((flat[:, 2], flat[:, 1], flat[:, 0]))
-    ordered = flat[order]
-    first = np.empty(len(ordered), dtype=bool)
-    first[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    inverse = np.empty(len(ordered), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
+    first, group = _weld(flat)
     return TriangleMesh(
-        vertices=ordered[first].astype(np.float64),
-        triangles=inverse.reshape(-1, 3),
+        vertices=flat[first].astype(np.float64),
+        triangles=group.reshape(-1, 3),
     )

@@ -19,6 +19,7 @@ import struct
 
 import numpy as np
 
+from ..atomic import _atomic_write
 from ..errors import MalformedModel
 from .pointnet import PointNetConfig, PointNetMini
 from .trees import TreeEnsemble, TreeParams
@@ -130,7 +131,7 @@ def save_model(path, model):
     """Write any fitted surrogate to ``path``."""
     kind, header, blobs = _describe(model)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _atomic_write(path, "wb") as fh:
         fh.write(_PREFIX.pack(_MAGIC, _VERSION, kind, len(header_bytes)))
         fh.write(header_bytes)
         for blob in blobs:

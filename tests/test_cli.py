@@ -202,6 +202,34 @@ def test_bad_jobs_env_variable_is_a_usage_error(tmp_path, capsys, monkeypatch, v
     assert run(["sample", "--workspace", tmp_path, "--n", 3, "--seed", 1, "--jobs", 1]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--x-segments", "0"],
+    ["sample", "--n", "0"],
+    ["cloud", "--n", "-3"],
+    ["train", "--model", "forest", "--split", "id", "--trees", "0"],
+    ["train", "--model", "pointnet", "--split", "id", "--epochs", "0"],
+    ["train", "--model", "pointnet", "--split", "id", "--points", "x"],
+    ["eval", "--model", "pointnet", "--split", "id", "--points", "0"],
+    ["bench", "--n", "0"],
+    ["bench", "--trees", "0"],
+    ["bench", "--model", "gbm", "--trees", "1.5"],
+    ["bench", "--model", "pointnet", "--epochs", "0"],
+    ["bench", "--model", "pointnet", "--points", "0"],
+    ["bench", "--model", "pointnet", "--cloud-points", "0"],
+    ["bench", "--model", "pointnet", "--x-segments", "0"],
+])
+def test_bad_count_is_a_usage_error_before_any_work(tmp_path, capsys, argv):
+    ws = tmp_path / "ws"
+    with pytest.raises(SystemExit) as exc:
+        run([argv[0], "--workspace", ws, "--seed", 1, *argv[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(
+        f"pkwbench {argv[0]}: error: argument {argv[-2]}: must be a whole number >= 1")
+    assert not ws.exists()
+
+
 def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch):
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert _pool_size(2, 40) == 2

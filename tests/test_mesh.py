@@ -9,13 +9,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+import mesh_reference
 from pkwbench.errors import DegenerateRegion, EmptyMesh
 from pkwbench.geometry import PkwFixed, PkwSample, derive, validate, feasible_bounds
 from pkwbench.mesh import (
+    LATTICE,
     REGION_KINDS,
     MeshReport,
     TriangleMesh,
+    _Builder,
+    _VerticalFaces,
     _problem_edges,
     analytic_volume,
     build_regions,
@@ -302,3 +308,146 @@ def test_edge_keys_count_as_row_wise_unique(defect):
     assert validate_mesh(mesh) == want
     assert want.watertight == (defect == "none")
     assert _problem_edges(mesh) == _axis0_problem_edges(directed, undirected)
+
+
+@st.composite
+def _meshable_regions(draw):
+    """Plan regions of a design drawn anywhere in the feasible box."""
+    sample = PkwSample(**{
+        name: draw(st.floats(lo, hi)) for name, (lo, hi) in feasible_bounds(FIXED).items()
+    })
+    if not validate(FIXED, sample).feasible:
+        reject()
+    try:
+        return build_regions(derive(FIXED, sample), FIXED)
+    except DegenerateRegion:
+        reject()
+
+
+def _assert_same_mesh(got, want):
+    for name in ("vertices", "triangles"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(_meshable_regions(), st.integers(1, 8))
+def test_tessellation_matches_the_per_corner_reference(regions, x_segments):
+    got = tessellate(regions, x_segments)
+    want = mesh_reference.tessellate(regions, x_segments)
+    _assert_same_mesh(got, want)
+    assert crest_trace_length(got) == mesh_reference.crest_trace_length(want)
+
+
+def _finish_both(triangles):
+    """Finish the same (pa, pb, pc, direction) triangles on the array
+    builder and on the reference one."""
+    builder = _Builder()
+    builder.add(np.array([t[:3] for t in triangles], dtype=np.float64),
+                np.array([t[3] for t in triangles], dtype=np.float64))
+    reference = mesh_reference._Builder()
+    for pa, pb, pc, direction in triangles:
+        reference.add_tri(pa, pb, pc, direction)
+    got, want = builder.finish(), reference.finish()
+    _assert_same_mesh(got, want)
+    return got
+
+
+UP = (0.0, 0.0, 1.0)
+
+
+def test_weld_joins_signed_zeros_keeping_the_first_corner():
+    mesh = _finish_both([
+        ((-0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), UP),
+        ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), UP),
+    ])
+    assert mesh.n_vertices == 4
+    assert np.signbit(mesh.vertices[0, 0])
+    assert mesh.triangles.tolist() == [[0, 1, 2], [0, 2, 3]]
+
+
+def _on_lattice(t):
+    """A float x with x * LATTICE == t exactly."""
+    x = t / LATTICE
+    for _ in range(16):
+        if x * LATTICE == t:
+            return x
+        x = math.nextafter(x, math.inf if x * LATTICE < t else -math.inf)
+    raise AssertionError(f"no float lands on {t} lattice steps")
+
+
+def test_weld_rounds_half_a_lattice_step_to_even():
+    # 0.5 and 1.5 steps round to keys 0 and 2, as does 2.5: half to even
+    # welds each pair below; half away from zero would weld neither
+    half, one_half, two_half = (_on_lattice(t) for t in (0.5, 1.5, 2.5))
+    mesh = _finish_both([
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), UP),
+        ((half, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), UP),
+        ((one_half, 2.0, 0.0), (1.0, 2.0, 0.0), (0.0, 3.0, 0.0), UP),
+        ((two_half, 2.0, 0.0), (0.0, 3.0, 0.0), (-1.0, 2.0, 0.0), UP),
+    ])
+    assert mesh.n_vertices == 8
+    assert mesh.vertices[0, 0] == 0.0 and mesh.vertices[4, 0] == one_half
+    assert mesh.triangles.tolist() == [[0, 1, 2], [0, 2, 3], [4, 5, 6], [4, 6, 7]]
+
+
+def test_weld_numbers_vertices_by_first_occurrence():
+    # the second triangle repeats two corners, one of them 0.1 lattice
+    # steps off; the vertex keeps the coordinates of its first corner
+    off = 0.1 / LATTICE
+    mesh = _finish_both([
+        ((2.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 0.0), UP),
+        ((0.0, off, 0.0), (3.0, 0.0, 0.0), (2.0, 0.0, 0.0), UP),
+    ])
+    assert mesh.vertices.tolist() == [
+        [2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [3.0, 0.0, 0.0]]
+    assert mesh.triangles.tolist() == [[0, 2, 1], [1, 0, 3]]
+
+
+def test_dropped_triangles_still_number_their_corners():
+    off = 0.2 / LATTICE
+    mesh = _finish_both([
+        # two corners weld: a repeated vertex
+        ((5.0, 0.0, 0.0), (6.0, 0.0, 0.0), (6.0, off, 0.0), UP),
+        # distinct vertices, but the normal is square to the direction
+        ((7.0, 0.0, 0.0), (8.0, 0.0, 0.0), (7.0, 1.0, 0.0), (1.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), UP),
+    ])
+    assert mesh.vertices[:, 0].tolist() == [5.0, 6.0, 7.0, 8.0, 7.0, 0.0, 1.0, 0.0]
+    assert mesh.triangles.tolist() == [[5, 6, 7]]
+
+
+def test_wall_level_with_two_floats_takes_the_one_a_set_yields_last():
+    # z and its successor share a lattice key on the line (0, 0).  The
+    # reference builds the line's set while noting and keys a dict on it,
+    # so the later float in the set's iteration order wins.  Note the two
+    # in the order that makes the winner the second one noted.
+    z = 0.3
+    z_next = math.nextafter(z, 1.0)
+    assert round(z * LATTICE) == round(z_next * LATTICE)
+    for noted in ([z, z_next], [z_next, z]):
+        line = set()
+        for value in noted + [0.0, 1.0]:
+            line.add(value)
+        if [v for v in line if v in noted][-1] == noted[1]:
+            break
+    else:
+        pytest.fail("no noting order lets the set pick the later float")
+
+    walls = _VerticalFaces()
+    walls.note(np.array([[0.0, 0.0, noted[0]], [0.0, 0.0, noted[1]], [1.0, 0.0, z]]))
+    one, zero = np.ones(1), np.zeros(1)
+    walls.add(zero, zero, zero, one, one, zero, zero, one, np.array([[0.0, 1.0, 0.0]]))
+    builder = _Builder()
+    walls.emit(builder)
+
+    reference_walls = mesh_reference._VerticalFaces()
+    for x, zv in ((0.0, noted[0]), (0.0, noted[1]), (1.0, z)):
+        reference_walls.note_corner(x, 0.0, zv)
+    reference_walls.add(0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, (0.0, 1.0, 0.0))
+    reference = mesh_reference._Builder()
+    reference_walls.emit(reference)
+    mesh = builder.finish()
+    _assert_same_mesh(mesh, reference.finish())
+    assert noted[1] in mesh.vertices[:, 2]
