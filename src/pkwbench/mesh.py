@@ -825,36 +825,39 @@ def crest_trace_length(mesh: TriangleMesh, tol: float = 1e-9) -> float:
     transverse = np.abs(dx) <= tol
     total = float(np.hypot(dx[transverse], dy[transverse]).sum()) / 2.0
 
-    # Streamwise edges group into plan lines keyed by rounded slope and
-    # intercept; a line keeps the slope of its first edge and the extent of
-    # all of them.  Slope groups come in the order their first edges do, and
-    # inside a group lines sort by (intercept key, slope, extent), so that
+    # Streamwise edges group into plan lines: sorted by slope, a gap of more
+    # than tol starts a new slope group, and inside a group, sorted by
+    # intercept, a gap of more than tol starts a new line.  Gaps rather than
+    # rounded keys, so that edges of one line whose intercepts straddle a
+    # half lattice step stay together.  A line keeps the slope of its first
+    # edge and the extent of all of them; slope groups come in the order
+    # their first edges do, lines inside a group by intercept, so that
     # consecutive lines pair into wall strips.
     k = np.flatnonzero(~transverse)
     if k.size == 0:
         return total
     slope = dy[k] / dx[k]
     intercept = pa[k, 1] - slope * pa[k, 0]
-    # whole-number keys kept as floats; adding 0.0 turns -0.0 into 0.0
-    k_slope = np.rint(slope / tol) + 0.0
-    k_icpt = np.rint(intercept / tol) + 0.0
-    order = np.lexsort((k_icpt, k_slope))
-    new_line = np.ones(len(order), dtype=bool)
-    new_line[1:] = ((k_slope[order][1:] != k_slope[order][:-1])
-                    | (k_icpt[order][1:] != k_icpt[order][:-1]))
+    by_slope = np.argsort(slope, kind="stable")
+    group_of = np.empty(len(k), dtype=np.int64)
+    group_of[by_slope] = np.concatenate(([0], np.cumsum(np.diff(slope[by_slope]) > tol)))
+    order = np.lexsort((intercept, group_of))
+    new_group_at = np.ones(len(order), dtype=bool)
+    new_group_at[1:] = group_of[order][1:] != group_of[order][:-1]
+    new_line = new_group_at.copy()
+    new_line[1:] |= np.diff(intercept[order]) > tol
     line_start = np.flatnonzero(new_line)
-    first = order[new_line]
+    first = np.minimum.reduceat(order, line_start)
     xa, xb = pa[k, 0][order], pb[k, 0][order]
     lo = np.minimum.reduceat(np.minimum(xa, xb), line_start)
     hi = np.maximum.reduceat(np.maximum(xa, xb), line_start)
     line_slope = slope[first]
-    new_group = np.ones(len(first), dtype=bool)
-    new_group[1:] = k_slope[first][1:] != k_slope[first][:-1]
+    new_group = new_group_at[line_start]
     group = np.cumsum(new_group) - 1
     if np.any(np.bincount(group) % 2):
         raise StitchFailure("crest trace found an unpaired sidewall line")
     group_rank = np.minimum.reduceat(first, np.flatnonzero(new_group))[group]
-    seq = np.lexsort((hi, lo, line_slope, k_icpt[first] * tol, group_rank))
+    seq = np.argsort(group_rank, kind="stable")
     a, b = seq[0::2], seq[1::2]
     extent = np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b])
     for e, s in zip(extent.tolist(), line_slope[a].tolist()):

@@ -9,8 +9,8 @@ values noted on it, and every profile is evaluated one station at a time.
 Stations, chains and edge groups come from ``pkwbench.mesh``.  The
 differential tests in ``test_mesh.py`` require ``pkwbench.mesh.tessellate``
 to give the same vertices and triangles as ``tessellate`` here, bit for
-bit.  ``crest_trace_length`` is the crest trace from before it keyed its
-edges and lines with arrays, copied unchanged.
+bit.  ``crest_trace_length`` is the crest trace written with Python loops:
+edges are grouped into slope groups and plan lines one at a time.
 """
 
 import math
@@ -264,22 +264,27 @@ def crest_trace_length(mesh: TriangleMesh, tol: float = 1e-9) -> float:
     transverse = np.abs(dx) <= tol
     total = float(np.hypot(dx[transverse], dy[transverse]).sum()) / 2.0
 
-    lines: dict[tuple[int, int], list[float]] = {}
-    for k in np.nonzero(~transverse)[0]:
-        slope = dy[k] / dx[k]
-        intercept = pa[k, 1] - slope * pa[k, 0]
-        key = (round(slope / tol), round(intercept / tol))
-        lines.setdefault(key, [slope]).extend((pa[k, 0], pb[k, 0]))
-    by_slope: dict[int, list[tuple[float, float, float, float]]] = {}
-    for (ks, ki), rec in lines.items():
-        by_slope.setdefault(ks, []).append((ki * tol, rec[0], min(rec[1:]), max(rec[1:])))
-    for group in by_slope.values():
-        group.sort()
-        if len(group) % 2:
+    streamwise = [int(k) for k in np.nonzero(~transverse)[0]]
+    slope = {k: dy[k] / dx[k] for k in streamwise}
+    intercept = {k: pa[k, 1] - slope[k] * pa[k, 0] for k in streamwise}
+    groups: list[list[int]] = []
+    for k in sorted(streamwise, key=lambda k: slope[k]):
+        if groups and slope[k] - slope[groups[-1][-1]] <= tol:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    for group in sorted(groups, key=min):
+        lines: list[list[int]] = []
+        for k in sorted(group, key=lambda k: intercept[k]):
+            if lines and intercept[k] - intercept[lines[-1][-1]] <= tol:
+                lines[-1].append(k)
+            else:
+                lines.append([k])
+        if len(lines) % 2:
             raise StitchFailure("crest trace found an unpaired sidewall line")
-        for m in range(0, len(group), 2):
-            _, slope, lo_a, hi_a = group[m]
-            _, _, lo_b, hi_b = group[m + 1]
-            extent = max(hi_a, hi_b) - min(lo_a, lo_b)
-            total += extent * math.hypot(1.0, slope)
+        for m in range(0, len(lines), 2):
+            xs_a = [x for k in lines[m] for x in (pa[k, 0], pb[k, 0])]
+            xs_b = [x for k in lines[m + 1] for x in (pa[k, 0], pb[k, 0])]
+            extent = max(max(xs_a), max(xs_b)) - min(min(xs_a), min(xs_b))
+            total += extent * math.hypot(1.0, slope[min(lines[m])])
     return total

@@ -264,6 +264,27 @@ def test_crest_trace_needs_a_mesh():
             vertices=np.zeros((0, 3)), triangles=np.zeros((0, 3), dtype=np.int64)))
 
 
+def test_crest_trace_keeps_a_line_whose_intercepts_straddle_a_half_step():
+    # a flat crest strip between two parallel sloped walls; the lower wall's
+    # intercept lies on a half lattice step, and float error puts the last
+    # edge's intercept just below it, so rounded keys would split the wall
+    c, s, w = 0.3623046875, 0.008552631578947369, 0.25
+    xs = [0.0, 0.015625, 0.0702829071969697, 0.5, 1.0, 1.4297170928030303, 1.484375]
+    lower = [(x, c + s * x, 1.0) for x in xs]
+    upper = [(x, c + w + s * x, 1.0) for x in xs]
+    intercepts = [y0 - (y1 - y0) / (x1 - x0) * x0
+                  for (x0, y0, _), (x1, y1, _) in zip(lower[:-1], lower[1:])]
+    assert len({round(i / 1e-9) for i in intercepts}) == 2
+    n = len(xs)
+    mesh = TriangleMesh(
+        vertices=np.array(lower + upper + [(0.0, 0.0, 0.0), (0.0, 2.0, 0.0)]),
+        triangles=np.array([t for i in range(n - 1)
+                            for t in ((i, i + 1, n + i + 1), (i, n + i + 1, n + i))]))
+    trace = crest_trace_length(mesh)
+    assert trace == pytest.approx(xs[-1] * math.hypot(1.0, s) + w, rel=1e-12)
+    assert trace == mesh_reference.crest_trace_length(mesh)
+
+
 def _axis0_report(mesh):
     """validate_mesh as it counted edges before: row-wise unique on pairs."""
     t = mesh.triangles
