@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -124,7 +125,13 @@ def _load_manifest(ws: Path, with_labels: bool = False):
         if not labels_path.exists():
             raise MissingArtifact(f"no labels at {labels_path}; run label first")
         labels = read_labels_csv(labels_path)
-    return read_manifest(manifest_path, labels=labels)
+    try:
+        return read_manifest(manifest_path, labels=labels)
+    except ValueError as exc:  # labels that name designs the manifest lacks
+        raise MissingArtifact(
+            f"{labels_path} does not match the design manifest ({exc}); "
+            "rerun label --force"
+        ) from None
 
 
 def _geometry_rank(manifest: DatasetManifest) -> dict[str, int]:
@@ -177,34 +184,33 @@ def _build_space(args):
 # shared model-data assembly
 
 
-def _label_map(manifest: DatasetManifest) -> dict:
-    return {(lab.geometry_id, lab.Q): lab.c_D for lab in manifest.labels}
+def _targets(manifest: DatasetManifest, pairs) -> np.ndarray:
+    """The label of each pair, in the order given."""
+    labels = {(lab.geometry_id, lab.Q): lab.c_D for lab in manifest.labels}
+    try:
+        return np.asarray([labels[pair] for pair in pairs])
+    except KeyError as exc:
+        gid, q = exc.args[0]
+        raise MissingArtifact(
+            f"split references unlabeled pair ({gid}, Q={q * 1000.0:g} l/s)"
+        ) from None
 
 
 def _tabular_arrays(manifest: DatasetManifest, pairs):
-    labels = _label_map(manifest)
-    rows = []
-    targets = []
-    for gid, q in sorted(pairs):
-        try:
-            target = labels[(gid, q)]
-        except KeyError:
-            raise MissingArtifact(
-                f"split references unlabeled pair ({gid}, Q={q * 1000.0:g} l/s)"
-            ) from None
-        rows.append(feature_vector(manifest.geometries[gid].derived, q))
-        targets.append(target)
-    return np.asarray(rows), np.asarray(targets)
+    pairs = sorted(pairs)
+    targets = _targets(manifest, pairs)
+    rows = [feature_vector(manifest.geometries[gid].derived, q) for gid, q in pairs]
+    return np.asarray(rows), targets
 
 
 def _cloud_arrays(ws: Path, manifest: DatasetManifest, pairs, n_points: int, seed: int):
-    labels = _label_map(manifest)
+    pairs = sorted(pairs)
+    targets = _targets(manifest, pairs)
     rank = _geometry_rank(manifest)
     cache: dict[str, np.ndarray] = {}
     clouds = []
     discharges = []
-    targets = []
-    for gid, q in sorted(pairs):
+    for gid, q in pairs:
         if gid not in cache:
             path = ws / "clouds" / f"{gid}.wnpc"
             if not path.exists():
@@ -219,12 +225,8 @@ def _cloud_arrays(ws: Path, manifest: DatasetManifest, pairs, n_points: int, see
             cache[gid] = cloud.points
         clouds.append(cache[gid])
         discharges.append(q)
-        targets.append(labels[(gid, q)])
     points = np.stack(clouds) if clouds else np.empty((0, n_points, 3))
-    return (
-        attach_discharge(points, np.asarray(discharges)),
-        np.asarray(targets),
-    )
+    return attach_discharge(points, np.asarray(discharges)), targets
 
 
 def _metric_row(split, model_name, partition, n_train, report, paper_scale):
@@ -329,6 +331,20 @@ def _run_jobs(fn, tasks, jobs: int) -> list:
         return list(pool.map(fn, *zip(*tasks)))
 
 
+def _stage_status(error: str, what: str, failures: list) -> int:
+    """Exit status of a per-design stage.  With failures it also prints the
+    stage's JSON record to stderr; its message is their count, then ``what``."""
+    if not failures:
+        return 0
+    record = {
+        "error": error,
+        "message": f"{len(failures)} {what}",
+        "geometry_ids": failures,
+    }
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
+    return 1
+
+
 def _mesh_job(gid, derived, fixed, x_segments):
     """Mesh one design: ``(gid, (mesh, report, crest), None)`` or
     ``(gid, None, error)``."""
@@ -398,15 +414,7 @@ def _cmd_mesh(args) -> int:
             writer.writerow(row)
     _write_meta(report_path, "mesh", None, config)
     print(f"meshed {len(rows)} of {len(gids)} designs")
-    if failures:
-        record = {
-            "error": "MeshStageFailures",
-            "message": f"{len(failures)} designs failed to mesh",
-            "geometry_ids": failures,
-        }
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 1
-    return 0
+    return _stage_status("MeshStageFailures", "designs failed to mesh", failures)
 
 
 def _cmd_cloud(args) -> int:
@@ -417,7 +425,8 @@ def _cmd_cloud(args) -> int:
     gids = sorted(manifest.geometries)
     targets = {gid: _claim(ws / "clouds" / f"{gid}.wnpc", args.force) for gid in gids}
 
-    tasks = [(gid, ws / "meshes" / f"{gid}.stl", args.n, _stage_seed(seed, rank[gid]))
+    n = args.cloud_points
+    tasks = [(gid, ws / "meshes" / f"{gid}.stl", n, _stage_seed(seed, rank[gid]))
              for gid in gids]
     failures = []
     written = 0
@@ -428,34 +437,16 @@ def _cmd_cloud(args) -> int:
             continue
         write_cloud(targets[gid], cloud)
         written += 1
-    config = {"n": args.n}
-    _write_meta(ws / "clouds" / "clouds", "cloud", seed, config)
-    print(f"sampled {written} clouds of {args.n} points")
-    if failures:
-        record = {
-            "error": "CloudStageFailures",
-            "message": f"{len(failures)} clouds could not be sampled",
-            "geometry_ids": failures,
-        }
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 1
-    return 0
-
-
-def _parse_oracle(value: str):
-    if value == "synthetic":
-        return "synthetic", None
-    if value.startswith("csv="):
-        return "csv", value[4:]
-    raise PkwError(f"--oracle must be 'synthetic' or 'csv=<path>', got {value!r}")
+    _write_meta(ws / "clouds" / "clouds", "cloud", seed, {"n": n})
+    print(f"sampled {written} clouds of {n} points")
+    return _stage_status("CloudStageFailures", "clouds could not be sampled", failures)
 
 
 def _cmd_label(args) -> int:
     ws = _workspace(args)
-    manifest, fixed = _load_manifest(ws)
+    manifest, _ = _load_manifest(ws)
     out_path = _claim(ws / "labels" / "labels.csv", args.force)
-    kind, src = _parse_oracle(args.oracle)
-    if kind == "synthetic":
+    if args.oracle == "synthetic":
         seed = _require_seed(args)
         labels = synthesize_labels(
             manifest.geometries,
@@ -464,11 +455,15 @@ def _cmd_label(args) -> int:
             seed=seed,
         )
         config = {"oracle": "synthetic", "sigma": args.sigma}
-    else:
+    elif args.oracle.startswith("csv="):
+        src = args.oracle[4:]
         seed = args.seed
         crest = {gid: rec.derived.L for gid, rec in manifest.geometries.items()}
         labels = ingest_labels(src, crest)
         config = {"oracle": "csv", "source": os.path.basename(src)}
+    else:
+        raise PkwError(
+            f"--oracle must be 'synthetic' or 'csv=<path>', got {args.oracle!r}")
     # attaching the labels re-runs the manifest consistency gates
     DatasetManifest(geometries=manifest.geometries, labels=labels)
     write_labels_csv(out_path, labels)
@@ -477,49 +472,43 @@ def _cmd_label(args) -> int:
     return 0
 
 
-def _parse_policy(value: str):
-    if value == "id":
-        return ("id",)
-    for prefix in ("ood-geom", "ood-head"):
-        if value.startswith(prefix + ":"):
-            return (prefix, value[len(prefix) + 1 :])
-    if value.startswith("fraction:"):
+_OOD_POLICIES = {
+    "ood-geom": ("geometry", OOD_GEOM_BINS, split_ood_geom),
+    "ood-head": ("discharge", OOD_HEAD_BINS, split_ood_head),
+}
+
+
+def _make_split(manifest, policy: str, seed: int):
+    """The split that ``--policy`` names."""
+    kind, colon, arg = policy.partition(":")
+    if policy == "id":
+        return split_id(manifest, seed=seed)
+    if colon and kind in _OOD_POLICIES:
+        what, bins, make = _OOD_POLICIES[kind]
+        if arg not in bins:
+            raise PkwError(
+                f"unknown {what} bin {arg!r}; choose from {', '.join(sorted(bins))}"
+            )
+        return make(manifest, arg, seed=seed)
+    if colon and kind == "fraction":
         try:
-            fraction = float(value.split(":", 1)[1])
+            fraction = float(arg)
         except ValueError:
-            raise PkwError(f"bad fraction in --policy {value!r}") from None
-        return ("fraction", fraction)
+            fraction = math.nan
+        if not 0.0 < fraction <= 1.0:
+            raise PkwError(f"bad fraction in --policy {policy!r}; it must lie in (0, 1]")
+        return subset_fraction(split_id(manifest, seed=seed), fraction, seed=seed)
     raise PkwError(
         "--policy must be id, ood-geom:<bin>, ood-head:<bin>, or fraction:<f>, "
-        f"got {value!r}"
+        f"got {policy!r}"
     )
-
-
-def _make_split(manifest, policy, seed):
-    if policy[0] == "id":
-        return split_id(manifest, seed=seed)
-    if policy[0] == "ood-geom":
-        if policy[1] not in OOD_GEOM_BINS:
-            raise PkwError(
-                f"unknown geometry bin {policy[1]!r}; "
-                f"choose from {', '.join(sorted(OOD_GEOM_BINS))}"
-            )
-        return split_ood_geom(manifest, policy[1], seed=seed)
-    if policy[0] == "ood-head":
-        if policy[1] not in OOD_HEAD_BINS:
-            raise PkwError(
-                f"unknown discharge bin {policy[1]!r}; "
-                f"choose from {', '.join(sorted(OOD_HEAD_BINS))}"
-            )
-        return split_ood_head(manifest, policy[1], seed=seed)
-    return subset_fraction(split_id(manifest, seed=seed), policy[1], seed=seed)
 
 
 def _cmd_split(args) -> int:
     ws = _workspace(args)
     seed = _require_seed(args)
     manifest, _ = _load_manifest(ws, with_labels=True)
-    split = _make_split(manifest, _parse_policy(args.policy), seed)
+    split = _make_split(manifest, args.policy, seed)
     out_path = _claim(ws / "splits" / f"{split.name}.csv", args.force)
     write_split_csv(out_path, split)
     _write_meta(out_path, "split", seed, {"policy": args.policy})
@@ -543,12 +532,12 @@ def _ensemble_size(args, model_name: str) -> int:
     return 300 if model_name == "gbm" else 100
 
 
-def _fit_model(args, ws, manifest, split, seed):
-    if args.model in ("tree", "forest", "gbm"):
+def _fit_model(model_name, args, ws, manifest, split, seed):
+    if model_name in ("tree", "forest", "gbm"):
         X, y = _tabular_arrays(manifest, split.train)
-        if args.model == "tree":
+        if model_name == "tree":
             return fit_tree(X, y)
-        if args.model == "forest":
+        if model_name == "forest":
             return fit_forest(X, y, n_trees=_ensemble_size(args, "forest"), seed=seed)
         return fit_gbm(X, y, n_trees=_ensemble_size(args, "gbm"))
     X, y = _cloud_arrays(ws, manifest, split.train, args.points, seed)
@@ -566,7 +555,7 @@ def _cmd_train(args) -> int:
     manifest, _ = _load_manifest(ws, with_labels=True)
     split = _load_split(ws, args.split)
     out_path = _claim(ws / "models" / f"{split.name}-{args.model}.wnsm", args.force)
-    model = _fit_model(args, ws, manifest, split, seed)
+    model = _fit_model(args.model, args, ws, manifest, split, seed)
     save_model(out_path, model)
     config = {
         "model": args.model,
@@ -648,28 +637,14 @@ def _bench_splits(manifest, seed):
 def _cmd_bench(args) -> int:
     ws = _workspace(args)
     seed = _require_seed(args)
-    if not args.model:
-        args.model = ["forest"]
-    kind, _ = _parse_oracle(args.oracle)
-    if kind != "synthetic":
-        raise PkwError("bench only supports --oracle synthetic")
+    models = args.model or ["forest"]
     report_path = _claim(ws / "reports" / "bench.csv", args.force)
 
-    sample_args = argparse.Namespace(**vars(args))
-    sample_args.command = "sample"
-    _cmd_sample(sample_args)
-    label_args = argparse.Namespace(**vars(args))
-    label_args.command = "label"
-    _cmd_label(label_args)
-    if "pointnet" in args.model:
-        mesh_args = argparse.Namespace(**vars(args))
-        mesh_args.command, mesh_args.ids = "mesh", None
-        status = _cmd_mesh(mesh_args)
-        if status != 0:
-            return status
-        cloud_args = argparse.Namespace(**vars(args))
-        cloud_args.command, cloud_args.n = "cloud", args.cloud_points
-        status = _cmd_cloud(cloud_args)
+    # the stage commands read their options from bench's own arguments
+    _cmd_sample(args)
+    _cmd_label(args)
+    if "pointnet" in models:
+        status = _cmd_mesh(args) or _cmd_cloud(args)  # cloud only after a clean mesh
         if status != 0:
             return status
 
@@ -684,17 +659,15 @@ def _cmd_bench(args) -> int:
     splits = [_load_split(ws, s.name) for s in splits]
 
     rows = []
-    for model_name in args.model:
-        fit_args = argparse.Namespace(**vars(args))
-        fit_args.model = model_name
+    for model_name in models:
         # a fit depends only on the pairs, so equal pairs share one report;
         # reports, not models, are kept, which holds peak memory down
         reports = {}
         for split in splits:
             pairs = (split.train, split.val, split.test)
             if pairs not in reports:
-                model = _fit_model(fit_args, ws, manifest, split, seed)
-                reports[pairs] = _eval_model(ws, manifest, model, split.test, fit_args)
+                model = _fit_model(model_name, args, ws, manifest, split, seed)
+                reports[pairs] = _eval_model(ws, manifest, model, split.test, args)
             report = reports[pairs]
             rows.append(_metric_row(
                 split, model_name, "test", len(split.train), report,
@@ -702,7 +675,7 @@ def _cmd_bench(args) -> int:
             ))
     _write_report(report_path, rows, args.paper_scale)
     _write_meta(report_path, "bench", seed, {
-        "n": args.n, "sigma": args.sigma, "models": list(args.model),
+        "n": args.n, "sigma": args.sigma, "models": models,
         "trees": args.trees, "paper_scale": args.paper_scale,
     })
     print(f"wrote {len(rows)} benchmark rows to {report_path}")
@@ -747,6 +720,14 @@ def _add_common(sub, seed_help="master seed for this stage"):
                      "per available CPU (env PKWBENCH_JOBS)")
 
 
+def _add_space(sub):
+    sub.add_argument("--space", choices=("paper", "screening"), default="paper")
+    for flag, what in (("--step-mm", "step size"), ("--lo-mm", "lower bound"),
+                       ("--hi-mm", "upper bound")):
+        sub.add_argument(flag, action="append", metavar="VAR=VALUE",
+                         help=f"override one {what} (mm; ratios are unitless)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pkwbench",
@@ -758,13 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sample", help="draw feasible designs onto the step grid")
     p.add_argument("--n", type=_count(), required=True, help="number of designs")
-    p.add_argument("--space", choices=("paper", "screening"), default="paper")
-    p.add_argument("--step-mm", action="append", metavar="VAR=VALUE",
-                   help="override one step size (mm; ratios are unitless)")
-    p.add_argument("--lo-mm", action="append", metavar="VAR=VALUE",
-                   help="override one lower bound (mm; ratios are unitless)")
-    p.add_argument("--hi-mm", action="append", metavar="VAR=VALUE",
-                   help="override one upper bound (mm; ratios are unitless)")
+    _add_space(p)
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
 
@@ -776,7 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mesh)
 
     p = subs.add_parser("cloud", help="sample surface point clouds from meshes")
-    p.add_argument("--n", type=_count(), default=100_000, help="points per cloud")
+    p.add_argument("--n", type=_count(), default=100_000, dest="cloud_points",
+                   help="points per cloud")
     _add_common(p)
     p.set_defaults(func=_cmd_cloud)
 
@@ -818,11 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bench", help="run the full split-matrix benchmark")
     p.add_argument("--n", type=_count(), default=200, help="number of designs")
-    p.add_argument("--space", choices=("paper", "screening"), default="paper")
-    p.add_argument("--step-mm", action="append", metavar="VAR=VALUE")
-    p.add_argument("--lo-mm", action="append", metavar="VAR=VALUE")
-    p.add_argument("--hi-mm", action="append", metavar="VAR=VALUE")
-    p.add_argument("--oracle", default="synthetic")
+    _add_space(p)
     p.add_argument("--sigma", type=float, default=0.005)
     p.add_argument("--model", action="append", choices=MODEL_CHOICES,
                    default=None, help="repeatable; default forest")
@@ -833,7 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-segments", type=_count(), default=8)
     p.add_argument("--paper-scale", action="store_true")
     _add_common(p)
-    p.set_defaults(func=_cmd_bench)
+    # bench runs the stage commands on its own arguments: it meshes every
+    # design and labels with the synthetic oracle
+    p.set_defaults(func=_cmd_bench, oracle="synthetic", ids=None)
 
     return parser
 

@@ -27,6 +27,7 @@ R_B_I_MAX = 1.0
 T_S_MIN_FACTOR = 0.015
 T_S_MAX_FACTOR = 0.18
 W_KEY_MARGIN_FACTOR = 0.03
+_MIN_WIDTH = 1e-9      # plan footprints narrower than this are degenerate
 
 FEATURE_NAMES = (
     "Q", "B_i", "B_o", "B", "alpha_deg", "T_s2", "T_s3", "W_o_u", "W_o_d",
@@ -201,6 +202,31 @@ def plan_halfwidths(derived: PkwDerived, fixed: PkwFixed) -> tuple[Line, Line]:
     return h_i, h_o
 
 
+def unit_plan_edges(derived: PkwDerived, fixed: PkwFixed) -> list[tuple[Line, ...]]:
+    """The six plan edges of each unit, in y order.
+
+    Unit u spans y in [u W_u, (u + 1) W_u]. Its edges are the lower unit
+    boundary, the outlet and inlet faces of the lower sidewall, the inlet
+    and outlet faces of the upper sidewall, and the upper unit boundary.
+    Neighbouring units share their boundary as one ``Line`` object.
+    """
+    W_u = fixed.W_u
+    h_i, h_o = plan_halfwidths(derived, fixed)
+    boundaries = [Line(u * W_u, 0.0) for u in range(fixed.N_u + 1)]
+    out = []
+    for u in range(fixed.N_u):
+        y_off = u * W_u
+        out.append((
+            boundaries[u],
+            Line(y_off + h_o.a, h_o.b),
+            Line(y_off + 0.5 * W_u - h_i.a, -h_i.b),
+            Line(y_off + 0.5 * W_u + h_i.a, h_i.b),
+            Line(y_off + W_u - h_o.a, -h_o.b),
+            boundaries[u + 1],
+        ))
+    return out
+
+
 def crest_length(derived: PkwDerived, fixed: PkwFixed) -> tuple[float, float]:
     """Developed crest length (L_u, L) along the mid-thickness centerline."""
     T_s = derived.T_s2 * math.cos(derived.alpha)
@@ -267,6 +293,18 @@ def validate(fixed: PkwFixed, sample: PkwSample) -> ValidationReport:
     else:
         check(derived.W_o_u > 0.0, "W_o_u > 0", derived.W_o_u, 0.0)
         check(derived.W_o_d > 0.0, "W_o_d > 0", derived.W_o_d, 0.0)
+        # The crest walls inherit the sidewall taper, so each is narrowest at
+        # its outer face: the downstream wall at x = B, each upstream half at
+        # x = 0. Both are measured on the plan edges the mesher builds, so
+        # this gate and build_regions' DegenerateRegion check agree to the
+        # last bit.
+        B = derived.B
+        edges = unit_plan_edges(derived, fixed)
+        down = min(f_iu.value(B) - f_il.value(B) for _, _, f_il, f_iu, _, _ in edges)
+        up = min(min(f_ol.value(0.0) - lo.value(0.0), hi.value(0.0) - f_ou.value(0.0))
+                 for lo, f_ol, _, _, f_ou, hi in edges)
+        check(down > _MIN_WIDTH, "W_i_d - 2 delta_T_s > 1e-9 m", down, _MIN_WIDTH)
+        check(up > _MIN_WIDTH, "W_o_u / 2 - delta_T_s > 1e-9 m", up, _MIN_WIDTH)
 
     return ValidationReport(feasible=not violations, violations=tuple(violations))
 

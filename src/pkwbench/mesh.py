@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateRegion, EmptyMesh, StitchFailure
-from .geometry import Line, PkwDerived, PkwFixed, plan_halfwidths
+from .geometry import _MIN_WIDTH, Line, PkwDerived, PkwFixed, unit_plan_edges
 
 REGION_KINDS = (
     "inlet_channel", "outlet_channel", "sidewall",
@@ -40,7 +40,6 @@ REGION_KINDS = (
 )
 
 LATTICE = 1e9          # vertex weld lattice: 1e-9 m resolution
-_MIN_WIDTH = 1e-9      # plan footprints narrower than this are degenerate
 
 
 class Const:
@@ -174,16 +173,14 @@ def build_regions(derived: PkwDerived, fixed: PkwFixed) -> list[PlanRegion]:
 
     Raises DegenerateRegion if any footprint pinches below the weld lattice,
     which happens for extreme sidewall angles where the crest bands vanish.
+    ``geometry.validate`` rejects such designs; this check is the backstop.
     """
     P = fixed.P
     B = derived.B
     T_s = derived.T_s2 * math.cos(derived.alpha)
-    W_u = fixed.W_u
     span = B - T_s
     x_base_lo = derived.B_o          # upstream edge of the base footprint
     x_base_hi = B - derived.B_i      # downstream edge of the base footprint
-
-    h_i, h_o = plan_halfwidths(derived, fixed)
 
     ri = Clamped(0.0, P / span, 0.0, P)
     ro = Clamped(P * B / span, -P / span, 0.0, P)
@@ -195,16 +192,9 @@ def build_regions(derived: PkwDerived, fixed: PkwFixed) -> list[PlanRegion]:
     inlet_lo = Piecewise([x_base_hi], [zero, under_i])
     outlet_lo = Piecewise([x_base_lo], [under_o, zero])
 
-    boundaries = [Line(u * W_u, 0.0) for u in range(fixed.N_u + 1)]
     regions: list[PlanRegion] = []
-    for u in range(fixed.N_u):
-        y_off = u * W_u
-        f_ol = Line(y_off + h_o.a, h_o.b)
-        f_il = Line(y_off + 0.5 * W_u - h_i.a, -h_i.b)
-        f_iu = Line(y_off + 0.5 * W_u + h_i.a, h_i.b)
-        f_ou = Line(y_off + W_u - h_o.a, -h_o.b)
-        lo_edge = boundaries[u]
-        hi_edge = boundaries[u + 1]
+    for u, edges in enumerate(unit_plan_edges(derived, fixed)):
+        lo_edge, f_ol, f_il, f_iu, f_ou, hi_edge = edges
         regions += [
             PlanRegion("upstream_crest_wall", u, 0.0, T_s, lo_edge, f_ol, wall_lo, top),
             PlanRegion("outlet_channel", u, T_s, B, lo_edge, f_ol, outlet_lo, ro),

@@ -33,6 +33,7 @@ from pkwbench.dataset import (
     GeometryRecord,
     read_labels_csv,
     read_split_csv,
+    write_labels_csv,
     write_manifest,
 )
 from pkwbench.geometry import PkwFixed, PkwSample, derive
@@ -307,12 +308,25 @@ def test_parallel_cloud_matches_serial(tmp_path):
     assert clouds_a == clouds_b
 
 
+def _write_pinch_manifest(ws, n_good=1):
+    """A manifest whose g000001 the feasibility gate rejects and whose
+    downstream crest wall pinches to nothing in build_regions; the gate
+    never samples such a design, so it is written by hand."""
+    (ws / "params").mkdir(parents=True)
+    fixed = PkwFixed()
+    good = [PkwSample(B_b=0.40, R_B_i=0.5, T_s=0.02, W_i_u=0.20, W_i_d=0.14),
+            PkwSample(B_b=0.40, R_B_i=0.5, T_s=0.02, W_i_u=0.17, W_i_d=0.17)]
+    pinch = PkwSample(B_b=0.2, R_B_i=0.75, T_s=0.0594, W_i_u=0.2, W_i_d=0.0099)
+    samples = [good[0], pinch] + good[1 : n_good]
+    geoms = {f"g{k:06d}": GeometryRecord(f"g{k:06d}", s, derive(fixed, s))
+             for k, s in enumerate(samples)}
+    write_manifest(ws / "params" / MANIFEST_NAME,
+                   DatasetManifest(geometries=geoms, labels=[]), fixed)
+
+
 def test_parallel_failures_match_serial(tmp_path, capsys):
-    # at this seed g000001 passes the feasibility gate, then its downstream
-    # crest wall pinches in build_regions
     ws = tmp_path / "sampled"
-    assert run(["sample", "--workspace", ws, "--n", 40, "--seed", 11]) == 0
-    capsys.readouterr()
+    _write_pinch_manifest(ws, n_good=2)
     errors = []
     for jobs in (1, 2):
         copy = tmp_path / f"jobs{jobs}"
@@ -348,18 +362,7 @@ def test_mesh_validates_each_design_once(tmp_path, monkeypatch):
 
 def test_mesh_failures_leave_markers_and_fail_the_stage(tmp_path, capsys):
     ws = tmp_path / "ws"
-    (ws / "params").mkdir(parents=True)
-    fixed = PkwFixed()
-    good = PkwSample(B_b=0.40, R_B_i=0.5, T_s=0.02, W_i_u=0.20, W_i_d=0.14)
-    # feasible box point whose downstream crest wall pinches to nothing
-    pinch = PkwSample(B_b=0.2, R_B_i=0.75, T_s=0.0594, W_i_u=0.2, W_i_d=0.0099)
-    geoms = {
-        "g000000": GeometryRecord("g000000", good, derive(fixed, good)),
-        "g000001": GeometryRecord("g000001", pinch, derive(fixed, pinch)),
-    }
-    write_manifest(ws / "params" / MANIFEST_NAME,
-                   DatasetManifest(geometries=geoms, labels=[]), fixed)
-
+    _write_pinch_manifest(ws)
     assert run(["mesh", "--workspace", ws]) == 1
     record = stderr_record(capsys)
     assert record["error"] == "MeshStageFailures"
@@ -455,6 +458,18 @@ def test_fraction_split_keeps_val_and_test(pipeline):
     assert len(sub.train) == 4 * n_q
 
 
+@pytest.mark.parametrize("policy", ["fraction:1.5", "fraction:0", "fraction:nan",
+                                    "fraction:-0.2", "fraction:half"])
+def test_bad_fraction_is_one_error_record(pipeline, capsys, policy):
+    argv = ["split", "--workspace", pipeline, "--policy", policy, "--seed", 17]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "PkwError"
+    assert policy in record["message"] and "(0, 1]" in record["message"]
+
+
 def test_unknown_bin_lists_the_choices(pipeline, capsys):
     argv = ["split", "--workspace", pipeline, "--policy", "ood-geom:nosuch",
             "--seed", 1]
@@ -513,6 +528,39 @@ def test_train_in_empty_workspace_points_at_sample(tmp_path, capsys):
     record = stderr_record(capsys)
     assert record["error"] == "MissingArtifact"
     assert "run sample first" in record["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ["split", "--policy", "id", "--seed", 17],
+    ["train", "--model", "tree", "--split", "id", "--seed", 19],
+])
+def test_stale_labels_point_at_label_force(pipeline, tmp_path, capsys, command):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline, ws)
+    # fewer designs than the labels name
+    assert run(["sample", "--workspace", ws, "--n", 5, "--seed", 3, "--force"]) == 0
+    capsys.readouterr()
+    assert run([command[0], "--workspace", ws, *command[1:]]) == 1
+    record = stderr_record(capsys)
+    assert record["error"] == "MissingArtifact"
+    assert "labels/labels.csv" in record["message"]
+    assert "label --force" in record["message"]
+
+
+@pytest.mark.parametrize("model", ["tree", "pointnet"])
+def test_training_on_an_unlabeled_pair_fails_cleanly(pipeline, tmp_path, capsys, model):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline, ws, ignore=shutil.ignore_patterns("models", "reports"))
+    gid, q = min(read_split_csv(ws / "splits" / "id.csv").train)
+    labels = read_labels_csv(ws / "labels" / "labels.csv")
+    write_labels_csv(ws / "labels" / "labels.csv",
+                     [lab for lab in labels if (lab.geometry_id, lab.Q) != (gid, q)])
+    argv = ["train", "--workspace", ws, "--model", model, "--split", "id",
+            "--seed", 5, "--points", 64, "--epochs", 1]
+    assert run(argv) == 1
+    record = stderr_record(capsys)
+    assert record["error"] == "MissingArtifact"
+    assert f"unlabeled pair ({gid}," in record["message"]
 
 
 def test_eval_without_trained_model_fails(pipeline, capsys):
@@ -621,9 +669,9 @@ def test_bench_fits_each_distinct_training_set_once(tmp_path, monkeypatch):
     fitted = []
     fit = pkwbench.cli._fit_model
 
-    def counting_fit(args, ws, manifest, split, seed):
+    def counting_fit(model_name, args, ws, manifest, split, seed):
         fitted.append(split.name)
-        return fit(args, ws, manifest, split, seed)
+        return fit(model_name, args, ws, manifest, split, seed)
 
     monkeypatch.setattr(pkwbench.cli, "_fit_model", counting_fit)
     ws = tmp_path / "ws"
@@ -652,11 +700,34 @@ def test_bench_pointnet_runs_with_an_empty_validation_partition(tmp_path):
     assert not read_split_csv(ws / "splits" / "ood-geom-alpha_le2.csv").val
 
 
+def test_bench_stages_match_the_standalone_commands(tmp_path):
+    bench, chain = tmp_path / "bench", tmp_path / "chain"
+    seed, sigma = 5, "0.005"
+    argv = ["bench", "--workspace", bench, "--n", N_DESIGNS, "--seed", seed,
+            "--sigma", sigma, "--model", "pointnet", "--cloud-points", 200,
+            "--points", 32, "--epochs", 1]
+    assert run(argv) == 0
+    for argv in (
+        ["sample", "--n", N_DESIGNS, "--seed", seed],
+        ["label", "--sigma", sigma, "--seed", seed],
+        ["mesh"],
+        ["cloud", "--n", 200, "--seed", seed],
+    ):
+        assert run([argv[0], "--workspace", chain, *argv[1:]]) == 0
+    for sub in ("params", "labels", "meshes", "clouds"):
+        got = _tree_bytes(bench / sub)
+        assert got, sub
+        assert got == _tree_bytes(chain / sub), sub
+
+
 def test_bench_rejects_external_oracles(tmp_path, capsys):
+    # bench always labels with the synthetic oracle and has no --oracle
     argv = ["bench", "--workspace", tmp_path, "--n", 40, "--seed", 3,
             "--oracle", "csv=whatever.csv"]
-    assert run(argv) == 1
-    assert "synthetic" in stderr_record(capsys)["message"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --oracle" in capsys.readouterr().err
 
 
 # truncated artifacts

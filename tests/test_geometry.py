@@ -154,8 +154,9 @@ def test_validate_upper_width_bound_tracks_wall_thickness():
     P = FIXED.P
     T_s = 0.18 * P
     w_hi = FIXED.W_u - 2 * T_s - 0.03 * P
-    ok = PkwSample(B_b=0.40, R_B_i=0.5, T_s=T_s, W_i_u=w_hi, W_i_d=0.0099)
-    bad = PkwSample(B_b=0.40, R_B_i=0.5, T_s=T_s, W_i_u=w_hi + 0.005, W_i_d=0.0099)
+    # W_i_d wide enough that the tapered downstream crest wall keeps a width
+    ok = PkwSample(B_b=0.40, R_B_i=0.5, T_s=T_s, W_i_u=w_hi, W_i_d=0.05)
+    bad = PkwSample(B_b=0.40, R_B_i=0.5, T_s=T_s, W_i_u=w_hi + 0.005, W_i_d=0.05)
     assert validate(FIXED, ok).feasible
     rep = validate(FIXED, bad)
     assert any(v.constraint == "W_i_u <= W_u - 2 T_s - 0.03 P" for v in rep.violations)

@@ -13,7 +13,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import mesh_reference
-from pkwbench.errors import DegenerateRegion, EmptyMesh
+from pkwbench.errors import DegenerateRegion, EmptyMesh, PkwError
 from pkwbench.geometry import PkwFixed, PkwSample, derive, validate, feasible_bounds
 from pkwbench.mesh import (
     LATTICE,
@@ -202,13 +202,39 @@ def test_mirror_symmetry():
         assert np.array_equal(a, b)
 
 
+_CREST_WALLS = {"W_i_d - 2 delta_T_s > 1e-9 m", "W_o_u / 2 - delta_T_s > 1e-9 m"}
+
+
 def test_degenerate_pinch_raises():
-    # analytically feasible, but the inlet sidewalls cross in plan before
-    # reaching the downstream face, so the crest band footprint vanishes
+    # inside the feasible box, but the inlet sidewalls cross in plan before
+    # reaching the downstream face, so the crest band footprint vanishes:
+    # the gate names the crest wall and the mesher still refuses it
     pinch = PkwSample(B_b=0.2, R_B_i=0.75, T_s=0.0594, W_i_u=0.2, W_i_d=0.0099)
-    assert validate(FIXED, pinch).feasible
+    report = validate(FIXED, pinch)
+    assert [v.constraint for v in report.violations] == ["W_i_d - 2 delta_T_s > 1e-9 m"]
     with pytest.raises(DegenerateRegion):
         build_regions(derive(FIXED, pinch), FIXED)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fixed_dictionaries({
+    name: st.floats(lo, hi) for name, (lo, hi) in feasible_bounds(FIXED).items()
+}))
+def test_feasible_designs_mesh(params):
+    # the gate and the mesher agree, so every feasible design meshes: the
+    # gate names a crest wall exactly when build_regions refuses the design
+    sample = PkwSample(**params)
+    try:
+        derived = derive(FIXED, sample)
+    except (ValueError, PkwError):  # a widening inlet key, or no outlet key
+        reject()
+    report = validate(FIXED, sample)
+    try:
+        build_regions(derived, FIXED)
+        meshes = True
+    except DegenerateRegion:
+        meshes = False
+    assert meshes == (not _CREST_WALLS & {v.constraint for v in report.violations})
 
 
 def _tetrahedron():

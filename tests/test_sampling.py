@@ -180,6 +180,6 @@ def test_screening_grid_feasibility_ratio():
     assert grid_shape(space) == (12, 16, 3, 7, 7)
     assert 15_000 <= n_cand <= 30_000
     n_feas = sum(1 for _ in enumerate_grid(space))
-    assert n_feas == 12_288
+    assert n_feas == 11_691
     ratio = n_feas / n_cand
     assert 0.40 <= ratio <= 0.70
