@@ -15,7 +15,7 @@ import numpy as np
 
 from .atomic import _atomic_write
 from .errors import EmptyMesh, MalformedStl
-from .mesh import TriangleMesh, _weld
+from .mesh import TriangleMesh
 
 _TOOL_TAG = b"pkwbench-solid"
 
@@ -55,13 +55,13 @@ def write_stl(path, mesh: TriangleMesh, geometry_id: str = "") -> None:
 
 
 def read_stl(path) -> TriangleMesh:
-    """Read a binary STL, welding vertices by exact float32 equality.
+    """Read a binary STL as its raw triangle corners.
 
-    The corners are welded with the mesher's ``_weld``: one stable
-    ``np.lexsort`` on (x, y, z).  Vertices come out in sorted order, as from
-    ``np.unique(corners, axis=0, return_inverse=True)``; like it, the weld
-    compares floats, so 0.0 and -0.0 are one vertex (here keeping the sign
-    of the corner read first).
+    The vertices are the corners in file order, as float64, and triangle
+    ``i`` is ``(3i, 3i + 1, 3i + 2)``: no vertex is shared, so the mesh is
+    not welded.  Each triangle keeps its corner coordinates, which is all
+    that surface sampling reads.  A truncated or over-long file raises
+    ``MalformedStl`` and a file with no triangles ``EmptyMesh``.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 84:
@@ -77,8 +77,7 @@ def read_stl(path) -> TriangleMesh:
     records = np.frombuffer(raw, dtype=_RECORD, count=count, offset=84)
 
     flat = np.stack([records["v0"], records["v1"], records["v2"]], axis=1).reshape(-1, 3)
-    first, group = _weld(flat)
     return TriangleMesh(
-        vertices=flat[first].astype(np.float64),
-        triangles=group.reshape(-1, 3),
+        vertices=flat.astype(np.float64),
+        triangles=np.arange(len(flat), dtype=np.int64).reshape(-1, 3),
     )

@@ -11,19 +11,21 @@ Training is plain minibatch Adam on the mean squared error with early
 stopping on a validation set; the weights that scored the best validation
 MSE are the ones the fitted model keeps.
 
+Every per-point pass (a training step's forward pass, validation and
+prediction) goes through one encoder.  It runs the per-point layers and the
+pool one cloud at a time and keeps only the pooled vectors; the head then
+runs on all of them at once.  The result is bit-identical to one pass over
+the whole set, so per-point memory is bounded by one cloud, not by the
+batch or the set size.
+
 The max pool passes gradient to one point per (cloud, channel): the
 channel's first-maximum point.  A cloud's distinct such points are its
-critical points, a few dozen of several hundred on real clouds, and the
-backward pass runs the per-point layers on those rows alone.  Only a
-training step takes the ``argmax``; prediction and evaluation pool with a
-plain ``max``.
-
-No pass holds more activations than one training batch: prediction and
-the per-epoch evaluation push ``batch_size`` clouds at a time through the
-per-point layers and the pool, then run the head once on the pooled
-vectors.  The chunked result is bit-identical to one pass over the whole
-set, so memory grows with ``batch_size x points``, not with the set size.
-A training step holds no per-point gradient, only the gathered rows.
+critical points, a few dozen of several hundred on real clouds, and they
+alone fix the pooled vector (Qi et al., "PointNet", CVPR 2017).  A training
+step keeps the pooled vectors and those ``argmax`` rows, recomputes layers
+0 and 1 on the critical rows alone and backpropagates on them; it caches no
+per-point activation and builds no per-point gradient.  Prediction and
+validation pool with a plain ``max``.
 """
 
 from __future__ import annotations
@@ -149,56 +151,60 @@ class PointNetMini:
     def n_parameters(self) -> int:
         return sum(v.size for v in self.params.values())
 
-    def _forward(self, h, cache=None, layers=range(len(_LAYER_DIMS))):
-        """Run ``h`` through ``layers``; fill ``cache`` for backprop if given.
+    def _layer(self, i, h, relu=True):
+        """Layer ``i`` applied to ``h``: product, bias and ReLU in place."""
+        z = h @ self.params[f"W{i}"]
+        z += self.params[f"b{i}"]
+        if relu:
+            np.maximum(z, 0.0, out=z)
+        return z
 
-        Each layer adds its bias and applies ReLU in place.  ReLU is
-        monotone, so it commutes with the max pool: the pooled layer pools
-        its biased pre-activation and applies ReLU to the pooled vectors
-        only.  Without a cache the pool is a plain ``max``; with one it
-        reads each channel at its first-maximum point and caches those
-        ``argmax`` indices, the critical points the backward pass runs on.
+    def _encode(self, X, critical=False):
+        """Pooled layer-2 pre-activations of checked clouds, ``(n, 128)``.
+
+        The per-point layers run one cloud at a time, so no pass holds more
+        than one cloud's activations; a cloud is one product per layer
+        either way, so this changes no bits.  ReLU is monotone and commutes
+        with the pool, so the pool reads the biased pre-activation and the
+        head applies the ReLU to the pooled vectors only.  With
+        ``critical`` each channel is read at its first-maximum point, and
+        those ``argmax`` indices, the cloud's critical points, come back
+        too; otherwise the pool is a plain ``max`` and the second value is
+        ``None``.
         """
-        for i in layers:
-            z = h @ self.params[f"W{i}"]
-            z += self.params[f"b{i}"]
-            if i == _POOL_AFTER:
-                if cache is None:
-                    z = z.max(axis=1)
-                else:
-                    # argmax over a non-last axis copies its input, so it
-                    # runs one cloud at a time
-                    argmax = np.empty((z.shape[0], z.shape[2]), dtype=np.intp)
-                    for cloud, out in zip(z, argmax):
-                        np.argmax(cloud, axis=0, out=out)
-                    z = np.take_along_axis(z, argmax[:, None, :], axis=1)[:, 0]
-                    cache["argmax"] = argmax
-            if i < len(_LAYER_DIMS) - 1:
-                np.maximum(z, 0.0, out=z)
-            if cache is not None:
-                cache["acts"].append(z)
-            h = z
-        return h
+        width = _LAYER_DIMS[_POOL_AFTER][1]
+        pooled = np.empty((X.shape[0], width))
+        argmax = np.empty((X.shape[0], width), dtype=np.intp) if critical else None
+        channels = np.arange(width)
+        for c, h in enumerate(X):
+            for i in range(_POOL_AFTER):
+                h = self._layer(i, h)
+            z = self._layer(_POOL_AFTER, h, relu=False)
+            if critical:
+                np.argmax(z, axis=0, out=argmax[c])
+                pooled[c] = z[argmax[c], channels]
+            else:
+                np.max(z, axis=0, out=pooled[c])
+        return pooled, argmax
+
+    def _head(self, pooled):
+        """Head activations: the ReLU'd pooled vectors, then each head layer's
+        output; the last entry is the ``(n, 1)`` prediction."""
+        acts = [np.maximum(pooled, 0.0, out=pooled)]
+        for i in range(_POOL_AFTER + 1, len(_LAYER_DIMS)):
+            acts.append(self._layer(i, acts[-1], relu=i < len(_LAYER_DIMS) - 1))
+        return acts
 
     def _predict(self, X) -> np.ndarray:
-        """Predictions for checked clouds, holding one batch's activations.
+        """Predictions for checked clouds, holding one cloud's activations.
 
-        The per-point layers and the pool run on ``config.batch_size``
-        clouds at a time; the head then runs once on all pooled vectors.
-        The per-point products are one GEMM per cloud, so chunking them
-        changes no bits, whereas BLAS rounds a 2-D product by its row
-        count (a one-row chunk goes through gemv), so the head is not
-        chunked.  Predictions equal a full-set pass bit for bit.
+        The head runs once on all pooled vectors: BLAS rounds a 2-D
+        product by its row count (a one-row product goes through gemv), so
+        running the head per cloud would change bits.  Predictions equal a
+        full-set pass bit for bit.
         """
-        size = self.config.batch_size
-        encoder = range(_POOL_AFTER + 1)
-        # an empty set still runs one (empty) chunk, so the result is (0,)
-        pooled = np.concatenate([
-            self._forward(X[start : start + size], layers=encoder)
-            for start in range(0, max(X.shape[0], 1), size)
-        ])
-        head = range(_POOL_AFTER + 1, len(_LAYER_DIMS))
-        return self._forward(pooled, layers=head)[:, 0]
+        pooled, _ = self._encode(X)
+        return self._head(pooled)[-1][:, 0]
 
     def predict(self, X) -> np.ndarray:
         """Predict one scalar per cloud; accepts a single cloud too."""
@@ -207,44 +213,48 @@ class PointNetMini:
     def loss_and_gradients(self, X, y):
         """Mean squared error over the batch and its parameter gradients.
 
-        The head backpropagates densely on the pooled vectors.  Below the
-        pool only each cloud's critical points (the distinct argmax rows
-        of its channels) receive a gradient, so the per-point layers
-        backpropagate on those R rows alone, gathered from the cached
-        activations: no (clouds, points, channels) gradient is built.
+        The forward pass keeps only the pooled vectors and their argmax
+        rows.  The head backpropagates densely on the pooled vectors.
+        Below the pool only each cloud's critical points (the distinct
+        argmax rows of its channels) receive a gradient, so layers 0 and 1
+        are recomputed on those R rows alone and the per-point layers
+        backpropagate on them: no per-point activation is cached and no
+        (clouds, points, channels) gradient is built.
         """
         X = _check_clouds(X)
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape[0] != X.shape[0]:
             raise ShapeMismatch(f"{X.shape[0]} clouds but {y.shape[0]} targets")
-        cache = {"acts": [X]}
-        out = self._forward(X, cache)[:, 0]
-        err = out - y
+        pooled, argmax = self._encode(X, critical=True)
+        acts = self._head(pooled)
+        err = acts.pop()[:, 0] - y
         loss = float(np.mean(err**2))
         grads = {}
         # d loss / d output, padded back to the (n, 1) layer shape
         delta = (2.0 / y.size) * err[:, None]
-        acts = cache["acts"]
         for i in reversed(range(_POOL_AFTER + 1, len(_LAYER_DIMS))):
-            grads[f"W{i}"] = acts[i].T @ delta
+            a_in = acts[i - _POOL_AFTER - 1]
+            grads[f"W{i}"] = a_in.T @ delta
             grads[f"b{i}"] = delta.sum(axis=0)
             delta = delta @ self.params[f"W{i}"].T
-            delta *= acts[i] > 0.0
+            delta *= a_in > 0.0
         # delta is d loss / d pooled pre-activation; each (cloud, channel)
         # sends it to one critical row, and owns that row's cell alone
         n_clouds, n_points = X.shape[:2]
-        keys = cache["argmax"] + n_points * np.arange(n_clouds)[:, None]
+        keys = argmax + n_points * np.arange(n_clouds)[:, None]
         rows, slot = np.unique(keys, return_inverse=True)
         channels = np.arange(keys.shape[1])
         delta_rows = np.zeros((rows.size, keys.shape[1]))
         delta_rows[slot.reshape(keys.shape), channels] = delta
+        a_rows = [X.reshape(-1, X.shape[2])[rows]]
+        for i in range(_POOL_AFTER):
+            a_rows.append(self._layer(i, a_rows[-1]))
         for i in reversed(range(_POOL_AFTER + 1)):
-            a_in = acts[i].reshape(-1, acts[i].shape[2])[rows]
-            grads[f"W{i}"] = a_in.T @ delta_rows
+            grads[f"W{i}"] = a_rows[i].T @ delta_rows
             grads[f"b{i}"] = delta_rows.sum(axis=0)
             if i > 0:
                 delta_rows = delta_rows @ self.params[f"W{i}"].T
-                delta_rows *= a_in > 0.0
+                delta_rows *= a_rows[i] > 0.0
         return loss, grads
 
     # flat views for finite-difference probing and serialization
@@ -282,10 +292,12 @@ def fit_pointnet_mini(
 
     Without an explicit validation set the training set doubles as one,
     which turns early stopping into plain convergence detection.  The
-    returned model's ``history`` records per-epoch train and validation
-    MSE plus the epoch whose weights were kept.  Each epoch's train and
-    validation MSE is evaluated in chunks of ``config.batch_size`` clouds,
-    bit-identical to a single pass over the whole set.
+    returned model's ``history`` holds one entry per epoch in ``train_mse``
+    and ``val_mse``, plus the epoch whose weights were kept and its
+    validation MSE.  ``train_mse`` is the mean of the epoch's batch losses,
+    weighted by batch size: each loss is taken just before its step, so the
+    training set is never re-evaluated.  ``val_mse`` is evaluated after the
+    epoch's last step, since it decides early stopping.
     """
     config = config or PointNetConfig()
     X = _check_clouds(train_clouds)
@@ -310,9 +322,6 @@ def fit_pointnet_mini(
     v_state = {k: np.zeros_like(v) for k, v in model.params.items()}
     step = 0
 
-    def evaluate(Xe, ye):
-        return float(np.mean((model._predict(Xe) - ye) ** 2))
-
     best_val = np.inf
     best_params = {k: v.copy() for k, v in model.params.items()}
     best_epoch = -1
@@ -322,6 +331,7 @@ def fit_pointnet_mini(
     n = X.shape[0]
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
+        sse = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grads = model.loss_and_gradients(X[batch], y[batch])
@@ -330,6 +340,7 @@ def fit_pointnet_mini(
                     f"loss became {loss} at epoch {epoch}, "
                     f"batch starting at {start}"
                 )
+            sse += loss * batch.size
             step += 1
             bc1 = 1.0 - config.beta1**step
             bc2 = 1.0 - config.beta2**step
@@ -341,8 +352,9 @@ def fit_pointnet_mini(
                     * (m_state[k] / bc1)
                     / (np.sqrt(v_state[k] / bc2) + config.epsilon)
                 )
-        train_path.append(evaluate(X, y))
-        val_path.append(evaluate(Xv, yv))
+        # an empty training set records nan, as the mean of no losses
+        train_path.append(sse / n if n else np.nan)
+        val_path.append(float(np.mean((model._predict(Xv) - yv) ** 2)))
         if val_path[-1] < best_val:
             best_val = val_path[-1]
             best_params = {k: v.copy() for k, v in model.params.items()}

@@ -1,16 +1,25 @@
-"""The point network as it trained before evaluation ran in chunks.
+"""Earlier versions of the point network, for differential tests.
 
-``ReferencePointNet._forward``, ``predict`` and ``loss_and_gradients`` and
-``fit_pointnet_mini`` are ``pkwbench.surrogates.pointnet`` as it was before
-its layers ran in place, the pool read its values at the argmax and
-evaluation ran in batch-sized chunks, copied unchanged except that the
-reference fit builds a ``ReferencePointNet``.  Its backward pass is dense:
-it scatters the pooled gradient into a full (clouds, points, channels)
-array and backpropagates every point.  The differential tests in
-``test_pointnet.py`` require the production network to return the same
-losses and predictions bit for bit, and the same gradients, and the
-parameters and histories a fit derives from them, up to reassociation of
-float64 sums.
+``ReferencePointNet._forward``, ``predict`` and ``loss_and_gradients`` are
+``pkwbench.surrogates.pointnet`` as it was before its layers ran in place,
+the pool read its values at the argmax and evaluation ran in batch-sized
+chunks.  Its backward pass is dense: it scatters the pooled gradient into a
+full (clouds, points, channels) array and backpropagates every point.
+
+``CachedPointNet._forward``, ``_predict`` and ``loss_and_gradients`` are the
+network as it was before the encoder ran one cloud at a time: a training
+step caches every per-point activation of the batch, and the backward pass
+gathers the critical rows from that cache instead of recomputing them.
+
+``fit_pointnet_mini`` is the training loop, copied unchanged except that it
+builds the ``network`` class it is given, evaluates through that class's
+``predict``, and records ``train_mse`` as the size-weighted mean of the
+epoch's batch losses, as the production loop does; the training loop before
+that re-evaluated the whole training set each epoch, which changes no
+weight.  The differential tests in ``test_pointnet.py`` require the
+production network to return the same losses and predictions bit for bit,
+and the same gradients, and the parameters and histories a fit derives from
+them, up to reassociation of float64 sums.
 """
 
 import numpy as np
@@ -95,12 +104,111 @@ class ReferencePointNet(PointNetMini):
         return loss, grads
 
 
+class CachedPointNet(PointNetMini):
+    """Batch-sized evaluation chunks; a training step caches activations."""
+
+    def _forward(self, h, cache=None, layers=range(len(_LAYER_DIMS))):
+        """Run ``h`` through ``layers``; fill ``cache`` for backprop if given.
+
+        Each layer adds its bias and applies ReLU in place.  ReLU is
+        monotone, so it commutes with the max pool: the pooled layer pools
+        its biased pre-activation and applies ReLU to the pooled vectors
+        only.  Without a cache the pool is a plain ``max``; with one it
+        reads each channel at its first-maximum point and caches those
+        ``argmax`` indices, the critical points the backward pass runs on.
+        """
+        for i in layers:
+            z = h @ self.params[f"W{i}"]
+            z += self.params[f"b{i}"]
+            if i == _POOL_AFTER:
+                if cache is None:
+                    z = z.max(axis=1)
+                else:
+                    # argmax over a non-last axis copies its input, so it
+                    # runs one cloud at a time
+                    argmax = np.empty((z.shape[0], z.shape[2]), dtype=np.intp)
+                    for cloud, out in zip(z, argmax):
+                        np.argmax(cloud, axis=0, out=out)
+                    z = np.take_along_axis(z, argmax[:, None, :], axis=1)[:, 0]
+                    cache["argmax"] = argmax
+            if i < len(_LAYER_DIMS) - 1:
+                np.maximum(z, 0.0, out=z)
+            if cache is not None:
+                cache["acts"].append(z)
+            h = z
+        return h
+
+    def _predict(self, X) -> np.ndarray:
+        """Predictions for checked clouds, holding one batch's activations.
+
+        The per-point layers and the pool run on ``config.batch_size``
+        clouds at a time; the head then runs once on all pooled vectors.
+        The per-point products are one GEMM per cloud, so chunking them
+        changes no bits, whereas BLAS rounds a 2-D product by its row
+        count (a one-row chunk goes through gemv), so the head is not
+        chunked.  Predictions equal a full-set pass bit for bit.
+        """
+        size = self.config.batch_size
+        encoder = range(_POOL_AFTER + 1)
+        # an empty set still runs one (empty) chunk, so the result is (0,)
+        pooled = np.concatenate([
+            self._forward(X[start : start + size], layers=encoder)
+            for start in range(0, max(X.shape[0], 1), size)
+        ])
+        head = range(_POOL_AFTER + 1, len(_LAYER_DIMS))
+        return self._forward(pooled, layers=head)[:, 0]
+
+    def loss_and_gradients(self, X, y):
+        """Mean squared error over the batch and its parameter gradients.
+
+        The head backpropagates densely on the pooled vectors.  Below the
+        pool only each cloud's critical points (the distinct argmax rows
+        of its channels) receive a gradient, so the per-point layers
+        backpropagate on those R rows alone, gathered from the cached
+        activations: no (clouds, points, channels) gradient is built.
+        """
+        X = _check_clouds(X)
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if y.shape[0] != X.shape[0]:
+            raise ShapeMismatch(f"{X.shape[0]} clouds but {y.shape[0]} targets")
+        cache = {"acts": [X]}
+        out = self._forward(X, cache)[:, 0]
+        err = out - y
+        loss = float(np.mean(err**2))
+        grads = {}
+        # d loss / d output, padded back to the (n, 1) layer shape
+        delta = (2.0 / y.size) * err[:, None]
+        acts = cache["acts"]
+        for i in reversed(range(_POOL_AFTER + 1, len(_LAYER_DIMS))):
+            grads[f"W{i}"] = acts[i].T @ delta
+            grads[f"b{i}"] = delta.sum(axis=0)
+            delta = delta @ self.params[f"W{i}"].T
+            delta *= acts[i] > 0.0
+        # delta is d loss / d pooled pre-activation; each (cloud, channel)
+        # sends it to one critical row, and owns that row's cell alone
+        n_clouds, n_points = X.shape[:2]
+        keys = cache["argmax"] + n_points * np.arange(n_clouds)[:, None]
+        rows, slot = np.unique(keys, return_inverse=True)
+        channels = np.arange(keys.shape[1])
+        delta_rows = np.zeros((rows.size, keys.shape[1]))
+        delta_rows[slot.reshape(keys.shape), channels] = delta
+        for i in reversed(range(_POOL_AFTER + 1)):
+            a_in = acts[i].reshape(-1, acts[i].shape[2])[rows]
+            grads[f"W{i}"] = a_in.T @ delta_rows
+            grads[f"b{i}"] = delta_rows.sum(axis=0)
+            if i > 0:
+                delta_rows = delta_rows @ self.params[f"W{i}"].T
+                delta_rows *= a_in > 0.0
+        return loss, grads
+
+
 def fit_pointnet_mini(
     train_clouds,
     train_y,
     val_clouds=None,
     val_y=None,
     config: PointNetConfig | None = None,
+    network=ReferencePointNet,
 ) -> PointNetMini:
     """Train the network and return it with the best-validation weights.
 
@@ -127,14 +235,10 @@ def fit_pointnet_mini(
             raise ShapeMismatch(f"{Xv.shape[0]} clouds but {yv.shape[0]} targets")
 
     rng = np.random.default_rng(config.seed)
-    model = ReferencePointNet(_init_params(rng), config=config)
+    model = network(_init_params(rng), config=config)
     m_state = {k: np.zeros_like(v) for k, v in model.params.items()}
     v_state = {k: np.zeros_like(v) for k, v in model.params.items()}
     step = 0
-
-    def evaluate(Xe, ye):
-        pred, _ = model._forward(Xe)
-        return float(np.mean((pred - ye) ** 2))
 
     best_val = np.inf
     best_params = {k: v.copy() for k, v in model.params.items()}
@@ -145,6 +249,7 @@ def fit_pointnet_mini(
     n = X.shape[0]
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
+        sse = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grads = model.loss_and_gradients(X[batch], y[batch])
@@ -153,6 +258,7 @@ def fit_pointnet_mini(
                     f"loss became {loss} at epoch {epoch}, "
                     f"batch starting at {start}"
                 )
+            sse += loss * batch.size
             step += 1
             bc1 = 1.0 - config.beta1**step
             bc2 = 1.0 - config.beta2**step
@@ -164,8 +270,8 @@ def fit_pointnet_mini(
                     * (m_state[k] / bc1)
                     / (np.sqrt(v_state[k] / bc2) + config.epsilon)
                 )
-        train_path.append(evaluate(X, y))
-        val_path.append(evaluate(Xv, yv))
+        train_path.append(sse / n if n else np.nan)
+        val_path.append(float(np.mean((model.predict(Xv) - yv) ** 2)))
         if val_path[-1] < best_val:
             best_val = val_path[-1]
             best_params = {k: v.copy() for k, v in model.params.items()}

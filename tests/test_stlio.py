@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pkwbench.cli import _cloud_job
 from pkwbench.errors import EmptyMesh, MalformedStl
 from pkwbench.geometry import PkwFixed, PkwSample, derive
-from pkwbench.mesh import TriangleMesh, mesh_volume, solid_mesh, validate_mesh
+from pkwbench.mesh import TriangleMesh, _weld, mesh_volume, solid_mesh, validate_mesh
+from pkwbench.pointcloud import normalize_unit_cube, sample_surface
+from pkwbench.sampling import generate_batch, paper_default_space
 from pkwbench.stlio import _RECORD, read_stl, write_stl
 
 
@@ -22,6 +25,14 @@ def _tetrahedron():
     ])
     t = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]], dtype=np.int64)
     return TriangleMesh(vertices=v, triangles=t)
+
+
+def _read_welded(path):
+    """The read corners welded by exact float equality with the mesher's
+    ``_weld``: vertices in sorted order, 0.0 and -0.0 one vertex."""
+    raw = read_stl(path)
+    first, group = _weld(raw.vertices)
+    return TriangleMesh(vertices=raw.vertices[first], triangles=group[raw.triangles])
 
 
 def test_file_layout(tmp_path):
@@ -39,7 +50,7 @@ def test_roundtrip_tetrahedron(tmp_path):
     path = tmp_path / "tet.stl"
     mesh = _tetrahedron()
     write_stl(path, mesh, "tet")
-    back = read_stl(path)
+    back = _read_welded(path)
     assert back.n_triangles == 4
     rep = validate_mesh(back)
     assert rep.watertight
@@ -52,7 +63,7 @@ def test_roundtrip_weir_mesh(tmp_path):
     mesh = solid_mesh(derive(fixed, sample), fixed, x_segments=2)
     path = tmp_path / "weir.stl"
     write_stl(path, mesh, "g000042")
-    back = read_stl(path)
+    back = _read_welded(path)
     assert back.n_triangles == mesh.n_triangles
     rep = validate_mesh(back)
     assert rep.watertight
@@ -97,11 +108,11 @@ def test_read_rejects_zero_facets(tmp_path):
         read_stl(path)
 
 
-# the sort-based weld against the row-wise np.unique weld it replaced
+# the sort-based weld of read corners against a row-wise np.unique weld
 
 
 def reference_weld(path):
-    """``read_stl``'s former weld: row-wise ``np.unique`` on the corners."""
+    """Row-wise ``np.unique`` on the corners."""
     raw = path.read_bytes()
     (count,) = struct.unpack_from("<I", raw, 80)
     records = np.frombuffer(raw, dtype=_RECORD, count=count, offset=84)
@@ -119,7 +130,7 @@ def _write_corners(path, corners):
 
 
 def _assert_same_weld(path):
-    mesh = read_stl(path)
+    mesh = _read_welded(path)
     ref_vertices, ref_triangles = reference_weld(path)
     assert mesh.vertices.dtype == np.float64 and mesh.triangles.dtype == np.int64
     # == on purpose: the reference's unstable sort keeps either sign of a
@@ -158,7 +169,7 @@ def test_weld_joins_signed_zeros(tmp_path):
     corners = np.array([[[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, -0.0, 2.0]]],
                        dtype=np.float32)
     _write_corners(tmp_path / "zeros.stl", corners)
-    mesh = read_stl(tmp_path / "zeros.stl")
+    mesh = _read_welded(tmp_path / "zeros.stl")
     assert mesh.n_vertices == 2
     assert mesh.triangles.tolist() == [[1, 1, 0]]
 
@@ -168,3 +179,38 @@ def test_weld_matches_row_unique_on_a_weir(tmp_path):
     sample = PkwSample(B_b=0.40, R_B_i=0.5, T_s=0.02, W_i_u=0.20, W_i_d=0.14)
     write_stl(tmp_path / "weir.stl", solid_mesh(derive(fixed, sample), fixed), "weir")
     _assert_same_weld(tmp_path / "weir.stl")
+
+
+# clouds from raw corners against clouds from the welded mesh
+
+
+def test_read_keeps_corners_in_file_order(tmp_path):
+    path = tmp_path / "tet.stl"
+    mesh = _tetrahedron()
+    write_stl(path, mesh, "tet")
+    raw = read_stl(path)
+    assert raw.vertices.dtype == np.float64 and raw.triangles.dtype == np.int64
+    assert raw.triangles.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    want = mesh.vertices[mesh.triangles].astype(np.float32).reshape(-1, 3)
+    assert raw.vertices.tobytes() == want.astype(np.float64).tobytes()
+
+
+def test_cloud_job_samples_the_welded_meshs_cloud(tmp_path):
+    space = paper_default_space()
+    for k, design in enumerate(generate_batch(space, 4, seed=5).samples):
+        path = tmp_path / f"g{k}.stl"
+        write_stl(path, solid_mesh(derive(space.fixed, design), space.fixed), f"g{k}")
+        # the weld joins 0.0 and -0.0, so the two meshes could differ in
+        # the sign of a zero coordinate; the mesher writes no -0.0
+        corners = read_stl(path).vertices
+        assert not np.any(np.signbit(corners) & (corners == 0.0))
+        welded = _read_welded(path)
+        for seed in (0, 1, 2**31 + 7):
+            gid, cloud, err = _cloud_job(f"g{k}", path, 2000, seed)
+            assert err is None
+            want = normalize_unit_cube(
+                sample_surface(welded, 2000, seed=seed, geometry_id=gid)
+            )
+            assert cloud.points.tobytes() == want.points.tobytes()
+            assert cloud.offset.tobytes() == want.offset.tobytes()
+            assert cloud.scale == want.scale
