@@ -47,11 +47,11 @@ from .dataset import (
     write_manifest,
     write_split_csv,
 )
-from .errors import ArtifactExists, MissingArtifact, PkwError
+from .errors import ArtifactExists, MalformedModel, MissingArtifact, PkwError
 from .geometry import derive, feature_vector, write_params
 from .hydraulics import OracleConfig, ingest_labels, paper_schedule
 from .mesh import _solid_mesh_report, analytic_volume, crest_trace_length
-from .pointcloud import normalize_unit_cube, read_cloud, sample_surface, subsample, write_cloud
+from .pointcloud import normalize_unit_cube, read_cloud, sample_surface, write_cloud
 from .sampling import paper_default_space, screening_space, generate_batch, VARIABLE_NAMES
 from .stlio import read_stl, write_stl
 from .surrogates import (
@@ -134,10 +134,6 @@ def _load_manifest(ws: Path, with_labels: bool = False):
         ) from None
 
 
-def _geometry_rank(manifest: DatasetManifest) -> dict[str, int]:
-    return {gid: i for i, gid in enumerate(sorted(manifest.geometries))}
-
-
 def _stage_seed(master: int, rank: int) -> int:
     return int(np.random.SeedSequence([master, rank]).generate_state(1)[0])
 
@@ -203,30 +199,28 @@ def _tabular_arrays(manifest: DatasetManifest, pairs):
     return np.asarray(rows), targets
 
 
-def _cloud_arrays(ws: Path, manifest: DatasetManifest, pairs, n_points: int, seed: int):
+def _cloud_arrays(ws: Path, manifest: DatasetManifest, pairs, n_points: int):
+    """Each pair's cloud cut to its first ``n_points`` points, discharge
+    attached, and the targets.  ``sample_surface`` draws points i.i.d. by
+    area, so the prefix is itself an area-weighted sample of the surface."""
     pairs = sorted(pairs)
     targets = _targets(manifest, pairs)
-    rank = _geometry_rank(manifest)
-    cache: dict[str, np.ndarray] = {}
-    clouds = []
-    discharges = []
-    for gid, q in pairs:
-        if gid not in cache:
+    prefixes: dict[str, np.ndarray] = {}
+    for gid, _ in pairs:
+        if gid not in prefixes:
             path = ws / "clouds" / f"{gid}.wnpc"
             if not path.exists():
                 raise MissingArtifact(f"no point cloud for {gid}; run cloud first")
             cloud = read_cloud(path, geometry_id=gid)
-            if cloud.n_points > n_points:
-                cloud = subsample(cloud, n_points, seed=_stage_seed(seed, rank[gid]))
-            elif cloud.n_points < n_points:
+            if cloud.n_points < n_points:
                 raise MissingArtifact(
                     f"cloud for {gid} has {cloud.n_points} points, need {n_points}"
                 )
-            cache[gid] = cloud.points
-        clouds.append(cache[gid])
-        discharges.append(q)
+            # a copy, so the whole cloud is freed
+            prefixes[gid] = cloud.points[:n_points].copy()
+    clouds = [prefixes[gid] for gid, _ in pairs]
     points = np.stack(clouds) if clouds else np.empty((0, n_points, 3))
-    return attach_discharge(points, np.asarray(discharges)), targets
+    return attach_discharge(points, np.asarray([q for _, q in pairs])), targets
 
 
 def _metric_row(split, model_name, partition, n_train, report, paper_scale):
@@ -313,22 +307,26 @@ def _pool_size(jobs: int, n_tasks: int) -> int:
     return max(1, min(jobs, n_tasks, cpus))
 
 
-def _run_jobs(fn, tasks, jobs: int) -> list:
-    """``fn(*task)`` for every task, results in task order.
+def _run_jobs(fn, tasks, jobs: int):
+    """Yield ``fn(*task)`` for every task, in task order, as results arrive.
 
-    One worker runs the jobs here in this process; more run them in a
-    process pool, since the per-design work is pure Python that threads
-    cannot overlap.  ``fn`` must be a module-level function and the tasks
-    plain picklable data.  The pool takes the platform's default start
-    method (fork on Linux before Python 3.14): the CLI starts no threads
-    of its own, and a spawned worker would first spend about 0.3 s
-    re-importing numpy and pkwbench, as long as a small stage takes.
+    A stage writes each result before it takes the next, so it holds about
+    one result at a time, not one per design.  One worker runs the jobs
+    here in this process; more run them in a process pool, since the
+    per-design work is pure Python that threads cannot overlap.  ``fn``
+    must be a module-level function and the tasks plain picklable data.
+    The pool takes the platform's default start method (fork on Linux
+    before Python 3.14): the CLI starts no threads of its own, and a
+    spawned worker would first spend about 0.3 s re-importing numpy and
+    pkwbench, as long as a small stage takes.
     """
     workers = _pool_size(jobs, len(tasks))
     if workers == 1:
-        return [fn(*task) for task in tasks]
+        for task in tasks:
+            yield fn(*task)
+        return
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+        yield from pool.map(fn, *zip(*tasks))
 
 
 def _stage_status(error: str, what: str, failures: list) -> int:
@@ -421,13 +419,13 @@ def _cmd_cloud(args) -> int:
     ws = _workspace(args)
     seed = _require_seed(args)
     manifest, _ = _load_manifest(ws)
-    rank = _geometry_rank(manifest)
     gids = sorted(manifest.geometries)
     targets = {gid: _claim(ws / "clouds" / f"{gid}.wnpc", args.force) for gid in gids}
 
     n = args.cloud_points
-    tasks = [(gid, ws / "meshes" / f"{gid}.stl", n, _stage_seed(seed, rank[gid]))
-             for gid in gids]
+    # each cloud's seed comes from the master seed and the geometry's rank
+    tasks = [(gid, ws / "meshes" / f"{gid}.stl", n, _stage_seed(seed, rank))
+             for rank, gid in enumerate(gids)]
     failures = []
     written = 0
     for gid, cloud, err in _run_jobs(_cloud_job, tasks, args.jobs):
@@ -444,14 +442,14 @@ def _cmd_cloud(args) -> int:
 
 def _cmd_label(args) -> int:
     ws = _workspace(args)
-    manifest, _ = _load_manifest(ws)
+    manifest, fixed = _load_manifest(ws)
     out_path = _claim(ws / "labels" / "labels.csv", args.force)
     if args.oracle == "synthetic":
         seed = _require_seed(args)
         labels = synthesize_labels(
             manifest.geometries,
             paper_schedule(),
-            config=OracleConfig(sigma=args.sigma),
+            config=OracleConfig(sigma=args.sigma, fixed=fixed),
             seed=seed,
         )
         config = {"oracle": "synthetic", "sigma": args.sigma}
@@ -459,7 +457,7 @@ def _cmd_label(args) -> int:
         src = args.oracle[4:]
         seed = args.seed
         crest = {gid: rec.derived.L for gid, rec in manifest.geometries.items()}
-        labels = ingest_labels(src, crest)
+        labels = ingest_labels(src, crest, fixed)
         config = {"oracle": "csv", "source": os.path.basename(src)}
     else:
         raise PkwError(
@@ -540,11 +538,11 @@ def _fit_model(model_name, args, ws, manifest, split, seed):
         if model_name == "forest":
             return fit_forest(X, y, n_trees=_ensemble_size(args, "forest"), seed=seed)
         return fit_gbm(X, y, n_trees=_ensemble_size(args, "gbm"))
-    X, y = _cloud_arrays(ws, manifest, split.train, args.points, seed)
+    X, y = _cloud_arrays(ws, manifest, split.train, args.points)
     # no validation pairs: the training set doubles as the validation set
     Xv = yv = None
     if split.val:
-        Xv, yv = _cloud_arrays(ws, manifest, split.val, args.points, seed)
+        Xv, yv = _cloud_arrays(ws, manifest, split.val, args.points)
     config = PointNetConfig(max_epochs=args.epochs, seed=seed)
     return fit_pointnet_mini(X, y, Xv, yv, config=config)
 
@@ -569,10 +567,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _eval_model(ws, manifest, model, pairs, args):
+def _eval_model(ws, manifest, model, pairs):
     if isinstance(model, PointNetMini):
-        # subsample with the seed the training clouds were subsampled with
-        X, y = _cloud_arrays(ws, manifest, pairs, args.points, model.config.seed)
+        # the network reads as many points per cloud as it was trained on
+        if "points" not in model.history:
+            raise MalformedModel("the network records no point count per cloud; "
+                                 "rerun `pkwbench train --force` to refit it")
+        X, y = _cloud_arrays(ws, manifest, pairs, model.history["points"])
     else:
         X, y = _tabular_arrays(manifest, pairs)
     return compute_metrics(y, model.predict(X))
@@ -591,7 +592,7 @@ def _cmd_eval(args) -> int:
         raise MissingArtifact(
             f"split {split.name} has no {args.partition} pairs to evaluate"
         )
-    report = _eval_model(ws, manifest, model, pairs, args)
+    report = _eval_model(ws, manifest, model, pairs)
     out_path = _claim(
         ws / "reports" / f"eval-{split.name}-{args.model}-{args.partition}.csv",
         args.force,
@@ -604,13 +605,7 @@ def _cmd_eval(args) -> int:
         "split": split.name, "model": args.model, "partition": args.partition,
         "paper_scale": args.paper_scale,
     }
-    if isinstance(model, PointNetMini):
-        # _eval_model subsampled --points per cloud with the training seed
-        seed = model.config.seed
-        config["points"] = args.points
-    else:
-        seed = args.seed
-    _write_meta(out_path, "eval", seed, config)
+    _write_meta(out_path, "eval", args.seed, config)
     r2_text = "undefined" if report.r2 is None else f"{report.r2:.4f}"
     print(
         f"{split.name}/{args.model}/{args.partition}: "
@@ -632,6 +627,11 @@ def _bench_splits(manifest, seed):
     base = splits[0]
     splits += [subset_fraction(base, f, seed=seed) for f in DATA_FRACTIONS]
     return splits
+
+
+# every bench option that changes its output; --jobs does not
+_BENCH_OPTIONS = ("n", "space", "step_mm", "lo_mm", "hi_mm", "sigma", "trees",
+                  "points", "cloud_points", "epochs", "x_segments", "paper_scale")
 
 
 def _cmd_bench(args) -> int:
@@ -667,17 +667,15 @@ def _cmd_bench(args) -> int:
             pairs = (split.train, split.val, split.test)
             if pairs not in reports:
                 model = _fit_model(model_name, args, ws, manifest, split, seed)
-                reports[pairs] = _eval_model(ws, manifest, model, split.test, args)
+                reports[pairs] = _eval_model(ws, manifest, model, split.test)
             report = reports[pairs]
             rows.append(_metric_row(
                 split, model_name, "test", len(split.train), report,
                 args.paper_scale,
             ))
     _write_report(report_path, rows, args.paper_scale)
-    _write_meta(report_path, "bench", seed, {
-        "n": args.n, "sigma": args.sigma, "models": models,
-        "trees": args.trees, "paper_scale": args.paper_scale,
-    })
+    config = {name: getattr(args, name) for name in _BENCH_OPTIONS}
+    _write_meta(report_path, "bench", seed, {**config, "models": models})
     print(f"wrote {len(rows)} benchmark rows to {report_path}")
     return 0
 
@@ -788,7 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", choices=("train", "val", "test"), default="test")
     p.add_argument("--paper-scale", action="store_true",
                    help="append display-scaled metric columns")
-    p.add_argument("--points", type=_count(), default=5000)
     _add_common(p)
     p.set_defaults(func=_cmd_eval)
 

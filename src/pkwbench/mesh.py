@@ -25,7 +25,7 @@ corners coincide exactly.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -225,13 +225,7 @@ def _merge_stations(base: list[float], extra, tol: float) -> list[float]:
     """
     out = sorted(base)
     for x in sorted(extra):
-        lo, hi = 0, len(out)
-        while lo < hi:
-            m = (lo + hi) // 2
-            if out[m] < x:
-                lo = m + 1
-            else:
-                hi = m
+        lo = bisect_left(out, x)
         near_prev = lo > 0 and x - out[lo - 1] <= tol
         near_next = lo < len(out) and out[lo] - x <= tol
         if not near_prev and not near_next:

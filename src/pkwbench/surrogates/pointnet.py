@@ -293,11 +293,13 @@ def fit_pointnet_mini(
     Without an explicit validation set the training set doubles as one,
     which turns early stopping into plain convergence detection.  The
     returned model's ``history`` holds one entry per epoch in ``train_mse``
-    and ``val_mse``, plus the epoch whose weights were kept and its
-    validation MSE.  ``train_mse`` is the mean of the epoch's batch losses,
-    weighted by batch size: each loss is taken just before its step, so the
-    training set is never re-evaluated.  ``val_mse`` is evaluated after the
-    epoch's last step, since it decides early stopping.
+    and ``val_mse``, the epoch whose weights were kept and its validation
+    MSE, and ``points``, the points per training cloud: a caller gives each
+    cloud it predicts on that many points.  ``train_mse`` is the mean of
+    the epoch's batch losses, weighted by batch size: each loss is taken
+    just before its step, so the training set is never re-evaluated.
+    ``val_mse`` is evaluated after the epoch's last step, since it decides
+    early stopping.
     """
     config = config or PointNetConfig()
     X = _check_clouds(train_clouds)
@@ -370,5 +372,6 @@ def fit_pointnet_mini(
         "val_mse": tuple(val_path),
         "best_epoch": best_epoch,
         "best_val_mse": best_val,
+        "points": X.shape[1],
     }
     return model

@@ -215,7 +215,7 @@ def fit_pointnet_mini(
     Without an explicit validation set the training set doubles as one,
     which turns early stopping into plain convergence detection.  The
     returned model's ``history`` records per-epoch train and validation
-    MSE plus the epoch whose weights were kept.
+    MSE, the epoch whose weights were kept and the points per cloud.
     """
     config = config or PointNetConfig()
     X = _check_clouds(train_clouds)
@@ -287,5 +287,6 @@ def fit_pointnet_mini(
         "val_mse": tuple(val_path),
         "best_epoch": best_epoch,
         "best_val_mse": best_val,
+        "points": X.shape[1],
     }
     return model

@@ -8,7 +8,10 @@ cheap assertions do not redo the expensive stages.
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +36,14 @@ from pkwbench.dataset import (
     GeometryRecord,
     read_labels_csv,
     read_split_csv,
+    synthesize_labels,
     write_labels_csv,
     write_manifest,
 )
 from pkwbench.geometry import PkwFixed, PkwSample, derive
-from pkwbench.hydraulics import paper_schedule
+from pkwbench.hydraulics import OracleConfig, paper_schedule, total_head
 from pkwbench.pointcloud import read_cloud
-from pkwbench.surrogates import load_model
+from pkwbench.surrogates import attach_discharge, compute_metrics, load_model, save_model
 
 N_DESIGNS = 12
 MASTER_SEED = 7
@@ -210,7 +214,7 @@ def test_bad_jobs_env_variable_is_a_usage_error(tmp_path, capsys, monkeypatch, v
     ["train", "--model", "forest", "--split", "id", "--trees", "0"],
     ["train", "--model", "pointnet", "--split", "id", "--epochs", "0"],
     ["train", "--model", "pointnet", "--split", "id", "--points", "x"],
-    ["eval", "--model", "pointnet", "--split", "id", "--points", "0"],
+    ["train", "--model", "pointnet", "--split", "id", "--points", "0"],
     ["bench", "--n", "0"],
     ["bench", "--trees", "0"],
     ["bench", "--model", "gbm", "--trees", "1.5"],
@@ -250,7 +254,7 @@ def test_one_worker_runs_jobs_without_a_pool(monkeypatch):
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _run_jobs(divmod, [(7, 2), (9, 4)], jobs=8) == [(3, 1), (2, 1)]
+    assert list(_run_jobs(divmod, [(7, 2), (9, 4)], jobs=8)) == [(3, 1), (2, 1)]
 
 
 def test_version_flag_reports_package_version(capsys):
@@ -306,6 +310,40 @@ def test_parallel_cloud_matches_serial(tmp_path):
     clouds_b = _tree_bytes(tmp_path / "jobs2" / "clouds")
     assert len(clouds_a) == 7  # six clouds and the stage sidecar
     assert clouds_a == clouds_b
+
+
+_SRC = Path(pkwbench.__file__).resolve().parents[1]
+_PEAK_RSS = """
+import resource, sys
+from pkwbench.cli import main
+status = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(status)
+"""
+
+
+def _cloud_peak_rss_mb(ws, n_designs):
+    """Peak RSS of a ``cloud --jobs 2`` command, at its default 100k points,
+    run in a child process on a fresh workspace of ``n_designs`` designs."""
+    assert run(["sample", "--workspace", ws, "--n", n_designs, "--seed", 11]) == 0
+    assert run(["mesh", "--workspace", ws, "--jobs", 2]) == 0
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "cloud", "--workspace", str(ws),
+         "--seed", "12", "--jobs", "2"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith(f"sampled {n_designs} clouds of 100000 points")
+    return int(child.stdout.split()[-1]) / 1024.0  # ru_maxrss is in KiB
+
+
+def test_cloud_memory_does_not_grow_with_the_designs(tmp_path):
+    # each cloud is written as its job returns; holding every cloud until the
+    # last job would add 2.4 MB per design, 144 MB between these two runs
+    small = _cloud_peak_rss_mb(tmp_path / "small", 20)
+    large = _cloud_peak_rss_mb(tmp_path / "large", 80)
+    assert abs(large - small) < 20.0, (small, large)
 
 
 def _write_pinch_manifest(ws, n_good=1):
@@ -432,6 +470,33 @@ def test_label_csv_oracle_round_trips(tmp_path):
     labels = read_labels_csv(ws / "labels" / "labels.csv")
     got = sorted((lab.geometry_id, lab.Q * 1000.0, lab.c_D) for lab in labels)
     assert got == [(g, q, pytest.approx(c, rel=1e-6)) for g, q, c in rows]
+
+
+def test_label_uses_the_manifests_installation(tmp_path):
+    fixed = PkwFixed(W=1.5, P=0.4)
+    sample = PkwSample(B_b=0.40, R_B_i=0.5, T_s=0.02, W_i_u=0.20, W_i_d=0.14)
+    geoms = {"g000000": GeometryRecord("g000000", sample, derive(fixed, sample))}
+    ws = tmp_path / "ws"
+    (ws / "params").mkdir(parents=True)
+    write_manifest(ws / "params" / MANIFEST_NAME,
+                   DatasetManifest(geometries=geoms, labels=[]), fixed)
+    labels_path = ws / "labels" / "labels.csv"
+
+    # the synthetic oracle normalises with this installation's design box
+    assert run(["label", "--workspace", ws, "--sigma", "0.01", "--seed", 13]) == 0
+    for config, same in ((OracleConfig(sigma=0.01, fixed=fixed), True),
+                         (OracleConfig(sigma=0.01), False)):
+        write_labels_csv(tmp_path / "want.csv",
+                         synthesize_labels(geoms, paper_schedule(), config, seed=13))
+        assert ((tmp_path / "want.csv").read_bytes() == labels_path.read_bytes()) == same
+
+    # a measured flow depth converts to total head in this flume
+    source = tmp_path / "measured.csv"
+    source.write_text("geometry_id,Q_lps,h_t_m\ng000000,100,0.05\n")
+    assert run(["label", "--workspace", ws, "--oracle", f"csv={source}", "--force"]) == 0
+    [label] = read_labels_csv(labels_path)
+    assert label.H_t == pytest.approx(total_head(0.1, 0.05, fixed).H_t, rel=1e-8)
+    assert label.H_t != pytest.approx(total_head(0.1, 0.05, PkwFixed()).H_t, rel=1e-4)
 
 
 def test_split_id_partitions_geometries(pipeline):
@@ -578,49 +643,93 @@ def test_pointnet_cli_chain(pipeline):
     assert run(train) == 0
     assert (pipeline / "models" / "id-pointnet.wnsm").exists()
     evaluate = ["eval", "--workspace", pipeline, "--model", "pointnet",
-                "--split", "id", "--partition", "test", "--points", 64,
-                "--seed", 5]
+                "--split", "id", "--partition", "test"]
     assert run(evaluate) == 0
     row = read_rows(pipeline / "reports" / "eval-id-pointnet-test.csv")[0]
     assert row["model"] == "pointnet"
     assert float(row["mse"]) >= 0.0
 
 
-def test_pointnet_eval_subsamples_with_the_training_seed(pipeline, tmp_path):
+def _prefix_arrays(ws, pairs, n_points):
+    """Network input and targets built by hand from each cloud's first
+    ``n_points`` points."""
+    pairs = sorted(pairs)
+    labels = {(lab.geometry_id, lab.Q): lab.c_D
+              for lab in read_labels_csv(ws / "labels" / "labels.csv")}
+    clouds = [read_cloud(ws / "clouds" / f"{gid}.wnpc").points[:n_points]
+              for gid, _ in pairs]
+    X = attach_discharge(np.stack(clouds), np.asarray([q for _, q in pairs]))
+    return X, np.asarray([labels[pair] for pair in pairs])
+
+
+def test_pointnet_eval_reads_the_clouds_first_points(pipeline, tmp_path):
+    # the model, not eval, knows its point count, and no seed picks the points
     ws = tmp_path / "ws"
     shutil.copytree(pipeline, ws, ignore=shutil.ignore_patterns("models", "reports"))
     train = ["train", "--workspace", ws, "--model", "pointnet", "--split", "id",
              "--seed", 5, "--points", 64, "--epochs", 1]
     assert run(train) == 0
+    model = load_model(ws / "models" / "id-pointnet.wnsm")
+    assert model.history["points"] == 64
     evaluate = ["eval", "--workspace", ws, "--model", "pointnet", "--split", "id",
-                "--partition", "test", "--points", 64, "--force"]
+                "--partition", "test", "--force"]
     rows = []
-    for seed_args in (["--seed", 5], []):
+    for seed_args in (["--seed", 5], ["--seed", 6], []):
         assert run(evaluate + seed_args) == 0
         rows.append(read_rows(ws / "reports" / "eval-id-pointnet-test.csv"))
-    assert rows[0] == rows[1]
+    assert rows[0] == rows[1] == rows[2]
+    X, y = _prefix_arrays(ws, read_split_csv(ws / "splits" / "id.csv").test, 64)
+    assert rows[0][0]["mse"] == f"{compute_metrics(y, model.predict(X)).mse:.9g}"
 
 
-def test_pointnet_eval_sidecar_records_seed_and_points(pipeline, tmp_path):
+def test_eval_has_no_points_option(pipeline, capsys):
+    argv = ["eval", "--workspace", pipeline, "--model", "pointnet", "--split", "id",
+            "--points", 64]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --points" in capsys.readouterr().err
+
+
+def test_pointnet_eval_sidecar_records_the_eval_seed(pipeline, tmp_path):
     ws = tmp_path / "ws"
     shutil.copytree(pipeline, ws, ignore=shutil.ignore_patterns("models", "reports"))
     train = ["train", "--workspace", ws, "--model", "pointnet", "--split", "id",
              "--seed", 5, "--points", 32, "--epochs", 1]
     assert run(train) == 0
     sidecar = ws / "reports" / "eval-id-pointnet-test.csv.meta.json"
-    hashes = []
-    for points in (32, 64):
+    for seed_args, seed in ((["--seed", 9], 9), ([], None)):
         evaluate = ["eval", "--workspace", ws, "--model", "pointnet", "--split", "id",
-                    "--points", points, "--force"]
+                    "--force", *seed_args]
         assert run(evaluate) == 0
         meta = json.loads(sidecar.read_text())
-        assert meta["seed"] == 5
-        hashes.append(meta["config_hash"])
-    assert hashes[0] == _config_hash({
-        "split": "id", "model": "pointnet", "partition": "test",
-        "paper_scale": False, "points": 32,
-    })
-    assert hashes[0] != hashes[1]
+        assert meta["seed"] == seed
+        # the same configuration a tree model's eval records
+        assert meta["config_hash"] == _config_hash({
+            "split": "id", "model": "pointnet", "partition": "test",
+            "paper_scale": False,
+        })
+
+
+def test_pointnet_without_a_point_count_asks_for_a_refit(pipeline, tmp_path, capsys):
+    # a network saved before the fit recorded its point count
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline, ws, ignore=shutil.ignore_patterns("models", "reports"))
+    train = ["train", "--workspace", ws, "--model", "pointnet", "--split", "id",
+             "--seed", 5, "--points", 32, "--epochs", 1]
+    assert run(train) == 0
+    path = ws / "models" / "id-pointnet.wnsm"
+    model = load_model(path)
+    del model.history["points"]
+    save_model(path, model)
+    capsys.readouterr()
+    evaluate = ["eval", "--workspace", ws, "--model", "pointnet", "--split", "id"]
+    assert run(evaluate) == 1
+    record = stderr_record(capsys)
+    assert record["error"] == "MalformedModel"
+    assert record["command"] == "eval"
+    assert "train --force" in record["message"]
+    assert not (ws / "reports" / "eval-id-pointnet-test.csv").exists()
 
 
 # benchmark matrix
@@ -718,6 +827,47 @@ def test_bench_stages_match_the_standalone_commands(tmp_path):
         got = _tree_bytes(bench / sub)
         assert got, sub
         assert got == _tree_bytes(chain / sub), sub
+
+
+def test_bench_pointnet_id_row_matches_train_and_eval(tmp_path):
+    # bench scores each fit as a plain eval of the trained model would
+    ws, seed = tmp_path / "ws", 5
+    net = ["--points", 32, "--epochs", 1]
+    argv = ["bench", "--workspace", ws, "--n", N_DESIGNS, "--seed", seed,
+            "--model", "pointnet", "--cloud-points", 200, *net]
+    assert run(argv) == 0
+    assert run(["train", "--workspace", ws, "--model", "pointnet", "--split", "id",
+                "--seed", seed, *net]) == 0
+    assert run(["eval", "--workspace", ws, "--model", "pointnet", "--split", "id"]) == 0
+    id_row = next(r for r in read_rows(ws / "reports" / "bench.csv") if r["split"] == "id")
+    eval_row = read_rows(ws / "reports" / "eval-id-pointnet-test.csv")[0]
+    for column in ("n_train", "n_eval", "mse", "r2", "mae", "max_ae"):
+        assert eval_row[column] == id_row[column], column
+
+
+def _bench_config_hash(ws, *extra):
+    argv = ["bench", "--workspace", ws, "--n", 40, "--seed", 3, "--model", "tree"]
+    assert run([*argv, *extra]) == 0
+    meta = json.loads((ws / "reports" / "bench.csv.meta.json").read_text())
+    return meta["config_hash"]
+
+
+@pytest.fixture(scope="module")
+def bench_default_hash(tmp_path_factory):
+    return _bench_config_hash(tmp_path_factory.mktemp("bench-default"))
+
+
+@pytest.mark.parametrize("option", [
+    ["--points", 64], ["--epochs", 7], ["--cloud-points", 500],
+    ["--x-segments", 4], ["--space", "screening"], ["--step-mm", "T_s=10"],
+    ["--lo-mm", "T_s=20"], ["--hi-mm", "T_s=30"],
+])
+def test_bench_config_hash_covers_every_option(tmp_path, bench_default_hash, option):
+    assert _bench_config_hash(tmp_path, *option) != bench_default_hash
+
+
+def test_bench_config_hash_ignores_jobs(tmp_path, bench_default_hash):
+    assert _bench_config_hash(tmp_path, "--jobs", 2) == bench_default_hash
 
 
 def test_bench_rejects_external_oracles(tmp_path, capsys):

@@ -316,6 +316,7 @@ def test_fit_keeps_the_cached_networks_weights():
     _assert_close(got.parameter_vector(), want.parameter_vector(), "parameters")
     assert got.history.keys() == want.history.keys()
     assert got.history["best_epoch"] == want.history["best_epoch"]
+    assert got.history["points"] == 512
     for key in ("train_mse", "val_mse", "best_val_mse"):
         _assert_close(got.history[key], want.history[key], key)
 
