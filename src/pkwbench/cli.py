@@ -38,6 +38,7 @@ from .dataset import (
     read_labels_csv,
     read_manifest,
     read_split_csv,
+    require_id_split,
     split_id,
     split_ood_geom,
     split_ood_head,
@@ -635,6 +636,9 @@ _BENCH_OPTIONS = ("n", "space", "step_mm", "lo_mm", "hi_mm", "sigma", "trees",
 
 
 def _cmd_bench(args) -> int:
+    # sample writes exactly --n designs, and every split starts from the id
+    # split, so a count it cannot divide fails before any stage writes
+    require_id_split(args.n)
     ws = _workspace(args)
     seed = _require_seed(args)
     models = args.model or ["forest"]

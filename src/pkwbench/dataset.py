@@ -151,6 +151,13 @@ def _pairs_by_geometry(manifest: DatasetManifest) -> dict[str, list[tuple[str, f
     return out
 
 
+def require_id_split(n: int) -> None:
+    """Raise TooFewGeometries unless :func:`split_id` can divide ``n``
+    geometries: each of its validation and test tenths needs one."""
+    if n < 10:
+        raise TooFewGeometries(f"need at least 10 geometries, have {n}")
+
+
 def split_id(manifest: DatasetManifest, seed: int) -> SplitAssignment:
     """80/10/10 split at the geometry level.
 
@@ -159,8 +166,7 @@ def split_id(manifest: DatasetManifest, seed: int) -> SplitAssignment:
     """
     gids = sorted(manifest.geometries)
     n = len(gids)
-    if n < 10:
-        raise TooFewGeometries(f"need at least 10 geometries, have {n}")
+    require_id_split(n)
     order = np.random.default_rng(seed).permutation(n)
     shuffled = [gids[k] for k in order]
     n_val = n // 10

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,10 +199,35 @@ def _check_training_pair(X, y):
     return X, y
 
 
-# Split-search temporaries hold at most this many elements (under 64 KiB of
-# float64), so the allocator keeps reusing the same small blocks instead of
-# handing large ones back to the OS and faulting them in again each pass.
+# The split search's element budget.  Narrow nodes' (node, feature) rows are
+# batched into blocks of at most this many elements, so each temporary stays
+# under 64 KiB of float64 and the allocator keeps reusing the same small
+# blocks.  A node whose candidate rows hold more elements is searched on its
+# own, in the buffers of a :class:`_Work` allocated once per fit and written
+# with ``out=``: temporaries that size would be handed back to the OS and
+# faulted in again on every search.  Only the boundary scores, a small share
+# of the elements, are still allocated per search.
 _BLOCK = 8000
+
+
+class _Work:
+    """Split-search buffers for a node of up to ``cells`` (row, position)
+    elements, reused by every wide node of a fit.
+
+    ``pos`` holds sorted row ids, ``usable`` the boundary mask, and
+    ``ys``, ``csum`` and ``csq`` the gathered targets and their two prefix
+    sums; ``csum`` holds the sorted feature values first, which the search
+    no longer reads once the boundaries are found.
+    """
+
+    def __init__(self, cells):
+        self.pos = np.empty(cells, dtype=np.intp)
+        self.usable = np.empty(cells, dtype=bool)
+        self.ys, self.csum, self.csq = np.empty((3, cells))
+
+    @staticmethod
+    def view(buffer, rows, width):
+        return buffer[: rows * width].reshape(rows, width)
 
 
 def _presort(X, rows):
@@ -219,7 +245,7 @@ def _presort(X, rows):
     return Xr, order
 
 
-def _grow(Xr, yr, order, params, feature_rng, max_features):
+def _grow(Xr, yr, order, params, feature_rng, max_features, work, root=None):
     """Grow one tree level by level over presorted rows.
 
     Return its node arrays and each row's leaf mean.  ``order`` comes from
@@ -233,6 +259,12 @@ def _grow(Xr, yr, order, params, feature_rng, max_features):
     predicts for it, since ``x > threshold`` is the negation of ``x <=
     threshold`` on finite features.  The node arrays come out in the layout
     :class:`TreeEnsemble` documents for one member.
+
+    ``work`` is a :class:`_Work` of ``min(max_features, d) * n`` cells, as
+    wide as the root's candidate rows.  ``root`` is the half of the root's
+    split search that reads ``Xr``, on every feature (see
+    :func:`_best_splits`), built by :func:`_node_bounds` from ``order`` as
+    :func:`_presort` returns it.
     """
     d, n = Xr.shape
     fitted = np.empty(n)
@@ -269,7 +301,7 @@ def _grow(Xr, yr, order, params, feature_rng, max_features):
         with np.errstate(all="ignore"):
             j, thr, found = _best_splits(
                 Xr, yr, order[:, :m], starts[nodes], sizes[nodes], cand,
-                params.min_samples_leaf,
+                params.min_samples_leaf, work, root if depth == 0 else None,
             )
         split = nodes[found]
         if not split.size:
@@ -319,7 +351,7 @@ def _segment_means(values, starts, sizes):
     return out
 
 
-def _best_splits(Xr, yr, order, starts, sizes, cand, min_leaf):
+def _best_splits(Xr, yr, order, starts, sizes, cand, min_leaf, work, root=None):
     """Best split of every node; return (feature, threshold, found) arrays.
 
     Node ``k`` covers ``order[:, starts[k]:starts[k] + sizes[k]]`` and may
@@ -328,34 +360,66 @@ def _best_splits(Xr, yr, order, starts, sizes, cand, min_leaf):
     segment, so its scores are the ones a scan of that node alone computes,
     bit for bit.  Only the boundaries between distinct values are scored:
     a geometry feature of the benchmark matrix takes one value per
-    geometry, so most positions cannot end a left child.  Pairs are
-    batched by size class, which pads a row to at most twice its length.
-    Within a row the first minimum wins (the lowest threshold); across a
-    node's features the first strictly lower score wins (the lowest index).
-    In a node holding a target whose square overflows, every split scores
-    inf or NaN, so the node does not split.
+    geometry, so most positions cannot end a left child.
+
+    The search has two halves.  The half that reads ``Xr`` finds each
+    row's sorted positions and its boundaries (:func:`_node_bounds`,
+    :func:`_block_bounds`); the half that reads ``yr`` scores the
+    boundaries (:func:`_scores`).  ``root``, when given, is the first half
+    for a level holding one node of every row on every feature, built once
+    by the caller, since a boosting stage changes only the targets.  Any
+    other node whose candidate rows hold more than ``_BLOCK`` elements is
+    searched on its own in ``work`` (:func:`_node_min`).  Narrower nodes'
+    pairs are batched by size class, which pads a row to at most twice its
+    length, into blocks of at most ``_BLOCK`` elements.  Within a row the
+    first minimum wins (the lowest threshold); across a node's features
+    the first strictly lower score wins (the lowest index).  A target whose
+    square overflows makes every split of its node score inf or NaN, so
+    the node does not split; a child's sum whose square overflows while the
+    squares sum finitely scores -inf, and that split wins.
     """
     n_nodes, n_cand = cand.shape
     pair_node = np.repeat(np.arange(n_nodes), n_cand)
     pair_feature = cand.ravel()
     pair_size = sizes[pair_node]
-    score = np.empty(pair_node.size)
-    at = np.empty(pair_node.size, dtype=np.intp)
-    size_class = np.frexp(pair_size - 1)[1]
+    score = np.empty((n_nodes, n_cand))
+    at = np.empty((n_nodes, n_cand), dtype=np.intp)
+    wide = (sizes * n_cand > _BLOCK) | (root is not None)
+    for k in np.flatnonzero(wide):
+        if root is None:
+            bounds = _node_bounds(Xr, order, starts[k], sizes[k], cand[k], min_leaf, work)
+        else:
+            bounds = root
+        best, row, pos = _node_min(_scores(yr, bounds, work), bounds.row, bounds.at)
+        # the winner alone among the node's rows, so the argmin across them
+        # below picks it; inf rows at position 0 stand for the others
+        score[k] = math.inf
+        at[k] = 0
+        score[k, row] = best
+        at[k, row] = pos
+    # the narrow nodes' pairs, batched by size class
+    pair_score = score.reshape(-1)
+    pair_at = at.reshape(-1)
+    narrow = np.flatnonzero(~wide[pair_node])
+    size_class = np.frexp(pair_size[narrow] - 1)[1]
     for cls in np.unique(size_class):
-        members = np.flatnonzero(size_class == cls)
+        members = narrow[size_class == cls]
         per_block = max(1, _BLOCK // int(pair_size[members].max()))
         for first in range(0, members.size, per_block):
             block = members[first : first + per_block]
             node = pair_node[block]
-            score[block], at[block] = _score_block(
-                Xr, yr, order, starts[node], sizes[node], pair_feature[block], min_leaf
+            bounds = _block_bounds(
+                Xr, order, starts[node], sizes[node], pair_feature[block], min_leaf
             )
-    score = score.reshape(n_nodes, n_cand)
+            # a block is small: spread its scores over rows of inf
+            full = np.full(bounds.pos.shape, math.inf)
+            full[bounds.row, bounds.at] = _scores(yr, bounds)
+            pair_score[block] = full.min(axis=1)
+            pair_at[block] = full.argmin(axis=1)
     pick = np.argmin(score, axis=1)
     k = np.arange(n_nodes)
     feature = cand[k, pick]
-    slot = starts + at.reshape(n_nodes, n_cand)[k, pick]
+    slot = starts + at[k, pick]
     lo = Xr[feature, order[feature, slot]]
     hi = Xr[feature, order[feature, slot + 1]]
     mid = 0.5 * (lo + hi)
@@ -364,14 +428,79 @@ def _best_splits(Xr, yr, order, starts, sizes, cand, min_leaf):
     return feature, np.where(mid >= hi, lo, mid), score[k, pick] < math.inf
 
 
-def _score_block(Xr, yr, order, starts, sizes, features, min_leaf):
-    """Lowest split score and its position for each (node, feature) row.
+def _node_min(score, row, at):
+    """The lowest of one node's boundary scores, its row and position.
 
-    Only positions between two distinct sorted values that leave both
-    children at least ``min_leaf`` rows are scored; every other position
-    keeps an inf score.  Each scored position takes the operands and
-    operations a full-width pass would, so the scores, and with them ties,
-    the first-minimum rule and inf or NaN scores, are the same bit for bit.
+    Boundary ``i`` lies after position ``at[i]`` of row ``row[i]``.
+    Boundaries run by row, then by position, so the first minimum is the
+    one the per-row ``min``/``argmin`` over full-width rows of inf followed
+    by an ``argmin`` across the rows picks: the lowest position of the
+    lowest row.  A NaN is the minimum wherever it occurs, and a node without
+    boundaries scores inf; neither splits.
+    """
+    if not score.size:
+        return math.inf, 0, 0
+    i = int(np.argmin(score))
+    return score[i], row[i], at[i]
+
+
+class _Bounds(NamedTuple):
+    """The half of a split search that reads X, for a set of sorted rows.
+
+    Row ``r`` lists the ids of one node's rows sorted by one feature in
+    ``pos[r]``.  Boundary ``i`` lies after position ``at[i]`` of row
+    ``row[i]``: the sorted values differ there and both children keep at
+    least ``min_samples_leaf`` rows.  ``left[i]`` and ``last[i]`` are the
+    flat indices of that position and of the row's last one in a
+    ``pos``-shaped array, and ``n_left`` and ``n_right`` the child sizes as
+    floats, which divide exactly as the integer ones would.  Boundaries are
+    ordered by row, then by position.
+    """
+
+    pos: np.ndarray
+    row: np.ndarray
+    at: np.ndarray
+    left: np.ndarray
+    last: np.ndarray
+    n_left: np.ndarray
+    n_right: np.ndarray
+
+
+def _node_bounds(Xr, order, start, size, features, min_leaf, work=None):
+    """:class:`_Bounds` of one node on each of ``features``, unpadded.
+
+    The sorted rows live in ``work`` and stay valid until its next search;
+    without ``work`` they get buffers of their own, which nothing else
+    overwrites.
+    """
+    rows = features.size
+    size = int(size)
+    if work is None:
+        work = _Work(rows * size)
+    pos = _Work.view(work.pos, rows, size)
+    xs = _Work.view(work.csum, rows, size)
+    for r, j in enumerate(features):
+        pos[r] = order[j, start : start + size]
+        # "clip" never clips valid ids; it spares a copy "raise" makes of out
+        np.take(Xr[j], pos[r], out=xs[r], mode="clip")
+    # a left child of at + 1 rows keeps both children at least min_leaf
+    # rows for at in [lo, hi)
+    lo = min_leaf - 1
+    hi = max(lo, size - min_leaf)
+    usable = np.less(xs[:, lo:hi], xs[:, lo + 1 : hi + 1],
+                     out=_Work.view(work.usable, rows, hi - lo))
+    row, at = np.nonzero(usable)
+    at += lo
+    left = row * size + at
+    n_left = at + 1.0
+    return _Bounds(pos, row, at, left, row * size + (size - 1), n_left, size - n_left)
+
+
+def _block_bounds(Xr, order, starts, sizes, features, min_leaf):
+    """:class:`_Bounds` of a block of (node, feature) rows, padded to the
+    widest node.
+
+    A padded position leaves the right child empty and fails the size test.
     """
     width = int(sizes.max())
     if starts[0] == starts[-1]:
@@ -382,35 +511,54 @@ def _score_block(Xr, yr, order, starts, sizes, features, min_leaf):
         pos = order[features[:, None], slot]
     # a flat take gathers about twice as fast as 2-D fancy indexing
     xs = np.take(Xr, pos + (features * Xr.shape[1])[:, None])
-    ys = yr[pos]
-    csum = np.cumsum(ys, axis=1)
-    csq = np.cumsum(np.multiply(ys, ys, out=ys), axis=1)
-    # float counts divide exactly as the integer ones would; a padded
-    # position leaves the right child empty and fails the size test
     n_left = np.arange(1.0, width)
     usable = xs[:, :-1] < xs[:, 1:]
-    usable &= n_left >= min_leaf
+    if min_leaf > 1:
+        usable &= n_left >= min_leaf
     usable &= sizes[:, None] - n_left >= min_leaf
     row, at = np.nonzero(usable)
     n_left = n_left[at]
-    n_right = sizes[row] - n_left
-    last = sizes[row] - 1
-    sum_left = csum[row, at]
-    sq_left = csq[row, at]
-    sum_right = csum[row, last] - sum_left
-    sq_right = csq[row, last] - sq_left
+    row_size = sizes[row]
+    first = row * width
+    return _Bounds(pos, row, at, first + at, first + row_size - 1, n_left,
+                   row_size - n_left)
+
+
+def _scores(yr, bounds, work=None):
+    """The half of a split search that reads y: the score of every boundary.
+
+    The targets are gathered once and summed along each row; only the
+    boundaries are scored, with the operands and operations a full-width
+    pass would take, so the scores, and with them ties, the first-minimum
+    rule and inf or NaN scores, are the same bit for bit.  With ``work``
+    the gather and the prefix sums are written into its buffers.
+    """
+    rows, width = bounds.pos.shape
+    if work is None:
+        ys = yr[bounds.pos]
+        csum = csq = None
+    else:
+        ys, csum, csq = (_Work.view(buf, rows, width)
+                         for buf in (work.ys, work.csum, work.csq))
+        np.take(yr, bounds.pos, out=ys, mode="clip")
+    csum = np.cumsum(ys, axis=1, out=csum)
+    csq = np.cumsum(np.multiply(ys, ys, out=ys), axis=1, out=csq)
+    sum_left = csum.take(bounds.left)
+    sq_left = csq.take(bounds.left)
+    sum_right = csum.take(bounds.last)
+    sum_right -= sum_left
+    sq_right = csq.take(bounds.last)
+    sq_right -= sq_left
     # (sq_left - sum_left * sum_left / n_left)
     #     + (sq_right - sum_right * sum_right / n_right), in place
     scored = np.multiply(sum_left, sum_left)
-    scored /= n_left
+    scored /= bounds.n_left
     np.subtract(sq_left, scored, out=scored)
     np.multiply(sum_right, sum_right, out=sum_right)
-    sum_right /= n_right
+    sum_right /= bounds.n_right
     np.subtract(sq_right, sum_right, out=sum_right)
     scored += sum_right
-    score = np.full(usable.shape, math.inf)
-    score[row, at] = scored
-    return score.min(axis=1), score.argmin(axis=1)
+    return scored
 
 
 def _number_nodes(levels):
@@ -458,7 +606,8 @@ def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:
     X, y = _check_training_pair(X, y)
     params = params or TreeParams()
     Xr, order = _presort(X, np.arange(X.shape[0]))
-    arrays, _ = _grow(Xr, y, order, params, feature_rng=None, max_features=X.shape[1])
+    arrays, _ = _grow(Xr, y, order, params, feature_rng=None,
+                      max_features=X.shape[1], work=_Work(X.size))
     return _pack([arrays], X.shape[1], {"params": params})
 
 
@@ -494,12 +643,13 @@ def fit_forest(
         raise ValueError(f"max_features must be in [1, {d}], got {max_features}")
     n = X.shape[0]
     all_rows = np.arange(n)
+    work = _Work(max_features * n)
     members = []
     for k in range(n_trees):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
         rows = rng.integers(0, n, size=n) if bootstrap else all_rows
         Xr, order = _presort(X, rows)
-        arrays, _ = _grow(Xr, y[rows], order, params, rng, max_features)
+        arrays, _ = _grow(Xr, y[rows], order, params, rng, max_features, work)
         members.append(arrays)
     info = {"params": params, "seed": seed, "bootstrap": bootstrap,
             "max_features": max_features}
@@ -524,11 +674,16 @@ def fit_gbm(
     (0, 1].
 
     X is checked and presorted once per fit; each stage grows from a copy
-    of that presort.  A stage adds the leaf means the grower assigned to the
-    training rows while partitioning them, which are the tree's predictions
-    for those rows, so no stage walks its tree again.  The result is the
-    same, bit for bit, as fitting each stage with :func:`fit_tree` and
-    adding its ``predict(X)``.
+    of that presort.  Every stage's root holds every row and may split on
+    every feature, and only its targets change from stage to stage, so the
+    half of the root's split search that reads X (sorted positions,
+    distinct-value boundaries, child sizes) is built once per fit too; a
+    stage gathers and sums its residuals in buffers allocated once per fit.
+    A stage adds the leaf means the grower assigned to the training rows
+    while partitioning them, which are the tree's predictions for those
+    rows, so no stage walks its tree again.  The result is the same, bit
+    for bit, as fitting each stage with :func:`fit_tree` and adding its
+    ``predict(X)``.
     """
     X, y = _check_training_pair(X, y)
     if n_trees < 1:
@@ -536,9 +691,11 @@ def fit_gbm(
     if not 0.0 < learning_rate <= 1.0:
         raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate}")
     params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
-    d = X.shape[1]
-    Xr, presorted = _presort(X, np.arange(X.shape[0]))
+    n, d = X.shape
+    Xr, presorted = _presort(X, np.arange(n))
     order = np.empty_like(presorted)
+    root = _node_bounds(Xr, presorted, 0, n, np.arange(d), min_samples_leaf)
+    work = _Work(d * n)
     base = float(np.mean(y))
     current = np.full(y.shape, base)
     path = [float(np.mean((y - current) ** 2))]
@@ -550,7 +707,8 @@ def fit_gbm(
             raise ValueError("targets must be finite")
         np.copyto(order, presorted)
         arrays, fitted = _grow(
-            Xr, residual, order, params, feature_rng=None, max_features=d
+            Xr, residual, order, params, feature_rng=None, max_features=d,
+            work=work, root=root,
         )
         stages.append(arrays)
         current = current + learning_rate * fitted

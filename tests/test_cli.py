@@ -765,6 +765,16 @@ def test_bench_produces_the_full_split_matrix(tmp_path):
     assert int(by_name["id-f10"]["n_eval"]) == int(by_name["id"]["n_eval"])
 
 
+def test_bench_with_too_few_designs_fails_before_writing(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert run(["bench", "--workspace", ws, "--n", 5, "--seed", 1]) == 1
+    record = stderr_record(capsys)
+    assert record["error"] == "TooFewGeometries"
+    assert record["command"] == "bench"
+    # no params/ or labels/ artifact, so a rerun needs no --force
+    assert not [p for p in ws.rglob("*") if p.is_file()]
+
+
 def test_bench_is_reproducible(tmp_path):
     ws_a, ws_b = tmp_path / "a", tmp_path / "b"
     for ws in (ws_a, ws_b):

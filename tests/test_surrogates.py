@@ -32,7 +32,7 @@ from pkwbench.surrogates import (
     save_model,
     timed_single_predictions,
 )
-from pkwbench.surrogates import serialize
+from pkwbench.surrogates import serialize, trees
 
 # hand arithmetic: errors (0.02, -0.02, 0.01), squared sum 9e-4,
 # total sum of squares around the mean 0.02, so R^2 = 1 - 0.045
@@ -345,6 +345,132 @@ def test_deep_trees_on_oracle_rows_match_the_per_node_grower(max_depth, min_samp
     rng, rows = _bootstrap(4, 0, n)
     _assert_same_nodes(cart_reference.members(forest)[0],
                        _reference_arrays(X, y, rows, params, rng))
+
+
+# nodes whose candidate rows fill more than a search block: each is searched
+# on its own in buffers reused across the fit, and a boosting fit builds the
+# root's bounds once
+
+
+@pytest.fixture(scope="module")
+def wide_rows():
+    # 2,280 rows of 9 features: the root and its larger children are wide
+    X, y = _oracle_rows(120, seed=31, sigma=0.005)
+    assert X.shape[0] >= 2000
+    return X, y
+
+
+@pytest.fixture
+def wide_sizes(monkeypatch):
+    """The size of every node whose bounds are built on their own."""
+    sizes = []
+    node_bounds = trees._node_bounds
+
+    def spy(Xr, order, start, size, *rest):
+        sizes.append(int(size))
+        return node_bounds(Xr, order, start, size, *rest)
+
+    monkeypatch.setattr(trees, "_node_bounds", spy)
+    return sizes
+
+
+def _assert_wide_below_the_root(sizes, n, n_cand):
+    assert any(size < n and size * n_cand > trees._BLOCK for size in sizes)
+
+
+@pytest.mark.parametrize("max_depth", [3, None])
+@pytest.mark.parametrize("min_samples_leaf", [1, 5])
+def test_gbm_on_wide_nodes_matches_the_fit_tree_stage_loop(
+    wide_rows, wide_sizes, max_depth, min_samples_leaf
+):
+    X, y = wide_rows
+    n_trees = 3 if max_depth else 2
+    _check_gbm_against_stage_loop(X, y, n_trees, max_depth, 0.05, min_samples_leaf)
+    # one root bounds per fit, not one per stage
+    assert wide_sizes.count(X.shape[0]) == 1
+    _assert_wide_below_the_root(wide_sizes, *X.shape)
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 5])
+def test_trees_on_wide_nodes_match_the_per_node_grower(
+    wide_rows, wide_sizes, min_samples_leaf
+):
+    X, y = wide_rows
+    n, d = X.shape
+    params = TreeParams(min_samples_leaf=min_samples_leaf)
+    want = _reference_arrays(X, y, np.arange(n), params)
+    _assert_same_nodes(cart_reference.members(fit_tree(X, y, params))[0], want)
+    _assert_wide_below_the_root(wide_sizes, n, d)
+    forest = fit_forest(X, y, n_trees=1, seed=4, params=params, max_features=d)
+    rng, rows = _bootstrap(4, 0, n)
+    _assert_same_nodes(cart_reference.members(forest)[0],
+                       _reference_arrays(X, y, rows, params, rng))
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e152])
+def test_wide_nodes_whose_target_squares_overflow_match_the_references(
+    wide_rows, scale
+):
+    X, y = wide_rows
+    n, d = X.shape
+    y = y * scale
+    params = TreeParams(max_depth=3)
+    with np.errstate(all="ignore"):
+        tree = fit_tree(X, y, params)
+        forest = fit_forest(X, y, n_trees=1, seed=4, params=params, max_features=d)
+        if scale > 1e154:
+            # every target squares to inf: every split scores NaN or inf
+            assert np.isinf(y * y).all()
+            assert tree.n_nodes == forest.n_nodes == 1
+        else:
+            # the squares sum finitely, but a large child's sum squares to
+            # inf and its splits score -inf, which wins
+            assert np.isfinite(np.sum(y * y)) and np.isinf(np.sum(y) ** 2)
+            assert tree.n_nodes > 1
+    _assert_same_nodes(cart_reference.members(tree)[0],
+                       _reference_arrays(X, y, np.arange(n), params))
+    rng, rows = _bootstrap(4, 0, n)
+    _assert_same_nodes(cart_reference.members(forest)[0],
+                       _reference_arrays(X, y, rows, params, rng))
+    _check_gbm_against_stage_loop(X, y, 3, 3, 0.5, 1)
+
+
+# A pool with ties, both infinities and NaN, the cases the first-minimum
+# rule has to get right.
+_SCORE_POOL = (-math.inf, -1.0, 0.0, 2.0, 2.0, math.inf, math.nan)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_node_min_matches_min_and_argmin_over_full_rows_of_inf(data):
+    n_rows = data.draw(st.integers(1, 5))
+    width = data.draw(st.integers(1, 8))
+    row, at = np.nonzero(data.draw(arrays(bool, (n_rows, width))))
+    score = data.draw(arrays(np.float64, row.size, elements=st.sampled_from(_SCORE_POOL)))
+    got_score, got_row, got_at = trees._node_min(score, row, at)
+    # the search over full-width rows: each row's first minimum, then the
+    # first row whose minimum is lowest
+    full = np.full((n_rows, width), math.inf)
+    full[row, at] = score
+    row_min, row_at = full.min(axis=1), full.argmin(axis=1)
+    pick = int(np.argmin(row_min))
+    want = row_min[pick]
+    assert np.array_equal([got_score], [want], equal_nan=True)
+    if want != math.inf:
+        assert (got_row, got_at) == (pick, row_at[pick])
+
+
+def test_node_min_cases():
+    row = np.array([0, 0, 0, 1, 1])
+    at = np.array([0, 3, 5, 1, 2])
+    # tied scores: the lowest position of the lowest row
+    assert trees._node_min(np.array([2.0, 1.0, 1.0, 1.0, 3.0]), row, at) == (1.0, 0, 3)
+    # a NaN wins wherever it is, and a NaN node does not split
+    got = trees._node_min(np.array([1.0, -math.inf, 0.0, math.nan, -1.0]), row, at)
+    assert math.isnan(got[0]) and got[1:] == (1, 1)
+    # no usable boundary: inf at position 0
+    empty = np.empty(0, dtype=np.intp)
+    assert trees._node_min(np.empty(0), empty, empty) == (math.inf, 0, 0)
 
 
 # forests
