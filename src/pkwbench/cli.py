@@ -4,8 +4,9 @@ One binary, eight subcommands, one workspace.  Each stage reads the
 artifacts of the previous one from the conventional subdirectory and
 refuses to overwrite its own outputs unless ``--force`` is given.  Every
 stage records the producing seed and a hash of its effective configuration
-next to (or inside) the artifact, and failures leave a ``.failed`` marker
-plus a machine-readable error record on stderr.
+next to (or inside) the artifact.  A per-design failure replaces the
+artifact by a ``.failed`` marker, which a later success removes, and
+prints a machine-readable error record on stderr.
 
 Unit conventions at this boundary: discharges are l/s and design-space
 lengths are mm, matching how such tables are usually printed; everything
@@ -110,9 +111,15 @@ def _write_meta(artifact: Path, command: str, seed, payload: dict) -> None:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
 
 
+def _marker(path: Path) -> Path:
+    return path.with_name(path.name + ".failed")
+
+
 def _mark_failed(path: Path, exc: Exception) -> None:
+    """Replace the artifact ``path`` by its ``.failed`` marker."""
+    path.unlink(missing_ok=True)
     record = {"error": type(exc).__name__, "message": str(exc)}
-    with _atomic_write(path.with_name(path.name + ".failed")) as fh:
+    with _atomic_write(_marker(path)) as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -391,6 +398,7 @@ def _cmd_mesh(args) -> int:
             continue
         mesh, report, crest = ok
         write_stl(stl_path, mesh, geometry_id=gid)
+        _marker(stl_path).unlink(missing_ok=True)
         derived = manifest.geometries[gid].derived
         volume = analytic_volume(derived, fixed)
         rows.append({
@@ -435,6 +443,7 @@ def _cmd_cloud(args) -> int:
             failures.append(gid)
             continue
         write_cloud(targets[gid], cloud)
+        _marker(targets[gid]).unlink(missing_ok=True)
         written += 1
     _write_meta(ws / "clouds" / "clouds", "cloud", seed, {"n": n})
     print(f"sampled {written} clouds of {n} points")

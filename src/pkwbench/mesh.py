@@ -15,19 +15,23 @@ partition the plan of one unit into five kinds:
 Under the overhangs the fill thins to a slab of thickness T_s; inside the
 base footprint it is monolithic down to the bed.
 
+Every height profile is one ``Profile``: a clamped linear row per interval
+between its cuts.  Profiles are evaluated only in bulk, from one table of
+the rows of every distinct profile, by the station, tessellation and
+volume code alike.
+
 Tessellation emits top and bottom skins per region plus the exposed parts of
-every vertical interface.  It evaluates each distinct profile once over all
-stations of all chains and edges, collects the triangle corners in arrays,
-and welds them in one numpy pass on an integer lattice at 1e-9 m, so shared
+every vertical interface.  It evaluates the profiles over all stations of
+all chains and edges at once, collects the triangle corners in arrays, and
+welds them in one numpy pass on an integer lattice at 1e-9 m, so shared
 corners coincide exactly.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,89 +46,26 @@ REGION_KINDS = (
 LATTICE = 1e9          # vertex weld lattice: 1e-9 m resolution
 
 
-class Const:
-    """Constant height profile.
+class Profile:
+    """Height profile z(x) of a region: ``clamp(a + b * x, lo, hi)``, with
+    one ``(a, b, lo, hi)`` row per interval between consecutive ``cuts``.
 
-    Every profile evaluates one point with ``value`` and an array of points
-    with ``values``; both give the same floats.
+    A constant c is the row ``(c, 0, c, c)``.  The row is picked by the
+    selector ``at`` (an interval midpoint), not by x, which keeps one-sided
+    limits well defined at jump stations.  ``breaks`` holds the cuts and
+    the x where a sloped row reaches its clamps.  Profiles are evaluated
+    only in bulk, by ``_Profiles.values``.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("cuts", "rows", "breaks")
 
-    def __init__(self, c: float):
-        self.c = c
-
-    def value(self, x: float, at: float) -> float:
-        return self.c
-
-    def values(self, x: np.ndarray, at: np.ndarray) -> np.ndarray:
-        return np.full(len(x), self.c, dtype=np.float64)
-
-    def breaks(self) -> list[float]:
-        return []
-
-
-class Clamped:
-    """Profile clamp(a + b*x, lo, hi)."""
-
-    __slots__ = ("a", "b", "lo", "hi")
-
-    def __init__(self, a: float, b: float, lo: float, hi: float):
-        self.a = a
-        self.b = b
-        self.lo = lo
-        self.hi = hi
-
-    def value(self, x: float, at: float) -> float:
-        v = self.a + self.b * x
-        if v < self.lo:
-            return self.lo
-        if v > self.hi:
-            return self.hi
-        return v
-
-    def values(self, x: np.ndarray, at: np.ndarray) -> np.ndarray:
-        v = self.a + self.b * x
-        return np.where(v < self.lo, self.lo, np.where(v > self.hi, self.hi, v))
-
-    def breaks(self) -> list[float]:
-        if self.b == 0.0:
-            return []
-        return [(self.lo - self.a) / self.b, (self.hi - self.a) / self.b]
-
-
-class Piecewise:
-    """Profile assembled from parts on consecutive x-intervals.
-
-    Evaluation picks the part by the selector ``at`` (an interval midpoint),
-    which keeps one-sided limits well defined at jump stations.
-    """
-
-    __slots__ = ("cuts", "parts")
-
-    def __init__(self, cuts: list[float], parts: list):
-        if len(parts) != len(cuts) + 1:
-            raise ValueError("need exactly one more part than cuts")
-        self.cuts = list(cuts)
-        self.parts = list(parts)
-
-    def value(self, x: float, at: float) -> float:
-        return self.parts[bisect_right(self.cuts, at)].value(x, at)
-
-    def values(self, x: np.ndarray, at: np.ndarray) -> np.ndarray:
-        part = np.searchsorted(self.cuts, at, side="right")
-        out = np.empty(len(x), dtype=np.float64)
-        for k, p in enumerate(self.parts):
-            m = part == k
-            if m.any():
-                out[m] = p.values(x[m], at[m])
-        return out
-
-    def breaks(self) -> list[float]:
-        out = list(self.cuts)
-        for p in self.parts:
-            out.extend(p.breaks())
-        return out
+    def __init__(self, cuts: list[float], rows: list[tuple[float, float, float, float]]):
+        if len(rows) != len(cuts) + 1:
+            raise ValueError("need exactly one more row than cuts")
+        self.cuts = tuple(cuts)
+        self.rows = tuple(rows)
+        self.breaks = self.cuts + tuple(
+            x for a, b, lo, hi in self.rows if b != 0.0 for x in ((lo - a) / b, (hi - a) / b))
 
 
 @dataclass(frozen=True)
@@ -137,8 +78,8 @@ class PlanRegion:
     x1: float
     y_lo: Line
     y_hi: Line
-    z_lo: object
-    z_hi: object
+    z_lo: Profile
+    z_hi: Profile
 
     def width(self, x: float) -> float:
         return self.y_hi.value(x) - self.y_lo.value(x)
@@ -182,15 +123,19 @@ def build_regions(derived: PkwDerived, fixed: PkwFixed) -> list[PlanRegion]:
     x_base_lo = derived.B_o          # upstream edge of the base footprint
     x_base_hi = B - derived.B_i      # downstream edge of the base footprint
 
-    ri = Clamped(0.0, P / span, 0.0, P)
-    ro = Clamped(P * B / span, -P / span, 0.0, P)
-    under_i = Clamped(-T_s, P / span, 0.0, P - T_s)
-    under_o = Clamped(P * B / span - T_s, -P / span, 0.0, P - T_s)
-    zero = Const(0.0)
-    top = Const(P)
-    wall_lo = Piecewise([x_base_lo, x_base_hi], [under_o, zero, under_i])
-    inlet_lo = Piecewise([x_base_hi], [zero, under_i])
-    outlet_lo = Piecewise([x_base_lo], [under_o, zero])
+    # clamp rows (a, b, lo, hi): the inlet and outlet ramps, the slab
+    # undersides below the overhangs, and the flat bed
+    ramp_i = (0.0, P / span, 0.0, P)
+    ramp_o = (P * B / span, -P / span, 0.0, P)
+    under_i = (-T_s, P / span, 0.0, P - T_s)
+    under_o = (P * B / span - T_s, -P / span, 0.0, P - T_s)
+    bed = (0.0, 0.0, 0.0, 0.0)
+    ri = Profile([], [ramp_i])
+    ro = Profile([], [ramp_o])
+    top = Profile([], [(P, 0.0, P, P)])
+    wall_lo = Profile([x_base_lo, x_base_hi], [under_o, bed, under_i])
+    inlet_lo = Profile([x_base_hi], [bed, under_i])
+    outlet_lo = Profile([x_base_lo], [under_o, bed])
 
     regions: list[PlanRegion] = []
     for u, edges in enumerate(unit_plan_edges(derived, fixed)):
@@ -240,12 +185,7 @@ def _mandatory_stations(regions: list[PlanRegion]) -> list[float]:
     for r in regions:
         bounds.add(r.x0)
         bounds.add(r.x1)
-    breaks = set()
-    for r in regions:
-        for prof in (r.z_lo, r.z_hi):
-            for b in prof.breaks():
-                if x0 < b < x1:
-                    breaks.add(b)
+    breaks = {b for r in regions for prof in (r.z_lo, r.z_hi) for b in prof.breaks if x0 < b < x1}
     tol = 1e-12 * max(1.0, x1 - x0)
     return _merge_stations(sorted(bounds), breaks, tol)
 
@@ -280,49 +220,112 @@ def _chain_groups(regions):
     return list(chains.values())
 
 
-def _piece_at(pieces: list[PlanRegion], x: float) -> Optional[PlanRegion]:
-    for p in pieces:
-        if p.x0 <= x <= p.x1:
-            return p
-    return None
+class _Profiles:
+    """The distinct height profiles of a set of regions, evaluated in bulk.
+
+    Every region shares its profiles with many others.  A profile is
+    referred to by its index here; -1 stands for no profile (a void side).
+    The clamp rows of all profiles are stacked in one table, closed by a
+    row of NaN that index -1 reaches, and the cuts are padded with inf to
+    one width, so one ``values`` call evaluates any mix of profiles.
+    """
+
+    def __init__(self, regions: list[PlanRegion]):
+        self.profiles = []
+        self.index: dict[int, int] = {}
+        for r in regions:
+            for prof in (r.z_lo, r.z_hi):
+                if id(prof) not in self.index:
+                    self.index[id(prof)] = len(self.profiles)
+                    self.profiles.append(prof)
+        width = max(len(p.cuts) for p in self.profiles)
+        self.cuts = np.full((len(self.profiles) + 1, width), np.inf)
+        start, rows = [], []
+        for k, prof in enumerate(self.profiles):
+            self.cuts[k, :len(prof.cuts)] = prof.cuts
+            start.append(len(rows))
+            rows.extend(prof.rows)
+        self.start = np.array(start + [len(rows)])
+        self.rows = np.array(rows + [(np.nan,) * 4])
+
+    def ids(self, profiles, piece: np.ndarray) -> np.ndarray:
+        """The index of ``profiles[piece[i]]`` for every i; -1 where
+        ``piece`` is -1."""
+        table = np.array([self.index[id(p)] for p in profiles] + [-1])
+        return table[piece]
+
+    def values(self, pid: np.ndarray, x: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The value at ``x[i]`` of profile ``pid[i]``, on its row for the
+        interval that holds ``at[i]``, for every i; NaN where ``pid[i]``
+        is -1."""
+        # counting the cuts at or below ``at`` is ``bisect_right``
+        row = self.start[pid] + np.count_nonzero(self.cuts[pid] <= at[:, None], axis=1)
+        a, b, lo, hi = self.rows[row].T
+        v = a + b * x
+        return np.where(v < lo, lo, np.where(v > hi, hi, v))
 
 
 def _pieces_at(pieces: list[PlanRegion], x: np.ndarray) -> np.ndarray:
-    """``_piece_at`` for every x, as piece indices; -1 where none covers x."""
+    """The index of the first piece whose [x0, x1] holds x, for every x;
+    -1 where none does."""
     out = np.full(len(x), -1, dtype=np.int64)
     for k in range(len(pieces) - 1, -1, -1):
         out[(pieces[k].x0 <= x) & (x <= pieces[k].x1)] = k
     return out
 
 
-def _crossing_stations(regions, mandatory):
-    """x positions where interval boundaries of adjacent regions cross."""
-    out = []
-    for line, below, above in _edge_groups(regions):
-        for k in range(len(mandatory) - 1):
-            xa, xb = mandatory[k], mandatory[k + 1]
-            mid = 0.5 * (xa + xb)
-            left = _piece_at(below, mid)
-            right = _piece_at(above, mid)
-            if left is None or right is None:
-                continue
-            funcs = [left.z_lo, left.z_hi, right.z_lo, right.z_hi]
-            va = [f.value(xa, mid) for f in funcs]
-            vb = [f.value(xb, mid) for f in funcs]
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    da = va[i] - va[j]
-                    db = vb[i] - vb[j]
-                    if da * db < 0.0:
-                        t = da / (da - db)
-                        out.append(xa + t * (xb - xa))
-    return out
+def _edge_slots(edge_groups, mid: np.ndarray, profiles: _Profiles) -> np.ndarray:
+    """The profiles on the two sides of every plan edge over every interval.
+
+    Returns ``(n_edges * len(mid), 4)`` profile indices, edge by edge: z_lo
+    and z_hi of the piece below the edge in y, then of the piece above, each
+    picked by the interval midpoint; -1 on a void side.
+    """
+    slots = []
+    for line, below, above in edge_groups:
+        left, right = _pieces_at(below, mid), _pieces_at(above, mid)
+        slots.append(np.stack([
+            profiles.ids([r.z_lo for r in below], left),
+            profiles.ids([r.z_hi for r in below], left),
+            profiles.ids([r.z_lo for r in above], right),
+            profiles.ids([r.z_hi for r in above], right),
+        ], axis=1))
+    return np.concatenate(slots)
 
 
-def _stations(regions: list[PlanRegion], x_segments: int) -> list[float]:
+def _crossing_stations(edge_groups, mandatory: list[float], profiles: _Profiles) -> list[float]:
+    """x positions where profiles on the two sides of a plan edge cross.
+
+    Over each interval between mandatory stations where both sides of an
+    edge are solid, two of its four profiles cross where their difference
+    changes sign between the interval ends; the crossing is interpolated
+    linearly.  The list is unordered.
+    """
+    m = np.asarray(mandatory, dtype=np.float64)
+    xa, xb = m[:-1], m[1:]
+    mid = 0.5 * (xa + xb)
+    pid = _edge_slots(edge_groups, mid, profiles)
+    n_edges = len(edge_groups)
+    at = np.repeat(np.tile(mid, n_edges), 4)
+    xa, xb = np.tile(xa, n_edges), np.tile(xb, n_edges)
+    v_a = profiles.values(pid.ravel(), np.repeat(xa, 4), at).reshape(-1, 4)
+    v_b = profiles.values(pid.ravel(), np.repeat(xb, 4), at).reshape(-1, 4)
+    i, j = np.triu_indices(4, 1)
+    da, db = v_a[:, i] - v_a[:, j], v_b[:, i] - v_b[:, j]
+    row, k = np.nonzero((da * db < 0.0) & np.all(pid >= 0, axis=1)[:, None])
+    da, db = da[row, k], db[row, k]
+    t = da / (da - db)
+    return (xa[row] + t * (xb[row] - xa[row])).tolist()
+
+
+def _stations(regions: list[PlanRegion], edge_groups, profiles: _Profiles,
+              x_segments: int) -> list[float]:
+    """The x stations of a tessellation: mandatory and crossing stations,
+    each interval between them split into ``x_segments`` equal parts."""
     mandatory = _mandatory_stations(regions)
     tol = 1e-12 * max(1.0, mandatory[-1] - mandatory[0])
-    keep = _merge_stations(mandatory, _crossing_stations(regions, mandatory), tol)
+    crossings = _crossing_stations(edge_groups, mandatory, profiles)
+    keep = _merge_stations(mandatory, crossings, tol)
     out = []
     for k in range(len(keep) - 1):
         xa, xb = keep[k], keep[k + 1]
@@ -502,40 +505,6 @@ _PLUS_Y, _MINUS_Y = (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)
 _PLUS_X, _MINUS_X = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)
 
 
-class _Profiles:
-    """The distinct height profiles of a set of regions, evaluated in bulk.
-
-    Every region shares its profiles with many others, so an evaluation
-    over all stations of all chains or edges takes one ``values`` call per
-    distinct profile.  A profile is referred to by its index here; -1
-    stands for no profile (a void side) and evaluates to NaN.
-    """
-
-    def __init__(self, regions: list[PlanRegion]):
-        self.profiles = []
-        self.index: dict[int, int] = {}
-        for r in regions:
-            for prof in (r.z_lo, r.z_hi):
-                if id(prof) not in self.index:
-                    self.index[id(prof)] = len(self.profiles)
-                    self.profiles.append(prof)
-
-    def ids(self, profiles, piece: np.ndarray) -> np.ndarray:
-        """The index of ``profiles[piece[i]]`` for every i; -1 where
-        ``piece`` is -1."""
-        table = np.array([self.index[id(p)] for p in profiles] + [-1])
-        return table[piece]
-
-    def values(self, pid: np.ndarray, x: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """``value(x[i], at[i])`` of profile ``pid[i]`` for every i."""
-        out = np.full(len(pid), np.nan)
-        for k, prof in enumerate(self.profiles):
-            m = pid == k
-            if m.any():
-                out[m] = prof.values(x[m], at[m])
-        return out
-
-
 def _skin_quads(chains, chain_pieces, x: np.ndarray, profiles: _Profiles) -> np.ndarray:
     """Top and bottom skins of all chains as (m, 2, 4, 3) quad corners.
 
@@ -577,19 +546,10 @@ def _edge_bands(walls, edge_groups, x: np.ndarray, profiles: _Profiles):
     """
     xa, xb = x[:-1], x[1:]
     mid = 0.5 * (xa + xb)
-    slots, ya, yb = [], [], []
-    for line, below, above in edge_groups:
-        left, right = _pieces_at(below, mid), _pieces_at(above, mid)
-        slots.append(np.stack([
-            profiles.ids([r.z_lo for r in below], left),
-            profiles.ids([r.z_hi for r in below], left),
-            profiles.ids([r.z_lo for r in above], right),
-            profiles.ids([r.z_hi for r in above], right),
-        ], axis=1))
-        ya.append(line.value(xa))
-        yb.append(line.value(xb))
-    pid = np.concatenate(slots).ravel()
-    n_edges = len(slots)
+    pid = _edge_slots(edge_groups, mid, profiles).ravel()
+    ya = np.concatenate([line.value(xa) for line, _, _ in edge_groups])
+    yb = np.concatenate([line.value(xb) for line, _, _ in edge_groups])
+    n_edges = len(edge_groups)
     at = np.repeat(np.tile(mid, n_edges), 4)
     xa, xb = np.tile(xa, n_edges), np.tile(xb, n_edges)
     v_mid = profiles.values(pid, at, at).reshape(-1, 4)
@@ -603,8 +563,8 @@ def _edge_bands(walls, edge_groups, x: np.ndarray, profiles: _Profiles):
     in_right = (v_mid[:, 2:3] <= band_mid) & (band_mid <= v_mid[:, 3:])
     row, k = np.nonzero(in_left != in_right)
     f_lo, f_hi = order[row, k], order[row, k + 1]
-    walls.add(xa[row], np.concatenate(ya)[row], v_a[row, f_lo], v_a[row, f_hi],
-              xb[row], np.concatenate(yb)[row], v_b[row, f_lo], v_b[row, f_hi],
+    walls.add(xa[row], ya[row], v_a[row, f_lo], v_a[row, f_hi],
+              xb[row], yb[row], v_b[row, f_lo], v_b[row, f_hi],
               np.where(in_left[row, k, None], _PLUS_Y, _MINUS_Y))
 
 
@@ -661,11 +621,12 @@ def _tessellate(regions: list[PlanRegion], x_segments: int):
     """``tessellate``, returning ``(mesh, report)`` from its one validation."""
     if x_segments < 1:
         raise ValueError("x_segments must be >= 1")
-    x = np.asarray(_stations(regions, x_segments), dtype=np.float64)
+    edge_groups = _edge_groups(regions)
+    profiles = _Profiles(regions)
+    x = np.asarray(_stations(regions, edge_groups, profiles, x_segments), dtype=np.float64)
     mid = 0.5 * (x[:-1] + x[1:])
     chains = _chain_groups(regions)
     chain_pieces = [_pieces_at(chain, mid) for chain in chains]
-    profiles = _Profiles(regions)
     walls = _VerticalFaces()
 
     # The skins are noted first so that their corners take part in the
@@ -674,7 +635,7 @@ def _tessellate(regions: list[PlanRegion], x_segments: int):
     walls.note(skins.reshape(-1, 3))
     # Wall faces along plan edges (slanted key faces, outer walls), then at
     # stations where profiles jump or a chain starts or ends.
-    _edge_bands(walls, _edge_groups(regions), x, profiles)
+    _edge_bands(walls, edge_groups, x, profiles)
     _station_bands(walls, chains, chain_pieces, x, profiles)
 
     builder = _Builder()
@@ -745,32 +706,36 @@ def validate_mesh(mesh: TriangleMesh) -> MeshReport:
     )
 
 
-def mesh_volume(mesh: TriangleMesh) -> float:
-    return validate_mesh(mesh).signed_volume
-
-
 def analytic_volume(derived: PkwDerived, fixed: PkwFixed) -> float:
     """Closed-form solid volume integrated region by region.
 
     Independent of the tessellation: integrates width(x) * height(x) per
     region with Simpson's rule on each linear piece, which is exact for the
-    quadratic integrand.
+    quadratic integrand.  Every piece of every region is evaluated in one
+    batch, and the terms are summed one after another in region order.
     """
     regions = build_regions(derived, fixed)
-    total = 0.0
-    for r in regions:
+    profiles = _Profiles(regions)
+    region, xa, xb = [], [], []
+    for k, r in enumerate(regions):
         cuts = sorted({r.x0, r.x1} | {
-            b for prof in (r.z_lo, r.z_hi) for b in prof.breaks() if r.x0 < b < r.x1
+            b for prof in (r.z_lo, r.z_hi) for b in prof.breaks if r.x0 < b < r.x1
         })
-        for xa, xb in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (xa + xb)
-
-            def f(x):
-                h = r.z_hi.value(x, mid) - r.z_lo.value(x, mid)
-                return h * r.width(x)
-
-            total += (xb - xa) / 6.0 * (f(xa) + 4.0 * f(mid) + f(xb))
-    return total
+        region += [k] * (len(cuts) - 1)
+        xa += cuts[:-1]
+        xb += cuts[1:]
+    xa, xb = np.array(xa), np.array(xb)
+    mid = 0.5 * (xa + xb)
+    # f(x) = height * width at the two ends and the midpoint of every piece
+    x, at, region = np.concatenate([xa, mid, xb]), np.tile(mid, 3), np.tile(region, 3)
+    h = (profiles.values(profiles.ids([r.z_hi for r in regions], region), x, at)
+         - profiles.values(profiles.ids([r.z_lo for r in regions], region), x, at))
+    y_lo = np.array([(r.y_lo.a, r.y_lo.b) for r in regions])[region].T
+    y_hi = np.array([(r.y_hi.a, r.y_hi.b) for r in regions])[region].T
+    f_a, f_mid, f_b = (h * ((y_hi[0] + y_hi[1] * x) - (y_lo[0] + y_lo[1] * x))).reshape(3, -1)
+    terms = (xb - xa) / 6.0 * (f_a + 4.0 * f_mid + f_b)
+    # a running sum adds in the order the loop over regions and pieces did
+    return float(np.cumsum(terms)[-1])
 
 
 def crest_trace_length(mesh: TriangleMesh, tol: float = 1e-9) -> float:

@@ -1,19 +1,25 @@
-"""Per-corner mesh emission, kept as the reference for the array one.
+"""Scalar references for the array code of ``pkwbench.mesh``.
 
-``_Builder``, ``_VerticalFaces``, ``_interval_bands``, ``_station_bands``
-and the loops of ``tessellate`` are the emission that ``pkwbench.mesh``
-used before it recorded corners in arrays and welded them in one numpy
-pass, copied unchanged: each corner is keyed on the lattice and looked up
-in a dict as it is added, every vertical line keeps a Python set of the z
-values noted on it, and every profile is evaluated one station at a time.
-Stations, chains and edge groups come from ``pkwbench.mesh``.  The
-differential tests in ``test_mesh.py`` require ``pkwbench.mesh.tessellate``
-to give the same vertices and triangles as ``tessellate`` here, bit for
-bit.  ``crest_trace_length`` is the crest trace written with Python loops:
+``value`` evaluates a height profile at one point, and ``_piece_at``,
+``_crossing_stations``, ``_stations`` and ``analytic_volume`` are the
+station and volume code that ``pkwbench.mesh`` ran one profile value at a
+time before it evaluated profiles only in bulk.  ``_Builder``,
+``_VerticalFaces``, ``_interval_bands``, ``_station_bands`` and the loops
+of ``tessellate`` are the emission that ``pkwbench.mesh`` used before it
+recorded corners in arrays and welded them in one numpy pass: each corner
+is keyed on the lattice and looked up in a dict as it is added, every
+vertical line keeps a Python set of the z values noted on it, and every
+profile is evaluated one station at a time.  ``tessellate`` takes its
+stations from ``_stations`` here; chains, edge groups, mandatory stations
+and the station merge come from ``pkwbench.mesh``.  The differential tests
+in ``test_mesh.py`` require ``pkwbench.mesh`` to give the same stations,
+volumes, vertices and triangles as the code here, bit for bit.
+``crest_trace_length`` is the crest trace written with Python loops:
 edges are grouped into slope groups and plan lines one at a time.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -23,9 +29,85 @@ from pkwbench.mesh import (
     TriangleMesh,
     _chain_groups,
     _edge_groups,
-    _piece_at,
-    _stations,
+    _mandatory_stations,
+    _merge_stations,
+    build_regions,
 )
+
+
+def value(prof, x: float, at: float) -> float:
+    """Profile ``prof`` at x, on its row for the interval that holds ``at``."""
+    a, b, lo, hi = prof.rows[bisect_right(prof.cuts, at)]
+    v = a + b * x
+    if v < lo:
+        return lo
+    if v > hi:
+        return hi
+    return v
+
+
+def _piece_at(pieces, x: float):
+    for p in pieces:
+        if p.x0 <= x <= p.x1:
+            return p
+    return None
+
+
+def _crossing_stations(regions, mandatory):
+    """x positions where interval boundaries of adjacent regions cross."""
+    out = []
+    for line, below, above in _edge_groups(regions):
+        for k in range(len(mandatory) - 1):
+            xa, xb = mandatory[k], mandatory[k + 1]
+            mid = 0.5 * (xa + xb)
+            left = _piece_at(below, mid)
+            right = _piece_at(above, mid)
+            if left is None or right is None:
+                continue
+            funcs = [left.z_lo, left.z_hi, right.z_lo, right.z_hi]
+            va = [value(f, xa, mid) for f in funcs]
+            vb = [value(f, xb, mid) for f in funcs]
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    da = va[i] - va[j]
+                    db = vb[i] - vb[j]
+                    if da * db < 0.0:
+                        t = da / (da - db)
+                        out.append(xa + t * (xb - xa))
+    return out
+
+
+def _stations(regions, x_segments: int) -> list[float]:
+    mandatory = _mandatory_stations(regions)
+    tol = 1e-12 * max(1.0, mandatory[-1] - mandatory[0])
+    keep = _merge_stations(mandatory, _crossing_stations(regions, mandatory), tol)
+    out = []
+    for k in range(len(keep) - 1):
+        xa, xb = keep[k], keep[k + 1]
+        for s in range(x_segments):
+            out.append(xa + (xb - xa) * s / x_segments)
+    out.append(keep[-1])
+    return out
+
+
+def analytic_volume(derived, fixed) -> float:
+    """Simpson's rule on every linear piece of every region, summed one
+    piece at a time."""
+    regions = build_regions(derived, fixed)
+    total = 0.0
+    for r in regions:
+        cuts = sorted({r.x0, r.x1} | {
+            b for prof in (r.z_lo, r.z_hi) for b in prof.breaks if r.x0 < b < r.x1
+        })
+        for xa, xb in zip(cuts[:-1], cuts[1:]):
+            mid = 0.5 * (xa + xb)
+
+            def f(x):
+                h = value(r.z_hi, x, mid) - value(r.z_lo, x, mid)
+                return h * r.width(x)
+
+            total += (xb - xa) / 6.0 * (f(xa) + 4.0 * f(mid) + f(xb))
+    return total
 
 
 class _Builder:
@@ -145,19 +227,21 @@ def _interval_bands(walls, xa, xb, y_line, left, right, mid):
         funcs += [right.z_lo, right.z_hi]
     if not funcs:
         return
-    mids = [f.value(mid, mid) for f in funcs]
+    mids = [value(f, mid, mid) for f in funcs]
     order = sorted(range(len(funcs)), key=mids.__getitem__)
     ya, yb = y_line.value(xa), y_line.value(xb)
     for k in range(len(order) - 1):
         f_lo, f_hi = funcs[order[k]], funcs[order[k + 1]]
         band_mid = 0.5 * (mids[order[k]] + mids[order[k + 1]])
-        in_left = left is not None and left.z_lo.value(mid, mid) <= band_mid <= left.z_hi.value(mid, mid)
-        in_right = right is not None and right.z_lo.value(mid, mid) <= band_mid <= right.z_hi.value(mid, mid)
+        in_left = (left is not None
+                   and value(left.z_lo, mid, mid) <= band_mid <= value(left.z_hi, mid, mid))
+        in_right = (right is not None
+                    and value(right.z_lo, mid, mid) <= band_mid <= value(right.z_hi, mid, mid))
         if in_left == in_right:
             continue
         direction = (0.0, 1.0, 0.0) if in_left else (0.0, -1.0, 0.0)
-        walls.add(xa, ya, f_lo.value(xa, mid), f_hi.value(xa, mid),
-                  xb, yb, f_lo.value(xb, mid), f_hi.value(xb, mid), direction)
+        walls.add(xa, ya, value(f_lo, xa, mid), value(f_hi, xa, mid),
+                  xb, yb, value(f_lo, xb, mid), value(f_hi, xb, mid), direction)
 
 
 def _station_bands(walls, x_s, y_lo, y_hi, left, right, mid_l, mid_r):
@@ -165,10 +249,10 @@ def _station_bands(walls, x_s, y_lo, y_hi, left, right, mid_l, mid_r):
     lz0 = lz1 = rz0 = rz1 = None
     vals = []
     if left is not None:
-        lz0, lz1 = left.z_lo.value(x_s, mid_l), left.z_hi.value(x_s, mid_l)
+        lz0, lz1 = value(left.z_lo, x_s, mid_l), value(left.z_hi, x_s, mid_l)
         vals += [lz0, lz1]
     if right is not None:
-        rz0, rz1 = right.z_lo.value(x_s, mid_r), right.z_hi.value(x_s, mid_r)
+        rz0, rz1 = value(right.z_lo, x_s, mid_r), value(right.z_hi, x_s, mid_r)
         vals += [rz0, rz1]
     if not vals:
         return
@@ -205,7 +289,7 @@ def tessellate(regions, x_segments: int = 8) -> TriangleMesh:
             ya0, ya1 = r.y_lo.value(xa), r.y_hi.value(xa)
             yb0, yb1 = r.y_lo.value(xb), r.y_hi.value(xb)
             for prof, direction in ((r.z_hi, (0.0, 0.0, 1.0)), (r.z_lo, (0.0, 0.0, -1.0))):
-                z_a, z_b = prof.value(xa, mid), prof.value(xb, mid)
+                z_a, z_b = value(prof, xa, mid), value(prof, xb, mid)
                 skins.append(((xa, ya0, z_a), (xa, ya1, z_a), (xb, yb1, z_b), (xb, yb0, z_b), direction))
                 for p in skins[-1][:4]:
                     walls.note_corner(*p)
@@ -227,8 +311,8 @@ def tessellate(regions, x_segments: int = 8) -> TriangleMesh:
             if left is None and right is None:
                 continue
             if left is not None and right is not None:
-                lz = (left.z_lo.value(x_s, mid_l), left.z_hi.value(x_s, mid_l))
-                rz = (right.z_lo.value(x_s, mid_r), right.z_hi.value(x_s, mid_r))
+                lz = (value(left.z_lo, x_s, mid_l), value(left.z_hi, x_s, mid_l))
+                rz = (value(right.z_lo, x_s, mid_r), value(right.z_hi, x_s, mid_r))
                 if lz == rz:
                     continue
             _station_bands(walls, x_s, y_lo, y_hi, left, right, mid_l, mid_r)

@@ -350,7 +350,7 @@ def _write_pinch_manifest(ws, n_good=1):
     """A manifest whose g000001 the feasibility gate rejects and whose
     downstream crest wall pinches to nothing in build_regions; the gate
     never samples such a design, so it is written by hand."""
-    (ws / "params").mkdir(parents=True)
+    (ws / "params").mkdir(parents=True, exist_ok=True)
     fixed = PkwFixed()
     good = [PkwSample(B_b=0.40, R_B_i=0.5, T_s=0.02, W_i_u=0.20, W_i_d=0.14),
             PkwSample(B_b=0.40, R_B_i=0.5, T_s=0.02, W_i_u=0.17, W_i_d=0.17)]
@@ -421,6 +421,49 @@ def test_cloud_without_meshes_fails_per_geometry(tmp_path, capsys):
     assert len(record["geometry_ids"]) == 3
     marker = json.loads((ws / "clouds" / "g000000.wnpc.failed").read_text())
     assert marker["error"] == "MissingArtifact"
+
+
+def _markers(directory):
+    return sorted(p.name for p in directory.glob("*.failed"))
+
+
+def test_cloud_success_clears_markers_and_failure_drops_the_cloud(tmp_path):
+    ws = tmp_path / "ws"
+    clouds = ws / "clouds"
+    assert run(["sample", "--workspace", ws, "--n", 3, "--seed", 1]) == 0
+    assert run(["cloud", "--workspace", ws, "--n", 100, "--seed", 2]) == 1
+    assert len(_markers(clouds)) == 3
+    assert run(["mesh", "--workspace", ws]) == 0
+    assert run(["cloud", "--workspace", ws, "--n", 100, "--seed", 2, "--force"]) == 0
+    assert _markers(clouds) == []
+    assert len(list(clouds.glob("*.wnpc"))) == 3
+
+    (ws / "meshes" / "g000001.stl").unlink()
+    assert run(["cloud", "--workspace", ws, "--n", 100, "--seed", 2, "--force"]) == 1
+    assert _markers(clouds) == ["g000001.wnpc.failed"]
+    assert sorted(p.name for p in clouds.glob("*.wnpc")) == ["g000000.wnpc", "g000002.wnpc"]
+
+
+def test_mesh_success_clears_markers_and_failure_drops_the_stl(tmp_path):
+    ws = tmp_path / "ws"
+    meshes = ws / "meshes"
+    _write_pinch_manifest(ws)
+    assert run(["mesh", "--workspace", ws]) == 1
+    assert _markers(meshes) == ["g000001.stl.failed"]
+
+    fixed = PkwFixed()
+    good = PkwSample(B_b=0.40, R_B_i=0.5, T_s=0.02, W_i_u=0.20, W_i_d=0.14)
+    geoms = {gid: GeometryRecord(gid, good, derive(fixed, good)) for gid in ("g000000", "g000001")}
+    write_manifest(ws / "params" / MANIFEST_NAME,
+                   DatasetManifest(geometries=geoms, labels=[]), fixed)
+    assert run(["mesh", "--workspace", ws, "--force"]) == 0
+    assert _markers(meshes) == []
+    assert (meshes / "g000001.stl").exists()
+
+    _write_pinch_manifest(ws)
+    assert run(["mesh", "--workspace", ws, "--force"]) == 1
+    assert _markers(meshes) == ["g000001.stl.failed"]
+    assert sorted(p.name for p in meshes.glob("*.stl")) == ["g000000.stl"]
 
 
 def test_clouds_are_normalized_and_sized(pipeline):

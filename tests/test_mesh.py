@@ -22,11 +22,15 @@ from pkwbench.mesh import (
     TriangleMesh,
     _Builder,
     _VerticalFaces,
+    _edge_groups,
+    _Profiles,
+    _crossing_stations,
+    _mandatory_stations,
     _problem_edges,
+    _stations,
     analytic_volume,
     build_regions,
     crest_trace_length,
-    mesh_volume,
     solid_mesh,
     tessellate,
     validate_mesh,
@@ -144,17 +148,17 @@ def test_rectangular_volume_hand_integral():
     d = derive(FIXED, RECT)
     assert analytic_volume(d, FIXED) == pytest.approx(RECT_VOLUME, rel=1e-12)
     mesh = solid_mesh(d, FIXED, x_segments=2)
-    assert mesh_volume(mesh) == pytest.approx(RECT_VOLUME, rel=1e-12)
+    assert validate_mesh(mesh).signed_volume == pytest.approx(RECT_VOLUME, rel=1e-12)
 
 
 def test_refinement_invariance():
     d = derive(FIXED, RECT)
-    v1 = mesh_volume(solid_mesh(d, FIXED, x_segments=1))
-    v16 = mesh_volume(solid_mesh(d, FIXED, x_segments=16))
+    v1 = validate_mesh(solid_mesh(d, FIXED, x_segments=1)).signed_volume
+    v16 = validate_mesh(solid_mesh(d, FIXED, x_segments=16)).signed_volume
     assert v16 == pytest.approx(v1, rel=1e-12)
     d2 = derive(FIXED, HAND)
-    v1 = mesh_volume(solid_mesh(d2, FIXED, x_segments=1))
-    v16 = mesh_volume(solid_mesh(d2, FIXED, x_segments=16))
+    v1 = validate_mesh(solid_mesh(d2, FIXED, x_segments=1)).signed_volume
+    v16 = validate_mesh(solid_mesh(d2, FIXED, x_segments=16)).signed_volume
     assert v16 == pytest.approx(v1, rel=1e-12)
 
 
@@ -358,17 +362,34 @@ def test_edge_keys_count_as_row_wise_unique(defect):
 
 
 @st.composite
-def _meshable_regions(draw):
-    """Plan regions of a design drawn anywhere in the feasible box."""
-    sample = PkwSample(**{
-        name: draw(st.floats(lo, hi)) for name, (lo, hi) in feasible_bounds(FIXED).items()
-    })
+def _meshable_designs(draw):
+    """A design drawn anywhere in the feasible box, with its own upstream
+    overhang ratio R_B_o, that meshes.
+
+    ``feasible_bounds`` has no R_B_o, and a design without one takes
+    R_B_o = R_B_i; drawn alone, it lets the two overhangs differ, which is
+    where profiles on the two sides of a plan edge cross.
+    """
+    sample = PkwSample(
+        **{name: draw(st.floats(lo, hi)) for name, (lo, hi) in feasible_bounds(FIXED).items()},
+        R_B_o=draw(st.floats(0.02, 1.0)),
+    )
     if not validate(FIXED, sample).feasible:
         reject()
+    derived = derive(FIXED, sample)
     try:
-        return build_regions(derive(FIXED, sample), FIXED)
+        build_regions(derived, FIXED)
     except DegenerateRegion:
         reject()
+    return derived
+
+
+# inlet overhang near its maximum, outlet overhang near nothing: downstream
+# of the base footprint the falling outlet ramp crosses the underside of the
+# sidewall's overhang slab
+CROSSING = PkwSample(B_b=0.35363884422582204, R_B_i=0.944473125567503,
+                     R_B_o=0.022015706203327445, T_s=0.013925803392127595,
+                     W_i_u=0.21886141581138518, W_i_d=0.12439529353310376)
 
 
 def _assert_same_mesh(got, want):
@@ -378,13 +399,39 @@ def _assert_same_mesh(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
-@settings(max_examples=80, deadline=None)
-@given(_meshable_regions(), st.integers(1, 8))
-def test_tessellation_matches_the_per_corner_reference(regions, x_segments):
+def _assert_matches_the_scalar_reference(derived, x_segments):
+    """Stations, crossings, volume, mesh and crest trace of one design are
+    the reference's, bit for bit."""
+    regions = build_regions(derived, FIXED)
+    edge_groups, profiles = _edge_groups(regions), _Profiles(regions)
+    mandatory = _mandatory_stations(regions)
+    crossings = _crossing_stations(edge_groups, mandatory, profiles)
+    want_crossings = mesh_reference._crossing_stations(regions, mandatory)
+    assert sorted(crossings) == sorted(want_crossings)
+    assert (_stations(regions, edge_groups, profiles, x_segments)
+            == mesh_reference._stations(regions, x_segments))
+    assert analytic_volume(derived, FIXED) == mesh_reference.analytic_volume(derived, FIXED)
     got = tessellate(regions, x_segments)
     want = mesh_reference.tessellate(regions, x_segments)
     _assert_same_mesh(got, want)
     assert crest_trace_length(got) == mesh_reference.crest_trace_length(want)
+    return crossings
+
+
+@settings(max_examples=80, deadline=None)
+@given(_meshable_designs(), st.integers(1, 8))
+def test_tessellation_matches_the_per_corner_reference(derived, x_segments):
+    _assert_matches_the_scalar_reference(derived, x_segments)
+
+
+@pytest.mark.parametrize("x_segments", [1, 3])
+def test_crossing_stations_match_the_scalar_reference(x_segments):
+    d = derive(FIXED, CROSSING)
+    assert validate(FIXED, CROSSING).feasible
+    crossings = _assert_matches_the_scalar_reference(d, x_segments)
+    assert len(crossings) > 0
+    mesh = solid_mesh(d, FIXED, x_segments)
+    assert validate_mesh(mesh).signed_volume == pytest.approx(analytic_volume(d, FIXED), rel=1e-9)
 
 
 def _finish_both(triangles):

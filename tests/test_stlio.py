@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pkwbench.cli import _cloud_job
 from pkwbench.errors import EmptyMesh, MalformedStl
 from pkwbench.geometry import PkwFixed, PkwSample, derive
-from pkwbench.mesh import TriangleMesh, _weld, mesh_volume, solid_mesh, validate_mesh
+from pkwbench.mesh import TriangleMesh, _weld, solid_mesh, validate_mesh
 from pkwbench.pointcloud import normalize_unit_cube, sample_surface
 from pkwbench.sampling import generate_batch, paper_default_space
 from pkwbench.stlio import _RECORD, read_stl, write_stl
@@ -68,7 +68,8 @@ def test_roundtrip_weir_mesh(tmp_path):
     rep = validate_mesh(back)
     assert rep.watertight
     # float32 quantization moves the volume, but only at single precision
-    assert abs(mesh_volume(back) - mesh_volume(mesh)) / mesh_volume(mesh) < 1e-6
+    v = validate_mesh(mesh).signed_volume
+    assert abs(rep.signed_volume - v) / v < 1e-6
 
 
 def test_write_rejects_empty_mesh(tmp_path):
