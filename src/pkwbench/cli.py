@@ -52,7 +52,7 @@ from .dataset import (
 from .errors import ArtifactExists, MalformedModel, MissingArtifact, PkwError
 from .geometry import derive, feature_vector, write_params
 from .hydraulics import OracleConfig, ingest_labels, paper_schedule
-from .mesh import _solid_mesh_report, analytic_volume, crest_trace_length
+from .mesh import _tessellate, analytic_volume, build_regions, crest_trace_length
 from .pointcloud import normalize_unit_cube, read_cloud, sample_surface, write_cloud
 from .sampling import paper_default_space, screening_space, generate_batch, VARIABLE_NAMES
 from .stlio import read_stl, write_stl
@@ -352,11 +352,21 @@ def _stage_status(error: str, what: str, failures: list) -> int:
 
 
 def _mesh_job(gid, derived, fixed, x_segments):
-    """Mesh one design: ``(gid, (mesh, report, crest), None)`` or
-    ``(gid, None, error)``."""
+    """Mesh one design: ``(gid, (mesh, row), None)``, with the design's
+    ``mesh_reports.csv`` row, or ``(gid, None, error)``."""
     try:
-        mesh, report = _solid_mesh_report(derived, fixed, x_segments)
-        return gid, (mesh, report, crest_trace_length(mesh)), None
+        mesh, report = _tessellate(build_regions(derived, fixed), x_segments)
+        row = {
+            "geometry_id": gid,
+            "n_vertices": len(mesh.vertices),
+            "n_triangles": len(mesh.triangles),
+            "watertight": int(report.watertight),
+            "signed_volume": f"{report.signed_volume:.9g}",
+            "analytic_volume": f"{analytic_volume(derived, fixed):.9g}",
+            "crest_trace": f"{crest_trace_length(mesh):.9g}",
+            "crest_parametric": f"{derived.L:.9g}",
+        }
+        return gid, (mesh, row), None
     except PkwError as exc:
         return gid, None, exc
 
@@ -381,13 +391,15 @@ def _cmd_mesh(args) -> int:
         missing = sorted(set(args.ids) - set(gids))
         if missing:
             raise MissingArtifact(f"unknown geometry ids: {', '.join(missing)}")
-        gids = sorted(args.ids)
+        # an id given twice is meshed once
+        gids = sorted(set(args.ids))
     for gid in gids:
         _claim(ws / "meshes" / f"{gid}.stl", args.force)
 
     tasks = [(gid, manifest.geometries[gid].derived, fixed, args.x_segments)
              for gid in gids]
-    config = {"x_segments": args.x_segments, "ids": list(args.ids or [])}
+    # the ids as meshed, so their order on the command line does not matter
+    config = {"x_segments": args.x_segments, "ids": gids if args.ids else []}
     failures = []
     rows = []
     for gid, ok, err in _run_jobs(_mesh_job, tasks, args.jobs):
@@ -396,21 +408,10 @@ def _cmd_mesh(args) -> int:
             _mark_failed(stl_path, err)
             failures.append(gid)
             continue
-        mesh, report, crest = ok
+        mesh, row = ok
         write_stl(stl_path, mesh, geometry_id=gid)
         _marker(stl_path).unlink(missing_ok=True)
-        derived = manifest.geometries[gid].derived
-        volume = analytic_volume(derived, fixed)
-        rows.append({
-            "geometry_id": gid,
-            "n_vertices": len(mesh.vertices),
-            "n_triangles": len(mesh.triangles),
-            "watertight": int(report.watertight),
-            "signed_volume": f"{report.signed_volume:.9g}",
-            "analytic_volume": f"{volume:.9g}",
-            "crest_trace": f"{crest:.9g}",
-            "crest_parametric": f"{derived.L:.9g}",
-        })
+        rows.append(row)
     with _atomic_write(report_path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=[
             "geometry_id", "n_vertices", "n_triangles", "watertight",
@@ -593,6 +594,10 @@ def _cmd_eval(args) -> int:
     ws = _workspace(args)
     manifest, _ = _load_manifest(ws, with_labels=True)
     split = _load_split(ws, args.split)
+    out_path = _claim(
+        ws / "reports" / f"eval-{split.name}-{args.model}-{args.partition}.csv",
+        args.force,
+    )
     model_path = ws / "models" / f"{split.name}-{args.model}.wnsm"
     if not model_path.exists():
         raise MissingArtifact(f"no model at {model_path}; run train first")
@@ -603,10 +608,6 @@ def _cmd_eval(args) -> int:
             f"split {split.name} has no {args.partition} pairs to evaluate"
         )
     report = _eval_model(ws, manifest, model, pairs)
-    out_path = _claim(
-        ws / "reports" / f"eval-{split.name}-{args.model}-{args.partition}.csv",
-        args.force,
-    )
     row = _metric_row(
         split, args.model, args.partition, len(split.train), report, args.paper_scale
     )

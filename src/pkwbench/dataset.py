@@ -333,9 +333,10 @@ def write_manifest(path, manifest: DatasetManifest, fixed: PkwFixed) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_manifest(path, labels: list[LabeledSample] | None = None,
-                  fixed: PkwFixed | None = None) -> tuple[DatasetManifest, PkwFixed]:
-    """Read a manifest written by :func:`write_manifest`.
+def read_manifest(path, labels: list[LabeledSample] | None = None
+                  ) -> tuple[DatasetManifest, PkwFixed]:
+    """Read a manifest written by :func:`write_manifest`, with the
+    installation its provenance line stores, or the default one.
 
     A line that is not a JSON object, lacks a field, holds a field of the
     wrong type or value, or names an unknown record kind, as a line cut
@@ -343,6 +344,7 @@ def read_manifest(path, labels: list[LabeledSample] | None = None,
     """
     geometries: dict[str, GeometryRecord] = {}
     provenance: dict = {}
+    fixed = PkwFixed()
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -355,15 +357,14 @@ def read_manifest(path, labels: list[LabeledSample] | None = None,
                 if kind == "provenance":
                     provenance = {k: v for k, v in row.items() if k != "kind"}
                     stored = provenance.pop("fixed", None)
-                    if stored is not None and fixed is None:
+                    if stored is not None:
                         fixed = PkwFixed(W=stored["W"], P=stored["P"],
                                          N_u=stored["N_u"])
                 elif kind == "geometry":
                     sample = PkwSample(**row["params"])
-                    use = fixed if fixed is not None else PkwFixed()
                     geometries[row["geometry_id"]] = GeometryRecord(
                         geometry_id=row["geometry_id"], sample=sample,
-                        derived=derive(use, sample))
+                        derived=derive(fixed, sample))
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
             except (KeyError, TypeError, ValueError) as exc:
@@ -371,7 +372,6 @@ def read_manifest(path, labels: list[LabeledSample] | None = None,
                 raise ParseError(
                     f"{path} line {line_no}: {detail}", row=line_no
                 ) from None
-    fixed = fixed if fixed is not None else PkwFixed()
     manifest = DatasetManifest(geometries=geometries,
                                labels=list(labels) if labels else [],
                                provenance=provenance)

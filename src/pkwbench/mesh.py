@@ -817,8 +817,3 @@ def crest_trace_length(mesh: TriangleMesh, tol: float = 1e-9) -> float:
 def solid_mesh(derived: PkwDerived, fixed: PkwFixed, x_segments: int = 8) -> TriangleMesh:
     """Convenience wrapper: build regions and tessellate."""
     return tessellate(build_regions(derived, fixed), x_segments=x_segments)
-
-
-def _solid_mesh_report(derived: PkwDerived, fixed: PkwFixed, x_segments: int):
-    """``solid_mesh`` plus the watertight ``MeshReport`` it validated with."""
-    return _tessellate(build_regions(derived, fixed), x_segments)

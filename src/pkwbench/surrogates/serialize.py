@@ -6,10 +6,12 @@ little-endian array payload in the order the JSON block declares.  Arrays
 round-trip bit for bit, so a reloaded model predicts identically.
 
 There are two kinds: a tree ensemble (a single tree, a forest or boosting,
-which share one packed layout) and the point network.  Version 2 gave the
-three tree models that one kind.  Version 1 files are not read: a model is
-cheap to refit, so ``load_model`` asks for ``pkwbench train --force``
-instead of keeping a second reader.
+which share one packed layout) and the point network.  A tree ensemble
+stores 20 bytes per node: its feature, threshold and value arrays in level
+order, from which the child links follow.  Version 2 gave the three tree
+models that one kind, and version 3 dropped the two stored link arrays.
+Older files are not read: a model is cheap to refit, so ``load_model``
+asks for ``pkwbench train --force`` instead of keeping a second reader.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .trees import TreeEnsemble, TreeParams
 __all__ = ["save_model", "load_model"]
 
 _MAGIC = b"WNSM"
-_VERSION = 2
+_VERSION = 3
 _PREFIX = struct.Struct("<4sHBI")  # magic, version, kind, header length
 
 _KIND_TREE = 1
@@ -36,8 +38,6 @@ _KIND_POINTNET = 4
 _TREE_FIELDS = (
     ("feature", "<i4"),
     ("threshold", "<f8"),
-    ("left", "<i4"),
-    ("right", "<i4"),
     ("value", "<f8"),
 )
 
@@ -179,8 +179,8 @@ def _load_trees(header, reader):
         fields = {name: reader.take(offsets[-1], dtype) for name, dtype in _TREE_FIELDS}
         info = _tuples_from_json(header["info"])
         info["params"] = _params_from_json(info["params"])
-        # construction checks that every member's links point forward inside
-        # it and name a known feature, so predict cannot loop or overrun
+        # construction checks that every member's node count fits its splits
+        # and every split names a known feature, so predict cannot overrun
         return TreeEnsemble(
             **fields,
             offsets=offsets,

@@ -51,21 +51,21 @@ class TreeParams:
 class TreeEnsemble:
     """A single tree, a bagged forest or a boosted model, as packed arrays.
 
-    Member ``k`` owns nodes ``offsets[k]:offsets[k + 1]`` of the five node
+    Member ``k`` owns nodes ``offsets[k]:offsets[k + 1]`` of the three node
     arrays.  ``feature[i] == -1`` marks node ``i`` as a leaf; an internal
-    node routes ``x <= threshold[i]`` to ``left[i]`` and the rest to
-    ``right[i]``, and both links are global node ids.  ``value`` holds the
-    training-target mean of every node, so leaves carry the prediction and
-    internal entries double as fallback diagnostics.
+    node routes ``x <= threshold[i]`` to its left child and the rest to its
+    right child.  ``value`` holds the training-target mean of every node, so
+    leaves carry the prediction and internal entries double as fallback
+    diagnostics.
 
-    Within a member, the root comes first and children are allocated in
-    pairs: the children of the member's ``i``-th internal node in preorder
-    (left subtree first) are its nodes ``2i + 1`` (left) and ``2i + 2``
-    (right).  This is not preorder numbering; a right child's id precedes
-    the ids in its left sibling's subtree.  Every link points to a larger
-    id inside its member, so a walk from a root reaches a leaf in fewer
-    steps than the member has nodes.  ``.wnsm`` files store the arrays in
-    this order, and construction rejects arrays that break these rules.
+    Each member is stored in level order: the root, then each depth's nodes
+    left to right.  No links are stored: the children of the member's
+    ``r``-th internal node in that order are its nodes ``2r + 1`` (left)
+    and ``2r + 2`` (right), and construction derives ``child``, the global
+    id of every internal node's left child (leaf entries are unused).  A
+    member with ``m`` splits must have ``2m + 1`` nodes and a split must
+    name a known feature; then each step of a walk from a root goes to a
+    larger id inside the member, so the walk ends at a leaf.
 
     A prediction starts at ``base`` and adds ``rate`` times each member's
     leaf value, one member at a time in member order; with ``average`` set
@@ -81,8 +81,6 @@ class TreeEnsemble:
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     offsets: np.ndarray
     n_features: int
@@ -90,6 +88,7 @@ class TreeEnsemble:
     rate: float
     average: bool
     info: dict
+    child: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         offsets = self.offsets
@@ -99,19 +98,23 @@ class TreeEnsemble:
         sizes = np.diff(offsets)
         if (sizes < 1).any():
             raise ValueError("every member needs at least one node")
-        ids = np.arange(n)
-        end = np.repeat(offsets[1:], sizes)
-        bad = (self.feature < 0) | (self.feature >= self.n_features)
-        for child in (self.left, self.right):
-            bad |= (child <= ids) | (child >= end)
-        bad &= self.feature != _LEAF
+        inner = self.feature != _LEAF
+        bad = inner & ((self.feature < 0) | (self.feature >= self.n_features))
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(
-                f"node {i} splits on feature {self.feature[i]} with children "
-                f"{self.left[i]} and {self.right[i]}; a split needs a feature "
-                f"below {self.n_features} and children after it in its member"
-            )
+            raise ValueError(f"node {i} splits on feature {self.feature[i]}; "
+                             f"a split needs a feature below {self.n_features}")
+        # before[i]: the internal nodes ahead of node i
+        before = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(inner, out=before[1:])
+        n_inner = np.diff(before[offsets])
+        wrong = sizes != 2 * n_inner + 1
+        if wrong.any():
+            k = int(np.argmax(wrong))
+            raise ValueError(f"member {k} has {sizes[k]} nodes and {n_inner[k]} "
+                             "splits; a member with m splits has 2m + 1 nodes")
+        start = np.repeat(offsets[:-1] - 2 * before[offsets[:-1]], sizes)
+        object.__setattr__(self, "child", start + 2 * before[:-1] + 1)
 
     @property
     def n_trees(self) -> int:
@@ -135,8 +138,9 @@ class TreeEnsemble:
             pending = np.flatnonzero(self.feature[node] != _LEAF)
             while pending.size:
                 cur = node[pending]
-                go_left = rows.take(at[pending] + self.feature[cur]) <= self.threshold[cur]
-                node[pending] = np.where(go_left, self.left[cur], self.right[cur])
+                # on finite features x > threshold is the negation of x <= threshold
+                node[pending] = self.child[cur] + (
+                    rows.take(at[pending] + self.feature[cur]) > self.threshold[cur])
                 pending = pending[self.feature[node[pending]] != _LEAF]
             terms = self.rate * self.value[node].reshape(-1, n_trees)
             terms[:, 0] += self.base
@@ -154,20 +158,13 @@ RegressionTree = ForestModel = BoostedModel = TreeEnsemble
 
 
 def _pack(members, n_features, info, *, base=-0.0, rate=1.0, average=False):
-    """One :class:`TreeEnsemble` from the node arrays of its members.
-
-    Each member is a ``_number_nodes`` tuple with member-local child ids.
-    """
-    counts = [arrays[0].size for arrays in members]
+    """One :class:`TreeEnsemble` from the level-ordered ``(feature,
+    threshold, value)`` arrays of its members, as :func:`_grow` returns them."""
     offsets = np.zeros(len(members) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    feature, threshold, left, right, value = map(np.concatenate, zip(*members))
-    inner = feature != _LEAF
-    shift = np.repeat(offsets[:-1], counts)[inner]
-    left[inner] += shift
-    right[inner] += shift
+    np.cumsum([arrays[0].size for arrays in members], out=offsets[1:])
+    feature, threshold, value = map(np.concatenate, zip(*members))
     return TreeEnsemble(
-        feature, threshold, left, right, value, offsets,
+        feature, threshold, value, offsets,
         n_features=n_features, base=base, rate=rate, average=average, info=info,
     )
 
@@ -257,8 +254,9 @@ def _grow(Xr, yr, order, params, feature_rng, max_features, work, root=None):
     so each group stays sorted without sorting it again.  A row's leaf mean
     is filled when the row leaves the search, and equals what the tree
     predicts for it, since ``x > threshold`` is the negation of ``x <=
-    threshold`` on finite features.  The node arrays come out in the layout
-    :class:`TreeEnsemble` documents for one member.
+    threshold`` on finite features.  The node arrays, ``(feature,
+    threshold, value)``, are the levels concatenated: the level order
+    :class:`TreeEnsemble` stores a member in.
 
     ``work`` is a :class:`_Work` of ``min(max_features, d) * n`` cells, as
     wide as the root's candidate rows.  ``root`` is the half of the root's
@@ -328,7 +326,7 @@ def _grow(Xr, yr, order, params, feature_rng, max_features, work, root=None):
         for r in range(d if last else 0, d + 1):
             row = order[r, :m]
             order[r, :kept] = row[np.argsort(key[row], kind="stable")[:kept]]
-    return _number_nodes(levels), fitted
+    return tuple(map(np.concatenate, zip(*levels))), fitted
 
 
 def _segment_means(values, starts, sizes):
@@ -559,46 +557,6 @@ def _scores(yr, bounds, work=None):
     np.subtract(sq_right, sum_right, out=sum_right)
     scored += sum_right
     return scored
-
-
-def _number_nodes(levels):
-    """Number level-ordered nodes in the member layout of :class:`TreeEnsemble`.
-
-    ``levels`` holds ``(feature, threshold, value)`` per depth, and the
-    children of a depth's ``r``-th split node are entries ``2r`` and
-    ``2r + 1`` of the next.  An internal node's preorder rank is its
-    parent's plus one, plus, for a right child, the number of internal
-    nodes under its left sibling, which is counted bottom up.
-    """
-    inner = [np.zeros(levels[-1][0].size, dtype=np.intp)]
-    for feature, _, _ in reversed(levels[:-1]):
-        below = inner[0]
-        count = np.zeros(feature.size, dtype=np.intp)
-        split = feature != _LEAF
-        count[split] = 1 + below[0::2] + below[1::2]
-        inner.insert(0, count)
-    n_nodes = sum(f.size for f, _, _ in levels)
-    feature_out = np.empty(n_nodes, dtype=np.int32)
-    threshold_out = np.empty(n_nodes)
-    value_out = np.empty(n_nodes)
-    left_out = np.full(n_nodes, _LEAF, dtype=np.int32)
-    right_out = np.full(n_nodes, _LEAF, dtype=np.int32)
-    ids = np.zeros(1, dtype=np.intp)
-    rank = np.zeros(1, dtype=np.intp)
-    for depth, (feature, threshold, value) in enumerate(levels):
-        feature_out[ids] = feature
-        threshold_out[ids] = threshold
-        value_out[ids] = value
-        split = feature != _LEAF
-        if depth + 1 == len(levels):
-            break
-        r = rank[split]
-        left_out[ids[split]] = 2 * r + 1
-        right_out[ids[split]] = 2 * r + 2
-        ids = np.column_stack([2 * r + 1, 2 * r + 2]).ravel()
-        child_inner = inner[depth + 1]
-        rank = np.column_stack([r + 1, r + 1 + child_inner[0::2]]).ravel()
-    return feature_out, threshold_out, left_out, right_out, value_out
 
 
 def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:

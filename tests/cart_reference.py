@@ -4,14 +4,15 @@
 used before it grew trees level by level, copied unchanged.  The
 differential tests in ``test_surrogates.py`` require the production grower
 to return the same node arrays, bit for bit, whenever no random feature
-subsets are drawn.  ``fit_gbm`` is the boosting stage loop from before
+subsets are drawn, once ``level_order`` has renumbered the reference's
+preorder-style layout breadth first.  ``fit_gbm`` is the boosting stage loop from before
 stages shared one presort: each stage fits a tree to the residuals as
 ``fit_tree`` does and adds the tree's predictions for the training rows.
 
 ``tree_predict``, ``forest_predict`` and ``gbm_predict`` are the predict
 loops of the three model classes that ``TreeEnsemble`` replaced, copied
 unchanged; ``members`` slices a packed ensemble back into their per-tree
-arrays.
+arrays, with the links spelled out.
 """
 
 import math
@@ -165,6 +166,23 @@ def fit_gbm(X, y, n_trees, learning_rate, params):
     return base, path, stages
 
 
+def level_order(arrays):
+    """``(feature, threshold, left, right, value)`` renumbered breadth
+    first, left child before right, with the links following the nodes."""
+    feature, threshold, left, right, value = arrays
+    order = [0]
+    for node in order:  # the list grows while it is walked
+        if feature[node] != _LEAF:
+            order += [left[node], right[node]]
+    order = np.array(order)
+    new_id = np.empty(order.size, dtype=np.int32)
+    new_id[order] = np.arange(order.size)
+    inner = feature[order] != _LEAF
+    links = [np.where(inner, new_id[child[order]], _LEAF).astype(np.int32)
+             for child in (left, right)]
+    return (feature[order], threshold[order], *links, value[order])
+
+
 def members(model):
     """Each member of a ``TreeEnsemble`` as ``(feature, threshold, left,
     right, value)`` arrays with member-local child ids."""
@@ -172,10 +190,9 @@ def members(model):
     for lo, hi in zip(model.offsets[:-1], model.offsets[1:]):
         feature = model.feature[lo:hi]
         inner = feature != _LEAF
-        links = []
-        for child in (model.left[lo:hi], model.right[lo:hi]):
-            links.append(np.where(inner, child - lo, child).astype(np.int32))
-        out.append((feature, model.threshold[lo:hi], *links, model.value[lo:hi]))
+        left = np.where(inner, model.child[lo:hi] - lo, _LEAF).astype(np.int32)
+        right = np.where(inner, left + 1, _LEAF).astype(np.int32)
+        out.append((feature, model.threshold[lo:hi], left, right, model.value[lo:hi]))
     return out
 
 

@@ -398,6 +398,23 @@ def test_mesh_validates_each_design_once(tmp_path, monkeypatch):
     assert calls == [int(r["n_triangles"]) for r in rows]
 
 
+def test_mesh_ids_given_twice_or_out_of_order_mesh_once(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert run(["sample", "--workspace", ws, "--n", 4, "--seed", 9]) == 0
+    assert run(["mesh", "--workspace", ws, "--ids", "g000001", "g000001"]) == 0
+    assert "meshed 1 of 1 designs" in capsys.readouterr().out
+    rows = read_rows(ws / "meshes" / "mesh_reports.csv")
+    assert [r["geometry_id"] for r in rows] == ["g000001"]
+    # the sidecar hashes the ids as meshed: sorted, each once
+    meta = ws / "meshes" / "mesh_reports.csv.meta.json"
+    want = _config_hash({"x_segments": 8, "ids": ["g000000", "g000002"]})
+    for ids in (["g000002", "g000000"], ["g000000", "g000002", "g000000"]):
+        assert run(["mesh", "--workspace", ws, "--force", "--ids", *ids]) == 0
+        assert json.loads(meta.read_text())["config_hash"] == want
+        rows = read_rows(ws / "meshes" / "mesh_reports.csv")
+        assert [r["geometry_id"] for r in rows] == ["g000000", "g000002"]
+
+
 def test_mesh_failures_leave_markers_and_fail_the_stage(tmp_path, capsys):
     ws = tmp_path / "ws"
     _write_pinch_manifest(ws)
@@ -678,6 +695,19 @@ def test_eval_without_trained_model_fails(pipeline, capsys):
     record = stderr_record(capsys)
     assert record["error"] == "MissingArtifact"
     assert "run train first" in record["message"]
+
+
+def test_eval_refuses_an_existing_report_before_loading_the_model(
+        pipeline, tmp_path, capsys):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline, ws)
+    (ws / "models" / "id-tree.wnsm").write_bytes(b"WNSM corrupt")
+    argv = ["eval", "--workspace", ws, "--model", "tree", "--split", "id",
+            "--partition", "test"]
+    assert run(argv) == 1
+    assert stderr_record(capsys)["error"] == "ArtifactExists"
+    assert run([*argv, "--force"]) == 1
+    assert stderr_record(capsys)["error"] == "MalformedModel"
 
 
 def test_pointnet_cli_chain(pipeline):

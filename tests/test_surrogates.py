@@ -141,7 +141,7 @@ def _depth(tree):
     """Depth of a single packed tree; children follow their parents."""
     depth = np.zeros(tree.n_nodes, dtype=int)
     for i in np.flatnonzero(tree.feature != -1):
-        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+        depth[[tree.child[i], tree.child[i] + 1]] = depth[i] + 1
     return int(depth.max())
 
 
@@ -296,7 +296,8 @@ def _cart_problems(draw):
 
 def _reference_arrays(X, y, rows, params, rng=None):
     with np.errstate(all="ignore"):
-        return cart_reference._grow(X, y, rows, params, rng, X.shape[1])
+        return cart_reference.level_order(
+            cart_reference._grow(X, y, rows, params, rng, X.shape[1]))
 
 
 def _assert_same_nodes(got, want):
@@ -597,7 +598,7 @@ def _assert_same_boosting(model, want):
     assert np.asarray(model.info["train_mse_path"]).tobytes() == np.asarray(path).tobytes()
     assert model.n_trees == len(stages)
     for tree, arrays in zip(cart_reference.members(model), stages):
-        _assert_same_nodes(tree, arrays)
+        _assert_same_nodes(tree, cart_reference.level_order(arrays))
 
 
 def _check_gbm_against_stage_loop(X, y, n_trees, max_depth, rate, min_leaf):
@@ -724,7 +725,7 @@ def test_timed_predictions_match_untimed():
 
 
 def _assert_trees_equal(a, b):
-    for name in ("feature", "threshold", "left", "right", "value", "offsets"):
+    for name in ("feature", "threshold", "value", "offsets", "child"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert (a.n_features, a.base, a.rate, a.average) == (
         b.n_features, b.base, b.rate, b.average)
@@ -821,8 +822,8 @@ def _rewrite(raw, edit_header=None, field=None, index=0, value=0):
 
 
 def test_model_file_with_bad_tree_links_rejected(tmp_path):
-    # predict would loop forever on a self link and index out of bounds on
-    # the others, so each must fail at load time
+    # predict would read past a row or past a member on each of these, so
+    # each must fail at load time
     rng = np.random.default_rng(83)
     tree = fit_tree(rng.random((30, 1)), rng.random(30))
     assert tree.feature[0] == 0 and tree.n_nodes > 3
@@ -835,12 +836,10 @@ def test_model_file_with_bad_tree_links_rejected(tmp_path):
         return lambda header: header.update(offsets=values)
 
     cases = [
-        dict(field="left", index=0, value=0),
-        dict(field="right", index=0, value=0),
         dict(field="feature", index=0, value=7),
         dict(field="feature", index=0, value=-2),
-        dict(field="left", index=0, value=10**6),
-        dict(field="right", index=0, value=-5),
+        # a leaf turned internal: one split too many for the node count
+        dict(field="feature", index=-1, value=0),
         dict(edit_header=offsets([0, n + 1])),
         dict(edit_header=offsets([0, n - 1])),
         dict(edit_header=offsets([1, n])),
@@ -854,6 +853,10 @@ def test_model_file_with_bad_tree_links_rejected(tmp_path):
         bad = _write(tmp_path, _rewrite(raw, **case))
         with pytest.raises(MalformedModel):
             load_model(bad)
+    # a version 2 file stored the links this layout derives
+    old = _write(tmp_path, raw[:4] + (2).to_bytes(2, "little") + raw[6:])
+    with pytest.raises(MalformedModel, match=r"version 2.*train --force"):
+        load_model(old)
 
 
 def test_version_1_model_file_asks_for_a_refit(tmp_path):
