@@ -1,4 +1,4 @@
-"""Dataset assembly, benchmark splits, and summary statistics.
+"""Dataset assembly, benchmark splits, and their file formats.
 
 The manifest joins geometry records with discharge-coefficient labels.
 Splits operate on (geometry_id, Q) pairs: the in-distribution split keeps
@@ -19,9 +19,8 @@ import numpy as np
 
 from . import __version__
 from .atomic import _atomic_write
-from .errors import EmptyBin, EmptyData, ParseError, TooFewGeometries, ZeroVariance
-from .geometry import (
-    FEATURE_NAMES,
+from .errors import EmptyBin, ParseError, TooFewGeometries, ZeroVariance
+from .geometry import (  # feature_vector is imported from here too
     PkwDerived,
     PkwFixed,
     PkwSample,
@@ -265,49 +264,6 @@ def subset_fraction(split: SplitAssignment, fraction: float,
         policy=POLICY_FRACTION,
         train=frozenset(p for p in split.train if p[0] in keep),
         val=split.val, test=split.test)
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    names: tuple[str, ...]
-    matrix: np.ndarray            # NaN marks undefined entries
-    zero_variance: tuple[str, ...]
-
-
-def pearson(manifest: DatasetManifest,
-            features: tuple[str, ...] | None = None) -> CorrelationReport:
-    """Product-moment correlations over all labeled rows.
-
-    Columns are the surrogate features plus c_D. Constant columns make the
-    correlation undefined; they are flagged and reported as missing rather
-    than coerced to zero.
-    """
-    names = tuple(features) if features is not None else FEATURE_NAMES + ("c_D",)
-    allowed = set(FEATURE_NAMES) | {"c_D"}
-    for name in names:
-        if name not in allowed:
-            raise KeyError(f"unknown column {name!r}")
-    if len(manifest.labels) < 3:
-        raise EmptyData("need at least 3 labeled samples")
-    rows = []
-    for lab in manifest.labels:
-        rec = manifest.geometries[lab.geometry_id]
-        full = dict(zip(FEATURE_NAMES, feature_vector(rec.derived, lab.Q)))
-        full["c_D"] = lab.c_D
-        rows.append([full[name] for name in names])
-    data = np.array(rows)
-
-    constant = [np.ptp(data[:, j]) == 0.0 for j in range(data.shape[1])]
-    matrix = np.full((len(names), len(names)), np.nan)
-    live = [j for j, flat in enumerate(constant) if not flat]
-    if live:
-        sub = np.corrcoef(data[:, live], rowvar=False)
-        sub = np.atleast_2d(sub)
-        for a, ja in enumerate(live):
-            for b, jb in enumerate(live):
-                matrix[ja, jb] = sub[a, b]
-    zero = tuple(names[j] for j, flat in enumerate(constant) if flat)
-    return CorrelationReport(names=names, matrix=matrix, zero_variance=zero)
 
 
 # ---------------------------------------------------------------------------

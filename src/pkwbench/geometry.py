@@ -12,12 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .atomic import _atomic_write
-from .errors import DegenerateGeometry, NonPositiveOutletWidth, ParseError
+from .errors import DegenerateGeometry, NonPositiveOutletWidth
 
 # Feasible box relative to the weir height P, bounds inclusive.
 B_B_MIN_FACTOR = 0.33
@@ -227,14 +226,6 @@ def unit_plan_edges(derived: PkwDerived, fixed: PkwFixed) -> list[tuple[Line, ..
     return out
 
 
-def crest_length(derived: PkwDerived, fixed: PkwFixed) -> tuple[float, float]:
-    """Developed crest length (L_u, L) along the mid-thickness centerline."""
-    T_s = derived.T_s2 * math.cos(derived.alpha)
-    h_i, h_o = plan_halfwidths(derived, fixed)
-    L_u = _crest_unit_length(derived.B, derived.alpha, T_s, derived.T_s2, fixed.W_u, h_i, h_o)
-    return L_u, fixed.N_u * L_u
-
-
 def feasible_bounds(fixed: PkwFixed) -> dict[str, tuple[float, float]]:
     """Inclusive feasible intervals for the sampled variables.
 
@@ -349,35 +340,3 @@ def write_params(path, records) -> None:
                 derived.delta_T_s, derived.T_s2, derived.T_s3,
                 derived.W_o_u, derived.W_o_d, derived.L_u, derived.L)]
             writer.writerow(row)
-
-
-def read_params(path) -> list[tuple[str, PkwFixed, PkwSample, PkwDerived]]:
-    """Read parametric records written by :func:`write_params`.
-
-    Derived quantities are recomputed from the stored sample so downstream
-    stages see a self-consistent set; stored values are checked against the
-    recomputation at the precision of the file format.
-    """
-    path = Path(path)
-    records = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _PARAM_COLUMNS:
-            raise ParseError(f"unexpected header in {path}", row=1)
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(_PARAM_COLUMNS):
-                raise ParseError(f"row has {len(row)} fields, expected {len(_PARAM_COLUMNS)}", row=i)
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise ParseError(f"bad number in row: {exc}", row=i) from None
-            fixed = PkwFixed(W=values[0], P=values[1], N_u=int(values[2]))
-            sample = PkwSample(B_b=values[3], R_B_i=values[4], R_B_o=values[5],
-                               T_s=values[6], W_i_u=values[7], W_i_d=values[8])
-            derived = derive(fixed, sample)
-            stored_L = values[-1]
-            if abs(stored_L - derived.L) > 1e-6 * max(1.0, abs(derived.L)):
-                raise ParseError(f"stored crest length {stored_L} disagrees with recomputed {derived.L}", row=i)
-            records.append((row[0], fixed, sample, derived))
-    return records

@@ -9,6 +9,10 @@ preorder-style layout breadth first.  ``fit_gbm`` is the boosting stage loop fro
 stages shared one presort: each stage fits a tree to the residuals as
 ``fit_tree`` does and adds the tree's predictions for the training rows.
 
+``fit_forest`` is the forest loop from before trees grew together in
+groups: one single-root call of the production ``_grow`` per tree, each on
+its own presort, built as it was then.
+
 ``tree_predict``, ``forest_predict`` and ``gbm_predict`` are the predict
 loops of the three model classes that ``TreeEnsemble`` replaced, copied
 unchanged; ``members`` slices a packed ensemble back into their per-tree
@@ -18,6 +22,8 @@ arrays, with the links spelled out.
 import math
 
 import numpy as np
+
+from pkwbench.surrogates import trees
 
 _LEAF = -1
 
@@ -164,6 +170,23 @@ def fit_gbm(X, y, n_trees, learning_rate, params):
         current = current + learning_rate * _predict(arrays, X)
         path.append(float(np.mean((y - current) ** 2)))
     return base, path, stages
+
+
+def fit_forest(X, y, n_trees, seed, params, bootstrap, max_features):
+    """Every tree's ``(feature, threshold, value)``, grown one at a time."""
+    n, d = X.shape
+    work = trees._Work(max_features * n)
+    members = []
+    for k in range(n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        Xr = X.T.take(rows, axis=1)
+        order = np.empty((d + 1, n), dtype=np.intp)
+        for j in range(d):
+            order[j] = np.argsort(Xr[j], kind="stable")
+        order[d] = np.arange(n)
+        members += trees._grow(Xr, y[rows], order, params, max_features, work, [rng])
+    return members
 
 
 def level_order(arrays):

@@ -1,18 +1,15 @@
-"""Manifest, split and statistics tests."""
+"""Manifest, split and file-format tests."""
 
 import math
 
-import numpy as np
 import pytest
 
 from pkwbench.dataset import (
     DATA_FRACTIONS,
-    CorrelationReport,
     DatasetManifest,
     GeometryRecord,
     OOD_GEOM_BINS,
     OOD_HEAD_BINS,
-    pearson,
     policy_from_name,
     read_labels_csv,
     read_manifest,
@@ -26,7 +23,7 @@ from pkwbench.dataset import (
     write_manifest,
     write_split_csv,
 )
-from pkwbench.errors import EmptyBin, EmptyData, ParseError, TooFewGeometries
+from pkwbench.errors import EmptyBin, ParseError, TooFewGeometries
 from pkwbench.geometry import PkwFixed, PkwSample, derive
 from pkwbench.hydraulics import LabeledSample, OracleConfig, paper_schedule
 from pkwbench.sampling import generate_batch, paper_default_space
@@ -232,57 +229,6 @@ def test_subset_fraction_paper_scale():
     split = split_id(_clone_manifest(3794), seed=1)
     sub = subset_fraction(split, 0.10, seed=2)
     assert len({gid for gid, _ in sub.train}) == 304
-
-
-def test_pearson_exact_cases():
-    base = PkwSample(B_b=0.40, R_B_i=0.5, T_s=0.02, W_i_u=0.20, W_i_d=0.14)
-    geoms = _records([base])
-    qs = [q for q in paper_schedule().as_m3s()]
-    up = DatasetManifest(geometries=geoms, labels=[
-        LabeledSample(geometry_id="g000000", Q=q, c_D=2 * q + 0.1,
-                      source="manual") for q in qs])
-    rep = pearson(up, features=("Q", "c_D"))
-    assert rep.matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
-    down = DatasetManifest(geometries=geoms, labels=[
-        LabeledSample(geometry_id="g000000", Q=q, c_D=0.5 - q,
-                      source="manual") for q in qs])
-    rep = pearson(down, features=("Q", "c_D"))
-    assert rep.matrix[0, 1] == pytest.approx(-1.0, abs=1e-12)
-    np.testing.assert_allclose(np.diag(rep.matrix), 1.0, atol=1e-12)
-
-
-def test_pearson_zero_variance_reported_missing():
-    base = PkwSample(B_b=0.40, R_B_i=0.5, T_s=0.02, W_i_u=0.20, W_i_d=0.14)
-    geoms = _records([base])
-    qs = [q for q in paper_schedule().as_m3s()]
-    m = DatasetManifest(geometries=geoms, labels=[
-        LabeledSample(geometry_id="g000000", Q=q, c_D=2 * q + 0.1,
-                      source="manual") for q in qs])
-    rep = pearson(m)
-    # single geometry: every shape feature is constant
-    assert "B" in rep.zero_variance and "alpha_deg" in rep.zero_variance
-    j = rep.names.index("B")
-    assert np.isnan(rep.matrix[j]).all()
-    q_j, c_j = rep.names.index("Q"), rep.names.index("c_D")
-    assert rep.matrix[q_j, c_j] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pearson_oracle_directions(manifest):
-    rep = pearson(manifest)
-    q_j = rep.names.index("Q")
-    a_j = rep.names.index("alpha_deg")
-    c_j = rep.names.index("c_D")
-    assert rep.matrix[c_j, q_j] < 0
-    assert rep.matrix[c_j, a_j] > 0
-    np.testing.assert_allclose(rep.matrix, rep.matrix.T, atol=1e-15)
-
-
-def test_pearson_guards(manifest):
-    with pytest.raises(KeyError):
-        pearson(manifest, features=("Q", "nope"))
-    few = _clone_manifest(2)
-    with pytest.raises(EmptyData):
-        pearson(few)
 
 
 def test_manifest_round_trip(tmp_path, manifest):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -529,6 +531,85 @@ def test_forest_training_r2_on_noiseless_labels():
     X, y = _oracle_rows(500, seed=13)
     forest = fit_forest(X, y, n_trees=10, seed=3)
     assert r_squared(y, forest.predict(X)) > 0.99
+
+
+# forests grow their trees together, a bounded group at a time
+
+
+def _forest_members(forest):
+    return [(f, t, v) for f, t, _, _, v in cart_reference.members(forest)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cart_problems(), st.integers(1, 9), st.integers(0, 2**32 - 1), st.data())
+def test_forest_trees_grown_in_groups_match_the_one_tree_loop(problem, n_trees, seed, data):
+    X, y, params = problem
+    n, d = X.shape
+    max_features = data.draw(st.integers(1, d))
+    bootstrap = data.draw(st.booleans())
+    # a budget of a few trees' rows and part of another's: groups of
+    # per_group trees, the last one short when per_group does not divide
+    per_group = data.draw(st.integers(1, 4))
+    budget = per_group * n + data.draw(st.integers(0, n - 1))
+    with mock.patch.object(trees, "_GROUP_ROWS", budget), np.errstate(all="ignore"):
+        forest = fit_forest(X, y, n_trees=n_trees, seed=seed, params=params,
+                            bootstrap=bootstrap, max_features=max_features)
+        want = cart_reference.fit_forest(X, y, n_trees, seed, params, bootstrap,
+                                         max_features)
+    assert len(want) == forest.n_trees == n_trees
+    for got, member in zip(_forest_members(forest), want):
+        _assert_same_nodes(got, member)
+
+
+def test_forest_in_groups_of_three_matches_the_one_tree_loop_and_file(
+    tmp_path, monkeypatch
+):
+    X, y = _oracle_rows(40, seed=19, sigma=0.005)
+    n = X.shape[0]
+    # 7 trees in groups of 3, 3 and 1
+    monkeypatch.setattr(trees, "_GROUP_ROWS", 3 * n + n // 2)
+    params = TreeParams(min_samples_leaf=2)
+    forest = fit_forest(X, y, n_trees=7, seed=5, params=params)
+    want = cart_reference.fit_forest(X, y, 7, 5, params, True, 3)
+    for got, member in zip(_forest_members(forest), want):
+        _assert_same_nodes(got, member)
+    # the same file as a forest packed from the one-tree loop's members
+    reference = trees._pack(want, X.shape[1], dict(forest.info), average=True)
+    save_model(tmp_path / "grouped.wnsm", forest)
+    save_model(tmp_path / "reference.wnsm", reference)
+    raw = (tmp_path / "grouped.wnsm").read_bytes()
+    assert raw == (tmp_path / "reference.wnsm").read_bytes()
+    back = load_model(tmp_path / "grouped.wnsm")
+    _assert_trees_equal(forest, back)
+    assert back.predict(X).tobytes() == forest.predict(X).tobytes()
+
+
+def _peak_traced_bytes(fn):
+    """Peak bytes traced while ``fn`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_forest_memory_grows_with_the_group_not_the_trees(monkeypatch):
+    X, y = _oracle_rows(40, seed=37, sigma=0.005)
+    n = X.shape[0]
+    monkeypatch.setattr(trees, "_GROUP_ROWS", 2 * n)
+    fit_forest(X, y, n_trees=2, seed=1)  # warm-up
+    two_peak, two = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=2, seed=1))
+    eight_peak, eight = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=8, seed=1))
+    # A node costs 20 bytes in its member's arrays, 20 more once packed and
+    # 8 for its child link; packing briefly holds two more int64 arrays of
+    # every node.  Growing all eight trees at once would add six trees'
+    # presorted rows, about 170 bytes a row, far past the slack.
+    per_node = 20 + 20 + 3 * 8
+    extra_nodes = eight.n_nodes - two.n_nodes
+    slack = 32 * 1024
+    assert eight_peak <= two_peak + extra_nodes * per_node + slack, (
+        two_peak, eight_peak, extra_nodes)
 
 
 # gradient boosting
