@@ -190,9 +190,8 @@ def _build_space(args):
 
 def _targets(manifest: DatasetManifest, pairs) -> np.ndarray:
     """The label of each pair, in the order given."""
-    labels = {(lab.geometry_id, lab.Q): lab.c_D for lab in manifest.labels}
     try:
-        return np.asarray([labels[pair] for pair in pairs])
+        return np.asarray([manifest.c_D[pair] for pair in pairs])
     except KeyError as exc:
         gid, q = exc.args[0]
         raise MissingArtifact(

@@ -155,11 +155,18 @@ def synthetic_cd(derived: PkwDerived, Q: float,
     substitute for measured or simulated coefficients.
     """
     config = config if config is not None else OracleConfig()
+    return _synthetic_cd(derived, Q, config, seed, _oracle_ranges(config.fixed))
+
+
+def _synthetic_cd(derived: PkwDerived, Q: float, config: OracleConfig, seed: int,
+                  ranges: tuple[float, float, float, float, float, float]) -> float:
+    """:func:`synthetic_cd` given the ``_oracle_ranges`` of ``config.fixed``,
+    which a caller labeling many cells computes once."""
     if not (config.q_lo <= Q <= config.q_hi):
         raise OutOfRange(
             f"Q={Q} m^3/s outside the oracle domain "
             f"[{config.q_lo}, {config.q_hi}] m^3/s")
-    B_min, B_max, t3_min, t3_max, w_min, w_max = _oracle_ranges(config.fixed)
+    B_min, B_max, t3_min, t3_max, w_min, w_max = ranges
     q_hat = (Q * 1000.0 - 50.0) / 200.0
     b_hat = (derived.B - B_min) / (B_max - B_min)
     t_hat = (derived.T_s3 - t3_min) / (t3_max - t3_min)

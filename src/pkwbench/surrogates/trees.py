@@ -104,17 +104,27 @@ class TreeEnsemble:
             i = int(np.argmax(bad))
             raise ValueError(f"node {i} splits on feature {self.feature[i]}; "
                              f"a split needs a feature below {self.n_features}")
-        # before[i]: the internal nodes ahead of node i
-        before = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(inner, out=before[1:])
-        n_inner = np.diff(before[offsets])
-        wrong = sizes != 2 * n_inner + 1
+        # child[i] = 2s + k + 1 for node i of member k, where s counts the
+        # splits ahead of node i in the whole array.  It is summed in place
+        # from its increments, so no other array of every node is made.
+        # From a member's first node to the next member's, it grows by
+        # twice the member's splits plus one.
+        child = np.empty(n, dtype=np.int64)
+        child[0] = 1
+        child[1:] = inner[:-1]
+        child[1:] *= 2
+        child[offsets[1:-1]] += 1
+        np.cumsum(child, out=child)
+        spans = np.diff(child[offsets[:-1]], append=child[-1] + 2 * inner[-1] + 1)
+        wrong = sizes != spans
         if wrong.any():
             k = int(np.argmax(wrong))
-            raise ValueError(f"member {k} has {sizes[k]} nodes and {n_inner[k]} "
+            raise ValueError(f"member {k} has {sizes[k]} nodes and {spans[k] // 2} "
                              "splits; a member with m splits has 2m + 1 nodes")
-        start = np.repeat(offsets[:-1] - 2 * before[offsets[:-1]], sizes)
-        object.__setattr__(self, "child", start + 2 * before[:-1] + 1)
+        # In a valid member, the members ahead of member k hold
+        # (offsets[k] - k) / 2 splits, so 2s + k + 1 is offsets[k] + 2r + 1
+        # for the member's r-th split: its left child's global id.
+        object.__setattr__(self, "child", child)
 
     @property
     def n_trees(self) -> int:
@@ -159,12 +169,25 @@ RegressionTree = ForestModel = BoostedModel = TreeEnsemble
 
 def _pack(members, n_features, info, *, base=-0.0, rate=1.0, average=False):
     """One :class:`TreeEnsemble` from the level-ordered ``(feature,
-    threshold, value)`` arrays of its members, as :func:`_grow` returns them."""
+    threshold, value)`` arrays of its members, as :func:`_grow` returns them.
+
+    ``members`` is emptied.  The arrays are packed one kind at a time and
+    each member's array is dropped once copied, so packing holds the
+    members and one packed kind, not the members and the whole model.
+    """
     offsets = np.zeros(len(members) + 1, dtype=np.int64)
     np.cumsum([arrays[0].size for arrays in members], out=offsets[1:])
-    feature, threshold, value = map(np.concatenate, zip(*members))
+    kinds = [list(parts) for parts in zip(*members)]
+    members.clear()
+    packed = []
+    for parts in kinds:
+        out = np.empty(offsets[-1], dtype=parts[0].dtype)
+        for k, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            out[lo:hi] = parts[k]
+            parts[k] = None
+        packed.append(out)
     return TreeEnsemble(
-        feature, threshold, value, offsets,
+        *packed, offsets,
         n_features=n_features, base=base, rate=rate, average=average, info=info,
     )
 
@@ -211,78 +234,123 @@ _BLOCK = 8000
 # is mostly fixed per numpy call.  The budget is counted in rows because a
 # group's memory grows with its rows, about 170 bytes each for the sorted
 # features, their order and the targets.  A level of at most 12,288 rows
-# has at most 6,144 splits, so every child key stays int16 and the regroup's
-# stable argsorts stay on numpy's radix sort: 26 us per 3,040 keys, against
-# 231 us as int32.
+# has at most 6,144 splits, so every child key fits in uint16 and the
+# regroup's stable argsorts stay on numpy's radix sort: 26 us per 3,040
+# keys, against 231 us as int32.
 # Four trees of the benchmark's 3,040 rows took 0.69x the bench time for
 # 2.7% more peak memory (BENCH_16.json).
 _GROUP_ROWS = 12_288
+
+# A feature with at most this many distinct values is presorted on its
+# value ranks as uint16 keys (see _sort_keys).
+_MAX_RANKS = np.iinfo(np.uint16).max
 
 
 class _Work:
     """Split-search buffers for a node of up to ``cells`` (row, position)
     elements, reused by every wide node of a fit.
 
-    ``pos`` holds sorted row ids, ``usable`` the boundary mask, and
-    ``ys``, ``csum`` and ``csq`` the gathered targets and their two prefix
-    sums; ``csum`` holds the sorted feature values first, which the search
-    no longer reads once the boundaries are found.
+    ``pos`` holds sorted row ids, or the flat indices that gather the
+    sorted feature values, ``usable`` the boundary mask, ``xs`` the sorted
+    feature values and ``sums`` the gathered targets and their squares,
+    packed as complex numbers (see :func:`_with_squares`), then their
+    prefix sums.  That is 33 bytes a cell.
     """
 
     def __init__(self, cells):
         self.pos = np.empty(cells, dtype=np.intp)
         self.usable = np.empty(cells, dtype=bool)
-        self.ys, self.csum, self.csq = np.empty((3, cells))
+        self.xs = np.empty(cells)
+        self.sums = np.empty(cells, dtype=np.complex128)
 
     @staticmethod
     def view(buffer, rows, width):
         return buffer[: rows * width].reshape(rows, width)
 
 
-def _presort(X, rows, roots=1):
+def _sort_keys(X):
+    """Each feature's presort key: its dense value ranks as ``uint16``, or
+    the values themselves past ``_MAX_RANKS`` distinct values.
+
+    The ranks are order-isomorphic to the values and tie exactly where the
+    values tie (``-0.0 == 0.0``), so a stable sort on them gives the order
+    a stable sort on the values gives, bit for bit.  numpy sorts 16-bit
+    keys stably with a radix sort: 24 us per 3,040 keys, against about
+    240 us for a stable float64 argsort.
+    """
+    keys = []
+    for column in X.T:
+        values, ranks = np.unique(column, return_inverse=True)
+        keys.append(ranks.astype(np.uint16) if values.size <= _MAX_RANKS else column)
+    return keys
+
+
+def _presort(X, keys, rows, roots=1):
     """The transposed rows of ``X`` and their ``(d + 1) x m`` order.
 
     ``rows`` is ``roots`` equal row sets laid end to end, one per tree.
-    Every feature of each set is sorted stably within the set's segment, so
-    tied values keep row order, and the last row of the order lists the
-    positions as they are.
+    Every feature of each set is sorted stably on its ``keys`` (from
+    :func:`_sort_keys`) within the set's segment, so tied values keep row
+    order, and the last row of the order lists the positions as they are.
     """
     d, m = X.shape[1], rows.size
     size = m // roots
     Xr = np.empty((d, m))
     order = np.empty((d + 1, m), dtype=np.intp)
     order[d] = np.arange(m)
-    for j, column in enumerate(X.T):
+    for j, (column, key) in enumerate(zip(X.T, keys)):
         # one feature at a time: a take along an axis copies all of X first
         np.take(column, rows, out=Xr[j])
+        key = key.take(rows)
         for start in range(0, m, size):
             segment = order[j, start : start + size]
-            segment[:] = np.argsort(Xr[j, start : start + size], kind="stable")
+            segment[:] = np.argsort(key[start : start + size], kind="stable")
             segment += start
     return Xr, order
 
 
+def _with_squares(y):
+    """Each target in the real part and its square in the imaginary part.
+
+    Complex addition adds the parts apart, so one ``cumsum`` of gathered
+    targets gives both prefix sums of the split search, each the same
+    sequential float sum a float ``cumsum`` of its part makes.  On the
+    benchmark's 9 x 3,040 matrix, the gather and that one sum take 149 us,
+    against 251 us for a float gather, the squares and two sums.
+    """
+    out = np.empty(y.size, dtype=np.complex128)
+    out.real = y
+    # a huge target squares to inf, and its node's splits lose
+    with np.errstate(over="ignore"):
+        np.multiply(y, y, out=out.imag)
+    return out
+
+
 def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
-          root=None, fitted=None):
+          root=None, fitted=None, buffer=None):
     """Grow one tree per generator, together, level by level over
     presorted rows, and return each tree's node arrays in that order.
 
     The trees' roots split the rows equally: tree ``t`` holds the ``t``-th
     run of consecutive positions and draws its feature subsets from
-    ``feature_rngs[t]``.  ``order`` comes from :func:`_presort` and is
-    overwritten.  ``order[j, :m]`` lists the rows of the current level's
+    ``feature_rngs[t]``.  ``order`` comes from :func:`_presort`; it lists
+    the root level's rows, and the levels below are regrouped into
+    ``buffer``, an array of its shape, or into ``order`` itself when no
+    buffer is given.  So a caller that grows many trees from one presort
+    passes a buffer and never copies the presort, which stays as it was.
+    At each level, row ``j`` of the rows lists the rows of the level's
     nodes, grouped by node in level order, the first tree's nodes first,
-    each group sorted by feature ``j``; ``order[d, :m]`` keeps each group
-    in row order.  One pass over a level scores every candidate feature of
-    every node of every tree, and a stable sort on the child index
-    regroups ``order`` for the next level, so each group stays sorted
-    without sorting it again.  A node's split and children depend on its
-    own rows alone, and with fewer than ``d`` candidate features, each
-    tree that has splittable nodes at a depth draws one permutation per
-    node from its own generator, for those nodes in level order, as it
-    would alone; a tree with none draws nothing.  So a tree grown next to
-    others is, bit for bit, the tree grown alone.  With one root, nothing
-    is tracked per tree.
+    each group sorted by feature ``j``; row ``d`` keeps each group in row
+    order.  One pass over a level scores every candidate feature of every
+    node of every tree, and a stable sort on the child index regroups the
+    rows for the next level, so each group stays sorted without sorting
+    it again.  A node's split and children depend on its own rows alone,
+    and with fewer than ``d`` candidate features, each tree that has
+    splittable nodes at a depth draws one permutation per node from its
+    own generator, for those nodes in level order, as it would alone; a
+    tree with none draws nothing.  So a tree grown next to others is, bit
+    for bit, the tree grown alone.  With one root, nothing is tracked per
+    tree.
 
     A tree's node arrays, ``(feature, threshold, value)``, are its levels
     concatenated: the level order :class:`TreeEnsemble` stores a member
@@ -295,20 +363,24 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
     root's rows in cells, as wide as a root's candidate rows.  ``root``,
     with one root only, is the half of the root's split search that reads
     ``Xr``, on every feature (see :func:`_best_splits`), built by
-    :func:`_node_bounds` from ``order`` as :func:`_presort` returns it.
+    :func:`_node_bounds` from ``order``.
     """
     d, n = Xr.shape
+    if buffer is None:
+        buffer = order
+    y_sq = _with_squares(yr)
     n_roots = len(feature_rngs)
     several = n_roots > 1
     sizes = np.full(n_roots, n // n_roots)
     tree = np.arange(n_roots)  # each node's tree, with several roots
     trees = []
     levels = []
+    rows = order  # the presort at the root, the buffer below it
     depth = 0
     while True:
         m = int(sizes.sum())
         starts = np.cumsum(sizes) - sizes
-        slot_rows = order[d, :m]
+        slot_rows = rows[d, :m]
         in_rows = yr[slot_rows]
         feature = np.full(sizes.size, _LEAF, dtype=np.int32)
         threshold = np.zeros(sizes.size)
@@ -344,7 +416,7 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
         # huge targets overflow, and their splits lose
         with np.errstate(all="ignore"):
             j, thr, found = _best_splits(
-                Xr, yr, order[:, :m], starts[nodes], sizes[nodes], cand,
+                Xr, y_sq, rows[:, :m], starts[nodes], sizes[nodes], cand,
                 params.min_samples_leaf, work, root if depth == 0 else None,
             )
         split = nodes[found]
@@ -355,15 +427,21 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
         if several:
             tree = np.repeat(tree[split], 2)
         # the r-th split node's children are 2r (left) and 2r + 1 (right);
-        # rows of unsplit nodes get a key of at least 2 * split.size and
-        # sort past the rows that are kept
-        child = np.full(sizes.size, 2 * split.size)
+        # rows of unsplit nodes get a key of 2 * split.size or one more and
+        # sort past the rows that are kept.  Keys of at most 16 bits sort
+        # on numpy's radix sort, 8-bit ones in one pass: 15 us per 3,040
+        # keys, against 22 us as 16-bit ones and 112 us as int32.
+        key_type = np.min_scalar_type(2 * split.size + 1)
+        child = np.full(sizes.size, 2 * split.size, dtype=key_type)
         child[split] = 2 * np.arange(split.size)
+        # a flat take gathers about twice as fast as 2-D fancy indexing;
+        # an unsplit node reads feature 0 and keeps its key past the rest
+        flat = np.maximum(feature, 0).astype(np.intp)
+        flat *= n
         slot_node = np.repeat(np.arange(sizes.size), sizes)
         slot_key = child[slot_node] + (
-            Xr[feature[slot_node], slot_rows] > threshold[slot_node]
+            Xr.take(flat[slot_node] + slot_rows) > threshold[slot_node]
         )
-        key_type = np.int16 if 2 * split.size < np.iinfo(np.int16).max else np.int32
         key = np.empty(n, dtype=key_type)
         key[slot_rows] = slot_key
         sizes = np.bincount(slot_key)[: 2 * split.size]
@@ -373,8 +451,9 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
         # below the depth cap only the row order is read again
         last = params.max_depth is not None and depth >= params.max_depth
         for r in range(d if last else 0, d + 1):
-            row = order[r, :m]
-            order[r, :kept] = row[np.argsort(key[row], kind="stable")[:kept]]
+            row = rows[r, :m]
+            buffer[r, :kept] = row[np.argsort(key[row], kind="stable")[:kept]]
+        rows = buffer
     arrays = tuple(map(np.concatenate, zip(*levels)))
     if not several:
         return [arrays]
@@ -393,10 +472,11 @@ def _segment_means(values, starts, sizes):
     """
     out = np.empty(sizes.size)
     by_size = np.argsort(sizes, kind="stable")
-    bounds = np.flatnonzero(np.diff(sizes[by_size])) + 1
-    for group in np.split(by_size, bounds):
+    bounds = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist(), sizes.size]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        group = by_size[lo:hi]
         width = int(sizes[group[0]])
-        if group.size == 1:
+        if hi - lo == 1:
             start = int(starts[group[0]])
             out[group[0]] = np.add.reduce(values[start : start + width]) / width
         else:
@@ -405,7 +485,7 @@ def _segment_means(values, starts, sizes):
     return out
 
 
-def _best_splits(Xr, yr, order, starts, sizes, cand, min_leaf, work, root=None):
+def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, work, root=None):
     """Best split of every node; return (feature, threshold, found) arrays.
 
     Node ``k`` covers ``order[:, starts[k]:starts[k] + sizes[k]]`` and may
@@ -418,10 +498,11 @@ def _best_splits(Xr, yr, order, starts, sizes, cand, min_leaf, work, root=None):
 
     The search has two halves.  The half that reads ``Xr`` finds each
     row's sorted positions and its boundaries (:func:`_node_bounds`,
-    :func:`_block_bounds`); the half that reads ``yr`` scores the
-    boundaries (:func:`_scores`).  ``root``, when given, is the first half
-    for a level holding one node of every row on every feature, built once
-    by the caller, since a boosting stage changes only the targets.  Any
+    :func:`_block_bounds`); the half that reads the targets, ``y_sq`` from
+    :func:`_with_squares`, scores the boundaries (:func:`_scores`).
+    ``root``, when given, is the first half for a level holding one node
+    of every row on every feature, built once by the caller, since a
+    boosting stage changes only the targets.  Any
     other node whose candidate rows hold more than ``_BLOCK`` elements is
     searched on its own in ``work`` (:func:`_node_min`).  Narrower nodes'
     pairs are batched by size class, which pads a row to at most twice its
@@ -433,9 +514,6 @@ def _best_splits(Xr, yr, order, starts, sizes, cand, min_leaf, work, root=None):
     squares sum finitely scores -inf, and that split wins.
     """
     n_nodes, n_cand = cand.shape
-    pair_node = np.repeat(np.arange(n_nodes), n_cand)
-    pair_feature = cand.ravel()
-    pair_size = sizes[pair_node]
     score = np.empty((n_nodes, n_cand))
     at = np.empty((n_nodes, n_cand), dtype=np.intp)
     wide = (sizes * n_cand > _BLOCK) | (root is not None)
@@ -444,32 +522,36 @@ def _best_splits(Xr, yr, order, starts, sizes, cand, min_leaf, work, root=None):
             bounds = _node_bounds(Xr, order, starts[k], sizes[k], cand[k], min_leaf, work)
         else:
             bounds = root
-        best, row, pos = _node_min(_scores(yr, bounds, work), bounds.row, bounds.at)
+        best, row, pos = _node_min(_scores(y_sq, bounds, work), bounds.row, bounds.at)
         # the winner alone among the node's rows, so the argmin across them
         # below picks it; inf rows at position 0 stand for the others
         score[k] = math.inf
         at[k] = 0
         score[k, row] = best
         at[k, row] = pos
-    # the narrow nodes' pairs, batched by size class
-    pair_score = score.reshape(-1)
-    pair_at = at.reshape(-1)
-    narrow = np.flatnonzero(~wide[pair_node])
-    size_class = np.frexp(pair_size[narrow] - 1)[1]
-    for cls in np.unique(size_class):
-        members = narrow[size_class == cls]
-        per_block = max(1, _BLOCK // int(pair_size[members].max()))
-        for first in range(0, members.size, per_block):
-            block = members[first : first + per_block]
-            node = pair_node[block]
-            bounds = _block_bounds(
-                Xr, order, starts[node], sizes[node], pair_feature[block], min_leaf
-            )
-            # a block is small: spread its scores over rows of inf
-            full = np.full(bounds.pos.shape, math.inf)
-            full[bounds.row, bounds.at] = _scores(yr, bounds)
-            pair_score[block] = full.min(axis=1)
-            pair_at[block] = full.argmin(axis=1)
+    if not wide.all():
+        # the narrow nodes' pairs, batched by size class
+        pair_node = np.repeat(np.arange(n_nodes), n_cand)
+        pair_feature = cand.ravel()
+        pair_size = sizes[pair_node]
+        pair_score = score.reshape(-1)
+        pair_at = at.reshape(-1)
+        narrow = np.flatnonzero(~wide[pair_node])
+        size_class = np.frexp(pair_size[narrow] - 1)[1]
+        for cls in np.unique(size_class):
+            members = narrow[size_class == cls]
+            per_block = max(1, _BLOCK // int(pair_size[members].max()))
+            for first in range(0, members.size, per_block):
+                block = members[first : first + per_block]
+                node = pair_node[block]
+                bounds = _block_bounds(
+                    Xr, order, starts[node], sizes[node], pair_feature[block], min_leaf
+                )
+                # a block is small: spread its scores over rows of inf
+                full = np.full(bounds.pos.shape, math.inf)
+                full[bounds.row, bounds.at] = _scores(y_sq, bounds)
+                pair_score[block] = full.min(axis=1)
+                pair_at[block] = full.argmin(axis=1)
     pick = np.argmin(score, axis=1)
     k = np.arange(n_nodes)
     feature = cand[k, pick]
@@ -520,23 +602,29 @@ class _Bounds(NamedTuple):
     n_right: np.ndarray
 
 
-def _node_bounds(Xr, order, start, size, features, min_leaf, work=None):
+def _node_bounds(Xr, order, start, size, features, min_leaf, work):
     """:class:`_Bounds` of one node on each of ``features``, unpadded.
 
-    The sorted rows live in ``work`` and stay valid until its next search;
-    without ``work`` they get buffers of their own, which nothing else
-    overwrites.
+    On every feature, the node's sorted rows are a view of ``order``,
+    valid until it is regrouped, and its sorted values are gathered in
+    one flat take.  On fewer, the sorted rows are copied into ``work`` and
+    stay valid until its next search.  The bounds read nothing else of
+    ``work``.
     """
     rows = features.size
     size = int(size)
-    if work is None:
-        work = _Work(rows * size)
-    pos = _Work.view(work.pos, rows, size)
-    xs = _Work.view(work.csum, rows, size)
-    for r, j in enumerate(features):
-        pos[r] = order[j, start : start + size]
+    xs = _Work.view(work.xs, rows, size)
+    if rows == Xr.shape[0]:
+        pos = order[:rows, start : start + size]
+        flat = np.add(pos, (np.arange(rows) * Xr.shape[1])[:, None],
+                      out=_Work.view(work.pos, rows, size))
         # "clip" never clips valid ids; it spares a copy "raise" makes of out
-        np.take(Xr[j], pos[r], out=xs[r], mode="clip")
+        np.take(Xr, flat, out=xs, mode="clip")
+    else:
+        pos = _Work.view(work.pos, rows, size)
+        for r, j in enumerate(features):
+            pos[r] = order[j, start : start + size]
+            np.take(Xr[j], pos[r], out=xs[r], mode="clip")
     # a left child of at + 1 rows keeps both children at least min_leaf
     # rows for at in [lo, hi)
     lo = min_leaf - 1
@@ -578,40 +666,40 @@ def _block_bounds(Xr, order, starts, sizes, features, min_leaf):
                    row_size - n_left)
 
 
-def _scores(yr, bounds, work=None):
+def _scores(y_sq, bounds, work=None):
     """The half of a split search that reads y: the score of every boundary.
 
-    The targets are gathered once and summed along each row; only the
-    boundaries are scored, with the operands and operations a full-width
-    pass would take, so the scores, and with them ties, the first-minimum
-    rule and inf or NaN scores, are the same bit for bit.  With ``work``
-    the gather and the prefix sums are written into its buffers.
+    ``y_sq`` holds each row's target and its square (:func:`_with_squares`).
+    They are gathered once and summed along each row in one complex
+    ``cumsum``, whose real and imaginary parts are the two prefix sums,
+    each added in the same order as a float ``cumsum`` of its part.  Only
+    the boundaries are scored, with the operands and operations a
+    full-width pass would take, so the scores, and with them ties, the
+    first-minimum rule and inf or NaN scores, are the same bit for bit.
+    With ``work`` the gather and the prefix sums are written into its
+    buffer.
     """
     rows, width = bounds.pos.shape
     if work is None:
-        ys = yr[bounds.pos]
-        csum = csq = None
+        sums = y_sq.take(bounds.pos)
     else:
-        ys, csum, csq = (_Work.view(buf, rows, width)
-                         for buf in (work.ys, work.csum, work.csq))
-        np.take(yr, bounds.pos, out=ys, mode="clip")
-    csum = np.cumsum(ys, axis=1, out=csum)
-    csq = np.cumsum(np.multiply(ys, ys, out=ys), axis=1, out=csq)
-    sum_left = csum.take(bounds.left)
-    sq_left = csq.take(bounds.left)
-    sum_right = csum.take(bounds.last)
-    sum_right -= sum_left
-    sq_right = csq.take(bounds.last)
-    sq_right -= sq_left
+        sums = _Work.view(work.sums, rows, width)
+        np.take(y_sq, bounds.pos, out=sums, mode="clip")
+    np.cumsum(sums, axis=1, out=sums)
+    left = sums.take(bounds.left)
+    right = sums.take(bounds.last)
+    right -= left
     # (sq_left - sum_left * sum_left / n_left)
     #     + (sq_right - sum_right * sum_right / n_right), in place
-    scored = np.multiply(sum_left, sum_left)
+    scored = np.multiply(left.real, left.real)
     scored /= bounds.n_left
-    np.subtract(sq_left, scored, out=scored)
-    np.multiply(sum_right, sum_right, out=sum_right)
-    sum_right /= bounds.n_right
-    np.subtract(sq_right, sum_right, out=sum_right)
-    scored += sum_right
+    np.subtract(left.imag, scored, out=scored)
+    # the last sum adds two contiguous arrays, as a float pass does: numpy's
+    # vector and scalar loops may return different NaNs of two NaN addends
+    right_sum = np.multiply(right.real, right.real)
+    right_sum /= bounds.n_right
+    np.subtract(right.imag, right_sum, out=right_sum)
+    scored += right_sum
     return scored
 
 
@@ -619,19 +707,19 @@ def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:
     """Fit an exact greedy least-squares tree."""
     X, y = _check_training_pair(X, y)
     params = params or TreeParams()
-    Xr, order = _presort(X, np.arange(X.shape[0]))
+    Xr, order = _presort(X, _sort_keys(X), np.arange(X.shape[0]))
     members = _grow(Xr, y, order, params, X.shape[1], _Work(X.size))
     return _pack(members, X.shape[1], {"params": params})
 
 
-def _grow_bagged(X, y, rngs, bootstrap, params, max_features, work):
+def _grow_bagged(X, y, keys, rngs, bootstrap, params, max_features, work):
     """Grow one forest tree per generator, together, each on its own rows.
 
     Tree ``i`` draws its rows (all ``n`` rows without ``bootstrap``) and
     then its feature subsets from ``rngs[i]``, and takes positions
-    ``i * n`` to ``(i + 1) * n`` of the group's arrays.  The arrays are
-    built in place and live only for this call, so a fit holds one group's
-    at a time.
+    ``i * n`` to ``(i + 1) * n`` of the group's arrays, presorted on the
+    fit's ``keys`` (:func:`_sort_keys`).  The arrays are built in place and
+    live only for this call, so a fit holds one group's at a time.
     """
     n = X.shape[0]
     rows = np.empty(len(rngs) * n, dtype=np.intp)
@@ -639,7 +727,7 @@ def _grow_bagged(X, y, rngs, bootstrap, params, max_features, work):
         rows[i * n : (i + 1) * n] = (rng.integers(0, n, size=n) if bootstrap
                                      else np.arange(n))
     yr = y[rows]
-    Xr, order = _presort(X, rows, len(rngs))
+    Xr, order = _presort(X, keys, rows, len(rngs))
     del rows  # one copy of the group's rows less while it grows
     return _grow(Xr, yr, order, params, max_features, work, rngs)
 
@@ -684,12 +772,13 @@ def fit_forest(
         raise ValueError(f"max_features must be in [1, {d}], got {max_features}")
     n = X.shape[0]
     group = max(1, _GROUP_ROWS // n)
+    keys = _sort_keys(X)
     work = _Work(max_features * n)
     members = []
     for first in range(0, n_trees, group):
         rngs = [np.random.default_rng(np.random.SeedSequence([seed, k]))
                 for k in range(first, min(first + group, n_trees))]
-        members += _grow_bagged(X, y, rngs, bootstrap, params, max_features, work)
+        members += _grow_bagged(X, y, keys, rngs, bootstrap, params, max_features, work)
     info = {"params": params, "seed": seed, "bootstrap": bootstrap,
             "max_features": max_features}
     return _pack(members, d, info, average=True)
@@ -712,12 +801,15 @@ def fit_gbm(
     before any stage, then one per stage) never increases for rates in
     (0, 1].
 
-    X is checked and presorted once per fit; each stage grows from a copy
-    of that presort.  Every stage's root holds every row and may split on
-    every feature, and only its targets change from stage to stage, so the
-    half of the root's split search that reads X (sorted positions,
-    distinct-value boundaries, child sizes) is built once per fit too; a
-    stage gathers and sums its residuals in buffers allocated once per fit.
+    X is checked and presorted once per fit.  Each stage reads its root
+    level from that presort, which no stage writes, and regroups the
+    levels below into one buffer allocated once per fit, so no stage
+    copies the presort.  Every stage's root holds every row and may split
+    on every feature, and only its targets change from stage to stage, so
+    the half of the root's split search that reads X (sorted positions,
+    distinct-value boundaries, child sizes) is built once per fit too; its
+    sorted positions are a view of the presort.  A stage gathers and sums
+    its residuals in buffers allocated once per fit.
     A stage adds the leaf means the grower assigned to the training rows
     while partitioning them, which are the tree's predictions for those
     rows, so no stage walks its tree again.  The result is the same, bit
@@ -731,10 +823,10 @@ def fit_gbm(
         raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate}")
     params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     n, d = X.shape
-    Xr, presorted = _presort(X, np.arange(n))
-    order = np.empty_like(presorted)
-    root = _node_bounds(Xr, presorted, 0, n, np.arange(d), min_samples_leaf)
+    Xr, presorted = _presort(X, _sort_keys(X), np.arange(n))
     work = _Work(d * n)
+    root = _node_bounds(Xr, presorted, 0, n, np.arange(d), min_samples_leaf, work)
+    buffer = np.empty_like(presorted)
     fitted = np.empty(n)
     base = float(np.mean(y))
     current = np.full(y.shape, base)
@@ -745,9 +837,8 @@ def fit_gbm(
         # an overflowing mean or leaf value makes the residuals infinite
         if not np.isfinite(residual).all():
             raise ValueError("targets must be finite")
-        np.copyto(order, presorted)
-        stages += _grow(Xr, residual, order, params, d, work, root=root,
-                        fitted=fitted)
+        stages += _grow(Xr, residual, presorted, params, d, work, root=root,
+                        fitted=fitted, buffer=buffer)
         current = current + learning_rate * fitted
         path.append(float(np.mean((y - current) ** 2)))
     info = {"params": params, "learning_rate": learning_rate,

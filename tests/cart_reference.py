@@ -13,6 +13,11 @@ stages shared one presort: each stage fits a tree to the residuals as
 groups: one single-root call of the production ``_grow`` per tree, each on
 its own presort, built as it was then.
 
+``scores`` and ``presort`` are the split search's target half and the
+presort from before the targets and their squares were summed in one
+complex ``cumsum`` and features were sorted on their value ranks, copied
+unchanged apart from the names.
+
 ``tree_predict``, ``forest_predict`` and ``gbm_predict`` are the predict
 loops of the three model classes that ``TreeEnsemble`` replaced, copied
 unchanged; ``members`` slices a packed ensemble back into their per-tree
@@ -187,6 +192,45 @@ def fit_forest(X, y, n_trees, seed, params, bootstrap, max_features):
         order[d] = np.arange(n)
         members += trees._grow(Xr, y[rows], order, params, max_features, work, [rng])
     return members
+
+
+def scores(yr, bounds):
+    """The score of every boundary of ``bounds``, from two float prefix
+    sums of the gathered targets and of their squares."""
+    ys = yr[bounds.pos]
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(np.multiply(ys, ys, out=ys), axis=1)
+    sum_left = csum.take(bounds.left)
+    sq_left = csq.take(bounds.left)
+    sum_right = csum.take(bounds.last)
+    sum_right -= sum_left
+    sq_right = csq.take(bounds.last)
+    sq_right -= sq_left
+    scored = np.multiply(sum_left, sum_left)
+    scored /= bounds.n_left
+    np.subtract(sq_left, scored, out=scored)
+    np.multiply(sum_right, sum_right, out=sum_right)
+    sum_right /= bounds.n_right
+    np.subtract(sq_right, sum_right, out=sum_right)
+    scored += sum_right
+    return scored
+
+
+def presort(X, rows, roots=1):
+    """The transposed rows of ``X`` and their order, each feature of each
+    of the ``roots`` row sets sorted stably on its float values."""
+    d, m = X.shape[1], rows.size
+    size = m // roots
+    Xr = np.empty((d, m))
+    order = np.empty((d + 1, m), dtype=np.intp)
+    order[d] = np.arange(m)
+    for j, column in enumerate(X.T):
+        np.take(column, rows, out=Xr[j])
+        for start in range(0, m, size):
+            segment = order[j, start : start + size]
+            segment[:] = np.argsort(Xr[j, start : start + size], kind="stable")
+            segment += start
+    return Xr, order
 
 
 def level_order(arrays):

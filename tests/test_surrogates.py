@@ -1,5 +1,6 @@
 """Tests for metrics, trees, forests, boosting, and model files."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -476,6 +477,80 @@ def test_node_min_cases():
     assert trees._node_min(np.empty(0), empty, empty) == (math.inf, 0, 0)
 
 
+# the split search's kernels against the formulas they replaced
+
+# Targets with signed zeros, both infinities, NaN, values whose squares
+# overflow and subnormals, whose squares underflow to zero
+_Y_POOL = (-0.0, 0.0, 1.0, -2.5, 3.0, 1e155, -1e155, math.inf, -math.inf,
+           math.nan, 5e-324, -2.5e-310, 1e-160)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_scores_match_the_two_cumsum_formula(data):
+    n = data.draw(st.integers(2, 30))
+    d = data.draw(st.integers(1, 4))
+    X = data.draw(arrays(np.float64, (n, d), elements=st.sampled_from(_X_POOL)))
+    y = data.draw(arrays(np.float64, n, elements=st.sampled_from(_Y_POOL)))
+    min_leaf = data.draw(st.integers(1, 3))
+    subset = np.array(sorted(data.draw(
+        st.sets(st.integers(0, d - 1), min_size=1, max_size=d))))
+    Xr, order = cart_reference.presort(X, np.arange(n))
+    y_sq = trees._with_squares(y)
+    work = trees._Work(d * n)
+    # every feature (rows viewed in the order), a subset (rows copied) and
+    # a padded block of two copies of the node
+    with np.errstate(all="ignore"):
+        for features in (np.arange(d), subset):
+            bounds = trees._node_bounds(Xr, order, 0, n, features, min_leaf, work)
+            want = cart_reference.scores(y, bounds).tobytes()
+            assert trees._scores(y_sq, bounds, work).tobytes() == want
+            assert trees._scores(y_sq, bounds).tobytes() == want
+        bounds = trees._block_bounds(Xr, order, np.zeros(2, dtype=np.intp),
+                                     np.full(2, n), np.repeat(subset[:1], 2), min_leaf)
+        want = cart_reference.scores(y, bounds).tobytes()
+        assert trees._scores(y_sq, bounds).tobytes() == want
+
+
+# Feature values with -0.0 == 0.0 ties, repeats and subnormals
+_TIE_POOL = (-0.0, 0.0, -1.5, 2.0, 2.0, 5e-324, -5e-324, 1e-300, 7.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_presort_matches_the_float_argsort(data):
+    n = data.draw(st.integers(1, 40))
+    d = data.draw(st.integers(1, 4))
+    roots = data.draw(st.integers(1, 3))
+    X = data.draw(arrays(np.float64, (n, d), elements=st.sampled_from(_TIE_POOL)))
+    if data.draw(st.booleans()):
+        # bootstrap rows: duplicates within each root's set
+        rows = data.draw(arrays(np.intp, roots * n, elements=st.integers(0, n - 1)))
+    else:
+        rows = np.tile(np.arange(n), roots)
+    keys = trees._sort_keys(X)
+    assert all(key.dtype == np.uint16 for key in keys)
+    got = trees._presort(X, keys, rows, roots)
+    for a, b in zip(got, cart_reference.presort(X, rows, roots)):
+        _assert_same_nodes([a], [b])
+
+
+def test_presort_of_a_feature_past_the_rank_limit_sorts_its_values():
+    rng = np.random.default_rng(43)
+    n = trees._MAX_RANKS + 4465
+    # 70,000 rows: all distinct in the first column, apart from a -0.0 and
+    # a 0.0, and 3 repeated values in the second
+    wide = rng.permutation(n) - 2.0
+    wide[rng.choice(n, 2, replace=False)] = (-0.0, 0.0)
+    X = np.column_stack([wide, rng.choice((-0.0, 0.0, 1.0), n)])
+    keys = trees._sort_keys(X)
+    assert keys[0].dtype == np.float64 and keys[1].dtype == np.uint16
+    rows = rng.integers(0, n, size=2 * n)
+    got = trees._presort(X, keys, rows, 2)
+    for a, b in zip(got, cart_reference.presort(X, rows, 2)):
+        _assert_same_nodes([a], [b])
+
+
 # forests
 
 
@@ -610,6 +685,32 @@ def test_forest_memory_grows_with_the_group_not_the_trees(monkeypatch):
     slack = 32 * 1024
     assert eight_peak <= two_peak + extra_nodes * per_node + slack, (
         two_peak, eight_peak, extra_nodes)
+
+
+def test_packing_holds_the_members_and_one_packed_kind():
+    X, y = _oracle_rows(40, seed=37, sigma=0.005)
+    forest = fit_forest(X, y, n_trees=20, seed=3)
+    source = _forest_members(forest)
+
+    def pack():
+        # members made while traced, so dropping them lowers the count
+        members = [tuple(a.copy() for a in arrays) for arrays in source]
+        return trees._pack(members, X.shape[1], dict(forest.info), average=True)
+
+    pack()  # warm-up
+    peak, packed = _peak_traced_bytes(pack)
+    for got, want in zip(_forest_members(packed), source):
+        _assert_same_nodes(got, want)
+    assert packed.child.tobytes() == forest.child.tobytes()
+    # The members are packed one kind at a time and dropped as they are
+    # copied, so packing holds the members (20 bytes a node) and one packed
+    # kind (8 at most), then the model: its arrays, the child links and two
+    # masks of its nodes.  Packing next to whole members held 72 bytes a node.
+    model = sum(a.nbytes for a in (packed.feature, packed.threshold,
+                                   packed.value, packed.child))
+    member = max(sum(a.nbytes for a in arrays) for arrays in source)
+    assert peak <= model + member + 2 * packed.n_nodes + 16 * 1024, (
+        peak, model, packed.n_nodes)
 
 
 # gradient boosting
@@ -854,6 +955,30 @@ def test_gbm_round_trip(tmp_path):
     _assert_trees_equal(boosted, back)
     probe = rng.random((15, 3))
     assert np.array_equal(boosted.predict(probe), back.predict(probe))
+
+
+# sha256 of the .wnsm bytes of three fixed-seed fits, as the fitter wrote
+# them before it summed targets and squares in one complex cumsum and
+# presorted on value ranks.  The differential tests compare the fitter with
+# references kept in this repo; these digests catch both changing together.
+_PINNED_FITS = {
+    "tree": "4ff0be1d71acd88c9acfb76c8f94b9b44b9015f390736f909eee6bf5f05091d4",
+    "forest": "6a3ec6eed72608db96d5d671f57c75563e02caeae750b307ba13cb515e21d53e",
+    "gbm": "a949fa3695e8c67d367c8c0c34fb933bf358ca7782af9960efabb76c72b2e5c1",
+}
+
+
+def test_fits_on_oracle_rows_write_the_pinned_bytes(tmp_path):
+    X, y = _oracle_rows(40, seed=41, sigma=0.005)
+    fits = {
+        "tree": fit_tree(X, y, TreeParams(min_samples_leaf=2)),
+        "forest": fit_forest(X, y, n_trees=10, seed=7),
+        "gbm": fit_gbm(X, y, n_trees=50),
+    }
+    for name, model in fits.items():
+        path = tmp_path / f"{name}.wnsm"
+        save_model(path, model)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_FITS[name], name
 
 
 def test_model_file_garbage_rejected(tmp_path):
