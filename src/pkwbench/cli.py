@@ -191,9 +191,9 @@ def _build_space(args):
 def _targets(manifest: DatasetManifest, pairs) -> np.ndarray:
     """The label of each pair, in the order given."""
     try:
-        return np.asarray([manifest.c_D[pair] for pair in pairs])
-    except KeyError as exc:
-        gid, q = exc.args[0]
+        return np.asarray([manifest.c_D[gid][q] for gid, q in pairs])
+    except KeyError:
+        gid, q = next((gid, q) for gid, q in pairs if q not in manifest.c_D.get(gid, {}))
         raise MissingArtifact(
             f"split references unlabeled pair ({gid}, Q={q * 1000.0:g} l/s)"
         ) from None

@@ -31,9 +31,8 @@ from .hydraulics import (
     DischargeSchedule,
     LabeledSample,
     OracleConfig,
-    _oracle_ranges,
-    _synthetic_cd,
     head_from_cd,
+    synthetic_cd,
 )
 
 POLICY_ID = "id-by-geometry"
@@ -76,20 +75,21 @@ class DatasetManifest:
     labels: list[LabeledSample]
     provenance: dict = field(default_factory=dict)
 
-    # each labeled (geometry_id, Q) pair's c_D, built once per manifest
-    c_D: dict[tuple[str, float], float] = field(init=False, repr=False, compare=False)
+    # each labeled geometry's c_D by discharge, built once per manifest;
+    # nested, it takes no key tuples: about a third of a flat dict's bytes
+    c_D: dict[str, dict[float, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c_D: dict[tuple[str, float], float] = {}
+        c_D: dict[str, dict[float, float]] = {}
         for lab in self.labels:
             if lab.geometry_id not in self.geometries:
                 raise ValueError(
                     f"label references unknown geometry {lab.geometry_id!r}")
-            key = (lab.geometry_id, lab.Q)
-            if key in c_D:
+            by_q = c_D.setdefault(lab.geometry_id, {})
+            if lab.Q in by_q:
                 raise ValueError(
                     f"duplicate label for {lab.geometry_id!r} at Q={lab.Q}")
-            c_D[key] = lab.c_D
+            by_q[lab.Q] = lab.c_D
         object.__setattr__(self, "c_D", c_D)
 
     def pairs(self) -> list[tuple[str, float]]:
@@ -136,13 +136,12 @@ def synthesize_labels(manifest_geometries: dict[str, GeometryRecord],
     exist. H_t is back-computed so the rating relation round-trips.
     """
     config = config if config is not None else OracleConfig()
-    ranges = _oracle_ranges(config.fixed)
     labels: list[LabeledSample] = []
     for i, gid in enumerate(sorted(manifest_geometries)):
         rec = manifest_geometries[gid]
         for j, Q in enumerate(schedule.as_m3s()):
             cell_seed = int(np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
-            c_D = _synthetic_cd(rec.derived, Q, config, cell_seed, ranges)
+            c_D = synthetic_cd(rec.derived, Q, config, seed=cell_seed)
             H_t = head_from_cd(c_D, rec.derived.L, Q)
             labels.append(LabeledSample(geometry_id=gid, Q=Q, c_D=c_D,
                                         H_t=H_t, source="synthetic"))

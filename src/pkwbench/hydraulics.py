@@ -13,6 +13,7 @@ harness end to end.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -113,6 +114,8 @@ def head_from_cd(c_D: float, L: float, Q: float) -> float:
     return (3.0 * Q / (2.0 * c_D * L * math.sqrt(2.0 * GRAVITY))) ** (2.0 / 3.0)
 
 
+# one installation's ranges serve every cell that synthesize_labels labels
+@functools.cache
 def _oracle_ranges(fixed: PkwFixed) -> tuple[float, float, float, float, float, float]:
     """Min-max envelopes of B, T_s3 and W_o_d over the sampled box.
 
@@ -155,18 +158,11 @@ def synthetic_cd(derived: PkwDerived, Q: float,
     substitute for measured or simulated coefficients.
     """
     config = config if config is not None else OracleConfig()
-    return _synthetic_cd(derived, Q, config, seed, _oracle_ranges(config.fixed))
-
-
-def _synthetic_cd(derived: PkwDerived, Q: float, config: OracleConfig, seed: int,
-                  ranges: tuple[float, float, float, float, float, float]) -> float:
-    """:func:`synthetic_cd` given the ``_oracle_ranges`` of ``config.fixed``,
-    which a caller labeling many cells computes once."""
     if not (config.q_lo <= Q <= config.q_hi):
         raise OutOfRange(
             f"Q={Q} m^3/s outside the oracle domain "
             f"[{config.q_lo}, {config.q_hi}] m^3/s")
-    B_min, B_max, t3_min, t3_max, w_min, w_max = ranges
+    B_min, B_max, t3_min, t3_max, w_min, w_max = _oracle_ranges(config.fixed)
     q_hat = (Q * 1000.0 - 50.0) / 200.0
     b_hat = (derived.B - B_min) / (B_max - B_min)
     t_hat = (derived.T_s3 - t3_min) / (t3_max - t3_min)

@@ -363,7 +363,8 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
     root's rows in cells, as wide as a root's candidate rows.  ``root``,
     with one root only, is the half of the root's split search that reads
     ``Xr``, on every feature (see :func:`_best_splits`), built by
-    :func:`_node_bounds` from ``order``.
+    :func:`_node_bounds` from ``order``.  Its sorted rows are a view of
+    ``order``, so a caller that reuses it passes a buffer.
     """
     d, n = Xr.shape
     if buffer is None:
@@ -502,16 +503,17 @@ def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, work, root=None
     :func:`_with_squares`, scores the boundaries (:func:`_scores`).
     ``root``, when given, is the first half for a level holding one node
     of every row on every feature, built once by the caller, since a
-    boosting stage changes only the targets.  Any
-    other node whose candidate rows hold more than ``_BLOCK`` elements is
-    searched on its own in ``work`` (:func:`_node_min`).  Narrower nodes'
-    pairs are batched by size class, which pads a row to at most twice its
-    length, into blocks of at most ``_BLOCK`` elements.  Within a row the
-    first minimum wins (the lowest threshold); across a node's features
-    the first strictly lower score wins (the lowest index).  A target whose
-    square overflows makes every split of its node score inf or NaN, so
-    the node does not split; a child's sum whose square overflows while the
-    squares sum finitely scores -inf, and that split wins.
+    boosting stage changes only the targets.  Any other node whose
+    candidate rows hold more than ``_BLOCK`` elements is searched on its
+    own in ``work`` (:func:`_node_min`); when no node is narrower, nothing
+    else runs.  Narrower nodes' pairs are batched by size class, which
+    pads a row to at most twice its length, into blocks of at most
+    ``_BLOCK`` elements.  Within a row the first minimum wins (the lowest
+    threshold); across a node's features the first strictly lower score
+    wins (the lowest index).  A target whose square overflows makes every
+    split of its node score inf or NaN, so the node does not split; a
+    child's sum whose square overflows while the squares sum finitely
+    scores -inf, and that split wins.
     """
     n_nodes, n_cand = cand.shape
     score = np.empty((n_nodes, n_cand))

@@ -538,8 +538,8 @@ def test_rank_presort_matches_the_float_argsort(data):
 def test_presort_of_a_feature_past_the_rank_limit_sorts_its_values():
     rng = np.random.default_rng(43)
     n = trees._MAX_RANKS + 4465
-    # 70,000 rows: all distinct in the first column, apart from a -0.0 and
-    # a 0.0, and 3 repeated values in the second
+    # 70,000 rows: distinct in the first column apart from zeros of both
+    # signs, and three values, two of them -0.0 and 0.0, in the second
     wide = rng.permutation(n) - 2.0
     wide[rng.choice(n, 2, replace=False)] = (-0.0, 0.0)
     X = np.column_stack([wide, rng.choice((-0.0, 0.0, 1.0), n)])
@@ -705,7 +705,7 @@ def test_packing_holds_the_members_and_one_packed_kind():
     # The members are packed one kind at a time and dropped as they are
     # copied, so packing holds the members (20 bytes a node) and one packed
     # kind (8 at most), then the model: its arrays, the child links and two
-    # masks of its nodes.  Packing next to whole members held 72 bytes a node.
+    # masks of its nodes.
     model = sum(a.nbytes for a in (packed.feature, packed.threshold,
                                    packed.value, packed.child))
     member = max(sum(a.nbytes for a in arrays) for arrays in source)
