@@ -12,11 +12,16 @@ stopping on a validation set; the weights that scored the best validation
 MSE are the ones the fitted model keeps.
 
 Every per-point pass (a training step's forward pass, validation and
-prediction) goes through one encoder.  It runs the per-point layers and the
-pool one cloud at a time and keeps only the pooled vectors; the head then
-runs on all of them at once.  The result is bit-identical to one pass over
-the whole set, so per-point memory is bounded by one cloud, not by the
-batch or the set size.
+prediction) goes through one encoder.  It runs the per-point layers
+channels first, as ``W.T @ x.T``, on one block of at most 1,024 points of
+one cloud at a time, pools each block along contiguous channel rows and
+merges that into the cloud's running pool, and keeps only the pooled
+vectors; the head then runs on all of them at once.  The merge keeps the
+first maximum and lets a NaN win, as one pool over the whole cloud does.
+On the OpenBLAS this was measured with, the result is bit-identical to one
+row-major pass over the whole set, which the tests check.  Per-point
+memory is bounded by one block, not by the cloud, the batch or the set
+size.
 
 The max pool passes gradient to one point per (cloud, channel): the
 channel's first-maximum point.  A cloud's distinct such points are its
@@ -25,7 +30,7 @@ alone fix the pooled vector (Qi et al., "PointNet", CVPR 2017).  A training
 step keeps the pooled vectors and those ``argmax`` rows, recomputes layers
 0 and 1 on the critical rows alone and backpropagates on them; it caches no
 per-point activation and builds no per-point gradient.  Prediction and
-validation pool with a plain ``max``.
+validation read the same pooled values and drop the ``argmax`` rows.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ __all__ = [
 
 _LAYER_DIMS = ((4, 64), (64, 64), (64, 128), (128, 64), (64, 1))
 _POOL_AFTER = 2  # index of the last per-point layer
+_POINT_BLOCK = 1024  # points per encoder pass; bounds the per-point scratch
 _Q_LO_LPS = 50.0
 _Q_SPAN_LPS = 200.0
 
@@ -122,7 +128,9 @@ def _check_clouds(X):
         )
     if X.shape[1] == 0:
         raise ShapeMismatch("clouds must contain at least one point")
-    if not np.isfinite(X).all():
+    # the extremes are NaN or infinite if any value is, and need no
+    # temporary the size of the clouds
+    if X.size and not np.isfinite([X.min(), X.max()]).all():
         raise ValueError("cloud features must be finite")
     return X
 
@@ -162,30 +170,72 @@ class PointNetMini:
     def _encode(self, X, critical=False):
         """Pooled layer-2 pre-activations of checked clouds, ``(n, 128)``.
 
-        The per-point layers run one cloud at a time, so no pass holds more
-        than one cloud's activations; a cloud is one product per layer
-        either way, so this changes no bits.  ReLU is monotone and commutes
-        with the pool, so the pool reads the biased pre-activation and the
-        head applies the ReLU to the pooled vectors only.  With
-        ``critical`` each channel is read at its first-maximum point, and
-        those ``argmax`` indices, the cloud's critical points, come back
-        too; otherwise the pool is a plain ``max`` and the second value is
+        The per-point layers run channels first, one cloud and one block of
+        at most ``_POINT_BLOCK`` points at a time: a block's input is
+        ``h = x.T`` and each layer is ``W.T @ h`` plus its bias as a column,
+        written in place into scratch sized for one block.  So memory is
+        bounded by one block whatever the cloud size.  Each activation is
+        one dot product, and on the OpenBLAS this was measured with it
+        comes out bit for bit as from a row-major ``x @ W`` over the whole
+        cloud; BLAS does not promise that, so the tests compare against
+        that encoder.  ReLU is monotone and commutes with the pool, so the
+        pool reads the biased pre-activation and the head applies the ReLU
+        to the pooled vectors only.
+
+        Each block is pooled along its contiguous channel rows, each
+        channel read at its block's first-maximum point, and merged into
+        the cloud's running pool: a later block takes a channel only on a
+        strictly greater value, or on a NaN where the running value is not
+        NaN.  So the first maximum wins and the first NaN poisons the
+        channel, as ``np.argmax`` and ``np.max`` over the whole cloud have
+        it.  With ``critical`` those ``argmax`` indices, the cloud's
+        critical points, come back too; otherwise the second value is
         ``None``.
         """
+        n_clouds, n_points = X.shape[:2]
         width = _LAYER_DIMS[_POOL_AFTER][1]
-        pooled = np.empty((X.shape[0], width))
-        argmax = np.empty((X.shape[0], width), dtype=np.intp) if critical else None
+        pooled = np.empty((n_clouds, width))
+        # without ``critical`` one argmax row serves every cloud in turn
+        argmax = np.empty((n_clouds if critical else 1, width), dtype=np.intp)
         channels = np.arange(width)
-        for c, h in enumerate(X):
-            for i in range(_POOL_AFTER):
-                h = self._layer(i, h)
-            z = self._layer(_POOL_AFTER, h, relu=False)
-            if critical:
-                np.argmax(z, axis=0, out=argmax[c])
-                pooled[c] = z[argmax[c], channels]
-            else:
-                np.max(z, axis=0, out=pooled[c])
-        return pooled, argmax
+        layers = [
+            (self.params[f"W{i}"].T, self.params[f"b{i}"][:, None])
+            for i in range(_POOL_AFTER + 1)
+        ]
+        # BLAS computes a one-column product with gemv, which rounds
+        # differently from the same column of a wider product, so no block
+        # of a multi-point cloud holds one point: blocks hold at least two,
+        # and a one-point tail starts a point early, at a point already
+        # pooled, whose equal values the merge never takes
+        block = min(n_points, max(_POINT_BLOCK, 2))
+        # layers alternate between two flat buffers, viewed as contiguous
+        # (channels, points) blocks so that matmul writes into them in
+        # place; the pooled layer overwrites layer 0's output, which layer
+        # 1 has consumed by then
+        scratch = np.empty(width * block), np.empty(_LAYER_DIMS[1][1] * block)
+        for c in range(n_clouds):
+            top, first = pooled[c], argmax[c if critical else 0]
+            for start in range(0, n_points, block):
+                start = max(min(start, n_points - 2), 0)
+                h = X[c, start : start + block].T
+                for i, (w, b) in enumerate(layers):
+                    z = scratch[i % 2][: w.shape[0] * h.shape[1]]
+                    z = z.reshape(w.shape[0], h.shape[1])
+                    np.matmul(w, h, out=z)
+                    z += b
+                    if i < _POOL_AFTER:
+                        np.maximum(z, 0.0, out=z)
+                    h = z
+                if start == 0:
+                    np.argmax(z, axis=1, out=first)
+                    top[:] = z[channels, first]
+                    continue
+                at = np.argmax(z, axis=1)
+                value = z[channels, at]
+                take = ~(value <= top) & ~np.isnan(top)
+                top[take] = value[take]
+                first[take] = at[take] + start
+        return pooled, argmax if critical else None
 
     def _head(self, pooled):
         """Head activations: the ReLU'd pooled vectors, then each head layer's

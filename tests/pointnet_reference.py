@@ -11,6 +11,11 @@ network as it was before the encoder ran one cloud at a time: a training
 step caches every per-point activation of the batch, and the backward pass
 gathers the critical rows from that cache instead of recomputing them.
 
+``RowMajorPointNet._encode`` is the encoder as it was before it ran
+channels first in blocks of points: each cloud's per-point layers are one
+row-major product per layer over all of its points, and the pool reduces
+the (points, 128) pre-activation along its strided point axis.
+
 ``fit_pointnet_mini`` is the training loop, copied unchanged except that it
 builds the ``network`` class it is given, evaluates through that class's
 ``predict``, and records ``train_mse`` as the size-weighted mean of the
@@ -200,6 +205,36 @@ class CachedPointNet(PointNetMini):
                 delta_rows = delta_rows @ self.params[f"W{i}"].T
                 delta_rows *= a_in > 0.0
         return loss, grads
+
+
+class RowMajorPointNet(PointNetMini):
+    """Row-major per-point layers over whole clouds, pooled along axis 0."""
+
+    def _encode(self, X, critical=False):
+        """Pooled layer-2 pre-activations of checked clouds, ``(n, 128)``.
+
+        The per-point layers run one cloud at a time.  With ``critical``
+        each channel is read at its first-maximum point, and those
+        ``argmax`` indices come back too; otherwise the pool is a plain
+        ``max`` and the second value is ``None``.
+        """
+        width = _LAYER_DIMS[_POOL_AFTER][1]
+        pooled = np.empty((X.shape[0], width))
+        argmax = np.empty((X.shape[0], width), dtype=np.intp) if critical else None
+        channels = np.arange(width)
+        for c, h in enumerate(X):
+            for i in range(_POOL_AFTER + 1):
+                z = h @ self.params[f"W{i}"]
+                z += self.params[f"b{i}"]
+                if i < _POOL_AFTER:
+                    np.maximum(z, 0.0, out=z)
+                h = z
+            if critical:
+                np.argmax(z, axis=0, out=argmax[c])
+                pooled[c] = z[argmax[c], channels]
+            else:
+                np.max(z, axis=0, out=pooled[c])
+        return pooled, argmax
 
 
 def fit_pointnet_mini(

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pointnet_reference
@@ -18,7 +18,8 @@ from pkwbench.surrogates import (
     normalize_discharge,
     save_model,
 )
-from pkwbench.surrogates.pointnet import _init_params
+from pkwbench.surrogates import pointnet
+from pkwbench.surrogates.pointnet import _POINT_BLOCK, _init_params
 
 N_PARAMETERS = 21_121  # frozen by the layer widths 4-64-64-128 pool 64-1
 
@@ -206,6 +207,11 @@ def test_shape_guards():
     model = _quick_fit(X, y)
     with pytest.raises(ShapeMismatch):
         model.predict(np.ones((2, 8, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        X_bad = X.copy()
+        X_bad[2, 5, 1] = bad
+        with pytest.raises(ValueError, match="cloud features must be finite"):
+            model.predict(X_bad)
 
 
 def test_network_round_trip(tmp_path):
@@ -265,6 +271,29 @@ def _net_problems(draw):
     return X, y, batch_size, seed
 
 
+@pytest.fixture
+def point_blocks(monkeypatch):
+    """Iterate a test body over encoder block sizes.
+
+    The hypothesis problems hold at most 12 points per cloud, one block at
+    the module's ``_POINT_BLOCK``.  Blocks of 1, 3 and 5 points split them,
+    so the per-block pool merge, ties across blocks and one-point tails
+    run; the encoder widens a one-point block to two.  The module's own
+    size comes last.
+    """
+
+    def each():
+        for size in (1, 3, 5, _POINT_BLOCK):
+            monkeypatch.setattr(pointnet, "_POINT_BLOCK", size)
+            yield size
+
+    return each
+
+
+# the fixture only sets the block size, and each use sets it again
+_BLOCKS_PER_EXAMPLE = [HealthCheck.function_scoped_fixture]
+
+
 def _kill_channels(params, rng):
     """Biases so negative that some channels of each hidden layer never fire."""
     params = {k: v.copy() for k, v in params.items()}
@@ -274,27 +303,40 @@ def _kill_channels(params, rng):
     return params
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=_BLOCKS_PER_EXAMPLE)
 @given(_net_problems(), st.booleans())
-def test_loss_gradients_and_predict_match_the_reference(problem, dead):
+def test_loss_gradients_and_predict_match_the_reference(point_blocks, problem,
+                                                       dead):
     X, y, batch_size, seed = problem
     rng = np.random.default_rng(seed)
     params = _init_params(rng)
     if dead:
         params = _kill_channels(params, rng)
     config = PointNetConfig(batch_size=batch_size)
+    references = [
+        network(params, config=config)
+        for network in (pointnet_reference.ReferencePointNet,
+                        pointnet_reference.CachedPointNet)
+    ]
+    wants = [(*reference.loss_and_gradients(X, y), reference.predict(X))
+             for reference in references]
+    row_major = pointnet_reference.RowMajorPointNet(params, config=config)
+    _, row_major_grads = row_major.loss_and_gradients(X, y)
     model = PointNetMini(params, config=config)
-    loss, grads = model.loss_and_gradients(X, y)
-    predicted = model.predict(X)
-    for network in (pointnet_reference.ReferencePointNet,
-                    pointnet_reference.CachedPointNet):
-        reference = network(params, config=config)
-        want_loss, want_grads = reference.loss_and_gradients(X, y)
-        assert loss == want_loss
-        assert grads.keys() == want_grads.keys()
+    for _ in point_blocks():
+        loss, grads = model.loss_and_gradients(X, y)
+        predicted = model.predict(X)
+        for want_loss, want_grads, want_predicted in wants:
+            assert loss == want_loss
+            assert grads.keys() == want_grads.keys()
+            for key, grad in grads.items():
+                _assert_close(grad, want_grads[key], key)
+            assert np.array_equal(predicted, want_predicted)
+        # with the row-major encoder the backward pass is this one, so
+        # every gradient is bit-identical
         for key, grad in grads.items():
-            _assert_close(grad, want_grads[key], key)
-        assert np.array_equal(predicted, reference.predict(X))
+            assert np.array_equal(grad, row_major_grads[key]), key
 
 
 def test_fit_keeps_the_cached_networks_weights():
@@ -321,22 +363,29 @@ def test_fit_keeps_the_cached_networks_weights():
         _assert_close(got.history[key], want.history[key], key)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=_BLOCKS_PER_EXAMPLE)
 @given(_net_problems(), st.integers(0, 12), st.integers(1, 3), st.integers(1, 2))
-def test_fit_matches_the_reference(problem, n_val, max_epochs, patience):
+def test_fit_matches_the_reference(point_blocks, problem, n_val, max_epochs,
+                                   patience):
     X, y, batch_size, seed = problem
     config = PointNetConfig(batch_size=batch_size, max_epochs=max_epochs,
                             patience=patience, seed=seed)
     # n_val == 0: the training set doubles as the validation set
     Xv = X[:n_val][::-1] if n_val else None
     yv = y[:n_val][::-1] if n_val else None
-    got = fit_pointnet_mini(X, y, Xv, yv, config=config)
     want = pointnet_reference.fit_pointnet_mini(X, y, Xv, yv, config=config)
-    assert got.history["best_epoch"] == want.history["best_epoch"]
-    _assert_close(got.parameter_vector(), want.parameter_vector(), "parameters")
-    for key in ("train_mse", "val_mse", "best_val_mse"):
-        _assert_close(got.history[key], want.history[key], key)
-    _assert_close(got.predict(X), want.predict(X), "predictions")
+    row_major = pointnet_reference.fit_pointnet_mini(
+        X, y, Xv, yv, config=config, network=pointnet_reference.RowMajorPointNet)
+    for _ in point_blocks():
+        got = fit_pointnet_mini(X, y, Xv, yv, config=config)
+        assert got.history["best_epoch"] == want.history["best_epoch"]
+        _assert_close(got.parameter_vector(), want.parameter_vector(), "parameters")
+        for key in ("train_mse", "val_mse", "best_val_mse"):
+            _assert_close(got.history[key], want.history[key], key)
+        _assert_close(got.predict(X), want.predict(X), "predictions")
+        assert np.array_equal(got.parameter_vector(), row_major.parameter_vector())
+        assert got.history == row_major.history
 
 
 def test_predict_on_no_clouds_is_empty():
@@ -347,18 +396,29 @@ def test_predict_on_no_clouds_is_empty():
 
 
 @pytest.mark.parametrize("n_clouds, batch_size", [(40, 32), (7, 32), (40, 3)])
-def test_nonfinite_loss_message_matches_the_reference(n_clouds, batch_size):
-    X = _toy_clouds(n_clouds, 8, seed=13)
-    y = np.random.default_rng(14).uniform(0.3, 0.6, size=n_clouds)
+def test_nonfinite_loss_message_matches_the_reference(n_clouds, batch_size,
+                                                      point_blocks):
+    _assert_same_nonfinite_loss(_toy_clouds(n_clouds, 8, seed=13), batch_size,
+                                point_blocks())
+
+
+def test_nonfinite_loss_across_point_blocks_matches_the_reference():
+    X = _toy_clouds(12, _POINT_BLOCK + 76, seed=13)
+    _assert_same_nonfinite_loss(X, 4, [_POINT_BLOCK])
+
+
+def _assert_same_nonfinite_loss(X, batch_size, blocks):
+    """A diverging fit stops at the reference's batch with its message."""
+    y = np.random.default_rng(14).uniform(0.3, 0.6, size=X.shape[0])
     config = PointNetConfig(learning_rate=1e155, max_epochs=3, seed=0,
                             batch_size=batch_size)
-    messages = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for fit in (fit_pointnet_mini, pointnet_reference.fit_pointnet_mini):
-            with pytest.raises(NonFiniteLoss) as info:
-                fit(X, y, config=config)
-            messages.append(str(info.value))
-    assert messages[0] == messages[1]
+        with pytest.raises(NonFiniteLoss) as want:
+            pointnet_reference.fit_pointnet_mini(X, y, config=config)
+        for _ in blocks:
+            with pytest.raises(NonFiniteLoss) as got:
+                fit_pointnet_mini(X, y, config=config)
+            assert str(got.value) == str(want.value)
 
 
 def _peak_traced_bytes(fn):
@@ -419,3 +479,87 @@ def test_fit_epoch_memory_grows_with_the_batch_not_the_set():
         y = np.random.default_rng(21).uniform(0.3, 0.6, size=n_clouds)
         peaks.append(_peak_traced_bytes(lambda: fit_pointnet_mini(X, y, config=config)))
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_step_memory_does_not_grow_with_the_points():
+    """The encoder holds one block of points, whatever the cloud size."""
+    model = PointNetMini(_init_params(np.random.default_rng(31)))
+    y = np.random.default_rng(30).uniform(0.3, 0.6, size=32)
+    step, predict = [], []
+    for n_points in (5000, 20000):
+        X = _toy_clouds(32, n_points, seed=29)
+        step.append(_peak_traced_bytes(lambda: model.loss_and_gradients(X, y)))
+        predict.append(_peak_traced_bytes(lambda: model.predict(X)))
+    assert step[1] <= 1.1 * step[0], step
+    assert predict[1] <= 1.1 * predict[0], predict
+
+
+# the encoder's point blocks against the row-major encoder they replaced
+
+
+def _assert_encodes_like_the_row_major_reference(X, params):
+    """Pooled values and argmax rows equal the reference's, NaN included;
+    returns the critical pass's."""
+    model = PointNetMini(params)
+    reference = pointnet_reference.RowMajorPointNet(params)
+    for critical in (False, True):
+        pooled, argmax = model._encode(X, critical)
+        want_pooled, want_argmax = reference._encode(X, critical)
+        assert np.array_equal(pooled, want_pooled, equal_nan=True), critical
+        if critical:
+            assert np.array_equal(argmax, want_argmax)
+        else:
+            assert argmax is None
+    return pooled, argmax
+
+
+@pytest.mark.parametrize("n_points", [512, 1024, 1025, 5000])
+def test_encode_matches_the_row_major_reference(n_points):
+    X = _toy_clouds(3, n_points, seed=n_points)
+    params = _init_params(np.random.default_rng(n_points + 1))
+    _assert_encodes_like_the_row_major_reference(X, params)
+
+
+def test_encode_ties_across_a_block_boundary_keep_the_first_index():
+    """Tied maxima in different blocks, and a one-point tail block."""
+    n_points = 2 * _POINT_BLOCK + 1
+    X = _toy_clouds(3, n_points, seed=40)
+    # every point of cloud 0's second block, and its last point, repeats
+    # one of its first block
+    X[0, _POINT_BLOCK : 2 * _POINT_BLOCK] = X[0, :_POINT_BLOCK]
+    X[0, -1] = X[0, 0]
+    # cloud 1 is one point repeated
+    X[1] = X[1, 0]
+    # cloud 2's outliers win channels: a tied pair either side of the first
+    # boundary, and its last point, alone in the tail block
+    X[2, _POINT_BLOCK - 1 : _POINT_BLOCK + 1, :3] = 5.0
+    X[2, -1, :3] = -5.0
+    params = _init_params(np.random.default_rng(41))
+    _, argmax = _assert_encodes_like_the_row_major_reference(X, params)
+    assert np.all(argmax[0] < _POINT_BLOCK)
+    assert np.all(argmax[1] == 0)
+    assert _POINT_BLOCK - 1 in argmax[2]
+    assert _POINT_BLOCK not in argmax[2]
+    assert n_points - 1 in argmax[2]
+
+
+def test_encode_nan_in_a_later_block_poisons_the_same_channels():
+    rng = np.random.default_rng(42)
+    params = _init_params(rng)
+    # layers 0 and 1 pass the ReLU'd x coordinate through channel 0 alone;
+    # W2's infinite entries make their channels +inf where x > 0 and NaN
+    # (inf * 0) at the one point where x is 0, in the second block
+    for i in range(2):
+        params[f"W{i}"][:] = 0.0
+        params[f"W{i}"][0, 0] = 1.0
+        params[f"b{i}"][:] = 0.0
+    poisoned = rng.random(params["W2"].shape[1]) < 0.5
+    params["W2"][0, poisoned] = np.inf
+    X = _toy_clouds(2, _POINT_BLOCK + 500, seed=43)
+    X[:, :, 0] += 0.5
+    X[0, _POINT_BLOCK + 100, 0] = 0.0
+    with np.errstate(invalid="ignore"):
+        pooled, _ = _assert_encodes_like_the_row_major_reference(X, params)
+    assert np.array_equal(np.isnan(pooled[0]), poisoned)
+    assert np.all(np.isposinf(pooled[1, poisoned]))
+    assert np.isfinite(pooled[1, ~poisoned]).all()
