@@ -16,6 +16,7 @@ is converted to SI before it reaches the library modules.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import csv
 import dataclasses
@@ -52,7 +53,7 @@ from .dataset import (
 from .errors import ArtifactExists, MalformedModel, MissingArtifact, PkwError
 from .geometry import derive, feature_vector, write_params
 from .hydraulics import OracleConfig, ingest_labels, paper_schedule
-from .mesh import _tessellate, analytic_volume, build_regions, crest_trace_length
+from .mesh import analytic_volume, build_regions, crest_trace_length, tessellate
 from .pointcloud import normalize_unit_cube, read_cloud, sample_surface, write_cloud
 from .sampling import paper_default_space, screening_space, generate_batch, VARIABLE_NAMES
 from .stlio import read_stl, write_stl
@@ -73,10 +74,14 @@ SUBDIRS = ("params", "meshes", "clouds", "labels", "splits", "models", "reports"
 MANIFEST_NAME = "design_manifest.jsonl"
 MODEL_CHOICES = ("tree", "forest", "gbm", "pointnet")
 _RATIO_VARIABLES = {"R_B_i"}  # dimensionless axes take plain values, not mm
+# jobs a pool holds per worker, counting the one whose result is being written
+_JOBS_PER_WORKER = 2
 
 _REPORT_COLUMNS = ("split", "policy", "model", "partition", "n_train", "n_eval",
                    "mse", "r2", "mae", "max_ae")
 _SCALED_COLUMNS = ("mse_1e5", "r2_100", "mae_1e3", "max_ae_10")
+_MESH_COLUMNS = ("geometry_id", "n_vertices", "n_triangles", "watertight",
+                 "signed_volume", "analytic_volume", "crest_trace", "crest_parametric")
 
 
 # workspace plumbing
@@ -109,18 +114,6 @@ def _write_meta(artifact: Path, command: str, seed, payload: dict) -> None:
     }
     with _atomic_write(artifact.with_name(artifact.name + ".meta.json")) as fh:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
-
-
-def _marker(path: Path) -> Path:
-    return path.with_name(path.name + ".failed")
-
-
-def _mark_failed(path: Path, exc: Exception) -> None:
-    """Replace the artifact ``path`` by its ``.failed`` marker."""
-    path.unlink(missing_ok=True)
-    record = {"error": type(exc).__name__, "message": str(exc)}
-    with _atomic_write(_marker(path)) as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _load_manifest(ws: Path, with_labels: bool = False):
@@ -252,13 +245,15 @@ def _metric_row(split, model_name, partition, n_train, report, paper_scale):
     return row
 
 
-def _write_report(path: Path, rows, paper_scale: bool) -> None:
-    columns = _REPORT_COLUMNS + (_SCALED_COLUMNS if paper_scale else ())
+def _write_csv(path: Path, columns, rows) -> None:
     with _atomic_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(columns))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def _write_report(path: Path, rows, paper_scale: bool) -> None:
+    _write_csv(path, _REPORT_COLUMNS + (_SCALED_COLUMNS if paper_scale else ()), rows)
 
 
 # subcommands
@@ -317,11 +312,11 @@ def _pool_size(jobs: int, n_tasks: int) -> int:
 def _run_jobs(fn, tasks, jobs: int):
     """Yield ``fn(*task)`` for every task, in task order, as results arrive.
 
-    A stage writes each result before it takes the next, so it holds about
-    one result at a time, not one per design.  One worker runs the jobs
-    here in this process; more run them in a process pool, since the
-    per-design work is pure Python that threads cannot overlap.  ``fn``
-    must be a module-level function and the tasks plain picklable data.
+    One worker runs the jobs here in this process; more run them in a
+    process pool, since the per-design work is pure Python that threads
+    cannot overlap.  The pool holds at most ``_JOBS_PER_WORKER`` jobs per
+    worker, so a slow job cannot make the results after it pile up here.
+    ``fn`` must be a module-level function and the tasks plain picklable data.
     The pool takes the platform's default start method (fork on Linux
     before Python 3.14): the CLI starts no threads of its own, and a
     spawned worker would first spend about 0.3 s re-importing numpy and
@@ -333,7 +328,42 @@ def _run_jobs(fn, tasks, jobs: int):
             yield fn(*task)
         return
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, *zip(*tasks))
+        pending = collections.deque()
+        for task in tasks:
+            pending.append(pool.submit(fn, *task))
+            if len(pending) == _JOBS_PER_WORKER * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _design_job(job, gid, *args):
+    """``(gid, job(gid, *args), None)``, or ``(gid, None, error)`` for a
+    ``PkwError``; any other error propagates and stops the stage."""
+    try:
+        return gid, job(gid, *args), None
+    except PkwError as exc:
+        return gid, None, exc
+
+
+def _run_stage(job, tasks, targets: dict, write, jobs: int) -> list:
+    """Run ``job`` on the tasks, each led by its design's id, and return the
+    ids that failed.  A result goes to ``write(path, result)`` at the design's
+    path in ``targets``; a failure replaces that artifact by its marker."""
+    failures = []
+    for gid, result, err in _run_jobs(_design_job, [(job, *task) for task in tasks], jobs):
+        path = targets[gid]
+        marker = path.with_name(path.name + ".failed")
+        if err is None:
+            write(path, result)
+            marker.unlink(missing_ok=True)
+            continue
+        path.unlink(missing_ok=True)
+        record = {"error": type(err).__name__, "message": str(err)}
+        with _atomic_write(marker) as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        failures.append(gid)
+    return failures
 
 
 def _stage_status(error: str, what: str, failures: list) -> int:
@@ -351,34 +381,27 @@ def _stage_status(error: str, what: str, failures: list) -> int:
 
 
 def _mesh_job(gid, derived, fixed, x_segments):
-    """Mesh one design: ``(gid, (mesh, row), None)``, with the design's
-    ``mesh_reports.csv`` row, or ``(gid, None, error)``."""
-    try:
-        mesh, report = _tessellate(build_regions(derived, fixed), x_segments)
-        row = {
-            "geometry_id": gid,
-            "n_vertices": len(mesh.vertices),
-            "n_triangles": len(mesh.triangles),
-            "watertight": int(report.watertight),
-            "signed_volume": f"{report.signed_volume:.9g}",
-            "analytic_volume": f"{analytic_volume(derived, fixed):.9g}",
-            "crest_trace": f"{crest_trace_length(mesh):.9g}",
-            "crest_parametric": f"{derived.L:.9g}",
-        }
-        return gid, (mesh, row), None
-    except PkwError as exc:
-        return gid, None, exc
+    """Mesh one design: ``(mesh, row)``, with its ``mesh_reports.csv`` row."""
+    mesh, report = tessellate(build_regions(derived, fixed), x_segments)
+    row = {
+        "geometry_id": gid,
+        "n_vertices": len(mesh.vertices),
+        "n_triangles": len(mesh.triangles),
+        "watertight": int(report.watertight),
+        "signed_volume": f"{report.signed_volume:.9g}",
+        "analytic_volume": f"{analytic_volume(derived, fixed):.9g}",
+        "crest_trace": f"{crest_trace_length(mesh):.9g}",
+        "crest_parametric": f"{derived.L:.9g}",
+    }
+    return mesh, row
 
 
 def _cloud_job(gid, stl_path, n, seed):
-    """Sample one cloud: ``(gid, cloud, None)`` or ``(gid, None, error)``."""
-    try:
-        if not stl_path.exists():
-            raise MissingArtifact(f"no mesh for {gid}; run mesh first")
-        cloud = sample_surface(read_stl(stl_path), n, seed=seed, geometry_id=gid)
-        return gid, normalize_unit_cube(cloud), None
-    except PkwError as exc:
-        return gid, None, exc
+    """Sample one design's cloud from its STL."""
+    if not stl_path.exists():
+        raise MissingArtifact(f"no mesh for {gid}; run mesh first")
+    cloud = sample_surface(read_stl(stl_path), n, seed=seed, geometry_id=gid)
+    return normalize_unit_cube(cloud)
 
 
 def _cmd_mesh(args) -> int:
@@ -392,33 +415,21 @@ def _cmd_mesh(args) -> int:
             raise MissingArtifact(f"unknown geometry ids: {', '.join(missing)}")
         # an id given twice is meshed once
         gids = sorted(set(args.ids))
-    for gid in gids:
-        _claim(ws / "meshes" / f"{gid}.stl", args.force)
+    targets = {gid: _claim(ws / "meshes" / f"{gid}.stl", args.force) for gid in gids}
 
     tasks = [(gid, manifest.geometries[gid].derived, fixed, args.x_segments)
              for gid in gids]
     # the ids as meshed, so their order on the command line does not matter
     config = {"x_segments": args.x_segments, "ids": gids if args.ids else []}
-    failures = []
     rows = []
-    for gid, ok, err in _run_jobs(_mesh_job, tasks, args.jobs):
-        stl_path = ws / "meshes" / f"{gid}.stl"
-        if err is not None:
-            _mark_failed(stl_path, err)
-            failures.append(gid)
-            continue
-        mesh, row = ok
-        write_stl(stl_path, mesh, geometry_id=gid)
-        _marker(stl_path).unlink(missing_ok=True)
+
+    def write(path, result):
+        mesh, row = result
+        write_stl(path, mesh, geometry_id=row["geometry_id"])
         rows.append(row)
-    with _atomic_write(report_path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[
-            "geometry_id", "n_vertices", "n_triangles", "watertight",
-            "signed_volume", "analytic_volume", "crest_trace", "crest_parametric",
-        ])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+
+    failures = _run_stage(_mesh_job, tasks, targets, write, args.jobs)
+    _write_csv(report_path, _MESH_COLUMNS, rows)
     _write_meta(report_path, "mesh", None, config)
     print(f"meshed {len(rows)} of {len(gids)} designs")
     return _stage_status("MeshStageFailures", "designs failed to mesh", failures)
@@ -435,18 +446,9 @@ def _cmd_cloud(args) -> int:
     # each cloud's seed comes from the master seed and the geometry's rank
     tasks = [(gid, ws / "meshes" / f"{gid}.stl", n, _stage_seed(seed, rank))
              for rank, gid in enumerate(gids)]
-    failures = []
-    written = 0
-    for gid, cloud, err in _run_jobs(_cloud_job, tasks, args.jobs):
-        if err is not None:
-            _mark_failed(targets[gid], err)
-            failures.append(gid)
-            continue
-        write_cloud(targets[gid], cloud)
-        _marker(targets[gid]).unlink(missing_ok=True)
-        written += 1
+    failures = _run_stage(_cloud_job, tasks, targets, write_cloud, args.jobs)
     _write_meta(ws / "clouds" / "clouds", "cloud", seed, {"n": n})
-    print(f"sampled {written} clouds of {n} points")
+    print(f"sampled {len(gids) - len(failures)} clouds of {n} points")
     return _stage_status("CloudStageFailures", "clouds could not be sampled", failures)
 
 

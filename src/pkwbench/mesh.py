@@ -608,17 +608,13 @@ def _station_bands(walls, chains, chain_pieces, x: np.ndarray, profiles: _Profil
               np.where(in_left[row, k, None], _PLUS_X, _MINUS_X))
 
 
-def tessellate(regions: list[PlanRegion], x_segments: int = 8) -> TriangleMesh:
-    """Triangulate the solid bounded by the plan regions.
+def tessellate(regions: list[PlanRegion], x_segments: int = 8) -> tuple[TriangleMesh, MeshReport]:
+    """Triangulate the solid bounded by the plan regions: ``(mesh, report)``,
+    the report from the mesh's one ``validate_mesh``.
 
-    The result is watertight and outward-oriented; a failed stitch raises
+    The mesh is watertight and outward-oriented; a failed stitch raises
     StitchFailure with the offending edges attached.
     """
-    return _tessellate(regions, x_segments)[0]
-
-
-def _tessellate(regions: list[PlanRegion], x_segments: int):
-    """``tessellate``, returning ``(mesh, report)`` from its one validation."""
     if x_segments < 1:
         raise ValueError("x_segments must be >= 1")
     edge_groups = _edge_groups(regions)
@@ -815,5 +811,5 @@ def crest_trace_length(mesh: TriangleMesh, tol: float = 1e-9) -> float:
 
 
 def solid_mesh(derived: PkwDerived, fixed: PkwFixed, x_segments: int = 8) -> TriangleMesh:
-    """Convenience wrapper: build regions and tessellate."""
-    return tessellate(build_regions(derived, fixed), x_segments=x_segments)
+    """Convenience wrapper: build regions and tessellate; the mesh alone."""
+    return tessellate(build_regions(derived, fixed), x_segments=x_segments)[0]

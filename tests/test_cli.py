@@ -6,12 +6,15 @@ sample -> mesh -> cloud -> label -> split -> train -> eval chain so the
 cheap assertions do not redo the expensive stages.
 """
 
+import concurrent.futures
 import csv
+import functools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +258,57 @@ def test_one_worker_runs_jobs_without_a_pool(monkeypatch):
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert list(_run_jobs(divmod, [(7, 2), (9, 4)], jobs=8)) == [(3, 1), (2, 1)]
+
+
+def _straggler(k):
+    time.sleep(0.3 if k == 0 else 0.01)
+    return k
+
+
+def test_pool_holds_at_most_two_jobs_per_worker(monkeypatch):
+    submitted = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    taken = []
+    for k in _run_jobs(_straggler, [(k,) for k in range(24)], jobs=2):
+        # while result k is written, no job past k + 3 has been submitted:
+        # two per worker, even behind a slow first job
+        assert len(submitted) <= k + 2 * 2, (k, len(submitted))
+        taken.append(k)
+    assert taken == list(range(24))
+    assert submitted == [(k,) for k in range(24)]
+
+
+_STAGE_JOBS = {"_mesh_job": cli._mesh_job, "_cloud_job": cli._cloud_job}
+
+
+def _fault_in_g000001(name, gid, *args):
+    """``cli.<name>``, except that design g000001 raises a non-PkwError."""
+    if gid == "g000001":
+        raise RuntimeError("a fault that is not a PkwError")
+    return _STAGE_JOBS[name](gid, *args)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_only_a_pkw_error_becomes_a_marker(tmp_path, monkeypatch, jobs):
+    ws = tmp_path / "ws"
+    assert run(["sample", "--workspace", ws, "--n", 3, "--seed", 9]) == 0
+    assert run(["mesh", "--workspace", ws]) == 0
+    for sub, name, argv in (("meshes", "_mesh_job", ["mesh", "--force"]),
+                            ("clouds", "_cloud_job", ["cloud", "--n", 50, "--seed", 4])):
+        # the pool forks after the patch, so its workers run the faulty job
+        monkeypatch.setattr(cli, name, functools.partial(_fault_in_g000001, name))
+        with pytest.raises(RuntimeError, match="not a PkwError"):
+            run([*argv, "--workspace", ws, "--jobs", jobs])
+        assert list((ws / sub).glob("*.failed")) == []
+    # designs before the fault were written
+    assert (ws / "clouds" / "g000000.wnpc").exists()
 
 
 def test_version_flag_reports_package_version(capsys):

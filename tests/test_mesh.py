@@ -411,7 +411,7 @@ def _assert_matches_the_scalar_reference(derived, x_segments):
     assert (_stations(regions, edge_groups, profiles, x_segments)
             == mesh_reference._stations(regions, x_segments))
     assert analytic_volume(derived, FIXED) == mesh_reference.analytic_volume(derived, FIXED)
-    got = tessellate(regions, x_segments)
+    got, _ = tessellate(regions, x_segments)
     want = mesh_reference.tessellate(regions, x_segments)
     _assert_same_mesh(got, want)
     assert crest_trace_length(got) == mesh_reference.crest_trace_length(want)

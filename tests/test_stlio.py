@@ -207,10 +207,9 @@ def test_cloud_job_samples_the_welded_meshs_cloud(tmp_path):
         assert not np.any(np.signbit(corners) & (corners == 0.0))
         welded = _read_welded(path)
         for seed in (0, 1, 2**31 + 7):
-            gid, cloud, err = _cloud_job(f"g{k}", path, 2000, seed)
-            assert err is None
+            cloud = _cloud_job(f"g{k}", path, 2000, seed)
             want = normalize_unit_cube(
-                sample_surface(welded, 2000, seed=seed, geometry_id=gid)
+                sample_surface(welded, 2000, seed=seed, geometry_id=f"g{k}")
             )
             assert cloud.points.tobytes() == want.points.tobytes()
             assert cloud.offset.tobytes() == want.offset.tobytes()
