@@ -229,16 +229,18 @@ def _check_training_pair(X, y):
 # of the elements, are still allocated per search.
 _BLOCK = 8000
 
-# The rows a forest grows together: trees of n rows grow in groups of
-# _GROUP_ROWS // n, at least one, and share every level's passes, whose cost
-# is mostly fixed per numpy call.  The budget is counted in rows because a
-# group's memory grows with its rows, about 170 bytes each for the sorted
-# features, their order and the targets.  A level of at most 12,288 rows
-# has at most 6,144 splits, so every child key fits in uint16 and the
+# The rows a forest grows together: consecutive trees join a group while
+# their distinct rows add up to at most _GROUP_ROWS (a group holds at least
+# one tree), and share every level's passes, whose cost is mostly fixed per
+# numpy call.  The budget is counted in distinct rows because a group's
+# memory grows with them, about 180 bytes each for the sorted features,
+# their order, the targets and the counts.  A level of at most 12,288 rows
+# still has at most 6,144 splits, so every child key fits in uint16 and the
 # regroup's stable argsorts stay on numpy's radix sort: 26 us per 3,040
 # keys, against 231 us as int32.
 # Four trees of the benchmark's 3,040 rows took 0.69x the bench time for
-# 2.7% more peak memory (BENCH_16.json).
+# 2.7% more peak memory (BENCH_16.json).  A bootstrap tree holds about
+# 1,920 of them, so a group now holds six.
 _GROUP_ROWS = 12_288
 
 # A feature with at most this many distinct values is presorted on its
@@ -254,14 +256,17 @@ class _Work:
     sorted feature values, ``usable`` the boundary mask, ``xs`` the sorted
     feature values and ``sums`` the gathered targets and their squares,
     packed as complex numbers (see :func:`_with_squares`), then their
-    prefix sums.  That is 33 bytes a cell.
+    prefix sums.  That is 33 bytes a cell.  A grower that weights its rows
+    by counts also gets ``weights``, the gathered counts and then their
+    prefix sums, 8 bytes a cell more.
     """
 
-    def __init__(self, cells):
+    def __init__(self, cells, counted=False):
         self.pos = np.empty(cells, dtype=np.intp)
         self.usable = np.empty(cells, dtype=bool)
         self.xs = np.empty(cells)
         self.sums = np.empty(cells, dtype=np.complex128)
+        self.weights = np.empty(cells) if counted else None
 
     @staticmethod
     def view(buffer, rows, width):
@@ -285,32 +290,61 @@ def _sort_keys(X):
     return keys
 
 
-def _presort(X, keys, rows, roots=1):
-    """The transposed rows of ``X`` and their ``(d + 1) x m`` order.
+def _sort_order(X):
+    """The presort of one tree on every row of ``X``, as ``(d + 1) x n``
+    row ids: row ``j`` lists the rows sorted stably on feature ``j`` (on its
+    :func:`_sort_keys`), so tied values keep row order, and row ``d`` lists
+    them as they are."""
+    n, d = X.shape
+    order = np.empty((d + 1, n), dtype=np.intp)
+    for j, key in enumerate(_sort_keys(X)):
+        order[j] = np.argsort(key, kind="stable")
+    order[d] = np.arange(n)
+    return order
 
-    ``rows`` is ``roots`` equal row sets laid end to end, one per tree.
-    Every feature of each set is sorted stably on its ``keys`` (from
-    :func:`_sort_keys`) within the set's segment, so tied values keep row
-    order, and the last row of the order lists the positions as they are.
+
+def _presort(X, ranked, rows, sizes):
+    """The transposed rows of ``X`` and their ``(d + 1) x m`` order, for
+    trees whose rows lie end to end.
+
+    Tree ``t`` holds the next ``sizes[t]`` entries of ``rows``: distinct
+    row ids in ascending order.  Its segment of order row ``j`` lists its
+    positions sorted by feature ``j``, ties in row order, as ``ranked``, the
+    fit's :func:`_sort_order`, lists the rows: that order filtered to the
+    tree's rows, one boolean compress per feature and no sort.  A tree on
+    every row takes ``ranked`` as it is.  The last row of the order lists
+    the positions as they are.
     """
-    d, m = X.shape[1], rows.size
-    size = m // roots
+    n, d = X.shape
+    m = rows.size
     Xr = np.empty((d, m))
-    order = np.empty((d + 1, m), dtype=np.intp)
-    order[d] = np.arange(m)
-    for j, (column, key) in enumerate(zip(X.T, keys)):
+    for j, column in enumerate(X.T):
         # one feature at a time: a take along an axis copies all of X first
         np.take(column, rows, out=Xr[j])
-        key = key.take(rows)
-        for start in range(0, m, size):
-            segment = order[j, start : start + size]
-            segment[:] = np.argsort(key[start : start + size], kind="stable")
-            segment += start
+    order = np.empty((d + 1, m), dtype=np.intp)
+    order[d] = np.arange(m)
+    start = 0
+    for size in sizes:
+        segment = order[:d, start : start + size]
+        if size == n:
+            np.add(ranked[:d], start, out=segment)
+        else:
+            kept = np.zeros(n, dtype=bool)
+            position = np.empty(n, dtype=np.intp)
+            tree_rows = rows[start : start + size]
+            kept[tree_rows] = True
+            position[tree_rows] = order[d, start : start + size]
+            # each feature keeps exactly the tree's rows, so the compressed
+            # matrix lists them feature by feature
+            picked = ranked[:d][kept[ranked[:d]]]
+            np.take(position, picked.reshape(d, size), out=segment)
+        start += size
     return Xr, order
 
 
-def _with_squares(y):
-    """Each target in the real part and its square in the imaginary part.
+def _with_squares(y, counts=None):
+    """Each target in the real part and its square in the imaginary part,
+    each times the row's count when ``counts`` are given.
 
     Complex addition adds the parts apart, so one ``cumsum`` of gathered
     targets gives both prefix sums of the split search, each the same
@@ -323,17 +357,31 @@ def _with_squares(y):
     # a huge target squares to inf, and its node's splits lose
     with np.errstate(over="ignore"):
         np.multiply(y, y, out=out.imag)
+        if counts is not None:
+            out.real *= counts
+            out.imag *= counts
     return out
 
 
 def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
-          root=None, fitted=None, buffer=None):
+          sizes=None, counts=None, root=None, fitted=None, buffer=None):
     """Grow one tree per generator, together, level by level over
     presorted rows, and return each tree's node arrays in that order.
 
-    The trees' roots split the rows equally: tree ``t`` holds the ``t``-th
-    run of consecutive positions and draws its feature subsets from
-    ``feature_rngs[t]``.  ``order`` comes from :func:`_presort`; it lists
+    Tree ``t``'s root holds the ``t``-th run of ``sizes[t]`` consecutive
+    positions (every position without ``sizes``) and draws its feature
+    subsets from ``feature_rngs[t]``.
+
+    ``counts``, when given, weights each position by the times its row was
+    drawn.  The split search then sums ``w * y`` and ``w * y**2``, a
+    child's size is the prefix sum of its counts, ``min_samples_leaf`` and
+    ``min_samples_split`` apply to those counted sizes, and a node's value
+    is ``np.add.reduce(w * y) / np.add.reduce(w)`` over its positions in
+    row order.  Without counts each position counts once and no count is
+    read.  Candidate thresholds are midpoints between distinct values
+    either way.
+
+    ``order`` comes from :func:`_presort` or :func:`_sort_order`; it lists
     the root level's rows, and the levels below are regrouped into
     ``buffer``, an array of its shape, or into ``order`` itself when no
     buffer is given.  So a caller that grows many trees from one presort
@@ -359,20 +407,21 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
     since ``x > threshold`` is the negation of ``x <= threshold`` on
     finite features.
 
-    ``work`` is a :class:`_Work` of ``min(max_features, d)`` times one
-    root's rows in cells, as wide as a root's candidate rows.  ``root``,
-    with one root only, is the half of the root's split search that reads
-    ``Xr``, on every feature (see :func:`_best_splits`), built by
-    :func:`_node_bounds` from ``order``.  Its sorted rows are a view of
-    ``order``, so a caller that reuses it passes a buffer.
+    ``work`` is a :class:`_Work` of ``min(max_features, d)`` times the
+    largest root's rows in cells, as wide as a root's candidate rows,
+    counted when ``counts`` are given.  ``root``, with one root only, is
+    the half of the root's split search that reads ``Xr``, on every feature
+    (see :func:`_best_splits`), built by :func:`_node_bounds` from
+    ``order``.  Its sorted rows are a view of ``order``, so a caller that
+    reuses it passes a buffer.
     """
     d, n = Xr.shape
     if buffer is None:
         buffer = order
-    y_sq = _with_squares(yr)
+    y_sq = _with_squares(yr, counts)
     n_roots = len(feature_rngs)
     several = n_roots > 1
-    sizes = np.full(n_roots, n // n_roots)
+    sizes = np.array([n] if sizes is None else sizes)
     tree = np.arange(n_roots)  # each node's tree, with several roots
     trees = []
     levels = []
@@ -385,7 +434,14 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
         in_rows = yr[slot_rows]
         feature = np.full(sizes.size, _LEAF, dtype=np.int32)
         threshold = np.zeros(sizes.size)
-        means = _segment_means(in_rows, starts, sizes)
+        if counts is None:
+            weights = sizes
+            means = _segment_sums(in_rows, starts, sizes)
+        else:
+            # whole counts: any order sums them exactly
+            weights = np.add.reduceat(counts[slot_rows], starts)
+            means = _segment_sums(y_sq.real[slot_rows], starts, sizes)
+        means /= weights
         levels.append((feature, threshold, means))
         if several:
             trees.append(tree)
@@ -397,7 +453,7 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
         y_min = np.minimum.reduceat(in_rows, starts)
         y_max = np.maximum.reduceat(in_rows, starts)
         del in_rows  # level-wide temporaries go before the split search
-        nodes = np.flatnonzero((sizes >= params.min_samples_split) & (y_min != y_max))
+        nodes = np.flatnonzero((weights >= params.min_samples_split) & (y_min != y_max))
         if not nodes.size:
             break
         if max_features >= d:
@@ -418,7 +474,7 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
         with np.errstate(all="ignore"):
             j, thr, found = _best_splits(
                 Xr, y_sq, rows[:, :m], starts[nodes], sizes[nodes], cand,
-                params.min_samples_leaf, work, root if depth == 0 else None,
+                params.min_samples_leaf, work, root if depth == 0 else None, counts,
             )
         split = nodes[found]
         if not split.size:
@@ -465,11 +521,12 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
     return list(zip(*(np.split(a[by_tree], cuts) for a in arrays)))
 
 
-def _segment_means(values, starts, sizes):
-    """``np.mean`` of every segment, bit for bit, batching equal sizes.
+def _segment_sums(values, starts, sizes):
+    """``np.add.reduce`` of every segment, bit for bit, batching equal
+    sizes; divided by its size, a sum is the segment's ``np.mean``.
 
     A row of a 2-D ``np.add.reduce`` sums in the same pairwise order as the
-    1-D reduction ``np.mean`` makes, which padding would change.
+    1-D reduction makes, which padding would change.
     """
     out = np.empty(sizes.size)
     by_size = np.argsort(sizes, kind="stable")
@@ -479,14 +536,15 @@ def _segment_means(values, starts, sizes):
         width = int(sizes[group[0]])
         if hi - lo == 1:
             start = int(starts[group[0]])
-            out[group[0]] = np.add.reduce(values[start : start + width]) / width
+            out[group[0]] = np.add.reduce(values[start : start + width])
         else:
             block = values[starts[group, None] + np.arange(width)]
-            out[group] = np.add.reduce(block, axis=1) / width
+            out[group] = np.add.reduce(block, axis=1)
     return out
 
 
-def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, work, root=None):
+def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, work, root=None,
+                 counts=None):
     """Best split of every node; return (feature, threshold, found) arrays.
 
     Node ``k`` covers ``order[:, starts[k]:starts[k] + sizes[k]]`` and may
@@ -513,7 +571,9 @@ def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, work, root=None
     wins (the lowest index).  A target whose square overflows makes every
     split of its node score inf or NaN, so the node does not split; a
     child's sum whose square overflows while the squares sum finitely
-    scores -inf, and that split wins.
+    scores -inf, and that split wins.  With ``counts`` the rows are
+    weighted: ``y_sq`` holds the weighted sums and the X half counts the
+    child sizes (:func:`_counted_bounds`).
     """
     n_nodes, n_cand = cand.shape
     score = np.empty((n_nodes, n_cand))
@@ -521,7 +581,8 @@ def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, work, root=None
     wide = (sizes * n_cand > _BLOCK) | (root is not None)
     for k in np.flatnonzero(wide):
         if root is None:
-            bounds = _node_bounds(Xr, order, starts[k], sizes[k], cand[k], min_leaf, work)
+            bounds = _node_bounds(Xr, order, starts[k], sizes[k], cand[k], min_leaf, work,
+                                  counts)
         else:
             bounds = root
         best, row, pos = _node_min(_scores(y_sq, bounds, work), bounds.row, bounds.at)
@@ -547,7 +608,8 @@ def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, work, root=None
                 block = members[first : first + per_block]
                 node = pair_node[block]
                 bounds = _block_bounds(
-                    Xr, order, starts[node], sizes[node], pair_feature[block], min_leaf
+                    Xr, order, starts[node], sizes[node], pair_feature[block], min_leaf,
+                    counts,
                 )
                 # a block is small: spread its scores over rows of inf
                 full = np.full(bounds.pos.shape, math.inf)
@@ -591,7 +653,8 @@ class _Bounds(NamedTuple):
     least ``min_samples_leaf`` rows.  ``left[i]`` and ``last[i]`` are the
     flat indices of that position and of the row's last one in a
     ``pos``-shaped array, and ``n_left`` and ``n_right`` the child sizes as
-    floats, which divide exactly as the integer ones would.  Boundaries are
+    floats, which divide exactly as the integer ones would; a grower that
+    weights rows by counts counts them in sizes too.  Boundaries are
     ordered by row, then by position.
     """
 
@@ -604,14 +667,15 @@ class _Bounds(NamedTuple):
     n_right: np.ndarray
 
 
-def _node_bounds(Xr, order, start, size, features, min_leaf, work):
+def _node_bounds(Xr, order, start, size, features, min_leaf, work, counts=None):
     """:class:`_Bounds` of one node on each of ``features``, unpadded.
 
     On every feature, the node's sorted rows are a view of ``order``,
     valid until it is regrouped, and its sorted values are gathered in
     one flat take.  On fewer, the sorted rows are copied into ``work`` and
     stay valid until its next search.  The bounds read nothing else of
-    ``work``.
+    ``work``.  With ``counts`` the child sizes are counted
+    (:func:`_counted_bounds`), summed in ``work``.
     """
     rows = features.size
     size = int(size)
@@ -627,6 +691,12 @@ def _node_bounds(Xr, order, start, size, features, min_leaf, work):
         for r, j in enumerate(features):
             pos[r] = order[j, start : start + size]
             np.take(Xr[j], pos[r], out=xs[r], mode="clip")
+    if counts is not None:
+        usable = np.less(xs[:, :-1], xs[:, 1:], out=_Work.view(work.usable, rows, size - 1))
+        weights = _Work.view(work.weights, rows, size)
+        np.take(counts, pos, out=weights, mode="clip")
+        np.cumsum(weights, axis=1, out=weights)
+        return _counted_bounds(pos, usable, weights, np.full(rows, size), min_leaf)
     # a left child of at + 1 rows keeps both children at least min_leaf
     # rows for at in [lo, hi)
     lo = min_leaf - 1
@@ -640,7 +710,7 @@ def _node_bounds(Xr, order, start, size, features, min_leaf, work):
     return _Bounds(pos, row, at, left, row * size + (size - 1), n_left, size - n_left)
 
 
-def _block_bounds(Xr, order, starts, sizes, features, min_leaf):
+def _block_bounds(Xr, order, starts, sizes, features, min_leaf, counts=None):
     """:class:`_Bounds` of a block of (node, feature) rows, padded to the
     widest node.
 
@@ -655,8 +725,12 @@ def _block_bounds(Xr, order, starts, sizes, features, min_leaf):
         pos = order[features[:, None], slot]
     # a flat take gathers about twice as fast as 2-D fancy indexing
     xs = np.take(Xr, pos + (features * Xr.shape[1])[:, None])
-    n_left = np.arange(1.0, width)
     usable = xs[:, :-1] < xs[:, 1:]
+    if counts is not None:
+        usable &= np.arange(1, width) < sizes[:, None]
+        return _counted_bounds(pos, usable, np.cumsum(counts.take(pos), axis=1), sizes,
+                               min_leaf)
+    n_left = np.arange(1.0, width)
     if min_leaf > 1:
         usable &= n_left >= min_leaf
     usable &= sizes[:, None] - n_left >= min_leaf
@@ -666,6 +740,27 @@ def _block_bounds(Xr, order, starts, sizes, features, min_leaf):
     first = row * width
     return _Bounds(pos, row, at, first + at, first + row_size - 1, n_left,
                    row_size - n_left)
+
+
+def _counted_bounds(pos, usable, weights, sizes, min_leaf):
+    """:class:`_Bounds` of rows whose positions stand for their counts.
+
+    ``usable`` marks the positions followed by a larger value inside the
+    row's first ``sizes[r]`` positions, and ``weights`` holds the prefix
+    sums of the counts along each row.  The child sizes are those sums, and
+    each child must keep ``min_leaf`` counted rows.
+    """
+    width = pos.shape[1]
+    last = np.arange(sizes.size) * width + sizes - 1
+    if min_leaf > 1:
+        left = weights[:, :-1]
+        usable &= left >= min_leaf
+        usable &= weights.take(last)[:, None] - left >= min_leaf
+    row, at = np.nonzero(usable)
+    left = row * width + at
+    last = last[row]
+    n_left = weights.take(left)
+    return _Bounds(pos, row, at, left, last, n_left, weights.take(last) - n_left)
 
 
 def _scores(y_sq, bounds, work=None):
@@ -709,29 +804,29 @@ def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:
     """Fit an exact greedy least-squares tree."""
     X, y = _check_training_pair(X, y)
     params = params or TreeParams()
-    Xr, order = _presort(X, _sort_keys(X), np.arange(X.shape[0]))
-    members = _grow(Xr, y, order, params, X.shape[1], _Work(X.size))
+    members = _grow(X.T.copy(), y, _sort_order(X), params, X.shape[1], _Work(X.size))
     return _pack(members, X.shape[1], {"params": params})
 
 
-def _grow_bagged(X, y, keys, rngs, bootstrap, params, max_features, work):
-    """Grow one forest tree per generator, together, each on its own rows.
+def _grow_bagged(X, y, ranked, group, params, max_features, work):
+    """Grow one forest tree per ``(generator, rows, counts)`` entry of
+    ``group``, together, each on its own rows.
 
-    Tree ``i`` draws its rows (all ``n`` rows without ``bootstrap``) and
-    then its feature subsets from ``rngs[i]``, and takes positions
-    ``i * n`` to ``(i + 1) * n`` of the group's arrays, presorted on the
-    fit's ``keys`` (:func:`_sort_keys`).  The arrays are built in place and
+    A tree's ``rows`` are its distinct row ids in ascending order and
+    ``counts`` the times each was drawn, or ``None`` for a tree on every
+    row once; the generator draws the tree's feature subsets.  The trees
+    take consecutive runs of the group's arrays, presorted from the fit's
+    ``ranked`` order (:func:`_presort`).  The arrays are built in place and
     live only for this call, so a fit holds one group's at a time.
     """
-    n = X.shape[0]
-    rows = np.empty(len(rngs) * n, dtype=np.intp)
-    for i, rng in enumerate(rngs):
-        rows[i * n : (i + 1) * n] = (rng.integers(0, n, size=n) if bootstrap
-                                     else np.arange(n))
+    rngs, rows, counts = zip(*group)
+    sizes = [r.size for r in rows]
+    rows = np.concatenate(rows)
     yr = y[rows]
-    Xr, order = _presort(X, keys, rows, len(rngs))
+    Xr, order = _presort(X, ranked, rows, sizes)
     del rows  # one copy of the group's rows less while it grows
-    return _grow(Xr, yr, order, params, max_features, work, rngs)
+    counts = None if counts[0] is None else np.concatenate(counts)
+    return _grow(Xr, yr, order, params, max_features, work, rngs, sizes, counts)
 
 
 def fit_forest(
@@ -754,14 +849,26 @@ def fit_forest(
     first ``max_features`` entries of its own random permutation of the
     features, in left-to-right order.
 
-    The trees grow together in groups of ``_GROUP_ROWS // n`` (at least
-    one), each group from several roots in one :func:`_grow` call, so
-    they share every level's passes.  Members are independent and each
-    draws only from its own generator, so the forest is the same, bit for
-    bit, for any group size.  The budget is counted in rows because a
-    group's memory and its child keys grow with its rows, not its trees.
-    With ``n_trees=1``, ``bootstrap=False`` and ``max_features`` equal to
-    the full feature count the result degenerates to :func:`fit_tree`.
+    A bootstrap tree grows on the rows it drew at least once, each weighted
+    by ``np.bincount`` of its draws, as scikit-learn grows Breiman's
+    forests: about 63.2% (1 - 1/e) of the rows, with the split scores, the
+    leaf means and the ``min_samples_leaf`` and ``min_samples_split`` sizes
+    counted over the draws (see :func:`_grow`).  The candidate thresholds
+    are those of the duplicated rows; sums over counts round differently
+    from sums over duplicates, so leaf values can differ from such a
+    tree's in the last bits, and near-tied splits can go the other way.
+    X is sorted once per fit, and each tree's presort is that order
+    filtered to its rows.
+
+    The trees grow together in groups of at most ``_GROUP_ROWS`` rows
+    (at least one tree), counting each tree's distinct rows, each group
+    from several roots in one :func:`_grow` call, so they share every
+    level's passes.  Members are independent and each draws only from its
+    own generator, so the forest is the same, bit for bit, for any group
+    size.  The budget is counted in rows because a group's memory and its
+    child keys grow with its rows, not its trees.  With ``n_trees=1``,
+    ``bootstrap=False`` and ``max_features`` equal to the full feature
+    count the result degenerates to :func:`fit_tree`.
     """
     X, y = _check_training_pair(X, y)
     if n_trees < 1:
@@ -773,14 +880,24 @@ def fit_forest(
     if not 1 <= max_features <= d:
         raise ValueError(f"max_features must be in [1, {d}], got {max_features}")
     n = X.shape[0]
-    group = max(1, _GROUP_ROWS // n)
-    keys = _sort_keys(X)
-    work = _Work(max_features * n)
+    ranked = _sort_order(X)
+    work = _Work(max_features * n, counted=bootstrap)
     members = []
-    for first in range(0, n_trees, group):
-        rngs = [np.random.default_rng(np.random.SeedSequence([seed, k]))
-                for k in range(first, min(first + group, n_trees))]
-        members += _grow_bagged(X, y, keys, rngs, bootstrap, params, max_features, work)
+    group = []
+    used = 0
+    for k in range(n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+        rows, counts = ranked[d], None
+        if bootstrap:
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            rows = np.flatnonzero(counts)
+            counts = counts[rows].astype(float)
+        if group and used + rows.size > _GROUP_ROWS:
+            members += _grow_bagged(X, y, ranked, group, params, max_features, work)
+            group, used = [], 0
+        group.append((rng, rows, counts))
+        used += rows.size
+    members += _grow_bagged(X, y, ranked, group, params, max_features, work)
     info = {"params": params, "seed": seed, "bootstrap": bootstrap,
             "max_features": max_features}
     return _pack(members, d, info, average=True)
@@ -825,7 +942,7 @@ def fit_gbm(
         raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate}")
     params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     n, d = X.shape
-    Xr, presorted = _presort(X, _sort_keys(X), np.arange(n))
+    Xr, presorted = X.T.copy(), _sort_order(X)
     work = _Work(d * n)
     root = _node_bounds(Xr, presorted, 0, n, np.arange(d), min_samples_leaf, work)
     buffer = np.empty_like(presorted)

@@ -1,4 +1,4 @@
-"""Per-node exact CART grower, kept as the reference for the level-wise one.
+"""Per-node exact CART growers, kept as the references for the level-wise one.
 
 ``_best_split`` and ``_grow`` are the fitter ``pkwbench.surrogates.trees``
 used before it grew trees level by level, copied unchanged.  The
@@ -9,14 +9,19 @@ preorder-style layout breadth first.  ``fit_gbm`` is the boosting stage loop fro
 stages shared one presort: each stage fits a tree to the residuals as
 ``fit_tree`` does and adds the tree's predictions for the training rows.
 
-``fit_forest`` is the forest loop from before trees grew together in
-groups: one single-root call of the production ``_grow`` per tree, each on
-its own presort, built as it was then.
+``_grow_counted`` grows a forest tree the way the production grower does
+since it weights each distinct bootstrap row by its draw count: the same
+formulas, node by node, with each node's rows stable-sorted by value and
+then by row id, and nodes taken breadth first, so it draws its feature
+subsets in the production order and returns its nodes in level order.
+``fit_forest`` grows every member of a forest with it, one tree at a time;
+a tree without bootstrap counts every row once.
 
 ``scores`` and ``presort`` are the split search's target half and the
 presort from before the targets and their squares were summed in one
 complex ``cumsum`` and features were sorted on their value ranks, copied
-unchanged apart from the names.
+unchanged apart from the names; ``presort`` takes each tree's number
+of rows.
 
 ``tree_predict``, ``forest_predict`` and ``gbm_predict`` are the predict
 loops of the three model classes that ``TreeEnsemble`` replaced, copied
@@ -27,8 +32,6 @@ arrays, with the links spelled out.
 import math
 
 import numpy as np
-
-from pkwbench.surrogates import trees
 
 _LEAF = -1
 
@@ -177,20 +180,119 @@ def fit_gbm(X, y, n_trees, learning_rate, params):
     return base, path, stages
 
 
-def fit_forest(X, y, n_trees, seed, params, bootstrap, max_features):
+def _best_counted_split(X, y, counts, rows, feature_ids, min_leaf):
+    """Scan the candidate splits of ``rows``, each row weighted by its
+    count; return (feature, threshold) or None.
+
+    Each child's size is its summed counts, its sums are those of
+    ``w * y`` and ``w * y**2``, and only a strictly better score displaces
+    the incumbent, as in ``_best_split``.
+    """
+    best_score = math.inf
+    best = None
+    for j in feature_ids:
+        xs = X[rows, j]
+        # rows ascend, so a stable sort orders ties by row id
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        if xs[0] == xs[-1]:
+            continue
+        ys = y[rows[order]]
+        w = counts[rows[order]]
+        csum = np.cumsum(w * ys)
+        csq = np.cumsum(w * (ys * ys))
+        cw = np.cumsum(w)
+        n_left = cw[:-1]
+        n_right = cw[-1] - n_left
+        sum_left = csum[:-1]
+        sq_left = csq[:-1]
+        sum_right = csum[-1] - sum_left
+        sq_right = csq[-1] - sq_left
+        score = (sq_left - sum_left * sum_left / n_left) + (
+            sq_right - sum_right * sum_right / n_right
+        )
+        usable = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not usable.any():
+            continue
+        score = np.where(usable, score, math.inf)
+        pos = int(np.argmin(score))
+        if score[pos] < best_score:
+            lo, hi = xs[pos], xs[pos + 1]
+            thr = 0.5 * (lo + hi)
+            if thr >= hi:
+                thr = lo
+            best_score = float(score[pos])
+            best = (j, thr)
+    return best
+
+
+def _grow_counted(X, y, counts, params, feature_rng, max_features):
+    """Grow one tree on the rows with a nonzero count, each weighted by its
+    float count, and return its level-ordered ``(feature, threshold, left,
+    right, value)`` arrays.
+
+    Nodes are taken breadth first, left child before right, so the nodes
+    that pass the stopping rules draw their feature permutations in level
+    order.  A node's value is ``np.add.reduce(w * y) / np.add.reduce(w)``
+    over its rows in row order, and ``min_samples_split`` and
+    ``min_samples_leaf`` apply to summed counts.
+    """
+    d = X.shape[1]
+    feature, threshold, left, right, value = [], [], [], [], []
+    queue = [(np.flatnonzero(counts), 0)]
+    for idx, (rows, depth) in enumerate(queue):  # the queue grows while walked
+        w = counts[rows]
+        feature.append(_LEAF)
+        threshold.append(0.0)
+        left.append(_LEAF)
+        right.append(_LEAF)
+        value.append(np.add.reduce(w * y[rows]) / np.add.reduce(w))
+        if params.max_depth is not None and depth >= params.max_depth:
+            continue
+        if np.add.reduce(w) < params.min_samples_split or np.ptp(y[rows]) == 0.0:
+            continue
+        if max_features >= d:
+            candidates = range(d)
+        else:
+            candidates = np.sort(feature_rng.permutation(d)[:max_features])
+        split = _best_counted_split(X, y, counts, rows, candidates, params.min_samples_leaf)
+        if split is None:
+            continue
+        j, thr = split
+        mask = X[rows, j] <= thr
+        feature[idx] = j
+        threshold[idx] = thr
+        left[idx] = len(queue)
+        right[idx] = len(queue) + 1
+        queue += [(rows[mask], depth + 1), (rows[~mask], depth + 1)]
+    return (
+        np.asarray(feature, dtype=np.int32),
+        np.asarray(threshold, dtype=float),
+        np.asarray(left, dtype=np.int32),
+        np.asarray(right, dtype=np.int32),
+        np.asarray(value, dtype=float),
+    )
+
+
+def bootstrap(seed, k, n):
+    """The generator ``fit_forest`` gives its tree ``k`` and the float
+    count of each row in the tree's bootstrap draw."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+    return rng, np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
+
+
+def fit_forest(X, y, n_trees, seed, params, bootstrap_rows, max_features):
     """Every tree's ``(feature, threshold, value)``, grown one at a time."""
-    n, d = X.shape
-    work = trees._Work(max_features * n)
+    n = X.shape[0]
     members = []
     for k in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        Xr = X.T.take(rows, axis=1)
-        order = np.empty((d + 1, n), dtype=np.intp)
-        for j in range(d):
-            order[j] = np.argsort(Xr[j], kind="stable")
-        order[d] = np.arange(n)
-        members += trees._grow(Xr, y[rows], order, params, max_features, work, [rng])
+        if bootstrap_rows:
+            rng, counts = bootstrap(seed, k, n)
+        else:
+            rng, counts = np.random.default_rng(np.random.SeedSequence([seed, k])), np.ones(n)
+        feature, threshold, _, _, value = _grow_counted(X, y, counts, params, rng,
+                                                        max_features)
+        members.append((feature, threshold, value))
     return members
 
 
@@ -216,17 +318,16 @@ def scores(yr, bounds):
     return scored
 
 
-def presort(X, rows, roots=1):
+def presort(X, rows, sizes):
     """The transposed rows of ``X`` and their order, each feature of each
-    of the ``roots`` row sets sorted stably on its float values."""
+    tree's run of ``sizes[t]`` rows sorted stably on its float values."""
     d, m = X.shape[1], rows.size
-    size = m // roots
     Xr = np.empty((d, m))
     order = np.empty((d + 1, m), dtype=np.intp)
     order[d] = np.arange(m)
     for j, column in enumerate(X.T):
         np.take(column, rows, out=Xr[j])
-        for start in range(0, m, size):
+        for start, size in zip(np.cumsum(sizes) - sizes, sizes):
             segment = order[j, start : start + size]
             segment[:] = np.argsort(Xr[j, start : start + size], kind="stable")
             segment += start

@@ -318,22 +318,37 @@ def test_fit_tree_matches_the_per_node_grower(problem):
     _assert_same_nodes(cart_reference.members(fit_tree(X, y, params))[0], want)
 
 
-def _bootstrap(seed, k, n):
-    """The generator and rows ``fit_forest`` draws for its tree ``k``."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-    return rng, rng.integers(0, n, size=n)
+def _forest_reference(X, y, seed, k, params, max_features=None):
+    """Tree ``k`` of a forest (on every feature by default), as the
+    count-weighted per-node grower grows it from the tree's bootstrap
+    counts."""
+    rng, counts = cart_reference.bootstrap(seed, k, X.shape[0])
+    with np.errstate(all="ignore"):
+        return cart_reference._grow_counted(X, y, counts, params, rng,
+                                            max_features or X.shape[1])
 
 
 @settings(max_examples=200, deadline=None)
 @given(_cart_problems(), st.integers(0, 2**32 - 1))
 def test_forest_trees_on_every_feature_match_the_per_node_grower(problem, seed):
     X, y, params = problem
-    n, d = X.shape
+    d = X.shape[1]
     forest = fit_forest(X, y, n_trees=2, seed=seed, params=params, max_features=d)
     for k, tree in enumerate(cart_reference.members(forest)):
         # with every feature a candidate, no subset is drawn
-        rng, rows = _bootstrap(seed, k, n)
-        _assert_same_nodes(tree, _reference_arrays(X, y, rows, params, rng))
+        _assert_same_nodes(tree, _forest_reference(X, y, seed, k, params))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cart_problems(), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_forest_members_match_the_count_weighted_grower(problem, n_trees, seed, data):
+    X, y, params = problem
+    max_features = data.draw(st.integers(1, X.shape[1]))
+    with np.errstate(all="ignore"):
+        forest = fit_forest(X, y, n_trees=n_trees, seed=seed, params=params,
+                            max_features=max_features)
+    for k, tree in enumerate(cart_reference.members(forest)):
+        _assert_same_nodes(tree, _forest_reference(X, y, seed, k, params, max_features))
 
 
 @pytest.mark.parametrize("max_depth", [3, 8, None])
@@ -346,9 +361,97 @@ def test_deep_trees_on_oracle_rows_match_the_per_node_grower(max_depth, min_samp
     want = _reference_arrays(X, y, np.arange(n), params)
     _assert_same_nodes(cart_reference.members(fit_tree(X, y, params))[0], want)
     forest = fit_forest(X, y, n_trees=1, seed=4, params=params, max_features=d)
-    rng, rows = _bootstrap(4, 0, n)
     _assert_same_nodes(cart_reference.members(forest)[0],
-                       _reference_arrays(X, y, rows, params, rng))
+                       _forest_reference(X, y, 4, 0, params))
+
+
+# A counted tree against the per-node grower on its drawn rows, duplicates
+# and all, on inputs without ties: distinct feature values and continuous
+# targets.  Two features that cut a node into the same children score
+# within rounding of each other, as they do on every node of two rows, so
+# with several features the leaves keep several draws.  Sums over counts
+# round differently from sums over duplicates, so the leaf values may
+# differ in the last bits.
+@pytest.mark.parametrize("n, d, params", [
+    (200, 1, TreeParams()),
+    (300, 4, TreeParams(min_samples_leaf=8)),
+    (240, 3, TreeParams(max_depth=6, min_samples_leaf=5, min_samples_split=15)),
+])
+def test_counted_trees_match_the_per_node_grower_on_the_drawn_rows(n, d, params):
+    rng = np.random.default_rng(n + d)
+    X = rng.permutation(n * d).reshape(n, d) / (n * d) + rng.random((n, d)) * 1e-3
+    y = rng.normal(size=n) + 3 * X[:, 0]
+    forest = fit_forest(X, y, n_trees=3, seed=17, params=params, max_features=d)
+    for k, (feature, threshold, _, _, value) in enumerate(cart_reference.members(forest)):
+        rng_k = np.random.default_rng(np.random.SeedSequence([17, k]))
+        rows = rng_k.integers(0, n, size=n)
+        want = _reference_arrays(X, y, rows, params, rng_k)
+        assert feature.tobytes() == want[0].tobytes()
+        assert threshold.tobytes() == want[1].tobytes()
+        np.testing.assert_allclose(value, want[4], rtol=1e-12, atol=0)
+
+
+def _leaf_of(arrays, X):
+    """The node each row of ``X`` ends at, ``x <= threshold`` to the left."""
+    feature, threshold, left, right, _ = arrays
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    pending = np.flatnonzero(feature[node] != trees._LEAF)
+    while pending.size:
+        cur = node[pending]
+        go_left = X[pending, feature[cur]] <= threshold[cur]
+        node[pending] = np.where(go_left, left[cur], right[cur])
+        pending = pending[feature[node[pending]] != trees._LEAF]
+    return node
+
+
+@pytest.mark.parametrize("min_samples_leaf, min_samples_split", [(1, 2), (3, 2), (4, 11)])
+def test_forest_leaves_hold_the_minimum_of_bootstrap_draws(min_samples_leaf,
+                                                           min_samples_split):
+    X, y = _oracle_rows(20, seed=29, sigma=0.005)
+    n = X.shape[0]
+    params = TreeParams(min_samples_leaf=min_samples_leaf,
+                        min_samples_split=min_samples_split)
+    forest = fit_forest(X, y, n_trees=4, seed=9, params=params)
+    for k, arrays in enumerate(cart_reference.members(forest)):
+        _, counts = cart_reference.bootstrap(9, k, n)
+        drawn = np.bincount(_leaf_of(arrays, X), weights=counts, minlength=arrays[0].size)
+        leaves = arrays[0] == trees._LEAF
+        assert drawn[leaves].min() >= min_samples_leaf
+        # every node holds its children's draws, and a split node at least
+        # min_samples_split of them
+        inner = np.flatnonzero(~leaves)
+        for node in inner[::-1]:
+            drawn[node] = drawn[arrays[2][node]] + drawn[arrays[3][node]]
+        assert drawn[0] == n
+        assert (drawn[inner] >= min_samples_split).all()
+
+
+def _seed_drawing(n, pattern):
+    """The first forest seed whose tree 0 draws its distinct rows
+    ``pattern`` times (most drawn first), and the tree's counts."""
+    for seed in range(1000):
+        counts = cart_reference.bootstrap(seed, 0, n)[1]
+        if sorted(counts[counts > 0], reverse=True) == list(pattern):
+            return seed, counts
+    raise AssertionError(f"no seed below 1000 draws {pattern}")
+
+
+def test_two_rows_split_only_when_both_children_hold_the_leaf_minimum():
+    # four rows, of which each tree draws two: with min_samples_leaf=2, rows
+    # drawn 3 and 1 times cannot split, and rows drawn 2 and 2 times can
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0.0, 1.0, 4.0, 9.0])
+    params = TreeParams(min_samples_leaf=2)
+    seed, counts = _seed_drawing(4, (3, 1))
+    lone = fit_forest(X, y, n_trees=1, seed=seed, params=params)
+    assert lone.n_nodes == 1
+    assert lone.value[0] == np.add.reduce(counts * y) / 4
+    seed, counts = _seed_drawing(4, (2, 2))
+    split = fit_forest(X, y, n_trees=1, seed=seed, params=params)
+    assert split.n_nodes == 3
+    low, high = np.flatnonzero(counts)
+    assert split.threshold[0] == 0.5 * (X[low, 0] + X[high, 0])
+    assert split.value[1:].tolist() == [y[low], y[high]]
 
 
 # nodes whose candidate rows fill more than a search block: each is searched
@@ -406,9 +509,8 @@ def test_trees_on_wide_nodes_match_the_per_node_grower(
     _assert_same_nodes(cart_reference.members(fit_tree(X, y, params))[0], want)
     _assert_wide_below_the_root(wide_sizes, n, d)
     forest = fit_forest(X, y, n_trees=1, seed=4, params=params, max_features=d)
-    rng, rows = _bootstrap(4, 0, n)
     _assert_same_nodes(cart_reference.members(forest)[0],
-                       _reference_arrays(X, y, rows, params, rng))
+                       _forest_reference(X, y, 4, 0, params))
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e152])
@@ -433,9 +535,8 @@ def test_wide_nodes_whose_target_squares_overflow_match_the_references(
             assert tree.n_nodes > 1
     _assert_same_nodes(cart_reference.members(tree)[0],
                        _reference_arrays(X, y, np.arange(n), params))
-    rng, rows = _bootstrap(4, 0, n)
     _assert_same_nodes(cart_reference.members(forest)[0],
-                       _reference_arrays(X, y, rows, params, rng))
+                       _forest_reference(X, y, 4, 0, params))
     _check_gbm_against_stage_loop(X, y, 3, 3, 0.5, 1)
 
 
@@ -495,7 +596,7 @@ def test_packed_scores_match_the_two_cumsum_formula(data):
     min_leaf = data.draw(st.integers(1, 3))
     subset = np.array(sorted(data.draw(
         st.sets(st.integers(0, d - 1), min_size=1, max_size=d))))
-    Xr, order = cart_reference.presort(X, np.arange(n))
+    Xr, order = cart_reference.presort(X, np.arange(n), [n])
     y_sq = trees._with_squares(y)
     work = trees._Work(d * n)
     # every feature (rows viewed in the order), a subset (rows copied) and
@@ -516,6 +617,13 @@ def test_packed_scores_match_the_two_cumsum_formula(data):
 _TIE_POOL = (-0.0, 0.0, -1.5, 2.0, 2.0, 5e-324, -5e-324, 1e-300, 7.0)
 
 
+def _distinct_rows(draws, n):
+    """Each tree's distinct rows, ascending, laid end to end, and how many
+    each tree holds."""
+    rows = [np.flatnonzero(np.bincount(tree, minlength=n)) for tree in draws]
+    return np.concatenate(rows), [r.size for r in rows]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_rank_presort_matches_the_float_argsort(data):
@@ -524,14 +632,15 @@ def test_rank_presort_matches_the_float_argsort(data):
     roots = data.draw(st.integers(1, 3))
     X = data.draw(arrays(np.float64, (n, d), elements=st.sampled_from(_TIE_POOL)))
     if data.draw(st.booleans()):
-        # bootstrap rows: duplicates within each root's set
-        rows = data.draw(arrays(np.intp, roots * n, elements=st.integers(0, n - 1)))
+        # bootstrap trees: each on the distinct rows it drew
+        draws = data.draw(arrays(np.intp, (roots, n), elements=st.integers(0, n - 1)))
+        rows, sizes = _distinct_rows(draws, n)
     else:
-        rows = np.tile(np.arange(n), roots)
+        rows, sizes = np.tile(np.arange(n), roots), [n] * roots
     keys = trees._sort_keys(X)
     assert all(key.dtype == np.uint16 for key in keys)
-    got = trees._presort(X, keys, rows, roots)
-    for a, b in zip(got, cart_reference.presort(X, rows, roots)):
+    got = trees._presort(X, trees._sort_order(X), rows, sizes)
+    for a, b in zip(got, cart_reference.presort(X, rows, sizes)):
         _assert_same_nodes([a], [b])
 
 
@@ -545,9 +654,11 @@ def test_presort_of_a_feature_past_the_rank_limit_sorts_its_values():
     X = np.column_stack([wide, rng.choice((-0.0, 0.0, 1.0), n)])
     keys = trees._sort_keys(X)
     assert keys[0].dtype == np.float64 and keys[1].dtype == np.uint16
-    rows = rng.integers(0, n, size=2 * n)
-    got = trees._presort(X, keys, rows, 2)
-    for a, b in zip(got, cart_reference.presort(X, rows, 2)):
+    # a bootstrap tree and a tree on every row
+    rows, sizes = _distinct_rows([rng.integers(0, n, size=n)], n)
+    rows, sizes = np.concatenate([rows, np.arange(n)]), sizes + [n]
+    got = trees._presort(X, trees._sort_order(X), rows, sizes)
+    for a, b in zip(got, cart_reference.presort(X, rows, sizes)):
         _assert_same_nodes([a], [b])
 
 
@@ -623,7 +734,8 @@ def test_forest_trees_grown_in_groups_match_the_one_tree_loop(problem, n_trees, 
     max_features = data.draw(st.integers(1, d))
     bootstrap = data.draw(st.booleans())
     # a budget of a few trees' rows and part of another's: groups of
-    # per_group trees, the last one short when per_group does not divide
+    # per_group trees on every row, the last one short when per_group does
+    # not divide, or of more bootstrap trees, which hold their distinct rows
     per_group = data.draw(st.integers(1, 4))
     budget = per_group * n + data.draw(st.integers(0, n - 1))
     with mock.patch.object(trees, "_GROUP_ROWS", budget), np.errstate(all="ignore"):
@@ -641,10 +753,19 @@ def test_forest_in_groups_of_three_matches_the_one_tree_loop_and_file(
 ):
     X, y = _oracle_rows(40, seed=19, sigma=0.005)
     n = X.shape[0]
-    # 7 trees in groups of 3, 3 and 1
-    monkeypatch.setattr(trees, "_GROUP_ROWS", 3 * n + n // 2)
+    # 7 trees of 472-485 distinct rows of the 760 in groups of 3, 3 and 1
+    monkeypatch.setattr(trees, "_GROUP_ROWS", 2 * n)
+    groups = []
+    grow_bagged = trees._grow_bagged
+
+    def spy(X, y, ranked, group, *rest):
+        groups.append(len(group))
+        return grow_bagged(X, y, ranked, group, *rest)
+
+    monkeypatch.setattr(trees, "_grow_bagged", spy)
     params = TreeParams(min_samples_leaf=2)
     forest = fit_forest(X, y, n_trees=7, seed=5, params=params)
+    assert groups == [3, 3, 1]
     want = cart_reference.fit_forest(X, y, 7, 5, params, True, 3)
     for got, member in zip(_forest_members(forest), want):
         _assert_same_nodes(got, member)
@@ -957,13 +1078,16 @@ def test_gbm_round_trip(tmp_path):
     assert np.array_equal(boosted.predict(probe), back.predict(probe))
 
 
-# sha256 of the .wnsm bytes of three fixed-seed fits, as the fitter wrote
-# them before it summed targets and squares in one complex cumsum and
-# presorted on value ranks.  The differential tests compare the fitter with
-# references kept in this repo; these digests catch both changing together.
+# sha256 of the .wnsm bytes of three fixed-seed fits.  The tree and the
+# boosting digests are as the fitter wrote them before it summed targets and
+# squares in one complex cumsum and presorted on value ranks; the forest's is
+# as it writes it since each tree grows on its distinct bootstrap rows,
+# weighted by their draw counts.  The differential tests compare the fitter
+# with references kept in this repo; these digests catch both changing
+# together.
 _PINNED_FITS = {
     "tree": "4ff0be1d71acd88c9acfb76c8f94b9b44b9015f390736f909eee6bf5f05091d4",
-    "forest": "6a3ec6eed72608db96d5d671f57c75563e02caeae750b307ba13cb515e21d53e",
+    "forest": "6370891acbe084dcc8622a77d1b6733f72aabee79a7c9fa49543ce2d1092448c",
     "gbm": "a949fa3695e8c67d367c8c0c34fb933bf358ca7782af9960efabb76c72b2e5c1",
 }
 
