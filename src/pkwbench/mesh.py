@@ -596,13 +596,12 @@ def _station_bands(walls, chains, chain_pieces, x: np.ndarray, profiles: _Profil
     lz0, lz1, rz0, rz1 = profiles.values(
         np.concatenate(slots).ravel(), np.repeat(xs, 4), at).reshape(-1, 4).T
 
-    same = (lz0 == rz0) & (lz1 == rz1)
     vals = np.sort(np.stack([lz0, lz1, rz0, rz1], axis=1), axis=1)
     z0, z1 = vals[:, :-1], vals[:, 1:]
     zm = 0.5 * (z0 + z1)
     in_left = (lz0[:, None] <= zm) & (zm <= lz1[:, None])
     in_right = (rz0[:, None] <= zm) & (zm <= rz1[:, None])
-    row, k = np.nonzero((z0 != z1) & (in_left != in_right) & ~same[:, None])
+    row, k = np.nonzero((z0 != z1) & (in_left != in_right))
     z0, z1 = z0[row, k], z1[row, k]
     walls.add(xs[row], np.concatenate(ya)[row], z0, z1, xs[row], np.concatenate(yb)[row], z0, z1,
               np.where(in_left[row, k, None], _PLUS_X, _MINUS_X))

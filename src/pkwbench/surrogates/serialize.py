@@ -7,11 +7,13 @@ round-trip bit for bit, so a reloaded model predicts identically.
 
 There are two kinds: a tree ensemble (a single tree, a forest or boosting,
 which share one packed layout) and the point network.  A tree ensemble
-stores 20 bytes per node: its feature, threshold and value arrays in level
-order, from which the child links follow.  Version 2 gave the three tree
-models that one kind, and version 3 dropped the two stored link arrays.
-Older files are not read: a model is cheap to refit, so ``load_model``
-asks for ``pkwbench train --force`` instead of keeping a second reader.
+stores 12 bytes per node: its feature and value arrays in level order,
+from which the child links follow; an internal node's value is its
+threshold.  Version 2 gave the three tree models that one kind, version 3
+dropped the two stored link arrays, and version 4 dropped internal nodes'
+means.  Older files are not read: a model is cheap to refit, so
+``load_model`` asks for ``pkwbench train --force`` instead of keeping a
+second reader.
 """
 
 from __future__ import annotations
@@ -29,17 +31,13 @@ from .trees import TreeEnsemble, TreeParams
 __all__ = ["save_model", "load_model"]
 
 _MAGIC = b"WNSM"
-_VERSION = 3
+_VERSION = 4
 _PREFIX = struct.Struct("<4sHBI")  # magic, version, kind, header length
 
 _KIND_TREE = 1
 _KIND_POINTNET = 4
 
-_TREE_FIELDS = (
-    ("feature", "<i4"),
-    ("threshold", "<f8"),
-    ("value", "<f8"),
-)
+_TREE_FIELDS = (("feature", "<i4"), ("value", "<f8"))
 
 
 def _params_to_json(params: TreeParams) -> dict:

@@ -51,12 +51,11 @@ class TreeParams:
 class TreeEnsemble:
     """A single tree, a bagged forest or a boosted model, as packed arrays.
 
-    Member ``k`` owns nodes ``offsets[k]:offsets[k + 1]`` of the three node
-    arrays.  ``feature[i] == -1`` marks node ``i`` as a leaf; an internal
-    node routes ``x <= threshold[i]`` to its left child and the rest to its
-    right child.  ``value`` holds the training-target mean of every node, so
-    leaves carry the prediction and internal entries double as fallback
-    diagnostics.
+    Member ``k`` owns nodes ``offsets[k]:offsets[k + 1]`` of the two node
+    arrays.  ``feature[i] == -1`` marks node ``i`` as a leaf, and
+    ``value[i]`` holds the leaf's training-target mean, its prediction.  An
+    internal node's ``value[i]`` is its threshold: the node routes
+    ``x <= value[i]`` to its left child and the rest to its right child.
 
     Each member is stored in level order: the root, then each depth's nodes
     left to right.  No links are stored: the children of the member's
@@ -80,7 +79,6 @@ class TreeEnsemble:
     """
 
     feature: np.ndarray
-    threshold: np.ndarray
     value: np.ndarray
     offsets: np.ndarray
     n_features: int
@@ -150,7 +148,7 @@ class TreeEnsemble:
                 cur = node[pending]
                 # on finite features x > threshold is the negation of x <= threshold
                 node[pending] = self.child[cur] + (
-                    rows.take(at[pending] + self.feature[cur]) > self.threshold[cur])
+                    rows.take(at[pending] + self.feature[cur]) > self.value[cur])
                 pending = pending[self.feature[node[pending]] != _LEAF]
             terms = self.rate * self.value[node].reshape(-1, n_trees)
             terms[:, 0] += self.base
@@ -168,8 +166,8 @@ RegressionTree = ForestModel = BoostedModel = TreeEnsemble
 
 
 def _pack(members, n_features, info, *, base=-0.0, rate=1.0, average=False):
-    """One :class:`TreeEnsemble` from the level-ordered ``(feature,
-    threshold, value)`` arrays of its members, as :func:`_grow` returns them.
+    """One :class:`TreeEnsemble` from the level-ordered ``(feature, value)``
+    arrays of its members, as :func:`_grow` returns them.
 
     ``members`` is emptied.  The arrays are packed one kind at a time and
     each member's array is dropped once copied, so packing holds the
@@ -400,12 +398,12 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
     for bit, the tree grown alone.  With one root, nothing is tracked per
     tree.
 
-    A tree's node arrays, ``(feature, threshold, value)``, are its levels
-    concatenated: the level order :class:`TreeEnsemble` stores a member
-    in.  ``fitted``, when given, receives each row's leaf mean when the
-    row leaves the search, which equals what its tree predicts for it,
-    since ``x > threshold`` is the negation of ``x <= threshold`` on
-    finite features.
+    A tree's node arrays, ``(feature, value)``, are its levels concatenated,
+    each split node's threshold in place of its mean: the level order
+    :class:`TreeEnsemble` stores a member in.  ``fitted``, when given,
+    receives each row's leaf mean when the row leaves the search, which
+    equals what its tree predicts for it, since ``x > threshold`` is the
+    negation of ``x <= threshold`` on finite features.
 
     ``work`` is a :class:`_Work` of ``min(max_features, d)`` times the
     largest root's rows in cells, as wide as a root's candidate rows,
@@ -433,7 +431,6 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
         slot_rows = rows[d, :m]
         in_rows = yr[slot_rows]
         feature = np.full(sizes.size, _LEAF, dtype=np.int32)
-        threshold = np.zeros(sizes.size)
         if counts is None:
             weights = sizes
             means = _segment_sums(in_rows, starts, sizes)
@@ -442,7 +439,7 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
             weights = np.add.reduceat(counts[slot_rows], starts)
             means = _segment_sums(y_sq.real[slot_rows], starts, sizes)
         means /= weights
-        levels.append((feature, threshold, means))
+        levels.append((feature, means))
         if several:
             trees.append(tree)
         if fitted is not None:
@@ -480,7 +477,7 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
         if not split.size:
             break
         feature[split] = j[found]
-        threshold[split] = thr[found]
+        means[split] = thr[found]  # a split node holds its threshold
         if several:
             tree = np.repeat(tree[split], 2)
         # the r-th split node's children are 2r (left) and 2r + 1 (right);
@@ -492,12 +489,13 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
         child = np.full(sizes.size, 2 * split.size, dtype=key_type)
         child[split] = 2 * np.arange(split.size)
         # a flat take gathers about twice as fast as 2-D fancy indexing;
-        # an unsplit node reads feature 0 and keeps its key past the rest
+        # an unsplit node reads feature 0 against its mean and keeps its key
+        # past the rest
         flat = np.maximum(feature, 0).astype(np.intp)
         flat *= n
         slot_node = np.repeat(np.arange(sizes.size), sizes)
         slot_key = child[slot_node] + (
-            Xr.take(flat[slot_node] + slot_rows) > threshold[slot_node]
+            Xr.take(flat[slot_node] + slot_rows) > means[slot_node]
         )
         key = np.empty(n, dtype=key_type)
         key[slot_rows] = slot_key

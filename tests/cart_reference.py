@@ -26,7 +26,11 @@ of rows.
 ``tree_predict``, ``forest_predict`` and ``gbm_predict`` are the predict
 loops of the three model classes that ``TreeEnsemble`` replaced, copied
 unchanged; ``members`` slices a packed ensemble back into their per-tree
-arrays, with the links spelled out.
+arrays, with the links spelled out.  A packed node holds one value, the
+threshold of an internal node or the mean of a leaf, so ``members`` puts
+that array in both the threshold and the value slot, the only entries the
+predict loops read, and ``one_value`` lays a reference's arrays out the
+same way.  The references' means of internal nodes have no counterpart.
 """
 
 import math
@@ -282,7 +286,8 @@ def bootstrap(seed, k, n):
 
 
 def fit_forest(X, y, n_trees, seed, params, bootstrap_rows, max_features):
-    """Every tree's ``(feature, threshold, value)``, grown one at a time."""
+    """Every tree's ``(feature, value)`` as a packed member holds them (see
+    ``one_value``), grown one at a time."""
     n = X.shape[0]
     members = []
     for k in range(n_trees):
@@ -290,9 +295,9 @@ def fit_forest(X, y, n_trees, seed, params, bootstrap_rows, max_features):
             rng, counts = bootstrap(seed, k, n)
         else:
             rng, counts = np.random.default_rng(np.random.SeedSequence([seed, k])), np.ones(n)
-        feature, threshold, _, _, value = _grow_counted(X, y, counts, params, rng,
-                                                        max_features)
-        members.append((feature, threshold, value))
+        feature, _, _, _, value = one_value(_grow_counted(X, y, counts, params, rng,
+                                                         max_features))
+        members.append((feature, value))
     return members
 
 
@@ -351,16 +356,26 @@ def level_order(arrays):
     return (feature[order], threshold[order], *links, value[order])
 
 
+def one_value(arrays):
+    """``(feature, threshold, left, right, value)`` with one value per node,
+    an internal node's threshold or a leaf's mean, in both float slots."""
+    feature, threshold, left, right, value = arrays
+    merged = np.where(feature != _LEAF, threshold, value)
+    return feature, merged, left, right, merged
+
+
 def members(model):
     """Each member of a ``TreeEnsemble`` as ``(feature, threshold, left,
-    right, value)`` arrays with member-local child ids."""
+    right, value)`` arrays with member-local child ids, laid out as
+    ``one_value`` lays them out."""
     out = []
     for lo, hi in zip(model.offsets[:-1], model.offsets[1:]):
         feature = model.feature[lo:hi]
         inner = feature != _LEAF
         left = np.where(inner, model.child[lo:hi] - lo, _LEAF).astype(np.int32)
         right = np.where(inner, left + 1, _LEAF).astype(np.int32)
-        out.append((feature, model.threshold[lo:hi], left, right, model.value[lo:hi]))
+        value = model.value[lo:hi]
+        out.append((feature, value, left, right, value))
     return out
 
 

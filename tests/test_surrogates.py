@@ -153,7 +153,7 @@ def test_step_data_tree():
     y = np.array([0.0, 0.0, 1.0, 1.0])
     tree = fit_tree(X, y)
     assert tree.feature[0] == 0
-    assert tree.threshold[0] == 2.5
+    assert tree.value[0] == 2.5
     assert _n_leaves(tree) == 2
     assert np.array_equal(tree.predict(X), y)
     # routing sends values at the threshold to the left child
@@ -176,7 +176,7 @@ def test_tie_breaks_prefer_low_feature_and_low_threshold():
     assert tree.feature[0] == 0
     # symmetric targets: thresholds 1.5 and 3.5 give equal child error
     tree2 = fit_tree(x.reshape(-1, 1), np.array([0.0, 1.0, 1.0, 0.0]))
-    assert tree2.threshold[0] == 1.5
+    assert tree2.value[0] == 1.5
 
 
 def test_tree_determinism():
@@ -186,7 +186,6 @@ def test_tree_determinism():
     a = fit_tree(X, y)
     b = fit_tree(X, y)
     assert np.array_equal(a.feature, b.feature)
-    assert np.array_equal(a.threshold, b.threshold)
     assert np.array_equal(a.value, b.value)
 
 
@@ -299,8 +298,8 @@ def _cart_problems(draw):
 
 def _reference_arrays(X, y, rows, params, rng=None):
     with np.errstate(all="ignore"):
-        return cart_reference.level_order(
-            cart_reference._grow(X, y, rows, params, rng, X.shape[1]))
+        return cart_reference.one_value(cart_reference.level_order(
+            cart_reference._grow(X, y, rows, params, rng, X.shape[1])))
 
 
 def _assert_same_nodes(got, want):
@@ -324,8 +323,8 @@ def _forest_reference(X, y, seed, k, params, max_features=None):
     counts."""
     rng, counts = cart_reference.bootstrap(seed, k, X.shape[0])
     with np.errstate(all="ignore"):
-        return cart_reference._grow_counted(X, y, counts, params, rng,
-                                            max_features or X.shape[1])
+        return cart_reference.one_value(cart_reference._grow_counted(
+            X, y, counts, params, rng, max_features or X.shape[1]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -382,12 +381,14 @@ def test_counted_trees_match_the_per_node_grower_on_the_drawn_rows(n, d, params)
     X = rng.permutation(n * d).reshape(n, d) / (n * d) + rng.random((n, d)) * 1e-3
     y = rng.normal(size=n) + 3 * X[:, 0]
     forest = fit_forest(X, y, n_trees=3, seed=17, params=params, max_features=d)
-    for k, (feature, threshold, _, _, value) in enumerate(cart_reference.members(forest)):
+    for k, (feature, _, _, _, value) in enumerate(cart_reference.members(forest)):
         rng_k = np.random.default_rng(np.random.SeedSequence([17, k]))
         rows = rng_k.integers(0, n, size=n)
         want = _reference_arrays(X, y, rows, params, rng_k)
         assert feature.tobytes() == want[0].tobytes()
-        assert threshold.tobytes() == want[1].tobytes()
+        # thresholds match bit for bit, leaf values within rounding
+        inner = feature != trees._LEAF
+        assert value[inner].tobytes() == want[4][inner].tobytes()
         np.testing.assert_allclose(value, want[4], rtol=1e-12, atol=0)
 
 
@@ -450,7 +451,7 @@ def test_two_rows_split_only_when_both_children_hold_the_leaf_minimum():
     split = fit_forest(X, y, n_trees=1, seed=seed, params=params)
     assert split.n_nodes == 3
     low, high = np.flatnonzero(counts)
-    assert split.threshold[0] == 0.5 * (X[low, 0] + X[high, 0])
+    assert split.value[0] == 0.5 * (X[low, 0] + X[high, 0])
     assert split.value[1:].tolist() == [y[low], y[high]]
 
 
@@ -723,7 +724,7 @@ def test_forest_training_r2_on_noiseless_labels():
 
 
 def _forest_members(forest):
-    return [(f, t, v) for f, t, _, _, v in cart_reference.members(forest)]
+    return [(f, v) for f, _, _, _, v in cart_reference.members(forest)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -793,19 +794,21 @@ def _peak_traced_bytes(fn):
 def test_forest_memory_grows_with_the_group_not_the_trees(monkeypatch):
     X, y = _oracle_rows(40, seed=37, sigma=0.005)
     n = X.shape[0]
+    # a bootstrap tree holds about 0.63 n distinct rows, so a group of 2 n
+    # rows holds three trees, and eight trees grow in groups of 3, 3 and 2
     monkeypatch.setattr(trees, "_GROUP_ROWS", 2 * n)
-    fit_forest(X, y, n_trees=2, seed=1)  # warm-up
-    two_peak, two = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=2, seed=1))
+    fit_forest(X, y, n_trees=3, seed=1)  # warm-up
+    group_peak, group = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=3, seed=1))
     eight_peak, eight = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=8, seed=1))
-    # A node costs 20 bytes in its member's arrays, 20 more once packed and
+    # A node costs 12 bytes in its member's arrays, 12 more once packed and
     # 8 for its child link; packing briefly holds two more int64 arrays of
-    # every node.  Growing all eight trees at once would add six trees'
+    # every node.  Growing all eight trees at once would add five trees'
     # presorted rows, about 170 bytes a row, far past the slack.
-    per_node = 20 + 20 + 3 * 8
-    extra_nodes = eight.n_nodes - two.n_nodes
+    per_node = 12 + 12 + 3 * 8
+    extra_nodes = eight.n_nodes - group.n_nodes
     slack = 32 * 1024
-    assert eight_peak <= two_peak + extra_nodes * per_node + slack, (
-        two_peak, eight_peak, extra_nodes)
+    assert eight_peak <= group_peak + extra_nodes * per_node + slack, (
+        group_peak, eight_peak, extra_nodes)
 
 
 def test_packing_holds_the_members_and_one_packed_kind():
@@ -824,11 +827,10 @@ def test_packing_holds_the_members_and_one_packed_kind():
         _assert_same_nodes(got, want)
     assert packed.child.tobytes() == forest.child.tobytes()
     # The members are packed one kind at a time and dropped as they are
-    # copied, so packing holds the members (20 bytes a node) and one packed
+    # copied, so packing holds the members (12 bytes a node) and one packed
     # kind (8 at most), then the model: its arrays, the child links and two
     # masks of its nodes.
-    model = sum(a.nbytes for a in (packed.feature, packed.threshold,
-                                   packed.value, packed.child))
+    model = sum(a.nbytes for a in (packed.feature, packed.value, packed.child))
     member = max(sum(a.nbytes for a in arrays) for arrays in source)
     assert peak <= model + member + 2 * packed.n_nodes + 16 * 1024, (
         peak, model, packed.n_nodes)
@@ -901,7 +903,7 @@ def _assert_same_boosting(model, want):
     assert np.asarray(model.info["train_mse_path"]).tobytes() == np.asarray(path).tobytes()
     assert model.n_trees == len(stages)
     for tree, arrays in zip(cart_reference.members(model), stages):
-        _assert_same_nodes(tree, cart_reference.level_order(arrays))
+        _assert_same_nodes(tree, cart_reference.one_value(cart_reference.level_order(arrays)))
 
 
 def _check_gbm_against_stage_loop(X, y, n_trees, max_depth, rate, min_leaf):
@@ -1028,7 +1030,7 @@ def test_timed_predictions_match_untimed():
 
 
 def _assert_trees_equal(a, b):
-    for name in ("feature", "threshold", "value", "offsets", "child"):
+    for name in ("feature", "value", "offsets", "child"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert (a.n_features, a.base, a.rate, a.average) == (
         b.n_features, b.base, b.rate, b.average)
@@ -1078,17 +1080,18 @@ def test_gbm_round_trip(tmp_path):
     assert np.array_equal(boosted.predict(probe), back.predict(probe))
 
 
-# sha256 of the .wnsm bytes of three fixed-seed fits.  The tree and the
-# boosting digests are as the fitter wrote them before it summed targets and
-# squares in one complex cumsum and presorted on value ranks; the forest's is
-# as it writes it since each tree grows on its distinct bootstrap rows,
-# weighted by their draw counts.  The differential tests compare the fitter
-# with references kept in this repo; these digests catch both changing
-# together.
+# sha256 of the .wnsm bytes of three fixed-seed fits, in the version 4
+# layout.  Their node arrays are those of the version 3 files, each internal
+# node's threshold in place of its mean: the tree and the boosting as the
+# fitter wrote them before it summed targets and squares in one complex
+# cumsum and presorted on value ranks, the forest as it writes it since each
+# tree grows on its distinct bootstrap rows, weighted by their draw counts.
+# The differential tests compare the fitter with references kept in this
+# repo; these digests catch both changing together.
 _PINNED_FITS = {
-    "tree": "4ff0be1d71acd88c9acfb76c8f94b9b44b9015f390736f909eee6bf5f05091d4",
-    "forest": "6370891acbe084dcc8622a77d1b6733f72aabee79a7c9fa49543ce2d1092448c",
-    "gbm": "a949fa3695e8c67d367c8c0c34fb933bf358ca7782af9960efabb76c72b2e5c1",
+    "tree": "b06c1cefd0de584701ac2d2862153090e21a590948584872d06e0caa0f5886a6",
+    "forest": "88bbe125b4c53a05a82a52db3254be1dd580b6f578c75b46345e2661956609f9",
+    "gbm": "f6647d66057cfc0d32e4045c9685d5e104a0836589b7158477c0f3ae42b7f58c",
 }
 
 
@@ -1183,19 +1186,18 @@ def test_model_file_with_bad_tree_links_rejected(tmp_path):
         bad = _write(tmp_path, _rewrite(raw, **case))
         with pytest.raises(MalformedModel):
             load_model(bad)
-    # a version 2 file stored the links this layout derives
-    old = _write(tmp_path, raw[:4] + (2).to_bytes(2, "little") + raw[6:])
-    with pytest.raises(MalformedModel, match=r"version 2.*train --force"):
-        load_model(old)
 
 
-def test_version_1_model_file_asks_for_a_refit(tmp_path):
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_older_model_file_versions_ask_for_a_refit(tmp_path, version):
+    # version 1 had a kind per tree model, 2 stored the links this layout
+    # derives and 3 stored internal nodes' means next to their thresholds
     rng = np.random.default_rng(89)
     path = tmp_path / "m.wnsm"
     save_model(path, fit_tree(rng.random((10, 2)), rng.random(10)))
     raw = path.read_bytes()
-    old = _write(tmp_path, raw[:4] + (1).to_bytes(2, "little") + raw[6:])
-    with pytest.raises(MalformedModel, match=r"version 1.*train --force"):
+    old = _write(tmp_path, raw[:4] + version.to_bytes(2, "little") + raw[6:])
+    with pytest.raises(MalformedModel, match=rf"version {version}.*train --force"):
         load_model(old)
 
 
