@@ -11,9 +11,9 @@ stores 12 bytes per node: its feature and value arrays in level order,
 from which the child links follow; an internal node's value is its
 threshold.  Version 2 gave the three tree models that one kind, version 3
 dropped the two stored link arrays, and version 4 dropped internal nodes'
-means.  Older files are not read: a model is cheap to refit, so
+means.  Older tree files are not read: a tree is cheap to refit, so
 ``load_model`` asks for ``pkwbench train --force`` instead of keeping a
-second reader.
+second reader.  Version 3 network files, stored alike, still load.
 """
 
 from __future__ import annotations
@@ -145,10 +145,13 @@ def load_model(path):
     magic, version, kind, header_len = _PREFIX.unpack_from(raw)
     if magic != _MAGIC:
         raise MalformedModel(f"bad magic {magic!r}")
-    if version != _VERSION:
+    # a point network's bytes are the same at version 3
+    reads = (3, _VERSION) if kind == _KIND_POINTNET else (_VERSION,)
+    if version not in reads:
         raise MalformedModel(
             f"unsupported container version {version}; this build reads version "
-            f"{_VERSION} only, so rerun `pkwbench train --force` to refit the model"
+            f"{' or '.join(map(str, reads))} only, so rerun `pkwbench train --force` "
+            "to refit the model"
         )
     header_end = _PREFIX.size + header_len
     if len(raw) < header_end:

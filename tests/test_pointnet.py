@@ -231,6 +231,22 @@ def test_network_round_trip(tmp_path):
         load_model(truncated)
 
 
+@pytest.mark.parametrize("version, loads", [(2, False), (3, True)])
+def test_network_file_reads_version_3_but_not_2(tmp_path, version, loads):
+    # version 4 changed the tree layout only; a network file is the same
+    X = _toy_clouds(4, 8, seed=18)
+    model = fit_pointnet_mini(X, np.full(4, 0.4), config=PointNetConfig(max_epochs=1))
+    path = tmp_path / "net.wnsm"
+    save_model(path, model)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + version.to_bytes(2, "little") + raw[6:])
+    if loads:
+        assert np.array_equal(load_model(path).predict(X), model.predict(X))
+    else:
+        with pytest.raises(MalformedModel, match=rf"version {version}.*train --force"):
+            load_model(path)
+
+
 # differential tests against the full-set network in pointnet_reference.py
 
 # The backward pass below the pool sums over the critical rows only, where

@@ -794,21 +794,19 @@ def _peak_traced_bytes(fn):
 def test_forest_memory_grows_with_the_group_not_the_trees(monkeypatch):
     X, y = _oracle_rows(40, seed=37, sigma=0.005)
     n = X.shape[0]
-    # a bootstrap tree holds about 0.63 n distinct rows, so a group of 2 n
-    # rows holds three trees, and eight trees grow in groups of 3, 3 and 2
     monkeypatch.setattr(trees, "_GROUP_ROWS", 2 * n)
-    fit_forest(X, y, n_trees=3, seed=1)  # warm-up
-    group_peak, group = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=3, seed=1))
+    fit_forest(X, y, n_trees=2, seed=1)  # warm-up
+    two_peak, two = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=2, seed=1))
     eight_peak, eight = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=8, seed=1))
-    # A node costs 12 bytes in its member's arrays, 12 more once packed and
+    # A node costs 20 bytes in its member's arrays, 20 more once packed and
     # 8 for its child link; packing briefly holds two more int64 arrays of
-    # every node.  Growing all eight trees at once would add five trees'
+    # every node.  Growing all eight trees at once would add six trees'
     # presorted rows, about 170 bytes a row, far past the slack.
-    per_node = 12 + 12 + 3 * 8
-    extra_nodes = eight.n_nodes - group.n_nodes
+    per_node = 20 + 20 + 3 * 8
+    extra_nodes = eight.n_nodes - two.n_nodes
     slack = 32 * 1024
-    assert eight_peak <= group_peak + extra_nodes * per_node + slack, (
-        group_peak, eight_peak, extra_nodes)
+    assert eight_peak <= two_peak + extra_nodes * per_node + slack, (
+        two_peak, eight_peak, extra_nodes)
 
 
 def test_packing_holds_the_members_and_one_packed_kind():
@@ -1080,14 +1078,9 @@ def test_gbm_round_trip(tmp_path):
     assert np.array_equal(boosted.predict(probe), back.predict(probe))
 
 
-# sha256 of the .wnsm bytes of three fixed-seed fits, in the version 4
-# layout.  Their node arrays are those of the version 3 files, each internal
-# node's threshold in place of its mean: the tree and the boosting as the
-# fitter wrote them before it summed targets and squares in one complex
-# cumsum and presorted on value ranks, the forest as it writes it since each
-# tree grows on its distinct bootstrap rows, weighted by their draw counts.
-# The differential tests compare the fitter with references kept in this
-# repo; these digests catch both changing together.
+# sha256 of the .wnsm bytes of three fixed-seed fits.  The differential
+# tests compare the fitter with references kept in this repo; these digests
+# catch both changing together.
 _PINNED_FITS = {
     "tree": "b06c1cefd0de584701ac2d2862153090e21a590948584872d06e0caa0f5886a6",
     "forest": "88bbe125b4c53a05a82a52db3254be1dd580b6f578c75b46345e2661956609f9",
