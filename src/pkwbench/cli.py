@@ -467,6 +467,8 @@ def _cmd_label(args) -> int:
         config = {"oracle": "synthetic", "sigma": args.sigma}
     elif args.oracle.startswith("csv="):
         src = args.oracle[4:]
+        if not os.path.isfile(src):
+            raise MissingArtifact(f"no measured-label file at {src}")
         seed = args.seed
         crest = {gid: rec.derived.L for gid, rec in manifest.geometries.items()}
         labels = ingest_labels(src, crest, fixed)

@@ -429,10 +429,16 @@ def _split_pair_from_row(row):
 
 def read_split_csv(path, name: str | None = None) -> SplitAssignment:
     stem = name if name is not None else os.path.splitext(os.path.basename(path))[0]
+    try:
+        policy = policy_from_name(stem)
+    except KeyError:
+        known = ", ".join(prefix for prefix, _ in _NAME_POLICY)
+        raise ParseError(f"{path}: cannot infer a split policy from the name {stem!r}; "
+                         f"a split name starts with one of {known}") from None
     parts: dict[str, set] = {part: set() for part in _PARTITIONS}
     for part, pair in _read_csv(path, _SPLIT_COLUMNS, _split_pair_from_row):
         parts[part].add(pair)
-    return SplitAssignment(name=stem, policy=policy_from_name(stem),
+    return SplitAssignment(name=stem, policy=policy,
                            train=frozenset(parts["train"]),
                            val=frozenset(parts["val"]),
                            test=frozenset(parts["test"]))

@@ -220,11 +220,11 @@ def _check_training_pair(X, y):
 # The split search's element budget.  Narrow nodes' (node, feature) rows are
 # batched into blocks of at most this many elements, so each temporary stays
 # under 64 KiB of float64 and the allocator keeps reusing the same small
-# blocks.  A node whose candidate rows hold more elements is searched on its
-# own, in the buffers of a :class:`_Work` allocated once per fit and written
-# with ``out=``: temporaries that size would be handed back to the OS and
-# faulted in again on every search.  Only the boundary scores, a small share
-# of the elements, are still allocated per search.
+# blocks.  A node whose candidate rows hold more elements is a block of its
+# own, unpadded, with temporaries allocated per search.  Buffers kept for
+# such nodes through a fit saved few page faults: one 300-stage fit_gbm on
+# the benchmark's 3,040 x 9 matrix, in a fresh process pinned to one CPU,
+# took 624 minor faults with them and 633 without.
 _BLOCK = 8000
 
 # The rows a forest grows together: consecutive trees join a group while
@@ -244,31 +244,6 @@ _GROUP_ROWS = 12_288
 # A feature with at most this many distinct values is presorted on its
 # value ranks as uint16 keys (see _sort_keys).
 _MAX_RANKS = np.iinfo(np.uint16).max
-
-
-class _Work:
-    """Split-search buffers for a node of up to ``cells`` (row, position)
-    elements, reused by every wide node of a fit.
-
-    ``pos`` holds sorted row ids, or the flat indices that gather the
-    sorted feature values, ``usable`` the boundary mask, ``xs`` the sorted
-    feature values and ``sums`` the gathered targets and their squares,
-    packed as complex numbers (see :func:`_with_squares`), then their
-    prefix sums.  That is 33 bytes a cell.  A grower that weights its rows
-    by counts also gets ``weights``, the gathered counts and then their
-    prefix sums, 8 bytes a cell more.
-    """
-
-    def __init__(self, cells, counted=False):
-        self.pos = np.empty(cells, dtype=np.intp)
-        self.usable = np.empty(cells, dtype=bool)
-        self.xs = np.empty(cells)
-        self.sums = np.empty(cells, dtype=np.complex128)
-        self.weights = np.empty(cells) if counted else None
-
-    @staticmethod
-    def view(buffer, rows, width):
-        return buffer[: rows * width].reshape(rows, width)
 
 
 def _sort_keys(X):
@@ -361,8 +336,8 @@ def _with_squares(y, counts=None):
     return out
 
 
-def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
-          sizes=None, counts=None, root=None, fitted=None, buffer=None):
+def _grow(Xr, yr, order, params, max_features, feature_rngs=(None,), sizes=None,
+          counts=None, root=None, fitted=None, buffer=None):
     """Grow one tree per generator, together, level by level over
     presorted rows, and return each tree's node arrays in that order.
 
@@ -405,13 +380,9 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
     equals what its tree predicts for it, since ``x > threshold`` is the
     negation of ``x <= threshold`` on finite features.
 
-    ``work`` is a :class:`_Work` of ``min(max_features, d)`` times the
-    largest root's rows in cells, as wide as a root's candidate rows,
-    counted when ``counts`` are given.  ``root``, with one root only, is
-    the half of the root's split search that reads ``Xr``, on every feature
-    (see :func:`_best_splits`), built by :func:`_node_bounds` from
-    ``order``.  Its sorted rows are a view of ``order``, so a caller that
-    reuses it passes a buffer.
+    ``root``, with one root only, is the half of the root's split search
+    that reads ``Xr``, on every feature (see :func:`_best_splits`), built
+    by :func:`_block_bounds` from ``order`` as one node of every row.
     """
     d, n = Xr.shape
     if buffer is None:
@@ -471,7 +442,7 @@ def _grow(Xr, yr, order, params, max_features, work, feature_rngs=(None,),
         with np.errstate(all="ignore"):
             j, thr, found = _best_splits(
                 Xr, y_sq, rows[:, :m], starts[nodes], sizes[nodes], cand,
-                params.min_samples_leaf, work, root if depth == 0 else None, counts,
+                params.min_samples_leaf, root if depth == 0 else None, counts,
             )
         split = nodes[found]
         if not split.size:
@@ -541,8 +512,7 @@ def _segment_sums(values, starts, sizes):
     return out
 
 
-def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, work, root=None,
-                 counts=None):
+def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, root=None, counts=None):
     """Best split of every node; return (feature, threshold, found) arrays.
 
     Node ``k`` covers ``order[:, starts[k]:starts[k] + sizes[k]]`` and may
@@ -554,24 +524,24 @@ def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, work, root=None
     geometry, so most positions cannot end a left child.
 
     The search has two halves.  The half that reads ``Xr`` finds each
-    row's sorted positions and its boundaries (:func:`_node_bounds`,
-    :func:`_block_bounds`); the half that reads the targets, ``y_sq`` from
-    :func:`_with_squares`, scores the boundaries (:func:`_scores`).
-    ``root``, when given, is the first half for a level holding one node
-    of every row on every feature, built once by the caller, since a
-    boosting stage changes only the targets.  Any other node whose
-    candidate rows hold more than ``_BLOCK`` elements is searched on its
-    own in ``work`` (:func:`_node_min`); when no node is narrower, nothing
-    else runs.  Narrower nodes' pairs are batched by size class, which
-    pads a row to at most twice its length, into blocks of at most
-    ``_BLOCK`` elements.  Within a row the first minimum wins (the lowest
-    threshold); across a node's features the first strictly lower score
-    wins (the lowest index).  A target whose square overflows makes every
-    split of its node score inf or NaN, so the node does not split; a
-    child's sum whose square overflows while the squares sum finitely
-    scores -inf, and that split wins.  With ``counts`` the rows are
-    weighted: ``y_sq`` holds the weighted sums and the X half counts the
-    child sizes (:func:`_counted_bounds`).
+    row's sorted positions and its boundaries (:func:`_block_bounds`); the
+    half that reads the targets, ``y_sq`` from :func:`_with_squares`,
+    scores the boundaries (:func:`_scores`).  ``root``, when given, is the
+    first half for a level holding one node of every row on every feature,
+    built once by the caller, since a boosting stage changes only the
+    targets.  Any other node whose candidate rows hold more than
+    ``_BLOCK`` elements is searched on its own, as a block of one node,
+    and its winner picked from its boundaries alone (:func:`_node_min`);
+    when no node is narrower, nothing else runs.  Narrower nodes' pairs
+    are batched by size class, which pads a row to at most twice its
+    length, into blocks of at most ``_BLOCK`` elements.  Within a row the
+    first minimum wins (the lowest threshold); across a node's features
+    the first strictly lower score wins (the lowest index).  A target whose
+    square overflows makes every split of its node score inf or NaN, so
+    the node does not split; a child's sum whose square overflows while
+    the squares sum finitely scores -inf, and that split wins.  With
+    ``counts`` the rows are weighted: ``y_sq`` holds the weighted sums and
+    the X half counts the child sizes (:func:`_counted_bounds`).
     """
     n_nodes, n_cand = cand.shape
     score = np.empty((n_nodes, n_cand))
@@ -579,11 +549,12 @@ def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, work, root=None
     wide = (sizes * n_cand > _BLOCK) | (root is not None)
     for k in np.flatnonzero(wide):
         if root is None:
-            bounds = _node_bounds(Xr, order, starts[k], sizes[k], cand[k], min_leaf, work,
-                                  counts)
+            # one block of the node's rows, one row per candidate feature
+            bounds = _block_bounds(Xr, order, np.repeat(starts[k], n_cand),
+                                   np.repeat(sizes[k], n_cand), cand[k], min_leaf, counts)
         else:
             bounds = root
-        best, row, pos = _node_min(_scores(y_sq, bounds, work), bounds.row, bounds.at)
+        best, row, pos = _node_min(_scores(y_sq, bounds), bounds.row, bounds.at)
         # the winner alone among the node's rows, so the argmin across them
         # below picks it; inf rows at position 0 stand for the others
         score[k] = math.inf
@@ -665,75 +636,38 @@ class _Bounds(NamedTuple):
     n_right: np.ndarray
 
 
-def _node_bounds(Xr, order, start, size, features, min_leaf, work, counts=None):
-    """:class:`_Bounds` of one node on each of ``features``, unpadded.
-
-    On every feature, the node's sorted rows are a view of ``order``,
-    valid until it is regrouped, and its sorted values are gathered in
-    one flat take.  On fewer, the sorted rows are copied into ``work`` and
-    stay valid until its next search.  The bounds read nothing else of
-    ``work``.  With ``counts`` the child sizes are counted
-    (:func:`_counted_bounds`), summed in ``work``.
-    """
-    rows = features.size
-    size = int(size)
-    xs = _Work.view(work.xs, rows, size)
-    if rows == Xr.shape[0]:
-        pos = order[:rows, start : start + size]
-        flat = np.add(pos, (np.arange(rows) * Xr.shape[1])[:, None],
-                      out=_Work.view(work.pos, rows, size))
-        # "clip" never clips valid ids; it spares a copy "raise" makes of out
-        np.take(Xr, flat, out=xs, mode="clip")
-    else:
-        pos = _Work.view(work.pos, rows, size)
-        for r, j in enumerate(features):
-            pos[r] = order[j, start : start + size]
-            np.take(Xr[j], pos[r], out=xs[r], mode="clip")
-    if counts is not None:
-        usable = np.less(xs[:, :-1], xs[:, 1:], out=_Work.view(work.usable, rows, size - 1))
-        weights = _Work.view(work.weights, rows, size)
-        np.take(counts, pos, out=weights, mode="clip")
-        np.cumsum(weights, axis=1, out=weights)
-        return _counted_bounds(pos, usable, weights, np.full(rows, size), min_leaf)
-    # a left child of at + 1 rows keeps both children at least min_leaf
-    # rows for at in [lo, hi)
-    lo = min_leaf - 1
-    hi = max(lo, size - min_leaf)
-    usable = np.less(xs[:, lo:hi], xs[:, lo + 1 : hi + 1],
-                     out=_Work.view(work.usable, rows, hi - lo))
-    row, at = np.nonzero(usable)
-    at += lo
-    left = row * size + at
-    n_left = at + 1.0
-    return _Bounds(pos, row, at, left, row * size + (size - 1), n_left, size - n_left)
-
-
 def _block_bounds(Xr, order, starts, sizes, features, min_leaf, counts=None):
     """:class:`_Bounds` of a block of (node, feature) rows, padded to the
     widest node.
 
-    A padded position leaves the right child empty and fails the size test.
+    A padded position repeats the row's last one, so no boundary lies in
+    the padding.  A block of one node, as a wide node is searched, reads
+    its sorted rows as slices of ``order`` and pads nothing.
     """
     width = int(sizes.max())
     if starts[0] == starts[-1]:
-        # one node: its sorted segments are plain slices, nothing is padded
+        # one node: its sorted segments are plain slices
         pos = order[features, starts[0] : starts[0] + width]
     else:
-        slot = np.minimum(starts[:, None] + np.arange(width), order.shape[1] - 1)
+        slot = np.minimum(starts[:, None] + np.arange(width), (starts + sizes - 1)[:, None])
         pos = order[features[:, None], slot]
     # a flat take gathers about twice as fast as 2-D fancy indexing
     xs = np.take(Xr, pos + (features * Xr.shape[1])[:, None])
-    usable = xs[:, :-1] < xs[:, 1:]
     if counts is not None:
-        usable &= np.arange(1, width) < sizes[:, None]
-        return _counted_bounds(pos, usable, np.cumsum(counts.take(pos), axis=1), sizes,
-                               min_leaf)
-    n_left = np.arange(1.0, width)
+        return _counted_bounds(pos, xs[:, :-1] < xs[:, 1:],
+                               np.cumsum(counts.take(pos), axis=1), sizes, min_leaf)
+    # a left child of at + 1 rows keeps both children of the widest rows at
+    # least min_leaf rows for at in [lo, hi)
+    lo = min_leaf - 1
+    hi = max(lo, width - min_leaf)
+    usable = xs[:, lo:hi] < xs[:, lo + 1 : hi + 1]
     if min_leaf > 1:
-        usable &= n_left >= min_leaf
-    usable &= sizes[:, None] - n_left >= min_leaf
+        # a shorter row's too, for left children of at most its size less
+        # min_leaf; with min_leaf 1 its padding holds no boundary anyway
+        usable &= np.arange(lo + 1, hi + 1) <= (sizes - min_leaf)[:, None]
     row, at = np.nonzero(usable)
-    n_left = n_left[at]
+    at += lo
+    n_left = at + 1.0
     row_size = sizes[row]
     first = row * width
     return _Bounds(pos, row, at, first + at, first + row_size - 1, n_left,
@@ -761,7 +695,7 @@ def _counted_bounds(pos, usable, weights, sizes, min_leaf):
     return _Bounds(pos, row, at, left, last, n_left, weights.take(last) - n_left)
 
 
-def _scores(y_sq, bounds, work=None):
+def _scores(y_sq, bounds):
     """The half of a split search that reads y: the score of every boundary.
 
     ``y_sq`` holds each row's target and its square (:func:`_with_squares`).
@@ -771,15 +705,8 @@ def _scores(y_sq, bounds, work=None):
     the boundaries are scored, with the operands and operations a
     full-width pass would take, so the scores, and with them ties, the
     first-minimum rule and inf or NaN scores, are the same bit for bit.
-    With ``work`` the gather and the prefix sums are written into its
-    buffer.
     """
-    rows, width = bounds.pos.shape
-    if work is None:
-        sums = y_sq.take(bounds.pos)
-    else:
-        sums = _Work.view(work.sums, rows, width)
-        np.take(y_sq, bounds.pos, out=sums, mode="clip")
+    sums = y_sq.take(bounds.pos)
     np.cumsum(sums, axis=1, out=sums)
     left = sums.take(bounds.left)
     right = sums.take(bounds.last)
@@ -802,11 +729,11 @@ def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:
     """Fit an exact greedy least-squares tree."""
     X, y = _check_training_pair(X, y)
     params = params or TreeParams()
-    members = _grow(X.T.copy(), y, _sort_order(X), params, X.shape[1], _Work(X.size))
+    members = _grow(X.T.copy(), y, _sort_order(X), params, X.shape[1])
     return _pack(members, X.shape[1], {"params": params})
 
 
-def _grow_bagged(X, y, ranked, group, params, max_features, work):
+def _grow_bagged(X, y, ranked, group, params, max_features):
     """Grow one forest tree per ``(generator, rows, counts)`` entry of
     ``group``, together, each on its own rows.
 
@@ -824,7 +751,7 @@ def _grow_bagged(X, y, ranked, group, params, max_features, work):
     Xr, order = _presort(X, ranked, rows, sizes)
     del rows  # one copy of the group's rows less while it grows
     counts = None if counts[0] is None else np.concatenate(counts)
-    return _grow(Xr, yr, order, params, max_features, work, rngs, sizes, counts)
+    return _grow(Xr, yr, order, params, max_features, rngs, sizes, counts)
 
 
 def fit_forest(
@@ -879,7 +806,6 @@ def fit_forest(
         raise ValueError(f"max_features must be in [1, {d}], got {max_features}")
     n = X.shape[0]
     ranked = _sort_order(X)
-    work = _Work(max_features * n, counted=bootstrap)
     members = []
     group = []
     used = 0
@@ -891,11 +817,11 @@ def fit_forest(
             rows = np.flatnonzero(counts)
             counts = counts[rows].astype(float)
         if group and used + rows.size > _GROUP_ROWS:
-            members += _grow_bagged(X, y, ranked, group, params, max_features, work)
+            members += _grow_bagged(X, y, ranked, group, params, max_features)
             group, used = [], 0
         group.append((rng, rows, counts))
         used += rows.size
-    members += _grow_bagged(X, y, ranked, group, params, max_features, work)
+    members += _grow_bagged(X, y, ranked, group, params, max_features)
     info = {"params": params, "seed": seed, "bootstrap": bootstrap,
             "max_features": max_features}
     return _pack(members, d, info, average=True)
@@ -924,9 +850,7 @@ def fit_gbm(
     copies the presort.  Every stage's root holds every row and may split
     on every feature, and only its targets change from stage to stage, so
     the half of the root's split search that reads X (sorted positions,
-    distinct-value boundaries, child sizes) is built once per fit too; its
-    sorted positions are a view of the presort.  A stage gathers and sums
-    its residuals in buffers allocated once per fit.
+    distinct-value boundaries, child sizes) is built once per fit too.
     A stage adds the leaf means the grower assigned to the training rows
     while partitioning them, which are the tree's predictions for those
     rows, so no stage walks its tree again.  The result is the same, bit
@@ -941,8 +865,8 @@ def fit_gbm(
     params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     n, d = X.shape
     Xr, presorted = X.T.copy(), _sort_order(X)
-    work = _Work(d * n)
-    root = _node_bounds(Xr, presorted, 0, n, np.arange(d), min_samples_leaf, work)
+    root = _block_bounds(Xr, presorted, np.zeros(d, dtype=np.intp), np.full(d, n),
+                         np.arange(d), min_samples_leaf)
     buffer = np.empty_like(presorted)
     fitted = np.empty(n)
     base = float(np.mean(y))
@@ -954,8 +878,8 @@ def fit_gbm(
         # an overflowing mean or leaf value makes the residuals infinite
         if not np.isfinite(residual).all():
             raise ValueError("targets must be finite")
-        stages += _grow(Xr, residual, presorted, params, d, work, root=root,
-                        fitted=fitted, buffer=buffer)
+        stages += _grow(Xr, residual, presorted, params, d, root=root, fitted=fitted,
+                        buffer=buffer)
         current = current + learning_rate * fitted
         path.append(float(np.mean((y - current) ** 2)))
     info = {"params": params, "learning_rate": learning_rate,

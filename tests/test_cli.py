@@ -586,6 +586,20 @@ def test_label_csv_oracle_round_trips(tmp_path):
     assert got == [(g, q, pytest.approx(c, rel=1e-6)) for g, q, c in rows]
 
 
+def test_label_from_a_missing_csv_is_one_error_record(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert run(["sample", "--workspace", ws, "--n", 4, "--seed", 6]) == 0
+    capsys.readouterr()
+    source = tmp_path / "measured.csv"
+    assert run(["label", "--workspace", ws, "--oracle", f"csv={source}"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "MissingArtifact"
+    assert str(source) in record["message"]
+    assert not (ws / "labels" / "labels.csv").exists()
+
+
 def test_label_uses_the_manifests_installation(tmp_path):
     fixed = PkwFixed(W=1.5, P=0.4)
     sample = PkwSample(B_b=0.40, R_B_i=0.5, T_s=0.02, W_i_u=0.20, W_i_d=0.14)
@@ -658,6 +672,22 @@ def test_unknown_bin_lists_the_choices(pipeline, capsys):
 
 
 # training and evaluation
+
+
+def test_train_on_a_split_of_unknown_name_is_one_error_record(pipeline, tmp_path, capsys):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline, ws, ignore=shutil.ignore_patterns("models", "reports"))
+    shutil.copy(ws / "splits" / "id.csv", ws / "splits" / "mine.csv")
+    argv = ["train", "--workspace", ws, "--model", "tree", "--split", "mine",
+            "--seed", 19]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "ParseError"
+    assert "splits/mine.csv" in record["message"]
+    assert "'mine'" in record["message"] and "ood-geom-" in record["message"]
+    assert not (ws / "models" / "mine-tree.wnsm").exists()
 
 
 def test_trained_model_round_trips_from_workspace(pipeline):

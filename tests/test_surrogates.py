@@ -456,8 +456,8 @@ def test_two_rows_split_only_when_both_children_hold_the_leaf_minimum():
 
 
 # nodes whose candidate rows fill more than a search block: each is searched
-# on its own in buffers reused across the fit, and a boosting fit builds the
-# root's bounds once
+# on its own, as a block of one node, and a boosting fit builds the root's
+# bounds once
 
 
 @pytest.fixture(scope="module")
@@ -468,17 +468,25 @@ def wide_rows():
     return X, y
 
 
+def _spy_wide_blocks(monkeypatch, record):
+    """Call ``record(sizes, features)`` for every block of more than
+    ``_BLOCK`` elements whose bounds are built: a wide node's, or a
+    boosting fit's root's."""
+    block_bounds = trees._block_bounds
+
+    def spy(Xr, order, starts, sizes, features, *rest):
+        if features.size * sizes.max() > trees._BLOCK:
+            record(sizes, features)
+        return block_bounds(Xr, order, starts, sizes, features, *rest)
+
+    monkeypatch.setattr(trees, "_block_bounds", spy)
+
+
 @pytest.fixture
 def wide_sizes(monkeypatch):
-    """The size of every node whose bounds are built on their own."""
+    """The size of every node whose bounds are built as a wide block."""
     sizes = []
-    node_bounds = trees._node_bounds
-
-    def spy(Xr, order, start, size, *rest):
-        sizes.append(int(size))
-        return node_bounds(Xr, order, start, size, *rest)
-
-    monkeypatch.setattr(trees, "_node_bounds", spy)
+    _spy_wide_blocks(monkeypatch, lambda node_sizes, _: sizes.append(int(node_sizes[0])))
     return sizes
 
 
@@ -512,6 +520,23 @@ def test_trees_on_wide_nodes_match_the_per_node_grower(
     forest = fit_forest(X, y, n_trees=1, seed=4, params=params, max_features=d)
     _assert_same_nodes(cart_reference.members(forest)[0],
                        _forest_reference(X, y, 4, 0, params))
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 5])
+def test_bootstrap_forest_on_wide_nodes_of_feature_subsets_matches_the_one_tree_loop(
+    monkeypatch, min_samples_leaf
+):
+    # 4,750 rows: a bootstrap root holds about 3,000 distinct rows, so its
+    # three candidate features make a wide node
+    X, y = _oracle_rows(250, seed=31, sigma=0.005)
+    n_cand = []
+    _spy_wide_blocks(monkeypatch, lambda _, features: n_cand.append(features.size))
+    params = TreeParams(max_depth=4, min_samples_leaf=min_samples_leaf)
+    forest = fit_forest(X, y, n_trees=2, seed=3, params=params)
+    assert any(size < X.shape[1] for size in n_cand)
+    want = cart_reference.fit_forest(X, y, 2, 3, params, True, forest.info["max_features"])
+    for got, member in zip(_forest_members(forest), want):
+        _assert_same_nodes(got, member)
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e152])
@@ -599,14 +624,13 @@ def test_packed_scores_match_the_two_cumsum_formula(data):
         st.sets(st.integers(0, d - 1), min_size=1, max_size=d))))
     Xr, order = cart_reference.presort(X, np.arange(n), [n])
     y_sq = trees._with_squares(y)
-    work = trees._Work(d * n)
-    # every feature (rows viewed in the order), a subset (rows copied) and
-    # a padded block of two copies of the node
+    # the node as one block on every feature, on a subset, and on two
+    # copies of one feature
     with np.errstate(all="ignore"):
         for features in (np.arange(d), subset):
-            bounds = trees._node_bounds(Xr, order, 0, n, features, min_leaf, work)
+            bounds = trees._block_bounds(Xr, order, np.zeros(features.size, dtype=np.intp),
+                                         np.full(features.size, n), features, min_leaf)
             want = cart_reference.scores(y, bounds).tobytes()
-            assert trees._scores(y_sq, bounds, work).tobytes() == want
             assert trees._scores(y_sq, bounds).tobytes() == want
         bounds = trees._block_bounds(Xr, order, np.zeros(2, dtype=np.intp),
                                      np.full(2, n), np.repeat(subset[:1], 2), min_leaf)
