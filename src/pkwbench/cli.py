@@ -721,6 +721,21 @@ def _count(env: str | None = None):
     return parse
 
 
+def _sigma(text: str) -> float:
+    """The argparse type of a noise level: a finite number >= 0.
+
+    The synthetic oracle adds noise only for a positive level, so a negative
+    or NaN one would label without noise and record the bad value.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sub, seed_help="master seed for this stage"):
     sub.add_argument("--workspace", default=os.environ.get("PKWBENCH_WORKSPACE", "workspace"),
                      help="workspace directory (env PKWBENCH_WORKSPACE)")
@@ -774,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("label", help="attach discharge-coefficient labels")
     p.add_argument("--oracle", default="synthetic",
                    help="'synthetic' or 'csv=<path>' with measured labels")
-    p.add_argument("--sigma", type=float, default=0.0,
+    p.add_argument("--sigma", type=_sigma, default=0.0,
                    help="noise level of the synthetic oracle")
     _add_common(p)
     p.set_defaults(func=_cmd_label)
@@ -809,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bench", help="run the full split-matrix benchmark")
     p.add_argument("--n", type=_count(), default=200, help="number of designs")
     _add_space(p)
-    p.add_argument("--sigma", type=float, default=0.005)
+    p.add_argument("--sigma", type=_sigma, default=0.005)
     p.add_argument("--model", action="append", choices=MODEL_CHOICES,
                    default=None, help="repeatable; default forest")
     p.add_argument("--trees", type=_count(), default=None)

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -395,18 +396,20 @@ def read_labels_csv(path) -> list[LabeledSample]:
     return _read_csv(path, required, _label_from_row)
 
 
-_NAME_POLICY = (
-    ("ood-geom-", POLICY_OOD_GEOM),
-    ("ood-head-", POLICY_OOD_HEAD),
-    ("id-f", POLICY_FRACTION),
-    ("id", POLICY_ID),
-)
+# The names `split` writes, apart from the id-f<digits> fraction subsets
+_NAME_POLICY = {
+    "id": POLICY_ID,
+    **{f"ood-geom-{b}": POLICY_OOD_GEOM for b in OOD_GEOM_BINS},
+    **{f"ood-head-{b}": POLICY_OOD_HEAD for b in OOD_HEAD_BINS},
+}
 
 
 def policy_from_name(name: str) -> str:
-    for prefix, policy in _NAME_POLICY:
-        if name == prefix or name.startswith(prefix):
-            return policy
+    """The policy of the split that ``split`` writes under ``name``."""
+    if name in _NAME_POLICY:
+        return _NAME_POLICY[name]
+    if re.fullmatch(r"id-f[0-9]+", name):
+        return POLICY_FRACTION
     raise KeyError(f"cannot infer split policy from name {name!r}")
 
 
@@ -432,9 +435,9 @@ def read_split_csv(path, name: str | None = None) -> SplitAssignment:
     try:
         policy = policy_from_name(stem)
     except KeyError:
-        known = ", ".join(prefix for prefix, _ in _NAME_POLICY)
+        known = ", ".join(["id-f<digits>", *_NAME_POLICY])
         raise ParseError(f"{path}: cannot infer a split policy from the name {stem!r}; "
-                         f"a split name starts with one of {known}") from None
+                         f"a split name is one of {known}") from None
     parts: dict[str, set] = {part: set() for part in _PARTITIONS}
     for part, pair in _read_csv(path, _SPLIT_COLUMNS, _split_pair_from_row):
         parts[part].add(pair)

@@ -241,25 +241,23 @@ _BLOCK = 8000
 # 1,920 of them, so a group now holds six.
 _GROUP_ROWS = 12_288
 
-# A feature with at most this many distinct values is presorted on its
-# value ranks as uint16 keys (see _sort_keys).
-_MAX_RANKS = np.iinfo(np.uint16).max
-
 
 def _sort_keys(X):
-    """Each feature's presort key: its dense value ranks as ``uint16``, or
-    the values themselves past ``_MAX_RANKS`` distinct values.
+    """Each feature's presort key: its dense value ranks in the narrowest
+    unsigned type that holds them.
 
     The ranks are order-isomorphic to the values and tie exactly where the
     values tie (``-0.0 == 0.0``), so a stable sort on them gives the order
-    a stable sort on the values gives, bit for bit.  numpy sorts 16-bit
-    keys stably with a radix sort: 24 us per 3,040 keys, against about
-    240 us for a stable float64 argsort.
+    a stable sort on the values gives, bit for bit.  numpy sorts keys of at
+    most 16 bits stably with a radix sort: 24 us per 3,040 ``uint16`` keys,
+    against about 240 us for a stable float64 argsort.  A feature with more
+    than 65,536 distinct values gets ``uint32`` ranks, which numpy sorts
+    stably by comparison, as it sorts the values.
     """
     keys = []
     for column in X.T:
         values, ranks = np.unique(column, return_inverse=True)
-        keys.append(ranks.astype(np.uint16) if values.size <= _MAX_RANKS else column)
+        keys.append(ranks.astype(np.min_scalar_type(values.size - 1)))
     return keys
 
 
@@ -284,9 +282,9 @@ def _presort(X, ranked, rows, sizes):
     row ids in ascending order.  Its segment of order row ``j`` lists its
     positions sorted by feature ``j``, ties in row order, as ``ranked``, the
     fit's :func:`_sort_order`, lists the rows: that order filtered to the
-    tree's rows, one boolean compress per feature and no sort.  A tree on
-    every row takes ``ranked`` as it is.  The last row of the order lists
-    the positions as they are.
+    tree's rows, one boolean compress per feature and no sort, for a tree
+    on every row too.  The last row of the order lists the positions as
+    they are.
     """
     n, d = X.shape
     m = rows.size
@@ -298,19 +296,15 @@ def _presort(X, ranked, rows, sizes):
     order[d] = np.arange(m)
     start = 0
     for size in sizes:
-        segment = order[:d, start : start + size]
-        if size == n:
-            np.add(ranked[:d], start, out=segment)
-        else:
-            kept = np.zeros(n, dtype=bool)
-            position = np.empty(n, dtype=np.intp)
-            tree_rows = rows[start : start + size]
-            kept[tree_rows] = True
-            position[tree_rows] = order[d, start : start + size]
-            # each feature keeps exactly the tree's rows, so the compressed
-            # matrix lists them feature by feature
-            picked = ranked[:d][kept[ranked[:d]]]
-            np.take(position, picked.reshape(d, size), out=segment)
+        kept = np.zeros(n, dtype=bool)
+        position = np.empty(n, dtype=np.intp)
+        tree_rows = rows[start : start + size]
+        kept[tree_rows] = True
+        position[tree_rows] = order[d, start : start + size]
+        # each feature keeps exactly the tree's rows, so the compressed
+        # matrix lists them feature by feature
+        picked = ranked[:d][kept[ranked[:d]]]
+        np.take(position, picked.reshape(d, size), out=order[:d, start : start + size])
         start += size
     return Xr, order
 
@@ -347,12 +341,12 @@ def _grow(Xr, yr, order, params, max_features, feature_rngs=(None,), sizes=None,
 
     ``counts``, when given, weights each position by the times its row was
     drawn.  The split search then sums ``w * y`` and ``w * y**2``, a
-    child's size is the prefix sum of its counts, ``min_samples_leaf`` and
-    ``min_samples_split`` apply to those counted sizes, and a node's value
-    is ``np.add.reduce(w * y) / np.add.reduce(w)`` over its positions in
-    row order.  Without counts each position counts once and no count is
-    read.  Candidate thresholds are midpoints between distinct values
-    either way.
+    child's size is the prefix sum of its counts (:func:`_block_bounds`,
+    which alone applies ``min_samples_leaf``), ``min_samples_split``
+    applies to a node's summed counts, and a node's value is
+    ``np.add.reduce(w * y) / np.add.reduce(w)`` over its positions in row
+    order.  Without counts each position counts once and no count is read.
+    Candidate thresholds are midpoints between distinct values either way.
 
     ``order`` comes from :func:`_presort` or :func:`_sort_order`; it lists
     the root level's rows, and the levels below are regrouped into
@@ -541,7 +535,7 @@ def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, root=None, coun
     the node does not split; a child's sum whose square overflows while
     the squares sum finitely scores -inf, and that split wins.  With
     ``counts`` the rows are weighted: ``y_sq`` holds the weighted sums and
-    the X half counts the child sizes (:func:`_counted_bounds`).
+    the X half counts the child sizes.
     """
     n_nodes, n_cand = cand.shape
     score = np.empty((n_nodes, n_cand))
@@ -622,9 +616,10 @@ class _Bounds(NamedTuple):
     least ``min_samples_leaf`` rows.  ``left[i]`` and ``last[i]`` are the
     flat indices of that position and of the row's last one in a
     ``pos``-shaped array, and ``n_left`` and ``n_right`` the child sizes as
-    floats, which divide exactly as the integer ones would; a grower that
-    weights rows by counts counts them in sizes too.  Boundaries are
-    ordered by row, then by position.
+    floats, which divide exactly as the integer ones would.  A grower that
+    weights rows by counts counts them in the sizes and in the
+    ``min_samples_leaf`` rule too.  Boundaries are ordered by row, then by
+    position.
     """
 
     pos: np.ndarray
@@ -642,7 +637,10 @@ def _block_bounds(Xr, order, starts, sizes, features, min_leaf, counts=None):
 
     A padded position repeats the row's last one, so no boundary lies in
     the padding.  A block of one node, as a wide node is searched, reads
-    its sorted rows as slices of ``order`` and pads nothing.
+    its sorted rows as slices of ``order`` and pads nothing.  Without
+    ``counts`` a left child of ``at + 1`` positions holds that many rows;
+    with them, the child sizes are the prefix sums of the counts along
+    each row.  The ``min_samples_leaf`` rule is applied to those sizes.
     """
     width = int(sizes.max())
     if starts[0] == starts[-1]:
@@ -653,46 +651,24 @@ def _block_bounds(Xr, order, starts, sizes, features, min_leaf, counts=None):
         pos = order[features[:, None], slot]
     # a flat take gathers about twice as fast as 2-D fancy indexing
     xs = np.take(Xr, pos + (features * Xr.shape[1])[:, None])
-    if counts is not None:
-        return _counted_bounds(pos, xs[:, :-1] < xs[:, 1:],
-                               np.cumsum(counts.take(pos), axis=1), sizes, min_leaf)
-    # a left child of at + 1 rows keeps both children of the widest rows at
-    # least min_leaf rows for at in [lo, hi)
-    lo = min_leaf - 1
-    hi = max(lo, width - min_leaf)
-    usable = xs[:, lo:hi] < xs[:, lo + 1 : hi + 1]
-    if min_leaf > 1:
-        # a shorter row's too, for left children of at most its size less
-        # min_leaf; with min_leaf 1 its padding holds no boundary anyway
-        usable &= np.arange(lo + 1, hi + 1) <= (sizes - min_leaf)[:, None]
-    row, at = np.nonzero(usable)
-    at += lo
-    n_left = at + 1.0
-    row_size = sizes[row]
+    row, at = np.nonzero(xs[:, :-1] < xs[:, 1:])
+    size = sizes[row]
     first = row * width
-    return _Bounds(pos, row, at, first + at, first + row_size - 1, n_left,
-                   row_size - n_left)
-
-
-def _counted_bounds(pos, usable, weights, sizes, min_leaf):
-    """:class:`_Bounds` of rows whose positions stand for their counts.
-
-    ``usable`` marks the positions followed by a larger value inside the
-    row's first ``sizes[r]`` positions, and ``weights`` holds the prefix
-    sums of the counts along each row.  The child sizes are those sums, and
-    each child must keep ``min_leaf`` counted rows.
-    """
-    width = pos.shape[1]
-    last = np.arange(sizes.size) * width + sizes - 1
+    left = first + at
+    last = first + size - 1
+    if counts is None:
+        n_left = at + 1.0
+        total = size
+    else:
+        weights = np.cumsum(counts.take(pos), axis=1)
+        n_left = weights.take(left)
+        total = weights.take(last)
+    n_right = total - n_left
     if min_leaf > 1:
-        left = weights[:, :-1]
-        usable &= left >= min_leaf
-        usable &= weights.take(last)[:, None] - left >= min_leaf
-    row, at = np.nonzero(usable)
-    left = row * width + at
-    last = last[row]
-    n_left = weights.take(left)
-    return _Bounds(pos, row, at, left, last, n_left, weights.take(last) - n_left)
+        # with min_leaf 1 every child of a boundary holds a row
+        keep = (n_left >= min_leaf) & (n_right >= min_leaf)
+        return _Bounds(pos, *(a[keep] for a in (row, at, left, last, n_left, n_right)))
+    return _Bounds(pos, row, at, left, last, n_left, n_right)
 
 
 def _scores(y_sq, bounds):

@@ -180,6 +180,23 @@ def test_workspace_env_variable_is_honoured(tmp_path, monkeypatch):
     assert (ws / "params" / MANIFEST_NAME).exists()
 
 
+@pytest.mark.parametrize("command", ["label", "bench"])
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_bad_sigma_is_a_usage_error_before_any_work(tmp_path, capsys, command, value):
+    ws = tmp_path / "ws"
+    if command == "label":
+        assert run(["sample", "--workspace", ws, "--n", 3, "--seed", 1]) == 0
+        capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--workspace", ws, "--seed", 3, "--sigma", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(
+        f"pkwbench {command}: error: argument --sigma: must be a finite number >= 0")
+    assert not (ws / "labels" / "labels.csv").exists()
+
+
 def test_jobs_env_variable_sets_parser_default(monkeypatch):
     monkeypatch.setenv("PKWBENCH_JOBS", "3")
     args = build_parser().parse_args(["mesh"])
@@ -674,20 +691,22 @@ def test_unknown_bin_lists_the_choices(pipeline, capsys):
 # training and evaluation
 
 
-def test_train_on_a_split_of_unknown_name_is_one_error_record(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("name", ["mine", "idle"])
+def test_train_on_a_split_of_unknown_name_is_one_error_record(pipeline, tmp_path, capsys,
+                                                              name):
     ws = tmp_path / "ws"
     shutil.copytree(pipeline, ws, ignore=shutil.ignore_patterns("models", "reports"))
-    shutil.copy(ws / "splits" / "id.csv", ws / "splits" / "mine.csv")
-    argv = ["train", "--workspace", ws, "--model", "tree", "--split", "mine",
+    shutil.copy(ws / "splits" / "id.csv", ws / "splits" / f"{name}.csv")
+    argv = ["train", "--workspace", ws, "--model", "tree", "--split", name,
             "--seed", 19]
     assert run(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     record = json.loads(err[0])
     assert record["error"] == "ParseError"
-    assert "splits/mine.csv" in record["message"]
-    assert "'mine'" in record["message"] and "ood-geom-" in record["message"]
-    assert not (ws / "models" / "mine-tree.wnsm").exists()
+    assert f"splits/{name}.csv" in record["message"]
+    assert f"'{name}'" in record["message"] and "ood-geom-" in record["message"]
+    assert not (ws / "models" / f"{name}-tree.wnsm").exists()
 
 
 def test_trained_model_round_trips_from_workspace(pipeline):

@@ -311,5 +311,7 @@ def test_policy_from_name():
     assert policy_from_name("id-f40") == "fraction-subset"
     assert policy_from_name("ood-geom-alpha_le2") == "ood-geom-alpha"
     assert policy_from_name("ood-head-q_ge170") == "ood-head-q"
-    with pytest.raises(KeyError):
-        policy_from_name("mystery")
+    # only the names split writes: no bare prefix, no unknown bin
+    for bad in ("mystery", "idle", "id-fancy", "id-f", "ood-geom-nope"):
+        with pytest.raises(KeyError):
+            policy_from_name(bad)

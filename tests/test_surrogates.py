@@ -663,7 +663,7 @@ def test_rank_presort_matches_the_float_argsort(data):
     else:
         rows, sizes = np.tile(np.arange(n), roots), [n] * roots
     keys = trees._sort_keys(X)
-    assert all(key.dtype == np.uint16 for key in keys)
+    assert all(key.dtype.kind == "u" for key in keys)
     got = trees._presort(X, trees._sort_order(X), rows, sizes)
     for a, b in zip(got, cart_reference.presort(X, rows, sizes)):
         _assert_same_nodes([a], [b])
@@ -671,14 +671,14 @@ def test_rank_presort_matches_the_float_argsort(data):
 
 def test_presort_of_a_feature_past_the_rank_limit_sorts_its_values():
     rng = np.random.default_rng(43)
-    n = trees._MAX_RANKS + 4465
+    n = 70_000
     # 70,000 rows: distinct in the first column apart from zeros of both
     # signs, and three values, two of them -0.0 and 0.0, in the second
     wide = rng.permutation(n) - 2.0
     wide[rng.choice(n, 2, replace=False)] = (-0.0, 0.0)
     X = np.column_stack([wide, rng.choice((-0.0, 0.0, 1.0), n)])
     keys = trees._sort_keys(X)
-    assert keys[0].dtype == np.float64 and keys[1].dtype == np.uint16
+    assert keys[0].dtype == np.uint32 and keys[1].dtype == np.uint8
     # a bootstrap tree and a tree on every row
     rows, sizes = _distinct_rows([rng.integers(0, n, size=n)], n)
     rows, sizes = np.concatenate([rows, np.arange(n)]), sizes + [n]
@@ -773,13 +773,8 @@ def test_forest_trees_grown_in_groups_match_the_one_tree_loop(problem, n_trees, 
         _assert_same_nodes(got, member)
 
 
-def test_forest_in_groups_of_three_matches_the_one_tree_loop_and_file(
-    tmp_path, monkeypatch
-):
-    X, y = _oracle_rows(40, seed=19, sigma=0.005)
-    n = X.shape[0]
-    # 7 trees of 472-485 distinct rows of the 760 in groups of 3, 3 and 1
-    monkeypatch.setattr(trees, "_GROUP_ROWS", 2 * n)
+def _group_sizes(monkeypatch):
+    """A list that records the tree count of every group a forest grows."""
     groups = []
     grow_bagged = trees._grow_bagged
 
@@ -788,6 +783,17 @@ def test_forest_in_groups_of_three_matches_the_one_tree_loop_and_file(
         return grow_bagged(X, y, ranked, group, *rest)
 
     monkeypatch.setattr(trees, "_grow_bagged", spy)
+    return groups
+
+
+def test_forest_in_groups_of_three_matches_the_one_tree_loop_and_file(
+    tmp_path, monkeypatch
+):
+    X, y = _oracle_rows(40, seed=19, sigma=0.005)
+    n = X.shape[0]
+    # 7 trees of 472-485 distinct rows of the 760 in groups of 3, 3 and 1
+    monkeypatch.setattr(trees, "_GROUP_ROWS", 2 * n)
+    groups = _group_sizes(monkeypatch)
     params = TreeParams(min_samples_leaf=2)
     forest = fit_forest(X, y, n_trees=7, seed=5, params=params)
     assert groups == [3, 3, 1]
@@ -819,18 +825,26 @@ def test_forest_memory_grows_with_the_group_not_the_trees(monkeypatch):
     X, y = _oracle_rows(40, seed=37, sigma=0.005)
     n = X.shape[0]
     monkeypatch.setattr(trees, "_GROUP_ROWS", 2 * n)
-    fit_forest(X, y, n_trees=2, seed=1)  # warm-up
-    two_peak, two = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=2, seed=1))
+    groups = _group_sizes(monkeypatch)
+    fit_forest(X, y, n_trees=3, seed=1)  # warm-up
+    groups.clear()
+    one_peak, _ = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=3, seed=1))
+    assert groups == [3]  # one full group
+    groups.clear()
     eight_peak, eight = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=8, seed=1))
-    # A node costs 20 bytes in its member's arrays, 20 more once packed and
-    # 8 for its child link; packing briefly holds two more int64 arrays of
-    # every node.  Growing all eight trees at once would add six trees'
-    # presorted rows, about 170 bytes a row, far past the slack.
-    per_node = 20 + 20 + 3 * 8
-    extra_nodes = eight.n_nodes - two.n_nodes
-    slack = 32 * 1024
-    assert eight_peak <= two_peak + extra_nodes * per_node + slack, (
-        two_peak, eight_peak, extra_nodes)
+    assert groups == [3, 3, 2]
+    # While a group grows, the fit also holds the trees grown before it as
+    # member arrays, 12 bytes a node, and the next tree's bootstrap draw,
+    # 16 bytes a distinct row.  The six trees ahead of the last group hold
+    # more than the three ahead of the second and the seventh tree's draw
+    # together, and the last group grows two trees, so the six trees' nodes
+    # bound every group's extra.  Growing all eight trees at once would add
+    # five trees' presorted rows, about 180 bytes a row, far past the bound.
+    per_node = eight.feature.itemsize + eight.value.itemsize
+    held = int(eight.offsets[6])
+    slack = 1024
+    assert eight_peak <= one_peak + held * per_node + slack, (
+        one_peak, eight_peak, held)
 
 
 def test_packing_holds_the_members_and_one_packed_kind():
