@@ -654,7 +654,8 @@ def _cmd_bench(args) -> int:
     require_id_split(args.n)
     ws = _workspace(args)
     seed = _require_seed(args)
-    models = args.model or ["forest"]
+    # a model named twice is fitted and reported once, in first-seen order
+    models = list(dict.fromkeys(args.model or ["forest"]))
     report_path = _claim(ws / "reports" / "bench.csv", args.force)
 
     # the stage commands read their options from bench's own arguments

@@ -7,6 +7,15 @@ of two consecutive distinct sorted values, and the winner minimizes the
 summed within-child squared error.  Ties are broken deterministically by the
 lowest feature index, then the lowest threshold, so a fit is a pure function
 of its inputs.  Samples with feature value <= threshold go to the left child.
+
+A node with more rows than the distinct values of its candidate features
+is scored from histograms over those values, whose bins are each
+feature's value ranks, so every candidate is found and nothing is
+binned approximately: the "hist" split finding of XGBoost (Chen &
+Guestrin, KDD 2016) and LightGBM (Ke et al., NeurIPS 2017), with
+LightGBM's sibling subtraction.  Smaller nodes are scanned over their
+rows sorted by each feature.  Both sum the same targets, in another
+order, so a near-tied split can go either way.
 """
 
 from __future__ import annotations
@@ -217,96 +226,79 @@ def _check_training_pair(X, y):
     return X, y
 
 
-# The split search's element budget.  Narrow nodes' (node, feature) rows are
-# batched into blocks of at most this many elements, so each temporary stays
-# under 64 KiB of float64 and the allocator keeps reusing the same small
-# blocks.  A node whose candidate rows hold more elements is a block of its
-# own, unpadded, with temporaries allocated per search.  Buffers kept for
-# such nodes through a fit saved few page faults: one 300-stage fit_gbm on
-# the benchmark's 3,040 x 9 matrix, in a fresh process pinned to one CPU,
-# took 624 minor faults with them and 633 without.
+
+
+# The sorted scan's element budget: narrow nodes' (node, feature) rows are
+# batched into blocks of at most this many elements, so each temporary
+# stays under 64 KiB of float64 and the allocator keeps reusing the same
+# small blocks.  A narrow node holds at most the mean distinct-value count
+# of its candidate features in rows, so only candidates averaging more than
+# 4,000 distinct values make a block of a single row.  predict batches its
+# (row, member) cells by the same budget.
 _BLOCK = 8000
+
+# The histogram bins scored at a time.  Scoring takes about 70 bytes of
+# temporaries a bin, so this bounds them to about 5 MB; on the benchmark's
+# 3,040 x 9 matrix, 159 bins a feature, every level is scored at once.  A
+# paper-scale tree (57,684 x 9, up to 2,986 bins a feature) peaked at
+# 84 MB RSS scoring whole levels, and at 71 MB with this bound.
+_HIST_CELLS = 65_536
 
 # The rows a forest grows together: consecutive trees join a group while
 # their distinct rows add up to at most _GROUP_ROWS (a group holds at least
 # one tree), and share every level's passes, whose cost is mostly fixed per
 # numpy call.  The budget is counted in distinct rows because a group's
-# memory grows with them, about 180 bytes each for the sorted features,
-# their order, the targets and the counts.  A level of at most 12,288 rows
-# still has at most 6,144 splits, so every child key fits in uint16 and the
-# regroup's stable argsorts stay on numpy's radix sort: 26 us per 3,040
-# keys, against 231 us as int32.
+# memory grows with them, about 130 bytes each for the ranks, the sorted
+# rows of narrow nodes, the targets and the counts.  A level of at most
+# 12,288 rows still has at most 6,144 splits, so every child key fits in
+# uint16 and the regroup's stable argsorts stay on numpy's radix sort:
+# 26 us per 3,040 keys, against 231 us as int32.
 # Four trees of the benchmark's 3,040 rows took 0.69x the bench time for
 # 2.7% more peak memory (BENCH_16.json).  A bootstrap tree holds about
 # 1,920 of them, so a group now holds six.
 _GROUP_ROWS = 12_288
 
 
-def _sort_keys(X):
-    """Each feature's presort key: its dense value ranks in the narrowest
-    unsigned type that holds them.
+def _ranks(X):
+    """Each feature's sorted distinct values, and every row's rank among
+    them as a ``(d, n)`` array in the narrowest unsigned type that holds
+    every feature's ranks.
 
     The ranks are order-isomorphic to the values and tie exactly where the
-    values tie (``-0.0 == 0.0``), so a stable sort on them gives the order
-    a stable sort on the values gives, bit for bit.  numpy sorts keys of at
-    most 16 bits stably with a radix sort: 24 us per 3,040 ``uint16`` keys,
-    against about 240 us for a stable float64 argsort.  A feature with more
-    than 65,536 distinct values gets ``uint32`` ranks, which numpy sorts
-    stably by comparison, as it sorts the values.
+    values tie (``-0.0 == 0.0``), so the grower reads nothing else: a
+    stable sort on them orders rows as a stable sort on the values does, a
+    node's rows fall into one histogram bin per distinct value, and a row
+    goes left of a split exactly when its rank is at most that of the
+    split's lower value.  Thresholds are read from the distinct values.
     """
-    keys = []
-    for column in X.T:
-        values, ranks = np.unique(column, return_inverse=True)
-        keys.append(ranks.astype(np.min_scalar_type(values.size - 1)))
-    return keys
+    columns = [np.unique(column, return_inverse=True) for column in X.T]
+    top = max(values.size for values, _ in columns) - 1
+    ranks = np.empty(X.shape[::-1], dtype=np.min_scalar_type(top))
+    for j, (_, inverse) in enumerate(columns):
+        ranks[j] = inverse
+    return [values for values, _ in columns], ranks
 
 
-def _sort_order(X):
-    """The presort of one tree on every row of ``X``, as ``(d + 1) x n``
-    row ids: row ``j`` lists the rows sorted stably on feature ``j`` (on its
-    :func:`_sort_keys`), so tied values keep row order, and row ``d`` lists
-    them as they are."""
-    n, d = X.shape
-    order = np.empty((d + 1, n), dtype=np.intp)
-    for j, key in enumerate(_sort_keys(X)):
-        order[j] = np.argsort(key, kind="stable")
-    order[d] = np.arange(n)
-    return order
+def _sort_rows(ranks, bins, rows, sizes, out):
+    """Write each node's rows, sorted stably on feature ``j``, into
+    ``out[j]`` for every feature.
 
-
-def _presort(X, ranked, rows, sizes):
-    """The transposed rows of ``X`` and their ``(d + 1) x m`` order, for
-    trees whose rows lie end to end.
-
-    Tree ``t`` holds the next ``sizes[t]`` entries of ``rows``: distinct
-    row ids in ascending order.  Its segment of order row ``j`` lists its
-    positions sorted by feature ``j``, ties in row order, as ``ranked``, the
-    fit's :func:`_sort_order`, lists the rows: that order filtered to the
-    tree's rows, one boolean compress per feature and no sort, for a tree
-    on every row too.  The last row of the order lists the positions as
-    they are.
+    ``rows`` lists the nodes' rows grouped by node, ``sizes[k]`` for node
+    ``k``, each group in row order, so tied values keep row order.  A
+    stable sort on the ranks, then one on the node, keeps every group in
+    rank order; keys of at most 16 bits, as every feature's ranks of fewer
+    than 65,537 distinct values are cast, sort on numpy's radix sort.
     """
-    n, d = X.shape
-    m = rows.size
-    Xr = np.empty((d, m))
-    for j, column in enumerate(X.T):
-        # one feature at a time: a take along an axis copies all of X first
-        np.take(column, rows, out=Xr[j])
-    order = np.empty((d + 1, m), dtype=np.intp)
-    order[d] = np.arange(m)
-    start = 0
-    for size in sizes:
-        kept = np.zeros(n, dtype=bool)
-        position = np.empty(n, dtype=np.intp)
-        tree_rows = rows[start : start + size]
-        kept[tree_rows] = True
-        position[tree_rows] = order[d, start : start + size]
-        # each feature keeps exactly the tree's rows, so the compressed
-        # matrix lists them feature by feature
-        picked = ranked[:d][kept[ranked[:d]]]
-        np.take(position, picked.reshape(d, size), out=order[:d, start : start + size])
-        start += size
-    return Xr, order
+    node = None
+    if sizes.size > 1:
+        node = np.repeat(np.arange(sizes.size).astype(np.min_scalar_type(sizes.size - 1)),
+                         sizes)
+    for j, n_bins in enumerate(bins):
+        key = ranks[j].take(rows).astype(np.min_scalar_type(n_bins - 1), copy=False)
+        by = np.argsort(key, kind="stable")
+        if node is not None:
+            by = by[np.argsort(node[by], kind="stable")]
+        np.take(rows, by, out=out[j])
 
 
 def _with_squares(y, counts=None):
@@ -330,42 +322,45 @@ def _with_squares(y, counts=None):
     return out
 
 
-def _grow(Xr, yr, order, params, max_features, feature_rngs=(None,), sizes=None,
-          counts=None, root=None, fitted=None, buffer=None):
-    """Grow one tree per generator, together, level by level over
-    presorted rows, and return each tree's node arrays in that order.
+def _grow(ranks, values, yr, params, max_features, feature_rngs=(None,), sizes=None,
+          counts=None, fitted=None):
+    """Grow one tree per generator, together, level by level, and return
+    each tree's node arrays in that order.
 
-    Tree ``t``'s root holds the ``t``-th run of ``sizes[t]`` consecutive
-    positions (every position without ``sizes``) and draws its feature
-    subsets from ``feature_rngs[t]``.
+    ``ranks`` and ``values`` are :func:`_ranks` of the rows, with ``values``
+    taken over every row of the fit.  Tree ``t``'s root holds the ``t``-th
+    run of ``sizes[t]`` consecutive rows (every row without ``sizes``) and
+    draws its feature subsets from ``feature_rngs[t]``.
 
-    ``counts``, when given, weights each position by the times its row was
-    drawn.  The split search then sums ``w * y`` and ``w * y**2``, a
-    child's size is the prefix sum of its counts (:func:`_block_bounds`,
-    which alone applies ``min_samples_leaf``), ``min_samples_split``
-    applies to a node's summed counts, and a node's value is
-    ``np.add.reduce(w * y) / np.add.reduce(w)`` over its positions in row
-    order.  Without counts each position counts once and no count is read.
-    Candidate thresholds are midpoints between distinct values either way.
+    ``counts``, when given, weights each row by the times it was drawn.
+    The split search then sums ``w * y`` and ``w * y**2``, a child's size
+    is the sum of its counts, ``min_samples_leaf`` and ``min_samples_split``
+    apply to those sums, and a node's value is ``np.add.reduce(w * y) /
+    np.add.reduce(w)`` over its rows in row order.  Without counts each row
+    counts once and no count is read.  Candidate thresholds are midpoints
+    between consecutive distinct values of the node either way.
 
-    ``order`` comes from :func:`_presort` or :func:`_sort_order`; it lists
-    the root level's rows, and the levels below are regrouped into
-    ``buffer``, an array of its shape, or into ``order`` itself when no
-    buffer is given.  So a caller that grows many trees from one presort
-    passes a buffer and never copies the presort, which stays as it was.
-    At each level, row ``j`` of the rows lists the rows of the level's
-    nodes, grouped by node in level order, the first tree's nodes first,
-    each group sorted by feature ``j``; row ``d`` keeps each group in row
-    order.  One pass over a level scores every candidate feature of every
-    node of every tree, and a stable sort on the child index regroups the
-    rows for the next level, so each group stays sorted without sorting
-    it again.  A node's split and children depend on its own rows alone,
-    and with fewer than ``d`` candidate features, each tree that has
-    splittable nodes at a depth draws one permutation per node from its
-    own generator, for those nodes in level order, as it would alone; a
-    tree with none draws nothing.  So a tree grown next to others is, bit
-    for bit, the tree grown alone.  With one root, nothing is tracked per
-    tree.
+    Each level lists its rows grouped by node in level order, the first
+    tree's nodes first, each group in row order; one pass over a level
+    scores every candidate feature of every node of every tree, and a
+    stable sort on the child index regroups the rows for the next level.
+    A node is *wide* when its rows times its candidate features outnumber
+    the bins of those features, the distinct values of the fit; it is
+    scored from histograms (:func:`_wide_splits`).  A *narrow* node is
+    scanned over its rows sorted by each feature (:func:`_narrow_splits`).
+    Sorted rows are kept only for narrow nodes and their descendants, each
+    level's regrouped from the last by the same stable sort on the child
+    index; a narrow node without them, the root or a child of a wide node,
+    sorts its rows on its ranks (:func:`_sort_rows`).  So a level whose
+    nodes are all wide reads and regroups no sorted rows.
+
+    A node's split and children depend on its own rows alone, and its
+    parent's histograms, and with fewer than ``d`` candidate features, each
+    tree that has splittable nodes at a depth draws one permutation per
+    node from its own generator, for those nodes in level order, as it
+    would alone; a tree with none draws nothing.  So a tree grown next to
+    others is, bit for bit, the tree grown alone.  With one root, nothing
+    is tracked per tree.
 
     A tree's node arrays, ``(feature, value)``, are its levels concatenated,
     each split node's threshold in place of its mean: the level order
@@ -373,43 +368,47 @@ def _grow(Xr, yr, order, params, max_features, feature_rngs=(None,), sizes=None,
     receives each row's leaf mean when the row leaves the search, which
     equals what its tree predicts for it, since ``x > threshold`` is the
     negation of ``x <= threshold`` on finite features.
-
-    ``root``, with one root only, is the half of the root's split search
-    that reads ``Xr``, on every feature (see :func:`_best_splits`), built
-    by :func:`_block_bounds` from ``order`` as one node of every row.
     """
-    d, n = Xr.shape
-    if buffer is None:
-        buffer = order
+    d, n = ranks.shape
+    bins = np.array([v.size for v in values])
+    edges = np.concatenate(values)
+    first_edge = np.cumsum(bins) - bins
     y_sq = _with_squares(yr, counts)
     n_roots = len(feature_rngs)
     several = n_roots > 1
+    n_cand = min(max_features, d)
+    full = n_cand == d
+    width = int(bins.max())
     sizes = np.array([n] if sizes is None else sizes)
+    every = np.broadcast_to(np.arange(d), (n, d))  # every feature, for any node
     tree = np.arange(n_roots)  # each node's tree, with several roots
     trees = []
     levels = []
-    rows = order  # the presort at the root, the buffer below it
+    rows = np.arange(n)  # the level's rows, grouped by node, each in row order
+    order = None  # the sorted rows of the nodes that keep them
+    ranked = np.zeros(sizes.size, dtype=bool)  # nodes whose sorted rows are in order
+    begin = np.zeros(sizes.size, dtype=np.intp)  # where a ranked node's rows begin
+    held = 0  # entries of each row of order in use
+    carry = None  # the last level's histograms, for subtraction
     depth = 0
     while True:
-        m = int(sizes.sum())
         starts = np.cumsum(sizes) - sizes
-        slot_rows = rows[d, :m]
-        in_rows = yr[slot_rows]
+        in_rows = yr[rows]
         feature = np.full(sizes.size, _LEAF, dtype=np.int32)
         if counts is None:
             weights = sizes
             means = _segment_sums(in_rows, starts, sizes)
         else:
             # whole counts: any order sums them exactly
-            weights = np.add.reduceat(counts[slot_rows], starts)
-            means = _segment_sums(y_sq.real[slot_rows], starts, sizes)
+            weights = np.add.reduceat(counts[rows], starts)
+            means = _segment_sums(y_sq.real[rows], starts, sizes)
         means /= weights
         levels.append((feature, means))
         if several:
             trees.append(tree)
         if fitted is not None:
             # rows that split again are overwritten one level down
-            fitted[slot_rows] = np.repeat(means, sizes)
+            fitted[rows] = np.repeat(means, sizes)
         if params.max_depth is not None and depth >= params.max_depth:
             break
         y_min = np.minimum.reduceat(in_rows, starts)
@@ -418,8 +417,8 @@ def _grow(Xr, yr, order, params, max_features, feature_rngs=(None,), sizes=None,
         nodes = np.flatnonzero((weights >= params.min_samples_split) & (y_min != y_max))
         if not nodes.size:
             break
-        if max_features >= d:
-            cand = np.broadcast_to(np.arange(d), (nodes.size, d))
+        if full:
+            cand = every[: nodes.size]
         else:
             # a permutation of the features per splittable node, in level
             # order, drawn in place, each tree's from its own generator
@@ -430,19 +429,63 @@ def _grow(Xr, yr, order, params, max_features, feature_rngs=(None,), sizes=None,
                 if hi > lo:
                     block = cand[lo:hi]
                     rng.permuted(block, axis=1, out=block)
-            cand = cand[:, :max_features]
+            cand = cand[:, :n_cand]
             cand.sort(axis=1)
+        # a node is wide when its rows on its candidates outnumber their bins
+        wide = sizes[nodes] * n_cand > (bins.sum() if full else bins[cand].sum(axis=1))
+        narrow = nodes[~wide]
+        fresh = narrow[~ranked[narrow]]
+        if fresh.size:
+            if order is None:
+                order = np.empty((d, n), dtype=np.intp)
+            fresh_rows = rows[_segments(starts[fresh], sizes[fresh])]
+            _sort_rows(ranks, bins, fresh_rows, sizes[fresh],
+                       order[:, held : held + fresh_rows.size])
+            begin[fresh] = held + np.cumsum(sizes[fresh]) - sizes[fresh]
+            ranked[fresh] = True
+            held += fresh_rows.size
+            del fresh_rows
         # huge targets overflow, and their splits lose
         with np.errstate(all="ignore"):
-            j, thr, found = _best_splits(
-                Xr, y_sq, rows[:, :m], starts[nodes], sizes[nodes], cand,
-                params.min_samples_leaf, root if depth == 0 else None, counts,
-            )
+            # each pair's best score, and the ranks of its left child's top
+            # value and of its right child's lowest
+            if not narrow.size:
+                score, cut, above, hists = _wide_splits(
+                    ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand,
+                    params.min_samples_leaf, carry,
+                )
+            else:
+                score = np.empty(cand.shape)
+                cut = np.empty(cand.shape, dtype=np.intp)
+                above = np.empty(cand.shape, dtype=np.intp)
+                hists = None
+                if wide.any():
+                    score[wide], cut[wide], above[wide], hists = _wide_splits(
+                        ranks, width, y_sq, counts, rows, starts, sizes, nodes[wide],
+                        cand[wide], params.min_samples_leaf, carry,
+                    )
+                score[~wide], cut[~wide], above[~wide] = _narrow_splits(
+                    ranks, y_sq, counts, order, begin[narrow], sizes[narrow], cand[~wide],
+                    params.min_samples_leaf,
+                )
+        # across a node's features the first strictly lower score wins
+        pick = np.argmin(score, axis=1)
+        k = np.arange(nodes.size)
+        found = score[k, pick] < math.inf
         split = nodes[found]
         if not split.size:
             break
-        feature[split] = j[found]
-        means[split] = thr[found]  # a split node holds its threshold
+        j = cand[k, pick][found]
+        cut = cut[k, pick][found]
+        lo = edges[first_edge[j] + cut]
+        hi = edges[first_edge[j] + above[k, pick][found]]
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (lo + hi)
+        feature[split] = j
+        # a split node holds its threshold; the midpoint of adjacent doubles
+        # can round up to the upper value, so fall back to the lower one
+        # and the right child stays nonempty
+        means[split] = np.where(mid >= hi, lo, mid)
         if several:
             tree = np.repeat(tree[split], 2)
         # the r-th split node's children are 2r (left) and 2r + 1 (right);
@@ -453,27 +496,45 @@ def _grow(Xr, yr, order, params, max_features, feature_rngs=(None,), sizes=None,
         key_type = np.min_scalar_type(2 * split.size + 1)
         child = np.full(sizes.size, 2 * split.size, dtype=key_type)
         child[split] = 2 * np.arange(split.size)
-        # a flat take gathers about twice as fast as 2-D fancy indexing;
-        # an unsplit node reads feature 0 against its mean and keeps its key
+        # a row goes right when its rank passes the left child's top rank;
+        # an unsplit node reads feature 0 against rank 0 and keeps its key
         # past the rest
-        flat = np.maximum(feature, 0).astype(np.intp)
-        flat *= n
-        slot_node = np.repeat(np.arange(sizes.size), sizes)
-        slot_key = child[slot_node] + (
-            Xr.take(flat[slot_node] + slot_rows) > means[slot_node]
-        )
+        flat = np.zeros(sizes.size, dtype=np.intp)
+        flat[split] = j * n
+        top = np.zeros(sizes.size, dtype=np.intp)
+        top[split] = cut
+        slot_key = np.repeat(child, sizes) + (
+            ranks.take(np.repeat(flat, sizes) + rows) > np.repeat(top, sizes))
         key = np.empty(n, dtype=key_type)
-        key[slot_rows] = slot_key
+        key[rows] = slot_key
+        carry = None
+        if full and hists is not None:
+            # each split node's row in this level's histograms, or -1
+            row_of = np.full(sizes.size, -1)
+            row_of[nodes[wide]] = np.arange(np.count_nonzero(wide))
+            carry = hists, row_of[split]
+        keep = ranked[split]
+        kept = int(sizes[split][keep].sum()) if held else 0
         sizes = np.bincount(slot_key)[: 2 * split.size]
-        del slot_node, slot_key  # and before the next level's
-        kept = int(sizes.sum())
+        del slot_key  # and before the next level's
+        rows = rows[np.argsort(key[rows], kind="stable")[: sizes.sum()]]
         depth += 1
         # below the depth cap only the row order is read again
-        last = params.max_depth is not None and depth >= params.max_depth
-        for r in range(d if last else 0, d + 1):
-            row = rows[r, :m]
-            buffer[r, :kept] = row[np.argsort(key[row], kind="stable")[:kept]]
-        rows = buffer
+        if params.max_depth is not None and depth >= params.max_depth:
+            kept = 0
+        if not kept:
+            held = 0
+            ranked = np.zeros(sizes.size, dtype=bool)
+            begin = np.zeros(sizes.size, dtype=np.intp)
+            continue
+        # each ranked split node's sorted rows go to its children, still
+        # sorted; the other nodes' are not regrouped
+        for r in range(d):
+            row = order[r, :held]
+            order[r, :kept] = row[np.argsort(key[row], kind="stable")[:kept]]
+        held = kept
+        ranked = np.repeat(keep, 2)
+        begin = np.cumsum(sizes * ranked) - sizes * ranked
     arrays = tuple(map(np.concatenate, zip(*levels)))
     if not several:
         return [arrays]
@@ -491,9 +552,12 @@ def _segment_sums(values, starts, sizes):
     A row of a 2-D ``np.add.reduce`` sums in the same pairwise order as the
     1-D reduction makes, which padding would change.
     """
+    if sizes.size == 1:
+        return np.add.reduce(values[starts[0] : starts[0] + sizes[0]], keepdims=True)
     out = np.empty(sizes.size)
     by_size = np.argsort(sizes, kind="stable")
-    bounds = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist(), sizes.size]
+    ordered = sizes[by_size]
+    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), sizes.size]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         group = by_size[lo:hi]
         width = int(sizes[group[0]])
@@ -506,123 +570,25 @@ def _segment_sums(values, starts, sizes):
     return out
 
 
-def _best_splits(Xr, y_sq, order, starts, sizes, cand, min_leaf, root=None, counts=None):
-    """Best split of every node; return (feature, threshold, found) arrays.
-
-    Node ``k`` covers ``order[:, starts[k]:starts[k] + sizes[k]]`` and may
-    split on the ascending features ``cand[k]``.  Each (node, feature) pair
-    is one row of a prefix sum that starts at zero on its own sorted
-    segment, so its scores are the ones a scan of that node alone computes,
-    bit for bit.  Only the boundaries between distinct values are scored:
-    a geometry feature of the benchmark matrix takes one value per
-    geometry, so most positions cannot end a left child.
-
-    The search has two halves.  The half that reads ``Xr`` finds each
-    row's sorted positions and its boundaries (:func:`_block_bounds`); the
-    half that reads the targets, ``y_sq`` from :func:`_with_squares`,
-    scores the boundaries (:func:`_scores`).  ``root``, when given, is the
-    first half for a level holding one node of every row on every feature,
-    built once by the caller, since a boosting stage changes only the
-    targets.  Any other node whose candidate rows hold more than
-    ``_BLOCK`` elements is searched on its own, as a block of one node,
-    and its winner picked from its boundaries alone (:func:`_node_min`);
-    when no node is narrower, nothing else runs.  Narrower nodes' pairs
-    are batched by size class, which pads a row to at most twice its
-    length, into blocks of at most ``_BLOCK`` elements.  Within a row the
-    first minimum wins (the lowest threshold); across a node's features
-    the first strictly lower score wins (the lowest index).  A target whose
-    square overflows makes every split of its node score inf or NaN, so
-    the node does not split; a child's sum whose square overflows while
-    the squares sum finitely scores -inf, and that split wins.  With
-    ``counts`` the rows are weighted: ``y_sq`` holds the weighted sums and
-    the X half counts the child sizes.
-    """
-    n_nodes, n_cand = cand.shape
-    score = np.empty((n_nodes, n_cand))
-    at = np.empty((n_nodes, n_cand), dtype=np.intp)
-    wide = (sizes * n_cand > _BLOCK) | (root is not None)
-    for k in np.flatnonzero(wide):
-        if root is None:
-            # one block of the node's rows, one row per candidate feature
-            bounds = _block_bounds(Xr, order, np.repeat(starts[k], n_cand),
-                                   np.repeat(sizes[k], n_cand), cand[k], min_leaf, counts)
-        else:
-            bounds = root
-        best, row, pos = _node_min(_scores(y_sq, bounds), bounds.row, bounds.at)
-        # the winner alone among the node's rows, so the argmin across them
-        # below picks it; inf rows at position 0 stand for the others
-        score[k] = math.inf
-        at[k] = 0
-        score[k, row] = best
-        at[k, row] = pos
-    if not wide.all():
-        # the narrow nodes' pairs, batched by size class
-        pair_node = np.repeat(np.arange(n_nodes), n_cand)
-        pair_feature = cand.ravel()
-        pair_size = sizes[pair_node]
-        pair_score = score.reshape(-1)
-        pair_at = at.reshape(-1)
-        narrow = np.flatnonzero(~wide[pair_node])
-        size_class = np.frexp(pair_size[narrow] - 1)[1]
-        for cls in np.unique(size_class):
-            members = narrow[size_class == cls]
-            per_block = max(1, _BLOCK // int(pair_size[members].max()))
-            for first in range(0, members.size, per_block):
-                block = members[first : first + per_block]
-                node = pair_node[block]
-                bounds = _block_bounds(
-                    Xr, order, starts[node], sizes[node], pair_feature[block], min_leaf,
-                    counts,
-                )
-                # a block is small: spread its scores over rows of inf
-                full = np.full(bounds.pos.shape, math.inf)
-                full[bounds.row, bounds.at] = _scores(y_sq, bounds)
-                pair_score[block] = full.min(axis=1)
-                pair_at[block] = full.argmin(axis=1)
-    pick = np.argmin(score, axis=1)
-    k = np.arange(n_nodes)
-    feature = cand[k, pick]
-    slot = starts + at[k, pick]
-    lo = Xr[feature, order[feature, slot]]
-    hi = Xr[feature, order[feature, slot + 1]]
-    mid = 0.5 * (lo + hi)
-    # the midpoint of adjacent doubles can round up to the upper value;
-    # fall back so the right child stays nonempty
-    return feature, np.where(mid >= hi, lo, mid), score[k, pick] < math.inf
-
-
-def _node_min(score, row, at):
-    """The lowest of one node's boundary scores, its row and position.
-
-    Boundary ``i`` lies after position ``at[i]`` of row ``row[i]``.
-    Boundaries run by row, then by position, so the first minimum is the
-    one the per-row ``min``/``argmin`` over full-width rows of inf followed
-    by an ``argmin`` across the rows picks: the lowest position of the
-    lowest row.  A NaN is the minimum wherever it occurs, and a node without
-    boundaries scores inf; neither splits.
-    """
-    if not score.size:
-        return math.inf, 0, 0
-    i = int(np.argmin(score))
-    return score[i], row[i], at[i]
+def _segments(starts, sizes):
+    """The positions of every segment ``starts[k]`` to ``starts[k] +
+    sizes[k]``, laid end to end."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + sizes, sizes)
 
 
 class _Bounds(NamedTuple):
-    """The half of a split search that reads X, for a set of sorted rows.
+    """The boundaries of a block of sorted rows.
 
-    Row ``r`` lists the ids of one node's rows sorted by one feature in
-    ``pos[r]``.  Boundary ``i`` lies after position ``at[i]`` of row
-    ``row[i]``: the sorted values differ there and both children keep at
-    least ``min_samples_leaf`` rows.  ``left[i]`` and ``last[i]`` are the
-    flat indices of that position and of the row's last one in a
-    ``pos``-shaped array, and ``n_left`` and ``n_right`` the child sizes as
-    floats, which divide exactly as the integer ones would.  A grower that
-    weights rows by counts counts them in the sizes and in the
-    ``min_samples_leaf`` rule too.  Boundaries are ordered by row, then by
-    position.
+    Boundary ``i`` lies after position ``at[i]`` of row ``row[i]``, whose
+    value differs from the next one's, where both children keep at least
+    ``min_samples_leaf`` rows.  ``left[i]`` and ``last[i]`` are the flat
+    indices of that position and of the row's last one in an array of the
+    rows, and ``n_left`` and ``n_right`` the child sizes, which are summed
+    counts for a grower that weights rows by counts.  Boundaries are
+    ordered by row, then by position.
     """
 
-    pos: np.ndarray
     row: np.ndarray
     at: np.ndarray
     left: np.ndarray
@@ -631,103 +597,266 @@ class _Bounds(NamedTuple):
     n_right: np.ndarray
 
 
-def _block_bounds(Xr, order, starts, sizes, features, min_leaf, counts=None):
-    """:class:`_Bounds` of a block of (node, feature) rows, padded to the
-    widest node.
+def _scores(left, right, n_left, n_right):
+    """The summed squared error of the two children of a split, from each
+    child's sums of the targets, in the real part, and of their squares,
+    in the imaginary part, and its size.
 
-    A padded position repeats the row's last one, so no boundary lies in
-    the padding.  A block of one node, as a wide node is searched, reads
-    its sorted rows as slices of ``order`` and pads nothing.  Without
-    ``counts`` a left child of ``at + 1`` positions holds that many rows;
-    with them, the child sizes are the prefix sums of the counts along
-    each row.  The ``min_samples_leaf`` rule is applied to those sizes.
+    The sums come from one complex ``cumsum`` along a row of sorted targets
+    or of histogram bins, each part added in the same order as a float
+    ``cumsum`` of it, and are scored with the operands and operations of a
+    float pass, so ties, the first-minimum rule and inf or NaN scores are
+    the same, bit for bit, as with two float prefix sums.
+    """
+    # (sq_left - sum_left * sum_left / n_left)
+    #     + (sq_right - sum_right * sum_right / n_right), in place
+    scored = np.multiply(left.real, left.real)
+    scored /= n_left
+    np.subtract(left.imag, scored, out=scored)
+    # the last sum adds two contiguous arrays, as a float pass does: numpy's
+    # vector and scalar loops may return different NaNs of two NaN addends
+    right_sum = np.multiply(right.real, right.real)
+    right_sum /= n_right
+    np.subtract(right.imag, right_sum, out=right_sum)
+    scored += right_sum
+    return scored
+
+
+def _scan_scores(y_sq, pos, bounds):
+    """The score of every boundary of sorted rows ``pos``: ``y_sq``, from
+    :func:`_with_squares`, gathered and summed along each row in one
+    complex ``cumsum``."""
+    sums = y_sq.take(pos)
+    np.cumsum(sums, axis=1, out=sums)
+    left = sums.take(bounds.left)
+    return _scores(left, sums.take(bounds.last) - left, bounds.n_left, bounds.n_right)
+
+
+def _narrow_splits(ranks, y_sq, counts, order, begin, sizes, cand, min_leaf):
+    """Each narrow node's best split on each of its candidate features:
+    ``(score, cut, above)`` arrays of the shape of ``cand``, the last two the
+    ranks of the left child's top value and of the right child's lowest.
+
+    Node ``k`` lists its rows sorted by feature ``j`` in ``order[j,
+    begin[k]:begin[k] + sizes[k]]``.  Each (node, feature) pair is one row
+    of a prefix sum that starts at zero on its own sorted rows, so its
+    scores are the ones a scan of that node alone computes, bit for bit.
+    Pairs are batched by size class, which pads a row to at most twice its
+    length, into blocks of at most ``_BLOCK`` elements.
+    """
+    n_nodes, n_cand = cand.shape
+    n = ranks.shape[1]
+    score = np.empty(n_nodes * n_cand)
+    cut = np.empty(n_nodes * n_cand, dtype=np.intp)
+    above = np.empty(n_nodes * n_cand, dtype=np.intp)
+    pair_node = np.repeat(np.arange(n_nodes), n_cand)
+    pair_feature = cand.ravel()
+    pair_size = sizes[pair_node]
+    size_class = np.frexp(pair_size - 1)[1]
+    for cls in np.unique(size_class):
+        members = np.flatnonzero(size_class == cls)
+        per_block = max(1, _BLOCK // int(pair_size[members].max()))
+        for first in range(0, members.size, per_block):
+            block = members[first : first + per_block]
+            node = pair_node[block]
+            features = pair_feature[block]
+            pos, bounds = _block_bounds(ranks, order, begin[node], sizes[node], features,
+                                        min_leaf, counts)
+            # each row's first minimum over a row of inf where no boundary
+            # lies, the lowest threshold; a NaN is the minimum wherever it
+            # occurs, and a row without boundaries scores inf: neither splits
+            full = np.full(pos.shape, math.inf)
+            full[bounds.row, bounds.at] = _scan_scores(y_sq, pos, bounds)
+            score[block] = full.min(axis=1)
+            at = full.argmin(axis=1) + np.arange(0, pos.size, pos.shape[1])
+            offset = features * n
+            cut[block] = ranks.take(offset + pos.take(at))
+            above[block] = ranks.take(offset + pos.take(at + 1))
+    return score.reshape(cand.shape), cut.reshape(cand.shape), above.reshape(cand.shape)
+
+
+def _block_bounds(ranks, order, starts, sizes, features, min_leaf, counts=None):
+    """The sorted rows of a block of (node, feature) pairs, padded to the
+    widest node, and their :class:`_Bounds`.
+
+    Row ``r`` lists node ``r``'s rows sorted by ``features[r]``, from
+    ``order[features[r], starts[r]]`` on.  A padded position repeats the
+    row's last one, so no boundary lies in the padding, and a block of one
+    node's pairs reads its rows as slices.  Without ``counts`` a left child
+    of ``at + 1`` positions holds that many rows; with them, the child sizes
+    are the prefix sums of the counts along each row.
     """
     width = int(sizes.max())
     if starts[0] == starts[-1]:
-        # one node: its sorted segments are plain slices
+        # one node: its sorted rows are plain slices
         pos = order[features, starts[0] : starts[0] + width]
     else:
         slot = np.minimum(starts[:, None] + np.arange(width), (starts + sizes - 1)[:, None])
         pos = order[features[:, None], slot]
     # a flat take gathers about twice as fast as 2-D fancy indexing
-    xs = np.take(Xr, pos + (features * Xr.shape[1])[:, None])
+    xs = np.take(ranks, pos + (features * ranks.shape[1])[:, None])
     row, at = np.nonzero(xs[:, :-1] < xs[:, 1:])
     size = sizes[row]
-    first = row * width
-    left = first + at
-    last = first + size - 1
+    left = row * width + at
+    last = left - at + size - 1
     if counts is None:
         n_left = at + 1.0
-        total = size
+        n_right = size - n_left
     else:
-        weights = np.cumsum(counts.take(pos), axis=1)
-        n_left = weights.take(left)
-        total = weights.take(last)
-    n_right = total - n_left
+        running = np.cumsum(counts.take(pos), axis=1).ravel()
+        n_left = running.take(left)
+        n_right = running.take(last) - n_left
+    bounds = (row, at, left, last, n_left, n_right)
     if min_leaf > 1:
         # with min_leaf 1 every child of a boundary holds a row
         keep = (n_left >= min_leaf) & (n_right >= min_leaf)
-        return _Bounds(pos, *(a[keep] for a in (row, at, left, last, n_left, n_right)))
-    return _Bounds(pos, row, at, left, last, n_left, n_right)
+        bounds = (a[keep] for a in bounds)
+    return pos, _Bounds(*bounds)
 
 
-def _scores(y_sq, bounds):
-    """The half of a split search that reads y: the score of every boundary.
+def _histograms(ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand):
+    """The histograms of every (node, candidate) pair of ``nodes``: the
+    summed count and the summed ``w * y`` and ``w * y**2``, as real and
+    imaginary parts, per bin of the pair's feature, each a ``(nodes,
+    candidates, width)`` array; bins past a feature's last are empty.
 
-    ``y_sq`` holds each row's target and its square (:func:`_with_squares`).
-    They are gathered once and summed along each row in one complex
-    ``cumsum``, whose real and imaginary parts are the two prefix sums,
-    each added in the same order as a float ``cumsum`` of its part.  Only
-    the boundaries are scored, with the operands and operations a
-    full-width pass would take, so the scores, and with them ties, the
-    first-minimum rule and inf or NaN scores, are the same bit for bit.
+    A bin sums its rows in row order, as ``np.bincount`` over the node's
+    rows alone sums them.  Without ``counts`` the counts are integers.
     """
-    sums = y_sq.take(bounds.pos)
-    np.cumsum(sums, axis=1, out=sums)
-    left = sums.take(bounds.left)
-    right = sums.take(bounds.last)
-    right -= left
-    # (sq_left - sum_left * sum_left / n_left)
-    #     + (sq_right - sum_right * sum_right / n_right), in place
-    scored = np.multiply(left.real, left.real)
-    scored /= bounds.n_left
-    np.subtract(left.imag, scored, out=scored)
-    # the last sum adds two contiguous arrays, as a float pass does: numpy's
-    # vector and scalar loops may return different NaNs of two NaN addends
-    right_sum = np.multiply(right.real, right.real)
-    right_sum /= bounds.n_right
-    np.subtract(right.imag, right_sum, out=right_sum)
-    scored += right_sum
-    return scored
+    n_cand = cand.shape[1]
+    size = sizes[nodes]
+    # the level's rows are every node's rows
+    pos = rows if nodes.size == sizes.size else rows[_segments(starts[nodes], size)]
+    node = np.repeat(np.arange(nodes.size), size)
+    # pair (node k, slot c) takes bins (k * n_cand + c) * width on
+    key = np.add.outer(np.arange(0, n_cand * width, width), node * (n_cand * width))
+    if n_cand == ranks.shape[0]:
+        key += ranks.take(pos, axis=1)
+    else:
+        key += ranks.take(cand.T[:, node] * ranks.shape[1] + pos)
+    key = key.ravel()
+    del node
+    total = nodes.size * n_cand * width
+    # each row's values once per candidate, as the keys list the rows
+    drawn = None
+    if counts is not None:
+        drawn = np.empty((n_cand, pos.size))
+        drawn[:] = counts[pos]
+    count = np.bincount(key, None if drawn is None else drawn.ravel(), total)
+    del drawn
+    values = np.empty((n_cand, pos.size), dtype=np.complex128)
+    values[:] = y_sq[pos]
+    # complex addition adds the parts apart, each bin in key order: one
+    # add.at over 27,360 keys takes about 105 us, against 150 us for a
+    # float bincount of each part
+    sums = np.zeros(total, dtype=np.complex128)
+    np.add.at(sums, key, values.ravel())
+    shape = (nodes.size, n_cand, width)
+    return count.reshape(shape), sums.reshape(shape)
+
+
+def _wide_splits(ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand, min_leaf,
+                 carry=None):
+    """Each wide node's best split on each of its candidate features, from
+    histograms: ``(score, cut, above, hists)``, the first three arrays of the
+    shape of ``cand`` as :func:`_narrow_splits` returns them and ``hists``
+    the nodes' histograms (:func:`_histograms`).
+
+    The prefix sums of a histogram row over its bins, which start at zero,
+    give every candidate split of the pair: each boundary between two
+    filled bins, the consecutive distinct values of the node.  Counts are
+    whole numbers, summed exactly, so the candidates and the child sizes
+    are those of a scan over sorted rows; only the sums of the targets are
+    added in another order.  Within a row the first minimum wins (the
+    lowest threshold).
+
+    ``carry``, with every feature a candidate, holds the last level's
+    histograms and the row in them of each split node, or -1.  A node whose
+    parent has a row there and that holds more rows than its sibling, or as
+    many and is the right child, takes its parent's histograms minus its
+    sibling's, which are built from the sibling's rows whether the sibling
+    is searched or not.  Counts subtract exactly.  Every other node builds
+    its own.
+    """
+    if carry is None:
+        hists = _histograms(ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand)
+    else:
+        parents, parent_row = carry
+        parent = parent_row[nodes // 2]
+        sibling = nodes ^ 1
+        # the larger child, or the right one of two equal children
+        sub = (parent >= 0) & (sizes[nodes] + (nodes & 1) > sizes[sibling])
+        # the node each histogram is built for, in ascending order: the
+        # node itself or, for the larger child, its sibling
+        target = np.where(sub, sibling, nodes)
+        first = np.ones(target.size, dtype=bool)
+        np.not_equal(target[1:], target[:-1], out=first[1:])
+        built = target[first]
+        inverse = np.cumsum(first) - 1
+        # every node's candidates are every feature
+        hists = _histograms(ranks, width, y_sq, counts, rows, starts, sizes, built,
+                            cand[: built.size])
+        hists = [part[inverse] for part in hists]
+        for part, held in zip(hists, parents):
+            part[sub] = held[parent[sub]] - part[sub]
+    count, sums = (part.reshape(-1, width) for part in hists)
+    step = max(1, _HIST_CELLS // width)
+    parts = [_hist_splits(count[i : i + step], sums[i : i + step], min_leaf)
+             for i in range(0, count.shape[0], step)]
+    score, cut, above = (np.concatenate(part).reshape(cand.shape) for part in zip(*parts))
+    return score, cut, above, hists
+
+
+def _hist_splits(count, sums, min_leaf):
+    """Each histogram row's best split: its score, its bin and the next
+    filled bin, or inf when no boundary passes the size rule.
+
+    Every bin is scored as the left child's last and the scores of bins
+    that end no boundary are replaced by inf, so the row's first minimum
+    is the one :func:`_narrow_splits` picks over the boundaries alone.
+    """
+    running = np.cumsum(count, axis=1)
+    n_right = running[:, -1:] - running
+    # a filled bin with rows after it ends a left child
+    edge = (count > 0) & (n_right > 0)
+    if min_leaf > 1:
+        edge &= (running >= min_leaf) & (n_right >= min_leaf)
+    sums = np.cumsum(sums, axis=1)
+    scored = _scores(sums, sums[:, -1:] - sums, running, n_right)
+    scored[~edge] = math.inf
+    at = scored.argmin(axis=1)
+    k = np.arange(count.shape[0])
+    # the first bin whose running count passes the pick's is the next filled
+    above = np.argmax(running > running[k, at][:, None], axis=1)
+    return scored.min(axis=1), at, above
 
 
 def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:
     """Fit an exact greedy least-squares tree."""
     X, y = _check_training_pair(X, y)
     params = params or TreeParams()
-    members = _grow(X.T.copy(), y, _sort_order(X), params, X.shape[1])
+    values, ranks = _ranks(X)
+    members = _grow(ranks, values, y, params, X.shape[1])
     return _pack(members, X.shape[1], {"params": params})
 
 
-def _grow_bagged(X, y, ranked, group, params, max_features):
+def _grow_bagged(values, ranks, y, group, params, max_features):
     """Grow one forest tree per ``(generator, rows, counts)`` entry of
     ``group``, together, each on its own rows.
 
     A tree's ``rows`` are its distinct row ids in ascending order and
     ``counts`` the times each was drawn, or ``None`` for a tree on every
     row once; the generator draws the tree's feature subsets.  The trees
-    take consecutive runs of the group's arrays, presorted from the fit's
-    ``ranked`` order (:func:`_presort`).  The arrays are built in place and
-    live only for this call, so a fit holds one group's at a time.
+    take consecutive runs of the group's ranks, gathered from the fit's
+    :func:`_ranks`.  The arrays live only for this call, so a fit holds one
+    group's at a time.
     """
     rngs, rows, counts = zip(*group)
     sizes = [r.size for r in rows]
     rows = np.concatenate(rows)
-    yr = y[rows]
-    Xr, order = _presort(X, ranked, rows, sizes)
-    del rows  # one copy of the group's rows less while it grows
     counts = None if counts[0] is None else np.concatenate(counts)
-    return _grow(Xr, yr, order, params, max_features, rngs, sizes, counts)
+    return _grow(ranks.take(rows, axis=1), values, y[rows], params, max_features, rngs,
+                 sizes, counts)
 
 
 def fit_forest(
@@ -758,16 +887,18 @@ def fit_forest(
     are those of the duplicated rows; sums over counts round differently
     from sums over duplicates, so leaf values can differ from such a
     tree's in the last bits, and near-tied splits can go the other way.
-    X is sorted once per fit, and each tree's presort is that order
-    filtered to its rows.
+    X is ranked once per fit, and each tree reads its rows' ranks.
 
     The trees grow together in groups of at most ``_GROUP_ROWS`` rows
     (at least one tree), counting each tree's distinct rows, each group
     from several roots in one :func:`_grow` call, so they share every
-    level's passes.  Members are independent and each draws only from its
-    own generator, so the forest is the same, bit for bit, for any group
-    size.  The budget is counted in rows because a group's memory and its
-    child keys grow with its rows, not its trees.  With ``n_trees=1``,
+    level's passes.  A tree whose rows would overflow the group is drawn,
+    then dropped while the group grows, and drawn again from a fresh
+    generator of the same seed, so no group grows beside the next one's
+    rows.  Members are independent and each draws only from its own
+    generator, so the forest is the same, bit for bit, for any group size.
+    The budget is counted in rows because a group's memory and its child
+    keys grow with its rows, not its trees.  With ``n_trees=1``,
     ``bootstrap=False`` and ``max_features`` equal to the full feature
     count the result degenerates to :func:`fit_tree`.
     """
@@ -781,23 +912,30 @@ def fit_forest(
     if not 1 <= max_features <= d:
         raise ValueError(f"max_features must be in [1, {d}], got {max_features}")
     n = X.shape[0]
-    ranked = _sort_order(X)
+    values, ranks = _ranks(X)
+
+    def draw(k):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+        if not bootstrap:
+            return rng, np.arange(n), None
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        rows = np.flatnonzero(counts)
+        return rng, rows, counts[rows].astype(float)
+
     members = []
     group = []
     used = 0
     for k in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        rows, counts = ranked[d], None
-        if bootstrap:
-            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            rows = np.flatnonzero(counts)
-            counts = counts[rows].astype(float)
-        if group and used + rows.size > _GROUP_ROWS:
-            members += _grow_bagged(X, y, ranked, group, params, max_features)
+        tree = draw(k)
+        size = tree[1].size
+        if group and used + size > _GROUP_ROWS:
+            del tree
+            members += _grow_bagged(values, ranks, y, group, params, max_features)
             group, used = [], 0
-        group.append((rng, rows, counts))
-        used += rows.size
-    members += _grow_bagged(X, y, ranked, group, params, max_features)
+            tree = draw(k)
+        group.append(tree)
+        used += size
+    members += _grow_bagged(values, ranks, y, group, params, max_features)
     info = {"params": params, "seed": seed, "bootstrap": bootstrap,
             "max_features": max_features}
     return _pack(members, d, info, average=True)
@@ -820,17 +958,13 @@ def fit_gbm(
     before any stage, then one per stage) never increases for rates in
     (0, 1].
 
-    X is checked and presorted once per fit.  Each stage reads its root
-    level from that presort, which no stage writes, and regroups the
-    levels below into one buffer allocated once per fit, so no stage
-    copies the presort.  Every stage's root holds every row and may split
-    on every feature, and only its targets change from stage to stage, so
-    the half of the root's split search that reads X (sorted positions,
-    distinct-value boundaries, child sizes) is built once per fit too.
-    A stage adds the leaf means the grower assigned to the training rows
-    while partitioning them, which are the tree's predictions for those
-    rows, so no stage walks its tree again.  The result is the same, bit
-    for bit, as fitting each stage with :func:`fit_tree` and adding its
+    X is checked and ranked once per fit, and every stage reads those
+    ranks; a stage's wide nodes, every node on the benchmark's rows but
+    small ones, are scored from histograms, so no stage sorts rows for
+    them.  A stage adds the leaf means the grower assigned to the training
+    rows while partitioning them, which are the tree's predictions for
+    those rows, so no stage walks its tree again.  The result is the same,
+    bit for bit, as fitting each stage with :func:`fit_tree` and adding its
     ``predict(X)``.
     """
     X, y = _check_training_pair(X, y)
@@ -840,10 +974,7 @@ def fit_gbm(
         raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate}")
     params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     n, d = X.shape
-    Xr, presorted = X.T.copy(), _sort_order(X)
-    root = _block_bounds(Xr, presorted, np.zeros(d, dtype=np.intp), np.full(d, n),
-                         np.arange(d), min_samples_leaf)
-    buffer = np.empty_like(presorted)
+    values, ranks = _ranks(X)
     fitted = np.empty(n)
     base = float(np.mean(y))
     current = np.full(y.shape, base)
@@ -854,8 +985,7 @@ def fit_gbm(
         # an overflowing mean or leaf value makes the residuals infinite
         if not np.isfinite(residual).all():
             raise ValueError("targets must be finite")
-        stages += _grow(Xr, residual, presorted, params, d, root=root, fitted=fitted,
-                        buffer=buffer)
+        stages += _grow(ranks, values, residual, params, d, fitted=fitted)
         current = current + learning_rate * fitted
         path.append(float(np.mean((y - current) ** 2)))
     info = {"params": params, "learning_rate": learning_rate,

@@ -1,23 +1,29 @@
 """Per-node exact CART growers, kept as the references for the level-wise one.
 
 ``_best_split`` and ``_grow`` are the fitter ``pkwbench.surrogates.trees``
-used before it grew trees level by level, copied unchanged.  The
-differential tests in ``test_surrogates.py`` require the production grower
-to return the same node arrays, bit for bit, whenever no random feature
-subsets are drawn, once ``level_order`` has renumbered the reference's
-preorder-style layout breadth first.  ``fit_gbm`` is the boosting stage loop from before
-stages shared one presort: each stage fits a tree to the residuals as
-``fit_tree`` does and adds the tree's predictions for the training rows.
+used before it grew trees level by level, copied unchanged: a scan of
+every node's rows sorted by each feature.  ``test_surrogates.py`` requires
+the production grower to build the same trees away from near-ties, whose
+split scores it sums in another order, once ``level_order`` has
+renumbered the reference's preorder-style layout breadth first.
 
-``_grow_counted`` grows a forest tree the way the production grower does
-since it weights each distinct bootstrap row by its draw count: the same
-formulas, node by node, with each node's rows stable-sorted by value and
-then by row id, and nodes taken breadth first, so it draws its feature
-subsets in the production order and returns its nodes in level order.
-``fit_forest`` grows every member of a forest with it, one tree at a time;
-a tree without bootstrap counts every row once.
+``_grow_routed`` grows a tree the way the production grower does: each
+distinct row weighted by its count (every row once for a tree or a
+boosting stage), nodes taken breadth first, so it draws its feature
+subsets in the production order and returns its nodes in level order,
+and each node routed by the production rule.  A wide node, whose rows
+times its candidate features outnumber those features' distinct values,
+is split on its per-feature histograms (``histograms``,
+``_best_hist_split``), taking its parent's minus its sibling's where the
+production grower subtracts; a narrow node is scanned over its rows sorted
+by value and then by row id (``_best_counted_split``).  The differential
+tests require the same node arrays, bit for bit.  ``fit_forest`` grows
+every member of a forest with it, one tree at a time; a tree without
+bootstrap counts every row once.  ``fit_gbm`` is the boosting stage loop
+from before stages shared one grower call: each stage grows a tree on
+the residuals and adds the tree's predictions for the training rows.
 
-``scores`` and ``presort`` are the split search's target half and the
+``scores`` and ``presort`` are the sorted scan's target half and the
 presort from before the targets and their squares were summed in one
 complex ``cumsum`` and features were sorted on their value ranks, copied
 unchanged apart from the names; ``presort`` takes each tree's number
@@ -172,12 +178,12 @@ def fit_gbm(X, y, n_trees, learning_rate, params):
     current = np.full(y.shape, base)
     path = [float(np.mean((y - current) ** 2))]
     stages = []
-    rows = np.arange(X.shape[0])
+    ones = np.ones(X.shape[0])
     for _ in range(n_trees):
         residual = y - current
         if not np.isfinite(residual).all():
             raise ValueError("targets must be finite")
-        arrays = _grow(X, residual, rows, params, None, X.shape[1])
+        arrays = _grow_routed(X, residual, ones, params, None, X.shape[1])
         stages.append(arrays)
         current = current + learning_rate * _predict(arrays, X)
         path.append(float(np.mean((y - current) ** 2)))
@@ -230,21 +236,88 @@ def _best_counted_split(X, y, counts, rows, feature_ids, min_leaf):
     return best
 
 
-def _grow_counted(X, y, counts, params, feature_rng, max_features):
+def histograms(ranks, bins, y, counts, rows):
+    """Each feature's histogram over ``rows``: the summed count, ``w * y``
+    and ``w * y**2`` per distinct value of the fit, each bin summed over
+    its rows in row order."""
+    w = counts[rows]
+    wy = w * y[rows]
+    wy2 = w * (y[rows] * y[rows])
+    return [tuple(np.bincount(rank[rows], weights, size) for weights in (w, wy, wy2))
+            for rank, size in zip(ranks, bins)]
+
+
+def _best_hist_split(values, hists, feature_ids, min_leaf):
+    """Score every boundary between filled bins of each candidate
+    feature's histogram; return (feature, threshold) or None.
+
+    Each feature's first minimum wins (the lowest threshold), a NaN
+    anywhere in a feature is its minimum, and the first feature whose
+    minimum is lowest wins; a node whose best is not below inf does not
+    split.
+    """
+    mins = []
+    picks = []
+    for j in feature_ids:
+        count, s, q = hists[j]
+        n_left = np.cumsum(count)
+        sum_left = np.cumsum(s)
+        sq_left = np.cumsum(q)
+        n_right = n_left[-1] - n_left
+        sum_right = sum_left[-1] - sum_left
+        sq_right = sq_left[-1] - sq_left
+        # every bin is scored, and the empty and the last ones are dropped
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = (sq_left - sum_left * sum_left / n_left) + (
+                sq_right - sum_right * sum_right / n_right
+            )
+        usable = (count > 0) & (n_right > 0) & (n_left >= min_leaf) & (n_right >= min_leaf)
+        score = np.where(usable, score, math.inf)
+        pos = int(np.argmin(score))
+        mins.append(score[pos])
+        picks.append(pos)
+    k = int(np.argmin(mins))
+    if not mins[k] < math.inf:
+        return None
+    j, pos = feature_ids[k], picks[k]
+    upper = pos + 1 + int(np.flatnonzero(hists[j][0][pos + 1 :] > 0)[0])
+    lo, hi = values[j][pos], values[j][upper]
+    thr = 0.5 * (lo + hi)
+    if thr >= hi:
+        thr = lo
+    return j, thr
+
+
+def _grow_routed(X, y, counts, params, feature_rng, max_features):
     """Grow one tree on the rows with a nonzero count, each weighted by its
-    float count, and return its level-ordered ``(feature, threshold, left,
-    right, value)`` arrays.
+    float count, routing each node as the production grower does, and
+    return its level-ordered ``(feature, threshold, left, right, value)``
+    arrays.
 
     Nodes are taken breadth first, left child before right, so the nodes
     that pass the stopping rules draw their feature permutations in level
     order.  A node's value is ``np.add.reduce(w * y) / np.add.reduce(w)``
     over its rows in row order, and ``min_samples_split`` and
     ``min_samples_leaf`` apply to summed counts.
+
+    A node is wide when its rows times its candidate features outnumber
+    the candidates' distinct values over every row of ``X``; it is split
+    on its histograms (``_best_hist_split``), a narrow node on its sorted
+    rows (``_best_counted_split``).  With every feature a candidate, a
+    wide node whose parent was wide and that holds more rows than its
+    sibling, or as many and is the right child, takes its parent's
+    histograms minus its sibling's; every other wide node builds its own.
     """
     d = X.shape[1]
+    values = [np.unique(column) for column in X.T]
+    ranks = [np.searchsorted(v, column) for v, column in zip(values, X.T)]
+    bins = np.array([v.size for v in values])
+    full = max_features >= d
     feature, threshold, left, right, value = [], [], [], [], []
-    queue = [(np.flatnonzero(counts), 0)]
-    for idx, (rows, depth) in enumerate(queue):  # the queue grows while walked
+    # each entry: the node's rows, depth, its parent's histograms and its
+    # sibling's rows when it takes the subtraction
+    queue = [(np.flatnonzero(counts), 0, None, None)]
+    for idx, (rows, depth, parent_hists, sibling) in enumerate(queue):
         w = counts[rows]
         feature.append(_LEAF)
         threshold.append(0.0)
@@ -255,11 +328,21 @@ def _grow_counted(X, y, counts, params, feature_rng, max_features):
             continue
         if np.add.reduce(w) < params.min_samples_split or np.ptp(y[rows]) == 0.0:
             continue
-        if max_features >= d:
-            candidates = range(d)
+        if full:
+            candidates = np.arange(d)
         else:
             candidates = np.sort(feature_rng.permutation(d)[:max_features])
-        split = _best_counted_split(X, y, counts, rows, candidates, params.min_samples_leaf)
+        hists = None
+        if rows.size * candidates.size > bins[candidates].sum():
+            if sibling is None:
+                hists = histograms(ranks, bins, y, counts, rows)
+            else:
+                hists = [tuple(p - s for p, s in zip(ph, sh)) for ph, sh in
+                         zip(parent_hists, histograms(ranks, bins, y, counts, sibling))]
+            split = _best_hist_split(values, hists, candidates, params.min_samples_leaf)
+        else:
+            split = _best_counted_split(X, y, counts, rows, candidates,
+                                        params.min_samples_leaf)
         if split is None:
             continue
         j, thr = split
@@ -268,7 +351,13 @@ def _grow_counted(X, y, counts, params, feature_rng, max_features):
         threshold[idx] = thr
         left[idx] = len(queue)
         right[idx] = len(queue) + 1
-        queue += [(rows[mask], depth + 1), (rows[~mask], depth + 1)]
+        children = [rows[mask], rows[~mask]]
+        # the larger child, or the right one of two equal children
+        larger = int(children[1].size >= children[0].size)
+        for side in (0, 1):
+            take = full and hists is not None and side == larger
+            queue.append((children[side], depth + 1, hists if take else None,
+                          children[1 - side] if take else None))
     return (
         np.asarray(feature, dtype=np.int32),
         np.asarray(threshold, dtype=float),
@@ -295,16 +384,16 @@ def fit_forest(X, y, n_trees, seed, params, bootstrap_rows, max_features):
             rng, counts = bootstrap(seed, k, n)
         else:
             rng, counts = np.random.default_rng(np.random.SeedSequence([seed, k])), np.ones(n)
-        feature, _, _, _, value = one_value(_grow_counted(X, y, counts, params, rng,
-                                                         max_features))
+        feature, _, _, _, value = one_value(_grow_routed(X, y, counts, params, rng,
+                                                        max_features))
         members.append((feature, value))
     return members
 
 
-def scores(yr, bounds):
-    """The score of every boundary of ``bounds``, from two float prefix
-    sums of the gathered targets and of their squares."""
-    ys = yr[bounds.pos]
+def scores(yr, pos, bounds):
+    """The score of every boundary of sorted rows ``pos``, from two float
+    prefix sums of the gathered targets and of their squares."""
+    ys = yr[pos]
     csum = np.cumsum(ys, axis=1)
     csq = np.cumsum(np.multiply(ys, ys, out=ys), axis=1)
     sum_left = csum.take(bounds.left)

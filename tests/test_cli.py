@@ -1056,6 +1056,15 @@ def test_bench_config_hash_ignores_jobs(tmp_path, bench_default_hash):
     assert _bench_config_hash(tmp_path, "--jobs", 2) == bench_default_hash
 
 
+def test_bench_fits_a_model_named_twice_once(tmp_path, bench_default_hash):
+    # the sidecar records the model list without the repeat
+    assert _bench_config_hash(tmp_path, "--model", "tree") == bench_default_hash
+    rows = read_rows(tmp_path / "reports" / "bench.csv")
+    assert len(rows) == 13
+    assert len({r["split"] for r in rows}) == 13
+    assert {r["model"] for r in rows} == {"tree"}
+
+
 def test_bench_rejects_external_oracles(tmp_path, capsys):
     # bench always labels with the synthetic oracle and has no --oracle
     argv = ["bench", "--workspace", tmp_path, "--n", 40, "--seed", 3,

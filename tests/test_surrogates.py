@@ -297,9 +297,21 @@ def _cart_problems(draw):
 
 
 def _reference_arrays(X, y, rows, params, rng=None):
+    """The sorted-scan per-node grower's tree on ``rows``, duplicates and
+    all, renumbered breadth first."""
     with np.errstate(all="ignore"):
         return cart_reference.one_value(cart_reference.level_order(
             cart_reference._grow(X, y, rows, params, rng, X.shape[1])))
+
+
+def _routed_arrays(X, y, params, counts=None, rng=None, max_features=None):
+    """The routed per-node grower's tree: histograms for wide nodes, with
+    sibling subtraction, and sorted scans for narrow ones; every row once
+    without ``counts``."""
+    counts = np.ones(X.shape[0]) if counts is None else counts
+    with np.errstate(all="ignore"):
+        return cart_reference.one_value(cart_reference._grow_routed(
+            X, y, counts, params, rng, max_features or X.shape[1]))
 
 
 def _assert_same_nodes(got, want):
@@ -313,18 +325,15 @@ def _assert_same_nodes(got, want):
 @given(_cart_problems())
 def test_fit_tree_matches_the_per_node_grower(problem):
     X, y, params = problem
-    want = _reference_arrays(X, y, np.arange(X.shape[0]), params)
+    want = _routed_arrays(X, y, params)
     _assert_same_nodes(cart_reference.members(fit_tree(X, y, params))[0], want)
 
 
 def _forest_reference(X, y, seed, k, params, max_features=None):
-    """Tree ``k`` of a forest (on every feature by default), as the
-    count-weighted per-node grower grows it from the tree's bootstrap
-    counts."""
+    """Tree ``k`` of a forest (on every feature by default), as the routed
+    per-node grower grows it from the tree's bootstrap counts."""
     rng, counts = cart_reference.bootstrap(seed, k, X.shape[0])
-    with np.errstate(all="ignore"):
-        return cart_reference.one_value(cart_reference._grow_counted(
-            X, y, counts, params, rng, max_features or X.shape[1]))
+    return _routed_arrays(X, y, params, counts, rng, max_features)
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,9 +364,9 @@ def test_forest_members_match_the_count_weighted_grower(problem, n_trees, seed, 
 def test_deep_trees_on_oracle_rows_match_the_per_node_grower(max_depth, min_samples_leaf):
     # hundreds of rows: many levels and split searches over several blocks
     X, y = _oracle_rows(40, seed=23, sigma=0.005)
-    n, d = X.shape
+    d = X.shape[1]
     params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
-    want = _reference_arrays(X, y, np.arange(n), params)
+    want = _routed_arrays(X, y, params)
     _assert_same_nodes(cart_reference.members(fit_tree(X, y, params))[0], want)
     forest = fit_forest(X, y, n_trees=1, seed=4, params=params, max_features=d)
     _assert_same_nodes(cart_reference.members(forest)[0],
@@ -390,6 +399,60 @@ def test_counted_trees_match_the_per_node_grower_on_the_drawn_rows(n, d, params)
         inner = feature != trees._LEAF
         assert value[inner].tobytes() == want[4][inner].tobytes()
         np.testing.assert_allclose(value, want[4], rtol=1e-12, atol=0)
+
+
+def _split_gap(X, y, params, arrays):
+    """How far, relative to it, the best split score of each node the
+    sorted-scan reference tree ``arrays`` splits lies below its second
+    best, over every feature's usable boundaries: the smallest such gap."""
+    feature, threshold, left, right, _ = arrays
+    gap = math.inf
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if feature[node] == trees._LEAF:
+            continue
+        scores = []
+        n = rows.size
+        for j in range(X.shape[1]):
+            order = np.argsort(X[rows, j], kind="stable")
+            xs, ys = X[rows[order], j], y[rows[order]]
+            n_left = np.arange(1, n)
+            csum, csq = np.cumsum(ys), np.cumsum(ys * ys)
+            score = (csq[:-1] - csum[:-1] ** 2 / n_left) + (
+                (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / (n - n_left))
+            usable = ((xs[:-1] < xs[1:]) & (n_left >= params.min_samples_leaf)
+                      & (n - n_left >= params.min_samples_leaf))
+            scores.extend(score[usable])
+        if len(scores) > 1:
+            best, second = np.partition(scores, 1)[:2]
+            gap = min(gap, (second - best) / abs(best) if best else 0.0)
+        goes_left = X[rows, feature[node]] <= threshold[node]
+        stack += [(left[node], rows[goes_left]), (right[node], rows[~goes_left])]
+    return gap
+
+
+def test_histogram_splits_match_the_sorted_scan_away_from_near_ties():
+    # 50 distinct values per feature: the upper levels are wide and scored
+    # from histograms, with sibling subtraction, the lower ones narrow.
+    # Histograms add the targets in another order than a sorted scan, so
+    # a near-tie may go the other way; away from near-ties the trees match.
+    compared = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 50, size=(800, 3)) / 7.0
+        y = np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2] / 20 + rng.normal(scale=0.2, size=800)
+        params = TreeParams(max_depth=5, min_samples_leaf=4)
+        arrays = cart_reference.level_order(
+            cart_reference._grow(X, y, np.arange(X.shape[0]), params, None, 3))
+        if _split_gap(X, y, params, arrays) <= 1e-9:
+            continue
+        compared += 1
+        want = cart_reference.one_value(arrays)
+        feature, value = cart_reference.members(fit_tree(X, y, params))[0][::4]
+        assert feature.tobytes() == want[0].tobytes()
+        assert value.tobytes() == want[4].tobytes()
+    assert compared >= 6, compared
 
 
 def _leaf_of(arrays, X):
@@ -455,9 +518,31 @@ def test_two_rows_split_only_when_both_children_hold_the_leaf_minimum():
     assert split.value[1:].tolist() == [y[low], y[high]]
 
 
-# nodes whose candidate rows fill more than a search block: each is searched
-# on its own, as a block of one node, and a boosting fit builds the root's
-# bounds once
+def test_thresholds_around_a_bin_of_both_zeros_match_the_sorted_scan():
+    # -0.0 and 0.0 share a bin, whose distinct value is one of them; the
+    # midpoints next to it read either sign the same: 0.5 * (0 + 5e-324)
+    # rounds to +0.0, and -5e-324 next to the zeros falls back to itself
+    zeros = np.array([-0.0, 0.0, 0.0, -0.0, 0.0])
+    x = np.concatenate([np.full(6, -5e-324), zeros, zeros[::-1], np.full(6, 5e-324)])
+    X = np.column_stack([x, x[::-1]])
+    y = np.concatenate([np.zeros(6), np.full(10, 1.0), np.full(6, 3.0)])
+    params = TreeParams(max_depth=2)
+    # 22 rows on two features of four bins each: both split nodes are wide,
+    # and the left child, the larger, takes the root's histograms minus
+    # its sibling's
+    tree = fit_tree(X, y, params)
+    assert tree.n_nodes == 5
+    want = _reference_arrays(X, y, np.arange(x.size), params)
+    _assert_same_nodes(cart_reference.members(tree)[0], want)
+    _assert_same_nodes(cart_reference.members(tree)[0], _routed_arrays(X, y, params))
+    inner = tree.feature != trees._LEAF
+    assert [np.float64(v).tobytes() for v in tree.value[inner]] == [
+        np.float64(0.0).tobytes(), np.float64(-5e-324).tobytes()]
+
+
+# wide nodes: their rows on their candidates outnumber the candidates' bins,
+# and they are scored from histograms; with every feature a candidate, the
+# larger of two children takes its parent's histograms minus its sibling's
 
 
 @pytest.fixture(scope="module")
@@ -468,72 +553,106 @@ def wide_rows():
     return X, y
 
 
-def _spy_wide_blocks(monkeypatch, record):
-    """Call ``record(sizes, features)`` for every block of more than
-    ``_BLOCK`` elements whose bounds are built: a wide node's, or a
-    boosting fit's root's."""
-    block_bounds = trees._block_bounds
+def _spy_wide_nodes(monkeypatch, record):
+    """Call ``record(sizes, n_cand, subtracts)`` for every level's wide
+    nodes: their row counts, their candidate count, and whether the level
+    takes a parent's histograms."""
+    wide_splits = trees._wide_splits
 
-    def spy(Xr, order, starts, sizes, features, *rest):
-        if features.size * sizes.max() > trees._BLOCK:
-            record(sizes, features)
-        return block_bounds(Xr, order, starts, sizes, features, *rest)
+    def spy(ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand, min_leaf,
+            carry=None):
+        record(sizes[nodes], cand.shape[1], carry is not None)
+        return wide_splits(ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand,
+                           min_leaf, carry)
 
-    monkeypatch.setattr(trees, "_block_bounds", spy)
+    monkeypatch.setattr(trees, "_wide_splits", spy)
 
 
 @pytest.fixture
-def wide_sizes(monkeypatch):
-    """The size of every node whose bounds are built as a wide block."""
-    sizes = []
-    _spy_wide_blocks(monkeypatch, lambda node_sizes, _: sizes.append(int(node_sizes[0])))
-    return sizes
+def wide_levels(monkeypatch):
+    """Every level's wide nodes, as ``(sizes, subtracts)``."""
+    levels = []
+    _spy_wide_nodes(monkeypatch, lambda sizes, _, sub: levels.append((sizes.tolist(), sub)))
+    return levels
 
 
-def _assert_wide_below_the_root(sizes, n, n_cand):
-    assert any(size < n and size * n_cand > trees._BLOCK for size in sizes)
+def _assert_wide_below_the_root(levels, n):
+    assert any(size < n for sizes, _ in levels for size in sizes)
+    assert any(sub for _, sub in levels)
 
 
 @pytest.mark.parametrize("max_depth", [3, None])
 @pytest.mark.parametrize("min_samples_leaf", [1, 5])
 def test_gbm_on_wide_nodes_matches_the_fit_tree_stage_loop(
-    wide_rows, wide_sizes, max_depth, min_samples_leaf
+    wide_rows, wide_levels, max_depth, min_samples_leaf
 ):
     X, y = wide_rows
     n_trees = 3 if max_depth else 2
     _check_gbm_against_stage_loop(X, y, n_trees, max_depth, 0.05, min_samples_leaf)
-    # one root bounds per fit, not one per stage
-    assert wide_sizes.count(X.shape[0]) == 1
-    _assert_wide_below_the_root(wide_sizes, *X.shape)
+    # every stage's root is wide, and scored from its own histograms
+    roots = [sizes for sizes, sub in wide_levels if sizes == [X.shape[0]]]
+    assert len(roots) == n_trees
+    _assert_wide_below_the_root(wide_levels, X.shape[0])
 
 
 @pytest.mark.parametrize("min_samples_leaf", [1, 5])
 def test_trees_on_wide_nodes_match_the_per_node_grower(
-    wide_rows, wide_sizes, min_samples_leaf
+    wide_rows, wide_levels, min_samples_leaf
 ):
     X, y = wide_rows
-    n, d = X.shape
+    n = X.shape[0]
     params = TreeParams(min_samples_leaf=min_samples_leaf)
-    want = _reference_arrays(X, y, np.arange(n), params)
-    _assert_same_nodes(cart_reference.members(fit_tree(X, y, params))[0], want)
-    _assert_wide_below_the_root(wide_sizes, n, d)
-    forest = fit_forest(X, y, n_trees=1, seed=4, params=params, max_features=d)
+    _assert_same_nodes(cart_reference.members(fit_tree(X, y, params))[0],
+                       _routed_arrays(X, y, params))
+    _assert_wide_below_the_root(wide_levels, n)
+    forest = fit_forest(X, y, n_trees=1, seed=4, params=params, max_features=X.shape[1])
     _assert_same_nodes(cart_reference.members(forest)[0],
                        _forest_reference(X, y, 4, 0, params))
+
+
+def test_narrow_nodes_below_an_all_wide_level_sort_their_own_rows(wide_rows, monkeypatch):
+    # A level whose nodes are all wide keeps no sorted rows, so a narrow
+    # child of a wide node sorts its rows itself and reads no rows left
+    # from an earlier level
+    X, y = wide_rows
+    levels = []
+    _spy_wide_nodes(monkeypatch, lambda sizes, *_: levels.append(("wide", len(sizes))))
+    sort_rows = trees._sort_rows
+
+    def spy(ranks, bins, rows, sizes, out):
+        levels.append(("sort", sizes.size))
+        return sort_rows(ranks, bins, rows, sizes, out)
+
+    monkeypatch.setattr(trees, "_sort_rows", spy)
+    narrow_splits = trees._narrow_splits
+    monkeypatch.setattr(trees, "_narrow_splits", lambda *a: (levels.append(("narrow",)),
+                                                            narrow_splits(*a))[1])
+    params = TreeParams(max_depth=6, min_samples_leaf=3)
+    tree = fit_tree(X, y, params)
+    _assert_same_nodes(cart_reference.members(tree)[0], _routed_arrays(X, y, params))
+    # the first levels search wide nodes only; the first narrow search
+    # follows one of them, after a sort of its nodes' rows
+    first = next(i for i, entry in enumerate(levels) if entry[0] != "wide")
+    assert first >= 1 and levels[first][0] == "sort"
+    assert ("narrow",) in levels[first:]
+    boosted = fit_gbm(X, y, n_trees=4, max_depth=4, learning_rate=0.5)
+    want = cart_reference.fit_gbm(X, y, 4, 0.5, TreeParams(max_depth=4))
+    _assert_same_boosting(boosted, want)
 
 
 @pytest.mark.parametrize("min_samples_leaf", [1, 5])
 def test_bootstrap_forest_on_wide_nodes_of_feature_subsets_matches_the_one_tree_loop(
     monkeypatch, min_samples_leaf
 ):
-    # 4,750 rows: a bootstrap root holds about 3,000 distinct rows, so its
-    # three candidate features make a wide node
+    # 4,750 rows: a bootstrap root holds about 3,000 distinct rows, so the
+    # upper levels of trees on three candidate features are wide
     X, y = _oracle_rows(250, seed=31, sigma=0.005)
-    n_cand = []
-    _spy_wide_blocks(monkeypatch, lambda _, features: n_cand.append(features.size))
+    wide = []
+    _spy_wide_nodes(monkeypatch, lambda sizes, n_cand, _: wide.append((sizes.size, n_cand)))
     params = TreeParams(max_depth=4, min_samples_leaf=min_samples_leaf)
     forest = fit_forest(X, y, n_trees=2, seed=3, params=params)
-    assert any(size < X.shape[1] for size in n_cand)
+    assert len(wide) >= 2 and all(n_cand < X.shape[1] for _, n_cand in wide)
+    assert any(size > 2 for size, _ in wide)
     want = cart_reference.fit_forest(X, y, 2, 3, params, True, forest.info["max_features"])
     for got, member in zip(_forest_members(forest), want):
         _assert_same_nodes(got, member)
@@ -544,7 +663,7 @@ def test_wide_nodes_whose_target_squares_overflow_match_the_references(
     wide_rows, scale
 ):
     X, y = wide_rows
-    n, d = X.shape
+    d = X.shape[1]
     y = y * scale
     params = TreeParams(max_depth=3)
     with np.errstate(all="ignore"):
@@ -559,49 +678,10 @@ def test_wide_nodes_whose_target_squares_overflow_match_the_references(
             # inf and its splits score -inf, which wins
             assert np.isfinite(np.sum(y * y)) and np.isinf(np.sum(y) ** 2)
             assert tree.n_nodes > 1
-    _assert_same_nodes(cart_reference.members(tree)[0],
-                       _reference_arrays(X, y, np.arange(n), params))
+    _assert_same_nodes(cart_reference.members(tree)[0], _routed_arrays(X, y, params))
     _assert_same_nodes(cart_reference.members(forest)[0],
                        _forest_reference(X, y, 4, 0, params))
     _check_gbm_against_stage_loop(X, y, 3, 3, 0.5, 1)
-
-
-# A pool with ties, both infinities and NaN, the cases the first-minimum
-# rule has to get right.
-_SCORE_POOL = (-math.inf, -1.0, 0.0, 2.0, 2.0, math.inf, math.nan)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_node_min_matches_min_and_argmin_over_full_rows_of_inf(data):
-    n_rows = data.draw(st.integers(1, 5))
-    width = data.draw(st.integers(1, 8))
-    row, at = np.nonzero(data.draw(arrays(bool, (n_rows, width))))
-    score = data.draw(arrays(np.float64, row.size, elements=st.sampled_from(_SCORE_POOL)))
-    got_score, got_row, got_at = trees._node_min(score, row, at)
-    # the search over full-width rows: each row's first minimum, then the
-    # first row whose minimum is lowest
-    full = np.full((n_rows, width), math.inf)
-    full[row, at] = score
-    row_min, row_at = full.min(axis=1), full.argmin(axis=1)
-    pick = int(np.argmin(row_min))
-    want = row_min[pick]
-    assert np.array_equal([got_score], [want], equal_nan=True)
-    if want != math.inf:
-        assert (got_row, got_at) == (pick, row_at[pick])
-
-
-def test_node_min_cases():
-    row = np.array([0, 0, 0, 1, 1])
-    at = np.array([0, 3, 5, 1, 2])
-    # tied scores: the lowest position of the lowest row
-    assert trees._node_min(np.array([2.0, 1.0, 1.0, 1.0, 3.0]), row, at) == (1.0, 0, 3)
-    # a NaN wins wherever it is, and a NaN node does not split
-    got = trees._node_min(np.array([1.0, -math.inf, 0.0, math.nan, -1.0]), row, at)
-    assert math.isnan(got[0]) and got[1:] == (1, 1)
-    # no usable boundary: inf at position 0
-    empty = np.empty(0, dtype=np.intp)
-    assert trees._node_min(np.empty(0), empty, empty) == (math.inf, 0, 0)
 
 
 # the split search's kernels against the formulas they replaced
@@ -622,20 +702,18 @@ def test_packed_scores_match_the_two_cumsum_formula(data):
     min_leaf = data.draw(st.integers(1, 3))
     subset = np.array(sorted(data.draw(
         st.sets(st.integers(0, d - 1), min_size=1, max_size=d))))
-    Xr, order = cart_reference.presort(X, np.arange(n), [n])
+    _, order = cart_reference.presort(X, np.arange(n), [n])
+    _, ranks = trees._ranks(X)
     y_sq = trees._with_squares(y)
     # the node as one block on every feature, on a subset, and on two
     # copies of one feature
     with np.errstate(all="ignore"):
-        for features in (np.arange(d), subset):
-            bounds = trees._block_bounds(Xr, order, np.zeros(features.size, dtype=np.intp),
-                                         np.full(features.size, n), features, min_leaf)
-            want = cart_reference.scores(y, bounds).tobytes()
-            assert trees._scores(y_sq, bounds).tobytes() == want
-        bounds = trees._block_bounds(Xr, order, np.zeros(2, dtype=np.intp),
-                                     np.full(2, n), np.repeat(subset[:1], 2), min_leaf)
-        want = cart_reference.scores(y, bounds).tobytes()
-        assert trees._scores(y_sq, bounds).tobytes() == want
+        for features in (np.arange(d), subset, np.repeat(subset[:1], 2)):
+            pos, bounds = trees._block_bounds(
+                ranks, order, np.zeros(features.size, dtype=np.intp),
+                np.full(features.size, n), features, min_leaf)
+            want = cart_reference.scores(y, pos, bounds).tobytes()
+            assert trees._scan_scores(y_sq, pos, bounds).tobytes() == want
 
 
 # Feature values with -0.0 == 0.0 ties, repeats and subnormals
@@ -647,6 +725,21 @@ def _distinct_rows(draws, n):
     each tree holds."""
     rows = [np.flatnonzero(np.bincount(tree, minlength=n)) for tree in draws]
     return np.concatenate(rows), [r.size for r in rows]
+
+
+def _assert_sorts_as_the_float_argsort(X, rows, sizes):
+    """Each tree's run of ``rows`` as a node of ``_sort_rows``, sorted on
+    its ranks, against the stable float argsort of each tree's values; the
+    distinct values read back the rows' values."""
+    values, ranks = trees._ranks(X)
+    for column, distinct, rank in zip(X.T, values, ranks):
+        assert np.array_equal(distinct[rank], column)
+    got = np.empty((X.shape[1], rows.size), dtype=np.intp)
+    trees._sort_rows(ranks.take(rows, axis=1), [v.size for v in values],
+                     np.arange(rows.size), np.array(sizes), got)
+    _, want = cart_reference.presort(X, rows, sizes)
+    _assert_same_nodes([got], [want[:-1]])
+    return ranks
 
 
 @settings(max_examples=200, deadline=None)
@@ -662,11 +755,8 @@ def test_rank_presort_matches_the_float_argsort(data):
         rows, sizes = _distinct_rows(draws, n)
     else:
         rows, sizes = np.tile(np.arange(n), roots), [n] * roots
-    keys = trees._sort_keys(X)
-    assert all(key.dtype.kind == "u" for key in keys)
-    got = trees._presort(X, trees._sort_order(X), rows, sizes)
-    for a, b in zip(got, cart_reference.presort(X, rows, sizes)):
-        _assert_same_nodes([a], [b])
+    ranks = _assert_sorts_as_the_float_argsort(X, rows, sizes)
+    assert ranks.dtype.kind == "u"
 
 
 def test_presort_of_a_feature_past_the_rank_limit_sorts_its_values():
@@ -677,14 +767,11 @@ def test_presort_of_a_feature_past_the_rank_limit_sorts_its_values():
     wide = rng.permutation(n) - 2.0
     wide[rng.choice(n, 2, replace=False)] = (-0.0, 0.0)
     X = np.column_stack([wide, rng.choice((-0.0, 0.0, 1.0), n)])
-    keys = trees._sort_keys(X)
-    assert keys[0].dtype == np.uint32 and keys[1].dtype == np.uint8
     # a bootstrap tree and a tree on every row
     rows, sizes = _distinct_rows([rng.integers(0, n, size=n)], n)
     rows, sizes = np.concatenate([rows, np.arange(n)]), sizes + [n]
-    got = trees._presort(X, trees._sort_order(X), rows, sizes)
-    for a, b in zip(got, cart_reference.presort(X, rows, sizes)):
-        _assert_same_nodes([a], [b])
+    ranks = _assert_sorts_as_the_float_argsort(X, rows, sizes)
+    assert ranks.dtype == np.uint32
 
 
 # forests
@@ -773,14 +860,18 @@ def test_forest_trees_grown_in_groups_match_the_one_tree_loop(problem, n_trees, 
         _assert_same_nodes(got, member)
 
 
-def _group_sizes(monkeypatch):
-    """A list that records the tree count of every group a forest grows."""
+def _group_sizes(monkeypatch, entered=None):
+    """A list that records the tree count of every group a forest grows;
+    ``entered``, when given, records the traced bytes as each group
+    starts."""
     groups = []
     grow_bagged = trees._grow_bagged
 
-    def spy(X, y, ranked, group, *rest):
+    def spy(values, ranks, y, group, *rest):
         groups.append(len(group))
-        return grow_bagged(X, y, ranked, group, *rest)
+        if entered is not None:
+            entered.append(tracemalloc.get_traced_memory()[0])
+        return grow_bagged(values, ranks, y, group, *rest)
 
     monkeypatch.setattr(trees, "_grow_bagged", spy)
     return groups
@@ -825,21 +916,28 @@ def test_forest_memory_grows_with_the_group_not_the_trees(monkeypatch):
     X, y = _oracle_rows(40, seed=37, sigma=0.005)
     n = X.shape[0]
     monkeypatch.setattr(trees, "_GROUP_ROWS", 2 * n)
-    groups = _group_sizes(monkeypatch)
+    entered = []
+    groups = _group_sizes(monkeypatch, entered)
     fit_forest(X, y, n_trees=3, seed=1)  # warm-up
     groups.clear()
+    entered.clear()
     one_peak, _ = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=3, seed=1))
     assert groups == [3]  # one full group
     groups.clear()
     eight_peak, eight = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=8, seed=1))
     assert groups == [3, 3, 2]
+    # The fourth tree's draw overflows the first group, which grows before
+    # the tree is drawn again, so the eight-tree fit enters its first group
+    # holding what the three-tree fit holds there, give or take a few
+    # interpreter objects; the fourth tree's rows and counts would take
+    # 16 bytes for each of its about 480 distinct rows.
+    assert entered[1] <= entered[0] + 256, entered
     # While a group grows, the fit also holds the trees grown before it as
-    # member arrays, 12 bytes a node, and the next tree's bootstrap draw,
-    # 16 bytes a distinct row.  The six trees ahead of the last group hold
-    # more than the three ahead of the second and the seventh tree's draw
-    # together, and the last group grows two trees, so the six trees' nodes
+    # member arrays, 12 bytes a node, and nothing of the next tree.  The six
+    # trees ahead of the last group hold more than the three ahead of the
+    # second, and the last group grows two trees, so the six trees' nodes
     # bound every group's extra.  Growing all eight trees at once would add
-    # five trees' presorted rows, about 180 bytes a row, far past the bound.
+    # five trees' rows, about 130 bytes a row, far past the bound.
     per_node = eight.feature.itemsize + eight.value.itemsize
     held = int(eight.offsets[6])
     slack = 1024
@@ -1120,9 +1218,9 @@ def test_gbm_round_trip(tmp_path):
 # tests compare the fitter with references kept in this repo; these digests
 # catch both changing together.
 _PINNED_FITS = {
-    "tree": "b06c1cefd0de584701ac2d2862153090e21a590948584872d06e0caa0f5886a6",
-    "forest": "88bbe125b4c53a05a82a52db3254be1dd580b6f578c75b46345e2661956609f9",
-    "gbm": "f6647d66057cfc0d32e4045c9685d5e104a0836589b7158477c0f3ae42b7f58c",
+    "tree": "85642f007005a6fa6c4890105fec16d3c52bd1ebe7e62d1ec1afd7baadcaa848",
+    "forest": "32dfc521a885efaa896062a9bb689e22e8551a03a0782d212300dcd4ab6d31ef",
+    "gbm": "8e9b3cfb9c5fb3585ed7956d89876dc8947f4da42ff8cda3989d681efb5134e3",
 }
 
 
