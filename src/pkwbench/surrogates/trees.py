@@ -237,11 +237,13 @@ def _check_training_pair(X, y):
 # (row, member) cells by the same budget.
 _BLOCK = 8000
 
-# The histogram bins scored at a time.  Scoring takes about 70 bytes of
-# temporaries a bin, so this bounds them to about 5 MB; on the benchmark's
-# 3,040 x 9 matrix, 159 bins a feature, every level is scored at once.  A
-# paper-scale tree (57,684 x 9, up to 2,986 bins a feature) peaked at
-# 84 MB RSS scoring whole levels, and at 71 MB with this bound.
+# The histogram bins scored at a time.  A histogram is kept at its
+# feature's bins, but is scored in a block of rows padded to the widest,
+# and scoring takes about 70 bytes of temporaries a padded bin, so this
+# bounds them to about 5 MB; on the benchmark's 3,040 x 9 matrix, at most
+# 159 bins a feature, every level is scored at once.  A paper-scale tree
+# (57,684 x 9, 19 to 2,986 bins a feature) peaked at 73 MB RSS scoring
+# whole levels, and at 62 MB with this bound.
 _HIST_CELLS = 65_536
 
 # The rows a forest grows together: consecutive trees join a group while
@@ -346,8 +348,10 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=(None,), sizes=N
     stable sort on the child index regroups the rows for the next level.
     A node is *wide* when its rows times its candidate features outnumber
     the bins of those features, the distinct values of the fit; it is
-    scored from histograms (:func:`_wide_splits`).  A *narrow* node is
-    scanned over its rows sorted by each feature (:func:`_narrow_splits`).
+    scored from histograms (:func:`_wide_histograms`, :func:`_wide_splits`),
+    and the last level's histograms are dropped before the scores are
+    taken.  A *narrow* node is scanned over its rows sorted by each feature
+    (:func:`_narrow_splits`).
     Sorted rows are kept only for narrow nodes and their descendants, each
     level's regrouped from the last by the same stable sort on the child
     index; a narrow node without them, the root or a child of a wide node,
@@ -378,7 +382,6 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=(None,), sizes=N
     several = n_roots > 1
     n_cand = min(max_features, d)
     full = n_cand == d
-    width = int(bins.max())
     sizes = np.array([n] if sizes is None else sizes)
     every = np.broadcast_to(np.arange(d), (n, d))  # every feature, for any node
     tree = np.arange(n_roots)  # each node's tree, with several roots
@@ -449,21 +452,17 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=(None,), sizes=N
         with np.errstate(all="ignore"):
             # each pair's best score, and the ranks of its left child's top
             # value and of its right child's lowest
-            if not narrow.size:
-                score, cut, above, hists = _wide_splits(
-                    ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand,
-                    params.min_samples_leaf, carry,
-                )
-            else:
-                score = np.empty(cand.shape)
-                cut = np.empty(cand.shape, dtype=np.intp)
-                above = np.empty(cand.shape, dtype=np.intp)
-                hists = None
-                if wide.any():
-                    score[wide], cut[wide], above[wide], hists = _wide_splits(
-                        ranks, width, y_sq, counts, rows, starts, sizes, nodes[wide],
-                        cand[wide], params.min_samples_leaf, carry,
-                    )
+            score = np.empty(cand.shape)
+            cut = np.empty(cand.shape, dtype=np.intp)
+            above = np.empty(cand.shape, dtype=np.intp)
+            hists = None
+            if wide.any():
+                hists = _wide_histograms(ranks, bins, y_sq, counts, rows, starts, sizes,
+                                         nodes[wide], cand[wide], carry)
+                carry = None  # the parents' histograms go before the scores
+                score[wide], cut[wide], above[wide] = _wide_splits(
+                    *hists, bins[cand[wide]], params.min_samples_leaf)
+            if narrow.size:
                 score[~wide], cut[~wide], above[~wide] = _narrow_splits(
                     ranks, y_sq, counts, order, begin[narrow], sizes[narrow], cand[~wide],
                     params.min_samples_leaf,
@@ -505,8 +504,6 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=(None,), sizes=N
         top[split] = cut
         slot_key = np.repeat(child, sizes) + (
             ranks.take(np.repeat(flat, sizes) + rows) > np.repeat(top, sizes))
-        key = np.empty(n, dtype=key_type)
-        key[rows] = slot_key
         carry = None
         if full and hists is not None:
             # each split node's row in this level's histograms, or -1
@@ -515,13 +512,17 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=(None,), sizes=N
             carry = hists, row_of[split]
         keep = ranked[split]
         kept = int(sizes[split][keep].sum()) if held else 0
-        sizes = np.bincount(slot_key)[: 2 * split.size]
-        del slot_key  # and before the next level's
-        rows = rows[np.argsort(key[rows], kind="stable")[: sizes.sum()]]
         depth += 1
         # below the depth cap only the row order is read again
         if params.max_depth is not None and depth >= params.max_depth:
             kept = 0
+        if kept:
+            # each row's child key by row id, for the sorted rows
+            key = np.empty(n, dtype=key_type)
+            key[rows] = slot_key
+        sizes = np.bincount(slot_key)[: 2 * split.size]
+        rows = rows[np.argsort(slot_key, kind="stable")[: sizes.sum()]]
+        del slot_key  # and before the next level's
         if not kept:
             held = 0
             ranked = np.zeros(sizes.size, dtype=bool)
@@ -552,12 +553,9 @@ def _segment_sums(values, starts, sizes):
     A row of a 2-D ``np.add.reduce`` sums in the same pairwise order as the
     1-D reduction makes, which padding would change.
     """
-    if sizes.size == 1:
-        return np.add.reduce(values[starts[0] : starts[0] + sizes[0]], keepdims=True)
     out = np.empty(sizes.size)
     by_size = np.argsort(sizes, kind="stable")
-    ordered = sizes[by_size]
-    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), sizes.size]
+    bounds = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist(), sizes.size]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         group = by_size[lo:hi]
         width = int(sizes[group[0]])
@@ -714,29 +712,72 @@ def _block_bounds(ranks, order, starts, sizes, features, min_leaf, counts=None):
     return pos, _Bounds(*bounds)
 
 
-def _histograms(ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand):
+def _wide_histograms(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand,
+                     carry=None):
+    """The histograms of a level's wide nodes, as :func:`_histograms`
+    returns them.
+
+    ``carry``, with every feature a candidate, holds the last level's
+    histograms and the index in them of each split node, or -1.  A node
+    whose parent has histograms there and that holds more rows than its
+    sibling, or as many and is the right child, takes its parent's
+    histograms minus its sibling's, which are built from the sibling's rows
+    whether the sibling is searched or not.  Counts subtract exactly.
+    Every other node builds its own.
+    """
+    if carry is None:
+        return _histograms(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand)
+    parents, parent_row = carry
+    parent = parent_row[nodes // 2]
+    sibling = nodes ^ 1
+    # the larger child, or the right one of two equal children
+    sub = (parent >= 0) & (sizes[nodes] + (nodes & 1) > sizes[sibling])
+    # the node each histogram is built for, in ascending order: the
+    # node itself or, for the larger child, its sibling
+    target = np.where(sub, sibling, nodes)
+    first = np.ones(target.size, dtype=bool)
+    np.not_equal(target[1:], target[:-1], out=first[1:])
+    built = target[first]
+    inverse = np.cumsum(first) - 1
+    # every node's candidates are every feature, so each node's bins are
+    # one row of bins.sum()
+    hists = _histograms(ranks, bins, y_sq, counts, rows, starts, sizes, built,
+                        cand[: built.size])
+    hists = [part.reshape(built.size, -1)[inverse] for part in hists]
+    for part, held in zip(hists, parents):
+        part[sub] = held.reshape(-1, part.shape[1])[parent[sub]] - part[sub]
+    return [part.ravel() for part in hists]
+
+
+def _histograms(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand):
     """The histograms of every (node, candidate) pair of ``nodes``: the
     summed count and the summed ``w * y`` and ``w * y**2``, as real and
-    imaginary parts, per bin of the pair's feature, each a ``(nodes,
-    candidates, width)`` array; bins past a feature's last are empty.
+    imaginary parts, per bin of the pair's feature.
 
-    A bin sums its rows in row order, as ``np.bincount`` over the node's
-    rows alone sums them.  Without ``counts`` the counts are integers.
+    Each is one flat array of the pairs' bins laid end to end, in the order
+    of ``cand``, node by node, each pair taking its feature's ``bins``.  A
+    bin sums its rows in row order, as ``np.bincount`` over the node's rows
+    alone sums them.  Without ``counts`` the counts are integers.
     """
     n_cand = cand.shape[1]
     size = sizes[nodes]
     # the level's rows are every node's rows
     pos = rows if nodes.size == sizes.size else rows[_segments(starts[nodes], size)]
     node = np.repeat(np.arange(nodes.size), size)
-    # pair (node k, slot c) takes bins (k * n_cand + c) * width on
-    key = np.add.outer(np.arange(0, n_cand * width, width), node * (n_cand * width))
+    # each pair's first bin
+    pair_bins = bins[cand]
+    offset = np.cumsum(pair_bins).reshape(cand.shape) - pair_bins
+    # a take along the rows of a contiguous (candidates, nodes) array
+    # gathers faster than fancy indexing of its transpose
+    key = np.ascontiguousarray(offset.T).take(node, axis=1)
     if n_cand == ranks.shape[0]:
         key += ranks.take(pos, axis=1)
     else:
-        key += ranks.take(cand.T[:, node] * ranks.shape[1] + pos)
+        key += ranks.take(np.ascontiguousarray(cand.T).take(node, axis=1) * ranks.shape[1]
+                          + pos)
     key = key.ravel()
     del node
-    total = nodes.size * n_cand * width
+    total = int(pair_bins.sum())
     # each row's values once per candidate, as the keys list the rows
     drawn = None
     if counts is not None:
@@ -751,16 +792,14 @@ def _histograms(ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand):
     # float bincount of each part
     sums = np.zeros(total, dtype=np.complex128)
     np.add.at(sums, key, values.ravel())
-    shape = (nodes.size, n_cand, width)
-    return count.reshape(shape), sums.reshape(shape)
+    return count, sums
 
 
-def _wide_splits(ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand, min_leaf,
-                 carry=None):
-    """Each wide node's best split on each of its candidate features, from
-    histograms: ``(score, cut, above, hists)``, the first three arrays of the
-    shape of ``cand`` as :func:`_narrow_splits` returns them and ``hists``
-    the nodes' histograms (:func:`_histograms`).
+def _wide_splits(count, sums, pair_bins, min_leaf):
+    """Each wide (node, candidate) pair's best split, from its histograms
+    (:func:`_histograms`) and its feature's bins ``pair_bins``: ``(score,
+    cut, above)`` arrays of the shape of ``pair_bins``, as
+    :func:`_narrow_splits` returns them.
 
     The prefix sums of a histogram row over its bins, which start at zero,
     give every candidate split of the pair: each boundary between two
@@ -768,43 +807,28 @@ def _wide_splits(ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand, m
     whole numbers, summed exactly, so the candidates and the child sizes
     are those of a scan over sorted rows; only the sums of the targets are
     added in another order.  Within a row the first minimum wins (the
-    lowest threshold).
-
-    ``carry``, with every feature a candidate, holds the last level's
-    histograms and the row in them of each split node, or -1.  A node whose
-    parent has a row there and that holds more rows than its sibling, or as
-    many and is the right child, takes its parent's histograms minus its
-    sibling's, which are built from the sibling's rows whether the sibling
-    is searched or not.  Counts subtract exactly.  Every other node builds
-    its own.
+    lowest threshold).  Pairs are scored in blocks of at most
+    ``_HIST_CELLS`` bins, each row padded with empty bins to the widest.
     """
-    if carry is None:
-        hists = _histograms(ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand)
-    else:
-        parents, parent_row = carry
-        parent = parent_row[nodes // 2]
-        sibling = nodes ^ 1
-        # the larger child, or the right one of two equal children
-        sub = (parent >= 0) & (sizes[nodes] + (nodes & 1) > sizes[sibling])
-        # the node each histogram is built for, in ascending order: the
-        # node itself or, for the larger child, its sibling
-        target = np.where(sub, sibling, nodes)
-        first = np.ones(target.size, dtype=bool)
-        np.not_equal(target[1:], target[:-1], out=first[1:])
-        built = target[first]
-        inverse = np.cumsum(first) - 1
-        # every node's candidates are every feature
-        hists = _histograms(ranks, width, y_sq, counts, rows, starts, sizes, built,
-                            cand[: built.size])
-        hists = [part[inverse] for part in hists]
-        for part, held in zip(hists, parents):
-            part[sub] = held[parent[sub]] - part[sub]
-    count, sums = (part.reshape(-1, width) for part in hists)
+    sizes = pair_bins.ravel()
+    width = int(sizes.max())
+    ends = np.cumsum(sizes)
+    fill = np.arange(width) < sizes[:, None]
     step = max(1, _HIST_CELLS // width)
-    parts = [_hist_splits(count[i : i + step], sums[i : i + step], min_leaf)
-             for i in range(0, count.shape[0], step)]
-    score, cut, above = (np.concatenate(part).reshape(cand.shape) for part in zip(*parts))
-    return score, cut, above, hists
+    score = np.empty(sizes.size)
+    cut = np.empty(sizes.size, dtype=np.intp)
+    above = np.empty(sizes.size, dtype=np.intp)
+    for i in range(0, sizes.size, step):
+        lo, hi = ends[i] - sizes[i], ends[min(i + step, sizes.size) - 1]
+        mask = fill[i : i + step]
+        blocks = []
+        for part in (count, sums):
+            block = np.zeros(mask.shape, dtype=part.dtype)
+            block[mask] = part[lo:hi]
+            blocks.append(block)
+        at = slice(i, i + step)
+        score[at], cut[at], above[at] = _hist_splits(*blocks, min_leaf)
+    return tuple(part.reshape(pair_bins.shape) for part in (score, cut, above))
 
 
 def _hist_splits(count, sums, min_leaf):
@@ -814,14 +838,16 @@ def _hist_splits(count, sums, min_leaf):
     Every bin is scored as the left child's last and the scores of bins
     that end no boundary are replaced by inf, so the row's first minimum
     is the one :func:`_narrow_splits` picks over the boundaries alone.
+    ``count`` and ``sums`` are overwritten with their prefix sums.
     """
-    running = np.cumsum(count, axis=1)
-    n_right = running[:, -1:] - running
     # a filled bin with rows after it ends a left child
-    edge = (count > 0) & (n_right > 0)
+    edge = count > 0
+    running = np.cumsum(count, axis=1, out=count)
+    n_right = running[:, -1:] - running
+    edge &= n_right > 0
     if min_leaf > 1:
         edge &= (running >= min_leaf) & (n_right >= min_leaf)
-    sums = np.cumsum(sums, axis=1)
+    sums = np.cumsum(sums, axis=1, out=sums)
     scored = _scores(sums, sums[:, -1:] - sums, running, n_right)
     scored[~edge] = math.inf
     at = scored.argmin(axis=1)

@@ -557,15 +557,14 @@ def _spy_wide_nodes(monkeypatch, record):
     """Call ``record(sizes, n_cand, subtracts)`` for every level's wide
     nodes: their row counts, their candidate count, and whether the level
     takes a parent's histograms."""
-    wide_splits = trees._wide_splits
+    wide_histograms = trees._wide_histograms
 
-    def spy(ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand, min_leaf,
-            carry=None):
+    def spy(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand, carry=None):
         record(sizes[nodes], cand.shape[1], carry is not None)
-        return wide_splits(ranks, width, y_sq, counts, rows, starts, sizes, nodes, cand,
-                           min_leaf, carry)
+        return wide_histograms(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand,
+                               carry)
 
-    monkeypatch.setattr(trees, "_wide_splits", spy)
+    monkeypatch.setattr(trees, "_wide_histograms", spy)
 
 
 @pytest.fixture
@@ -714,6 +713,38 @@ def test_packed_scores_match_the_two_cumsum_formula(data):
                 np.full(features.size, n), features, min_leaf)
             want = cart_reference.scores(y, pos, bounds).tobytes()
             assert trees._scan_scores(y_sq, pos, bounds).tobytes() == want
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_histograms_take_each_feature_bins(weighted):
+    # features of 2, 5 and 40 distinct values: each (node, candidate) pair
+    # holds its own feature's bins, laid end to end, and nothing more
+    rng = np.random.default_rng(7)
+    n = 200
+    X = np.column_stack([rng.integers(0, k, n) for k in (2, 5, 40)]).astype(float)
+    y = rng.normal(size=n)
+    counts = rng.integers(1, 4, n).astype(float) if weighted else None
+    values, ranks = trees._ranks(X)
+    bins = np.array([v.size for v in values])
+    assert bins.tolist() == [2, 5, 40]
+    split = rng.permutation(n)
+    node_rows = [np.sort(split[:70]), np.sort(split[70:])]
+    rows = np.concatenate(node_rows)
+    sizes = np.array([70, 130])
+    y_sq = trees._with_squares(y, counts)
+    for cand in (np.array([[0, 2], [1, 2]]), np.tile(np.arange(3), (2, 1))):
+        count, sums = trees._histograms(ranks, bins, y_sq, counts, rows, np.array([0, 70]),
+                                        sizes, np.arange(2), cand)
+        assert count.size == sums.size == bins[cand].sum()
+        ends = np.cumsum(bins[cand]).reshape(cand.shape)
+        for k, c in np.ndindex(cand.shape):
+            j = cand[k, c]
+            want = cart_reference.histograms(
+                ranks, bins, y, np.ones(n) if counts is None else counts, node_rows[k])[j]
+            at = slice(ends[k, c] - bins[j], ends[k, c])
+            assert np.array_equal(count[at], want[0])
+            assert sums[at].real.tobytes() == want[1].tobytes()
+            assert sums[at].imag.tobytes() == want[2].tobytes()
 
 
 # Feature values with -0.0 == 0.0 ties, repeats and subnormals
