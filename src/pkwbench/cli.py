@@ -181,32 +181,50 @@ def _build_space(args):
 # shared model-data assembly
 
 
-def _targets(manifest: DatasetManifest, pairs) -> np.ndarray:
-    """The label of each pair, in the order given."""
-    try:
-        return np.asarray([manifest.c_D[gid][q] for gid, q in pairs])
-    except KeyError:
-        gid, q = next((gid, q) for gid, q in pairs if q not in manifest.c_D.get(gid, {}))
-        raise MissingArtifact(
-            f"split references unlabeled pair ({gid}, Q={q * 1000.0:g} l/s)"
-        ) from None
+# the labeled pairs in sorted(pairs) order: geometry id, discharge (m^3/s),
+# feature row and target c_D, one array each
+_PairTable = collections.namedtuple("_PairTable", "gid Q X y")
+# a split as ascending row-index arrays over the pair table
+_SplitRows = collections.namedtuple("_SplitRows", "name policy train val test")
 
 
-def _tabular_arrays(manifest: DatasetManifest, pairs):
-    pairs = sorted(pairs)
-    targets = _targets(manifest, pairs)
-    rows = [feature_vector(manifest.geometries[gid].derived, q) for gid, q in pairs]
-    return np.asarray(rows), targets
+def _pair_table(manifest: DatasetManifest):
+    """The pair table of ``manifest``'s labels, and the function that turns a
+    split into its ``_SplitRows``.  Only that function holds the pair -> row
+    map, so dropping it frees the map."""
+    labels = sorted(manifest.labels, key=lambda lab: (lab.geometry_id, lab.Q))
+    table = _PairTable(
+        gid=np.array([lab.geometry_id for lab in labels]),
+        Q=np.array([lab.Q for lab in labels]),
+        X=np.array([feature_vector(manifest.geometries[lab.geometry_id].derived, lab.Q)
+                    for lab in labels]),
+        y=np.array([lab.c_D for lab in labels]),
+    )
+    row_of = {(lab.geometry_id, lab.Q): k for k, lab in enumerate(labels)}
+
+    def rows(pairs) -> np.ndarray:
+        try:
+            return np.sort(np.fromiter((row_of[p] for p in pairs), np.int32, len(pairs)))
+        except KeyError:
+            gid, q = min(p for p in pairs if p not in row_of)
+            raise MissingArtifact(
+                f"split references unlabeled pair ({gid}, Q={q * 1000.0:g} l/s)"
+            ) from None
+
+    def index(split) -> _SplitRows:
+        return _SplitRows(split.name, split.policy,
+                          rows(split.train), rows(split.val), rows(split.test))
+
+    return table, index
 
 
-def _cloud_arrays(ws: Path, manifest: DatasetManifest, pairs, n_points: int):
-    """Each pair's cloud cut to its first ``n_points`` points, discharge
+def _cloud_arrays(ws: Path, table: _PairTable, rows, n_points: int):
+    """Each row's cloud cut to its first ``n_points`` points, discharge
     attached, and the targets.  ``sample_surface`` draws points i.i.d. by
     area, so the prefix is itself an area-weighted sample of the surface."""
-    pairs = sorted(pairs)
-    targets = _targets(manifest, pairs)
+    gids = table.gid[rows].tolist()
     prefixes: dict[str, np.ndarray] = {}
-    for gid, _ in pairs:
+    for gid in gids:
         if gid not in prefixes:
             path = ws / "clouds" / f"{gid}.wnpc"
             if not path.exists():
@@ -218,9 +236,9 @@ def _cloud_arrays(ws: Path, manifest: DatasetManifest, pairs, n_points: int):
                 )
             # a copy, so the whole cloud is freed
             prefixes[gid] = cloud.points[:n_points].copy()
-    clouds = [prefixes[gid] for gid, _ in pairs]
+    clouds = [prefixes[gid] for gid in gids]
     points = np.stack(clouds) if clouds else np.empty((0, n_points, 3))
-    return attach_discharge(points, np.asarray([q for _, q in pairs])), targets
+    return attach_discharge(points, table.Q[rows]), table.y[rows]
 
 
 def _metric_row(split, model_name, partition, n_train, report, paper_scale):
@@ -532,10 +550,13 @@ def _cmd_split(args) -> int:
 
 
 def _load_split(ws: Path, name: str):
+    """The pair table of the workspace's labels, and split ``name`` as rows of it."""
+    manifest, _ = _load_manifest(ws, with_labels=True)
     path = ws / "splits" / f"{name}.csv"
     if not path.exists():
         raise MissingArtifact(f"no split file at {path}; run split first")
-    return read_split_csv(path)
+    table, index = _pair_table(manifest)
+    return table, index(read_split_csv(path))
 
 
 def _ensemble_size(args, model_name: str) -> int:
@@ -544,19 +565,19 @@ def _ensemble_size(args, model_name: str) -> int:
     return 300 if model_name == "gbm" else 100
 
 
-def _fit_model(model_name, args, ws, manifest, split, seed):
+def _fit_model(model_name, args, ws, table, split, seed):
     if model_name in ("tree", "forest", "gbm"):
-        X, y = _tabular_arrays(manifest, split.train)
+        X, y = table.X[split.train], table.y[split.train]
         if model_name == "tree":
             return fit_tree(X, y)
         if model_name == "forest":
             return fit_forest(X, y, n_trees=_ensemble_size(args, "forest"), seed=seed)
         return fit_gbm(X, y, n_trees=_ensemble_size(args, "gbm"))
-    X, y = _cloud_arrays(ws, manifest, split.train, args.points)
+    X, y = _cloud_arrays(ws, table, split.train, args.points)
     # no validation pairs: the training set doubles as the validation set
     Xv = yv = None
-    if split.val:
-        Xv, yv = _cloud_arrays(ws, manifest, split.val, args.points)
+    if len(split.val):
+        Xv, yv = _cloud_arrays(ws, table, split.val, args.points)
     config = PointNetConfig(max_epochs=args.epochs, seed=seed)
     return fit_pointnet_mini(X, y, Xv, yv, config=config)
 
@@ -564,10 +585,9 @@ def _fit_model(model_name, args, ws, manifest, split, seed):
 def _cmd_train(args) -> int:
     ws = _workspace(args)
     seed = _require_seed(args)
-    manifest, _ = _load_manifest(ws, with_labels=True)
-    split = _load_split(ws, args.split)
+    table, split = _load_split(ws, args.split)
     out_path = _claim(ws / "models" / f"{split.name}-{args.model}.wnsm", args.force)
-    model = _fit_model(args.model, args, ws, manifest, split, seed)
+    model = _fit_model(args.model, args, ws, table, split, seed)
     save_model(out_path, model)
     config = {
         "model": args.model,
@@ -581,22 +601,21 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _eval_model(ws, manifest, model, pairs):
+def _eval_model(ws, table, model, rows):
     if isinstance(model, PointNetMini):
         # the network reads as many points per cloud as it was trained on
         if "points" not in model.history:
             raise MalformedModel("the network records no point count per cloud; "
                                  "rerun `pkwbench train --force` to refit it")
-        X, y = _cloud_arrays(ws, manifest, pairs, model.history["points"])
+        X, y = _cloud_arrays(ws, table, rows, model.history["points"])
     else:
-        X, y = _tabular_arrays(manifest, pairs)
+        X, y = table.X[rows], table.y[rows]
     return compute_metrics(y, model.predict(X))
 
 
 def _cmd_eval(args) -> int:
     ws = _workspace(args)
-    manifest, _ = _load_manifest(ws, with_labels=True)
-    split = _load_split(ws, args.split)
+    table, split = _load_split(ws, args.split)
     out_path = _claim(
         ws / "reports" / f"eval-{split.name}-{args.model}-{args.partition}.csv",
         args.force,
@@ -605,12 +624,12 @@ def _cmd_eval(args) -> int:
     if not model_path.exists():
         raise MissingArtifact(f"no model at {model_path}; run train first")
     model = load_model(model_path)
-    pairs = getattr(split, args.partition)
-    if not pairs:
+    rows = getattr(split, args.partition)
+    if not len(rows):
         raise MissingArtifact(
             f"split {split.name} has no {args.partition} pairs to evaluate"
         )
-    report = _eval_model(ws, manifest, model, pairs)
+    report = _eval_model(ws, table, model, rows)
     row = _metric_row(
         split, args.model, args.partition, len(split.train), report, args.paper_scale
     )
@@ -628,19 +647,27 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _bench_splits(manifest, seed):
-    """The benchmark matrix: ID, three geometry bins, three discharge bins,
-    and the nested fraction ladder (1 + 3 + 3 + 6 rows per model).
+def _bench_splits(ws: Path, seed: int, force: bool):
+    """Write the benchmark matrix's split files: ID, three geometry bins,
+    three discharge bins, and the nested fraction ladder (1 + 3 + 3 + 6 rows
+    per model).  Return the pair table and each split as rows of it.
 
-    ``id-f100`` keeps every training pair of ``id`` and the same validation
-    and test pairs, so ``bench`` reuses the ``id`` fit's report for it.
+    A split file holds Q to 9 significant digits of l/s, which gives back the
+    float parsed from ``labels.csv``, so the rows are those ``train`` reads
+    from the file.  ``id-f100`` keeps every pair of ``id`` in the same
+    partition, so its rows equal ``id``'s and ``bench`` scores one fit for both.
     """
+    manifest, _ = _load_manifest(ws, with_labels=True)
+    table, index = _pair_table(manifest)
     splits = [split_id(manifest, seed=seed)]
     splits += [split_ood_geom(manifest, b, seed=seed) for b in OOD_GEOM_BINS]
     splits += [split_ood_head(manifest, b, seed=seed) for b in OOD_HEAD_BINS]
-    base = splits[0]
-    splits += [subset_fraction(base, f, seed=seed) for f in DATA_FRACTIONS]
-    return splits
+    splits += [subset_fraction(splits[0], f, seed=seed) for f in DATA_FRACTIONS]
+    indexed = []
+    for split in splits:
+        write_split_csv(_claim(ws / "splits" / f"{split.name}.csv", force), split)
+        indexed.append(index(split))
+    return table, indexed
 
 
 # every bench option that changes its output; --jobs does not
@@ -666,27 +693,19 @@ def _cmd_bench(args) -> int:
         if status != 0:
             return status
 
-    # round-trip through the written artifacts so bench rows match what the
-    # individual commands would produce from the same workspace
-    manifest, _ = _load_manifest(ws, with_labels=True)
-    splits = _bench_splits(manifest, seed)
-    for split in splits:
-        write_split_csv(
-            _claim(ws / "splits" / f"{split.name}.csv", args.force), split
-        )
-    splits = [_load_split(ws, s.name) for s in splits]
-
+    table, splits = _bench_splits(ws, seed, args.force)
     rows = []
     for model_name in models:
-        # a fit depends only on the pairs, so equal pairs share one report;
-        # reports, not models, are kept, which holds peak memory down
+        # a fit depends only on its split's rows, so equal rows share one
+        # report; each model is dropped once scored, so one is held at a time
         reports = {}
         for split in splits:
-            pairs = (split.train, split.val, split.test)
-            if pairs not in reports:
-                model = _fit_model(model_name, args, ws, manifest, split, seed)
-                reports[pairs] = _eval_model(ws, manifest, model, split.test)
-            report = reports[pairs]
+            key = (split.train.tobytes(), split.val.tobytes(), split.test.tobytes())
+            if key not in reports:
+                model = _fit_model(model_name, args, ws, table, split, seed)
+                reports[key] = _eval_model(ws, table, model, split.test)
+                del model
+            report = reports[key]
             rows.append(_metric_row(
                 split, model_name, "test", len(split.train), report,
                 args.paper_scale,

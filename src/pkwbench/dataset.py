@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .atomic import _atomic_write
-from .errors import EmptyBin, ParseError, TooFewGeometries, ZeroVariance
+from .errors import EmptyBin, ParseError, TooFewGeometries
 from .geometry import (  # feature_vector is imported from here too
     PkwDerived,
     PkwFixed,
@@ -76,22 +76,16 @@ class DatasetManifest:
     labels: list[LabeledSample]
     provenance: dict = field(default_factory=dict)
 
-    # each labeled geometry's c_D by discharge, built once per manifest;
-    # nested, it takes no key tuples: about a third of a flat dict's bytes
-    c_D: dict[str, dict[float, float]] = field(init=False, repr=False, compare=False)
-
     def __post_init__(self):
-        c_D: dict[str, dict[float, float]] = {}
+        seen = set()
         for lab in self.labels:
             if lab.geometry_id not in self.geometries:
                 raise ValueError(
                     f"label references unknown geometry {lab.geometry_id!r}")
-            by_q = c_D.setdefault(lab.geometry_id, {})
-            if lab.Q in by_q:
+            if (lab.geometry_id, lab.Q) in seen:
                 raise ValueError(
                     f"duplicate label for {lab.geometry_id!r} at Q={lab.Q}")
-            by_q[lab.Q] = lab.c_D
-        object.__setattr__(self, "c_D", c_D)
+            seen.add((lab.geometry_id, lab.Q))
 
     def pairs(self) -> list[tuple[str, float]]:
         return [(lab.geometry_id, lab.Q) for lab in self.labels]
@@ -430,8 +424,8 @@ def _split_pair_from_row(row):
     return part, (row["geometry_id"], float(row["Q_lps"]) / 1000.0)
 
 
-def read_split_csv(path, name: str | None = None) -> SplitAssignment:
-    stem = name if name is not None else os.path.splitext(os.path.basename(path))[0]
+def read_split_csv(path) -> SplitAssignment:
+    stem = os.path.splitext(os.path.basename(path))[0]
     try:
         policy = policy_from_name(stem)
     except KeyError:

@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -35,15 +36,21 @@ from pkwbench.cli import (
     main,
 )
 from pkwbench.dataset import (
+    DATA_FRACTIONS,
+    OOD_GEOM_BINS,
+    OOD_HEAD_BINS,
     DatasetManifest,
     GeometryRecord,
     read_labels_csv,
+    read_manifest,
     read_split_csv,
+    split_id,
+    split_ood_head,
     synthesize_labels,
     write_labels_csv,
     write_manifest,
 )
-from pkwbench.geometry import PkwFixed, PkwSample, derive
+from pkwbench.geometry import PkwFixed, PkwSample, derive, feature_vector
 from pkwbench.hydraulics import OracleConfig, paper_schedule, total_head
 from pkwbench.pointcloud import read_cloud
 from pkwbench.surrogates import attach_discharge, compute_metrics, load_model, save_model
@@ -691,6 +698,27 @@ def test_unknown_bin_lists_the_choices(pipeline, capsys):
 # training and evaluation
 
 
+def test_pair_table_matches_per_pair_lookup(pipeline):
+    # the labels come in an order that is not sorted(pairs)
+    labels = read_labels_csv(pipeline / "labels" / "labels.csv")
+    labels = [labels[k] for k in np.random.default_rng(3).permutation(len(labels))]
+    assert labels != sorted(labels, key=lambda lab: (lab.geometry_id, lab.Q))
+    manifest, _ = read_manifest(pipeline / "params" / MANIFEST_NAME, labels=labels)
+    table, index = cli._pair_table(manifest)
+    pairs = sorted(manifest.pairs())
+    assert list(zip(table.gid.tolist(), table.Q.tolist())) == pairs
+    label = {(lab.geometry_id, lab.Q): lab.c_D for lab in labels}
+    for split in (split_id(manifest, seed=2), split_ood_head(manifest, "q_le90", seed=2)):
+        rows = index(split)
+        assert (rows.name, rows.policy) == (split.name, split.policy)
+        for part in ("train", "val", "test"):
+            r, want = getattr(rows, part), sorted(getattr(split, part))
+            assert [pairs[k] for k in r] == want
+            X = [feature_vector(manifest.geometries[g].derived, q) for g, q in want]
+            assert np.array_equal(table.X[r], np.asarray(X))
+            assert np.array_equal(table.y[r], np.asarray([label[p] for p in want]))
+
+
 @pytest.mark.parametrize("name", ["mine", "idle"])
 def test_train_on_a_split_of_unknown_name_is_one_error_record(pipeline, tmp_path, capsys,
                                                               name):
@@ -779,16 +807,21 @@ def test_stale_labels_point_at_label_force(pipeline, tmp_path, capsys, command):
 def test_training_on_an_unlabeled_pair_fails_cleanly(pipeline, tmp_path, capsys, model):
     ws = tmp_path / "ws"
     shutil.copytree(pipeline, ws, ignore=shutil.ignore_patterns("models", "reports"))
-    gid, q = min(read_split_csv(ws / "splits" / "id.csv").train)
+    fit = ["--model", model, "--split", "id", "--seed", 5, "--points", 64, "--epochs", 1]
+    assert run(["train", "--workspace", ws, *fit]) == 0
+    split = read_split_csv(ws / "splits" / "id.csv")
     labels = read_labels_csv(ws / "labels" / "labels.csv")
-    write_labels_csv(ws / "labels" / "labels.csv",
-                     [lab for lab in labels if (lab.geometry_id, lab.Q) != (gid, q)])
-    argv = ["train", "--workspace", ws, "--model", model, "--split", "id",
-            "--seed", 5, "--points", 64, "--epochs", 1]
-    assert run(argv) == 1
-    record = stderr_record(capsys)
-    assert record["error"] == "MissingArtifact"
-    assert f"unlabeled pair ({gid}," in record["message"]
+    # train, then eval, each with one pair of the partition it reads unlabeled
+    for argv, part in ((["train", *fit, "--force"], split.train),
+                       (["eval", "--model", model, "--split", "id"], split.test)):
+        gid, q = min(part)
+        write_labels_csv(ws / "labels" / "labels.csv",
+                         [lab for lab in labels if (lab.geometry_id, lab.Q) != (gid, q)])
+        capsys.readouterr()
+        assert run([argv[0], "--workspace", ws, *argv[1:]]) == 1
+        record = stderr_record(capsys)
+        assert record["error"] == "MissingArtifact"
+        assert f"unlabeled pair ({gid}," in record["message"]
 
 
 def test_eval_without_trained_model_fails(pipeline, capsys):
@@ -979,6 +1012,50 @@ def test_bench_fits_each_distinct_training_set_once(tmp_path, monkeypatch):
     for column in ("model", "partition", "n_train", "n_eval", "mse", "r2",
                    "mae", "max_ae"):
         assert ladder_top[column] == full[column]
+
+
+def test_bench_holds_one_model_at_a_time(tmp_path, monkeypatch):
+    fit = cli._fit_model
+    models = []
+
+    def tracking_fit(*args):
+        # the model bench fitted before this one is already freed
+        assert all(ref() is None for ref in models)
+        model = fit(*args)
+        models.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(cli, "_fit_model", tracking_fit)
+    argv = ["bench", "--workspace", tmp_path, "--n", 40, "--seed", 3,
+            "--model", "tree", "--model", "gbm", "--trees", 5]
+    assert run(argv) == 0
+    assert len(models) == 24
+
+
+def test_bench_split_files_match_the_split_command(tmp_path):
+    bench, chain = tmp_path / "bench", tmp_path / "chain"
+    assert run(["bench", "--workspace", bench, "--n", 40, "--seed", 3,
+                "--model", "tree"]) == 0
+    for sub in ("params", "labels"):
+        shutil.copytree(bench / sub, chain / sub)
+    policies = ["id", *(f"ood-geom:{b}" for b in OOD_GEOM_BINS),
+                *(f"ood-head:{b}" for b in OOD_HEAD_BINS),
+                *(f"fraction:{f}" for f in DATA_FRACTIONS)]
+    for policy in policies:
+        assert run(["split", "--workspace", chain, "--policy", policy, "--seed", 3]) == 0
+    written = {p.name: p.read_bytes() for p in (bench / "splits").glob("*.csv")}
+    assert len(written) == 13
+    assert written == {p.name: p.read_bytes() for p in (chain / "splits").glob("*.csv")}
+
+    # bench scores each fit as train and eval on its split file would
+    rows = {r["split"]: r for r in read_rows(bench / "reports" / "bench.csv")}
+    for name in ("id", "ood-head-q_ge170", "id-f40"):
+        assert run(["train", "--workspace", bench, "--model", "tree", "--split", name,
+                    "--seed", 3]) == 0
+        assert run(["eval", "--workspace", bench, "--model", "tree", "--split", name]) == 0
+        eval_row = read_rows(bench / "reports" / f"eval-{name}-tree-test.csv")[0]
+        for column in _REPORT_COLUMNS:
+            assert eval_row[column] == rows[name][column], (name, column)
 
 
 def test_bench_pointnet_runs_with_an_empty_validation_partition(tmp_path):
