@@ -51,7 +51,7 @@ from .dataset import (
     write_split_csv,
 )
 from .errors import ArtifactExists, MalformedModel, MissingArtifact, PkwError
-from .geometry import derive, feature_vector, write_params
+from .geometry import FEATURE_NAMES, derive, feature_vector, write_params
 from .hydraulics import OracleConfig, ingest_labels, paper_schedule
 from .mesh import analytic_volume, build_regions, crest_trace_length, tessellate
 from .pointcloud import normalize_unit_cube, read_cloud, sample_surface, write_cloud
@@ -64,6 +64,7 @@ from .surrogates import (
     compute_metrics,
     fit_forest,
     fit_gbm,
+    fit_gbm_sets,
     fit_pointnet_mini,
     fit_tree,
     load_model,
@@ -193,13 +194,16 @@ def _pair_table(manifest: DatasetManifest):
     split into its ``_SplitRows``.  Only that function holds the pair -> row
     map, so dropping it frees the map."""
     labels = sorted(manifest.labels, key=lambda lab: (lab.geometry_id, lab.Q))
-    table = _PairTable(
-        gid=np.array([lab.geometry_id for lab in labels]),
-        Q=np.array([lab.Q for lab in labels]),
-        X=np.array([feature_vector(manifest.geometries[lab.geometry_id].derived, lab.Q)
-                    for lab in labels]),
-        y=np.array([lab.c_D for lab in labels]),
-    )
+    gid = np.array([lab.geometry_id for lab in labels])
+    Q = np.array([lab.Q for lab in labels])
+    # feature_vector is [Q, *descriptors]: each geometry's row is built once
+    # and every pair of it takes that row with its own Q
+    names, geometry = np.unique(gid, return_inverse=True)
+    descriptors = np.array([feature_vector(manifest.geometries[name].derived, 0.0)
+                            for name in names.tolist()])
+    X = descriptors.reshape(names.size, len(FEATURE_NAMES))[geometry]
+    X[:, 0] = Q
+    table = _PairTable(gid=gid, Q=Q, X=X, y=np.array([lab.c_D for lab in labels]))
     row_of = {(lab.geometry_id, lab.Q): k for k, lab in enumerate(labels)}
 
     def rows(pairs) -> np.ndarray:
@@ -582,6 +586,18 @@ def _fit_model(model_name, args, ws, table, split, seed):
     return fit_pointnet_mini(X, y, Xv, yv, config=config)
 
 
+def _bench_models(model_name, args, ws, table, splits, seed):
+    """Each split's model, fitted on its training rows, in split order, one
+    at a time as they are asked for.  Boosting fits the splits in lockstep
+    groups (``fit_gbm_sets``), each model the one ``train`` fits."""
+    if model_name == "gbm":
+        yield from fit_gbm_sets(table.X, table.y, [split.train for split in splits],
+                                n_trees=_ensemble_size(args, "gbm"))
+        return
+    for split in splits:
+        yield _fit_model(model_name, args, ws, table, split, seed)
+
+
 def _cmd_train(args) -> int:
     ws = _workspace(args)
     seed = _require_seed(args)
@@ -694,22 +710,21 @@ def _cmd_bench(args) -> int:
             return status
 
     table, splits = _bench_splits(ws, seed, args.force)
+    # a fit depends only on its split's rows, so equal rows share one fit,
+    # made for the first split that holds them
+    keys = [(s.train.tobytes(), s.val.tobytes(), s.test.tobytes()) for s in splits]
+    distinct = {}
+    for key, split in zip(keys, splits):
+        distinct.setdefault(key, split)
     rows = []
     for model_name in models:
-        # a fit depends only on its split's rows, so equal rows share one
-        # report; each model is dropped once scored, so one is held at a time
-        reports = {}
-        for split in splits:
-            key = (split.train.tobytes(), split.val.tobytes(), split.test.tobytes())
-            if key not in reports:
-                model = _fit_model(model_name, args, ws, table, split, seed)
-                reports[key] = _eval_model(ws, table, model, split.test)
-                del model
-            report = reports[key]
-            rows.append(_metric_row(
-                split, model_name, "test", len(split.train), report,
-                args.paper_scale,
-            ))
+        fits = _bench_models(model_name, args, ws, table, list(distinct.values()), seed)
+        # each model is scored and dropped before the next one is handed over
+        reports = {key: _eval_model(ws, table, next(fits), split.test)
+                   for key, split in distinct.items()}
+        rows += [_metric_row(split, model_name, "test", len(split.train), reports[key],
+                             args.paper_scale)
+                 for key, split in zip(keys, splits)]
     _write_report(report_path, rows, args.paper_scale)
     config = {name: getattr(args, name) for name in _BENCH_OPTIONS}
     _write_meta(report_path, "bench", seed, {**config, "models": models})

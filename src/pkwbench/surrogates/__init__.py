@@ -22,7 +22,7 @@ from .pointnet import (
     normalize_discharge,
 )
 from .serialize import load_model, save_model
-from .trees import TreeEnsemble, TreeParams, fit_forest, fit_gbm, fit_tree
+from .trees import TreeEnsemble, TreeParams, fit_forest, fit_gbm, fit_gbm_sets, fit_tree
 
 __all__ = [
     "MetricReport",
@@ -35,6 +35,7 @@ __all__ = [
     "fit_tree",
     "fit_forest",
     "fit_gbm",
+    "fit_gbm_sets",
     "PointNetConfig",
     "PointNetMini",
     "attach_discharge",

@@ -133,7 +133,8 @@ def save_model(path, model):
         fh.write(_PREFIX.pack(_MAGIC, _VERSION, kind, len(header_bytes)))
         fh.write(header_bytes)
         for blob in blobs:
-            fh.write(blob.tobytes())
+            # the array's own buffer: tobytes() would copy it first
+            fh.write(memoryview(blob))
 
 
 def load_model(path):

@@ -34,6 +34,7 @@ __all__ = [
     "fit_tree",
     "fit_forest",
     "fit_gbm",
+    "fit_gbm_sets",
 ]
 
 _LEAF = -1
@@ -174,23 +175,28 @@ class TreeEnsemble:
 RegressionTree = ForestModel = BoostedModel = TreeEnsemble
 
 
-def _pack(members, n_features, info, *, base=-0.0, rate=1.0, average=False):
-    """One :class:`TreeEnsemble` from the level-ordered ``(feature, value)``
-    arrays of its members, as :func:`_grow` returns them.
+def _pack(chunks, n_features, info, *, base=-0.0, rate=1.0, average=False):
+    """One :class:`TreeEnsemble` from chunks of its members in member
+    order, each ``(feature, value, n_nodes)`` as :func:`_grow` returns
+    them: the level-ordered node arrays of consecutive members laid end to
+    end, and each member's node count.
 
-    ``members`` is emptied.  The arrays are packed one kind at a time and
-    each member's array is dropped once copied, so packing holds the
-    members and one packed kind, not the members and the whole model.
+    ``chunks`` is emptied.  The arrays are packed one kind at a time and
+    each chunk's array is dropped once copied, so packing holds the chunks
+    and one packed kind, not the chunks and the whole model.
     """
-    offsets = np.zeros(len(members) + 1, dtype=np.int64)
-    np.cumsum([arrays[0].size for arrays in members], out=offsets[1:])
-    kinds = [list(parts) for parts in zip(*members)]
-    members.clear()
+    n_nodes = np.concatenate([chunk[2] for chunk in chunks])
+    offsets = np.zeros(n_nodes.size + 1, dtype=np.int64)
+    np.cumsum(n_nodes, out=offsets[1:])
+    kinds = [list(parts) for parts in zip(*chunks)][:2]
+    chunks.clear()
     packed = []
     for parts in kinds:
         out = np.empty(offsets[-1], dtype=parts[0].dtype)
-        for k, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-            out[lo:hi] = parts[k]
+        at = 0
+        for k, part in enumerate(parts):
+            out[at : at + part.size] = part
+            at += part.size
             parts[k] = None
         packed.append(out)
     return TreeEnsemble(
@@ -226,8 +232,6 @@ def _check_training_pair(X, y):
     return X, y
 
 
-
-
 # The sorted scan's element budget: narrow nodes' (node, feature) rows are
 # batched into blocks of at most this many elements, so each temporary
 # stays under 64 KiB of float64 and the allocator keeps reusing the same
@@ -239,8 +243,8 @@ _BLOCK = 8000
 
 # The histogram bins scored at a time.  A histogram is kept at its
 # feature's bins, but is scored in a block of rows padded to the widest,
-# and scoring takes about 70 bytes of temporaries a padded bin, so this
-# bounds them to about 5 MB; on the benchmark's 3,040 x 9 matrix, at most
+# and scoring takes about 55 bytes of temporaries a padded bin, so this
+# bounds them to about 3.6 MB; on the benchmark's 3,040 x 9 matrix, at most
 # 159 bins a feature, every level is scored at once.  A paper-scale tree
 # (57,684 x 9, 19 to 2,986 bins a feature) peaked at 73 MB RSS scoring
 # whole levels, and at 62 MB with this bound.
@@ -257,8 +261,22 @@ _HIST_CELLS = 65_536
 # 26 us per 3,040 keys, against 231 us as int32.
 # Four trees of the benchmark's 3,040 rows took 0.69x the bench time for
 # 2.7% more peak memory (BENCH_16.json).  A bootstrap tree holds about
-# 1,920 of them, so a group now holds six.
+# 1,920 of them, so a group now holds six.  Boosting groups its fits by
+# _BOOST_ROWS instead.
 _GROUP_ROWS = 12_288
+
+# The rows a group of boosting fits grows in lockstep (fit_gbm_sets),
+# counted as _GROUP_ROWS counts a forest's, over each fit's rows.  Each
+# level of a group's stage scores every root's nodes over the union's
+# bins, so its scoring blocks fill toward _HIST_CELLS, which a lone
+# depth-3 tree on 3,040 rows never nears, and peak memory grows with the
+# budget.  On the benchmark's gbm-matrix (12 fits of 304 to 3,040 rows),
+# bench time and peak RSS against separate fits, one run each at seed 14,
+# were: 6,144 rows 0.83x and +1.7 MB; 7,168 rows 0.77x and +2.1 MB; 8,192
+# rows 0.81x and +2.7 MB.  12,288 rows (seed 11) took 0.67x and +6.3 MB,
+# past the benchmark's 10% bound on peak RSS.  Over ten pairs, 7,168 rows
+# read 0.74x and +1.9 MB (BENCH_27.json).
+_BOOST_ROWS = 7_168
 
 
 def _ranks(X):
@@ -324,15 +342,16 @@ def _with_squares(y, counts=None):
     return out
 
 
-def _grow(ranks, values, yr, params, max_features, feature_rngs=(None,), sizes=None,
-          counts=None, fitted=None):
-    """Grow one tree per generator, together, level by level, and return
-    each tree's node arrays in that order.
+def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None,
+          counts=None, fitted=None, root_bins=None):
+    """Grow one tree per root, together, level by level, and return their
+    node arrays.
 
     ``ranks`` and ``values`` are :func:`_ranks` of the rows, with ``values``
     taken over every row of the fit.  Tree ``t``'s root holds the ``t``-th
-    run of ``sizes[t]`` consecutive rows (every row without ``sizes``) and
-    draws its feature subsets from ``feature_rngs[t]``.
+    run of ``sizes[t]`` consecutive rows (one root of every row without
+    ``sizes``) and, with fewer than ``d`` candidate features, draws its
+    feature subsets from ``feature_rngs[t]``.
 
     ``counts``, when given, weights each row by the times it was drawn.
     The split search then sums ``w * y`` and ``w * y**2``, a child's size
@@ -347,8 +366,12 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=(None,), sizes=N
     scores every candidate feature of every node of every tree, and a
     stable sort on the child index regroups the rows for the next level.
     A node is *wide* when its rows times its candidate features outnumber
-    the bins of those features, the distinct values of the fit; it is
-    scored from histograms (:func:`_wide_histograms`, :func:`_wide_splits`),
+    the bins of those features: the distinct values of the fit or, with
+    ``root_bins``, of the node's root.  ``root_bins[t, j]`` counts the
+    distinct values of feature ``j`` on root ``t``'s rows, so roots that
+    stand for separate fits, ranked over their union, each route their
+    nodes as a fit on their own rows would.  A wide node is scored from
+    histograms (:func:`_wide_histograms`, :func:`_wide_splits`),
     and the last level's histograms are dropped before the scores are
     taken.  A *narrow* node is scanned over its rows sorted by each feature
     (:func:`_narrow_splits`).
@@ -363,26 +386,32 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=(None,), sizes=N
     tree that has splittable nodes at a depth draws one permutation per
     node from its own generator, for those nodes in level order, as it
     would alone; a tree with none draws nothing.  So a tree grown next to
-    others is, bit for bit, the tree grown alone.  With one root, nothing
-    is tracked per tree.
+    others is, bit for bit, the tree grown alone.  Values of other roots'
+    rows are bins that none of a root's rows fill: its histograms sum
+    exact zeros there, its thresholds are read from the values its rows
+    hold, and every score's first minimum stays first, so with
+    ``root_bins`` the tree is also the one grown on its rows' own
+    :func:`_ranks`.  With one root, nothing is tracked per tree.
 
-    A tree's node arrays, ``(feature, value)``, are its levels concatenated,
-    each split node's threshold in place of its mean: the level order
-    :class:`TreeEnsemble` stores a member in.  ``fitted``, when given,
-    receives each row's leaf mean when the row leaves the search, which
-    equals what its tree predicts for it, since ``x > threshold`` is the
-    negation of ``x <= threshold`` on finite features.
+    Returns ``(feature, value, n_nodes)``: the trees' node arrays laid end
+    to end in root order, and each tree's node count.  A tree's arrays are
+    its levels concatenated, each split node's threshold in place of its
+    mean: the level order :class:`TreeEnsemble` stores a member in.
+    ``fitted``, when given, receives each row's leaf mean when the row
+    leaves the search, which equals what its tree predicts for it, since
+    ``x > threshold`` is the negation of ``x <= threshold`` on finite
+    features.
     """
     d, n = ranks.shape
     bins = np.array([v.size for v in values])
     edges = np.concatenate(values)
     first_edge = np.cumsum(bins) - bins
     y_sq = _with_squares(yr, counts)
-    n_roots = len(feature_rngs)
+    sizes = np.array([n] if sizes is None else sizes)
+    n_roots = sizes.size
     several = n_roots > 1
     n_cand = min(max_features, d)
     full = n_cand == d
-    sizes = np.array([n] if sizes is None else sizes)
     every = np.broadcast_to(np.arange(d), (n, d))  # every feature, for any node
     tree = np.arange(n_roots)  # each node's tree, with several roots
     trees = []
@@ -435,13 +464,23 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=(None,), sizes=N
             cand = cand[:, :n_cand]
             cand.sort(axis=1)
         # a node is wide when its rows on its candidates outnumber their bins
-        wide = sizes[nodes] * n_cand > (bins.sum() if full else bins[cand].sum(axis=1))
+        if root_bins is not None:
+            n_bins = root_bins[tree[nodes][:, None], cand].sum(axis=1)
+        else:
+            n_bins = bins.sum() if full else bins[cand].sum(axis=1)
+        wide = sizes[nodes] * n_cand > n_bins
         narrow = nodes[~wide]
         fresh = narrow[~ranked[narrow]]
         if fresh.size:
-            if order is None:
-                order = np.empty((d, n), dtype=np.intp)
             fresh_rows = rows[_segments(starts[fresh], sizes[fresh])]
+            if order is None or order.shape[1] < held + fresh_rows.size:
+                # only as wide as the sorted rows held: in a group of fits,
+                # the few narrow nodes of its small fits hold far fewer
+                # rows than the group
+                grown = np.empty((d, held + fresh_rows.size), dtype=np.intp)
+                if held:
+                    grown[:, :held] = order[:, :held]
+                order = grown
             _sort_rows(ranks, bins, fresh_rows, sizes[fresh],
                        order[:, held : held + fresh_rows.size])
             begin[fresh] = held + np.cumsum(sizes[fresh]) - sizes[fresh]
@@ -536,14 +575,13 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=(None,), sizes=N
         held = kept
         ranked = np.repeat(keep, 2)
         begin = np.cumsum(sizes * ranked) - sizes * ranked
-    arrays = tuple(map(np.concatenate, zip(*levels)))
+    feature, value = map(np.concatenate, zip(*levels))
     if not several:
-        return [arrays]
+        return feature, value, np.array([feature.size])
     # each tree's nodes, still in level order
     tree = np.concatenate(trees)
     by_tree = np.argsort(tree, kind="stable")
-    cuts = np.cumsum(np.bincount(tree, minlength=n_roots))[:-1]
-    return list(zip(*(np.split(a[by_tree], cuts) for a in arrays)))
+    return feature[by_tree], value[by_tree], np.bincount(tree, minlength=n_roots)
 
 
 def _segment_sums(values, starts, sizes):
@@ -595,22 +633,26 @@ class _Bounds(NamedTuple):
     n_right: np.ndarray
 
 
-def _scores(left, right, n_left, n_right):
-    """The summed squared error of the two children of a split, from each
-    child's sums of the targets, in the real part, and of their squares,
-    in the imaginary part, and its size.
+def _scores(left, total, n_left, n_right):
+    """The summed squared error of the two children of a split, from the
+    left child's sums of the targets, in the real part, and of their
+    squares, in the imaginary part, the node's sums ``total``, and each
+    child's size.
 
     The sums come from one complex ``cumsum`` along a row of sorted targets
     or of histogram bins, each part added in the same order as a float
     ``cumsum`` of it, and are scored with the operands and operations of a
     float pass, so ties, the first-minimum rule and inf or NaN scores are
-    the same, bit for bit, as with two float prefix sums.
+    the same, bit for bit, as with two float prefix sums.  Once its own
+    part is scored, ``left`` is overwritten with the right child's sums,
+    ``total - left``, so the right child takes no array of its own.
     """
     # (sq_left - sum_left * sum_left / n_left)
     #     + (sq_right - sum_right * sum_right / n_right), in place
     scored = np.multiply(left.real, left.real)
     scored /= n_left
     np.subtract(left.imag, scored, out=scored)
+    right = np.subtract(total, left, out=left)
     # the last sum adds two contiguous arrays, as a float pass does: numpy's
     # vector and scalar loops may return different NaNs of two NaN addends
     right_sum = np.multiply(right.real, right.real)
@@ -626,8 +668,8 @@ def _scan_scores(y_sq, pos, bounds):
     complex ``cumsum``."""
     sums = y_sq.take(pos)
     np.cumsum(sums, axis=1, out=sums)
-    left = sums.take(bounds.left)
-    return _scores(left, sums.take(bounds.last) - left, bounds.n_left, bounds.n_right)
+    return _scores(sums.take(bounds.left), sums.take(bounds.last), bounds.n_left,
+                   bounds.n_right)
 
 
 def _narrow_splits(ranks, y_sq, counts, order, begin, sizes, cand, min_leaf):
@@ -785,13 +827,16 @@ def _histograms(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand):
         drawn[:] = counts[pos]
     count = np.bincount(key, None if drawn is None else drawn.ravel(), total)
     del drawn
-    values = np.empty((n_cand, pos.size), dtype=np.complex128)
-    values[:] = y_sq[pos]
-    # complex addition adds the parts apart, each bin in key order: one
-    # add.at over 27,360 keys takes about 105 us, against 150 us for a
-    # float bincount of each part
+    # complex addition adds the parts apart, each bin in key order.  A
+    # candidate's keys fill its own bins, so one add.at per candidate adds
+    # every bin in that order, and a 1-D add.at of the rows' values takes
+    # numpy's fast path: 61 us for 9 x 3,040 keys, against 91 us for one
+    # add.at of every key and its broadcast copy of the values, which took
+    # 16 bytes a key
     sums = np.zeros(total, dtype=np.complex128)
-    np.add.at(sums, key, values.ravel())
+    values = y_sq[pos]
+    for keys in key.reshape(n_cand, -1):
+        np.add.at(sums, keys, values)
     return count, sums
 
 
@@ -848,7 +893,9 @@ def _hist_splits(count, sums, min_leaf):
     if min_leaf > 1:
         edge &= (running >= min_leaf) & (n_right >= min_leaf)
     sums = np.cumsum(sums, axis=1, out=sums)
-    scored = _scores(sums, sums[:, -1:] - sums, running, n_right)
+    # a copy of the totals: a view into sums would make the in-place right
+    # sums copy every row
+    scored = _scores(sums, sums[:, -1:].copy(), running, n_right)
     scored[~edge] = math.inf
     at = scored.argmin(axis=1)
     k = np.arange(count.shape[0])
@@ -862,13 +909,14 @@ def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:
     X, y = _check_training_pair(X, y)
     params = params or TreeParams()
     values, ranks = _ranks(X)
-    members = _grow(ranks, values, y, params, X.shape[1])
-    return _pack(members, X.shape[1], {"params": params})
+    return _pack([_grow(ranks, values, y, params, X.shape[1])], X.shape[1],
+                 {"params": params})
 
 
 def _grow_bagged(values, ranks, y, group, params, max_features):
     """Grow one forest tree per ``(generator, rows, counts)`` entry of
-    ``group``, together, each on its own rows.
+    ``group``, together, each on its own rows, as one chunk of
+    :func:`_pack`.
 
     A tree's ``rows`` are its distinct row ids in ascending order and
     ``counts`` the times each was drawn, or ``None`` for a tree on every
@@ -948,7 +996,7 @@ def fit_forest(
         rows = np.flatnonzero(counts)
         return rng, rows, counts[rows].astype(float)
 
-    members = []
+    chunks = []
     group = []
     used = 0
     for k in range(n_trees):
@@ -956,15 +1004,15 @@ def fit_forest(
         size = tree[1].size
         if group and used + size > _GROUP_ROWS:
             del tree
-            members += _grow_bagged(values, ranks, y, group, params, max_features)
+            chunks.append(_grow_bagged(values, ranks, y, group, params, max_features))
             group, used = [], 0
             tree = draw(k)
         group.append(tree)
         used += size
-    members += _grow_bagged(values, ranks, y, group, params, max_features)
+    chunks.append(_grow_bagged(values, ranks, y, group, params, max_features))
     info = {"params": params, "seed": seed, "bootstrap": bootstrap,
             "max_features": max_features}
-    return _pack(members, d, info, average=True)
+    return _pack(chunks, d, info, average=True)
 
 
 def fit_gbm(
@@ -991,29 +1039,124 @@ def fit_gbm(
     rows while partitioning them, which are the tree's predictions for
     those rows, so no stage walks its tree again.  The result is the same,
     bit for bit, as fitting each stage with :func:`fit_tree` and adding its
-    ``predict(X)``.
+    ``predict(X)``.  This is the one-fit case of the stage loop that
+    :func:`fit_gbm_sets` runs over a group of fits.
     """
     X, y = _check_training_pair(X, y)
+    params = _boosting_params(n_trees, max_depth, learning_rate, min_samples_leaf)
+    values, ranks = _ranks(X)
+    (model,) = _boost(values, ranks, y, [X.shape[0]], n_trees, params, learning_rate)
+    return model
+
+
+def fit_gbm_sets(
+    X,
+    y,
+    row_sets,
+    n_trees: int = 300,
+    max_depth: int | None = 3,
+    learning_rate: float = 0.05,
+    min_samples_leaf: int = 1,
+):
+    """Yield ``fit_gbm(X[rows], y[rows], ...)`` for each ``rows`` of
+    ``row_sets``, in order, bit for bit.
+
+    Consecutive sets are boosted together in groups: a set joins a group
+    while the group's rows add up to at most ``_BOOST_ROWS``, and a group
+    holds at least one set, so a larger set grows alone.  A group's rows
+    are ranked once, over their union, and each stage grows every set's
+    tree in one :func:`_grow` call, one root per set, so the sets share
+    every level's passes.  The grower's wide rule reads each root's own
+    distinct values, so every node is scored as it would be in its set's
+    own fit (see :func:`_grow`).
+
+    A group holds its stages as one ``(feature, value)`` pair per stage and
+    packs a set's model only when it is asked for, so a caller that drops
+    each model before taking the next holds one at a time.
+    ``X`` and ``y`` are checked as :func:`fit_gbm` checks them, every row
+    at once.  Sets may share rows; each must hold at least one.
+    """
+    X, y = _check_training_pair(X, y)
+    params = _boosting_params(n_trees, max_depth, learning_rate, min_samples_leaf)
+    groups = []
+    used = _BOOST_ROWS
+    for rows in row_sets:
+        if not len(rows):
+            raise EmptyData("cannot fit on an empty row set")
+        if used + len(rows) > _BOOST_ROWS:
+            groups.append([])
+            used = 0
+        groups[-1].append(rows)
+        used += len(rows)
+    for group in groups:
+        rows = np.concatenate(group)
+        values, ranks = _ranks(X[rows])
+        yield from _boost(values, ranks, y[rows], [len(r) for r in group], n_trees,
+                          params, learning_rate)
+
+
+def _boosting_params(n_trees, max_depth, learning_rate, min_samples_leaf):
     if n_trees < 1:
         raise ValueError("boosting needs at least one stage")
     if not 0.0 < learning_rate <= 1.0:
         raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate}")
-    params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
-    n, d = X.shape
-    values, ranks = _ranks(X)
+    return TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+
+
+def _boost(values, ranks, y, sizes, n_trees, params, learning_rate):
+    """Boost one model per run of ``sizes[m]`` consecutive rows, together,
+    and yield each run's model in run order.
+
+    ``values`` and ``ranks`` are :func:`_ranks` of every run's rows.  Each
+    stage grows every run's tree in one :func:`_grow` call, a root per run,
+    whose wide rule reads each root's own distinct values when there are
+    several.  Each run keeps its own base, current predictions and
+    training MSE, taken on its own slice of the rows.  Each stage is kept
+    as one ``(feature, value)`` pair for every run, not one per run, the
+    pairs are joined once the stages end, and a run's model is packed only
+    when it is taken.
+    """
+    d, n = ranks.shape
+    sizes = np.asarray(sizes)
+    runs = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+    root_bins = _root_bins(values, ranks, sizes) if len(runs) > 1 else None
+    bases = [float(np.mean(y[run])) for run in runs]
+    current = np.repeat(bases, sizes)
+    paths = [[float(np.mean((y[run] - current[run]) ** 2))] for run in runs]
     fitted = np.empty(n)
-    base = float(np.mean(y))
-    current = np.full(y.shape, base)
-    path = [float(np.mean((y - current) ** 2))]
     stages = []
     for _ in range(n_trees):
         residual = y - current
         # an overflowing mean or leaf value makes the residuals infinite
         if not np.isfinite(residual).all():
             raise ValueError("targets must be finite")
-        stages += _grow(ranks, values, residual, params, d, fitted=fitted)
+        stages.append(_grow(ranks, values, residual, params, d, sizes=sizes, fitted=fitted,
+                            root_bins=root_bins))
         current = current + learning_rate * fitted
-        path.append(float(np.mean((y - current) ** 2)))
-    info = {"params": params, "learning_rate": learning_rate,
-            "train_mse_path": tuple(path)}
-    return _pack(stages, d, info, base=base, rate=learning_rate)
+        for run, path in zip(runs, paths):
+            path.append(float(np.mean((y[run] - current[run]) ** 2)))
+    del residual, current, fitted
+    # each stage's node count for each run, and where those nodes start
+    n_nodes = np.array([stage[2] for stage in stages])
+    feature, value = (np.concatenate(kind) for kind in list(zip(*stages))[:2])
+    del stages
+    first = (np.cumsum(n_nodes) - n_nodes.ravel()).reshape(n_nodes.shape)
+    for m, (base, path) in enumerate(zip(bases, paths)):
+        at = _segments(first[:, m], n_nodes[:, m])
+        info = {"params": params, "learning_rate": learning_rate,
+                "train_mse_path": tuple(path)}
+        yield _pack([(feature[at], value[at], n_nodes[:, m])], d, info, base=base,
+                    rate=learning_rate)
+
+
+def _root_bins(values, ranks, sizes):
+    """The ``root_bins`` of :func:`_grow` for roots of ``sizes[t]``
+    consecutive rows: the distinct values of each feature on each root's
+    rows, an ``(n_roots, d)`` array."""
+    root = np.repeat(np.arange(sizes.size), sizes)
+    out = np.empty((sizes.size, len(values)), dtype=np.intp)
+    for j, feature_values in enumerate(values):
+        seen = np.zeros((sizes.size, feature_values.size), dtype=bool)
+        seen[root, ranks[j]] = True
+        out[:, j] = seen.sum(axis=1)
+    return out

@@ -1015,17 +1015,18 @@ def test_bench_fits_each_distinct_training_set_once(tmp_path, monkeypatch):
 
 
 def test_bench_holds_one_model_at_a_time(tmp_path, monkeypatch):
-    fit = cli._fit_model
+    bench_models = cli._bench_models
     models = []
 
-    def tracking_fit(*args):
-        # the model bench fitted before this one is already freed
-        assert all(ref() is None for ref in models)
-        model = fit(*args)
-        models.append(weakref.ref(model))
-        return model
+    def tracking_models(*args):
+        for model in bench_models(*args):
+            # the model bench was handed before this one is already freed
+            assert all(ref() is None for ref in models)
+            models.append(weakref.ref(model))
+            yield model
+            del model
 
-    monkeypatch.setattr(cli, "_fit_model", tracking_fit)
+    monkeypatch.setattr(cli, "_bench_models", tracking_models)
     argv = ["bench", "--workspace", tmp_path, "--n", 40, "--seed", 3,
             "--model", "tree", "--model", "gbm", "--trees", 5]
     assert run(argv) == 0
@@ -1054,6 +1055,22 @@ def test_bench_split_files_match_the_split_command(tmp_path):
                     "--seed", 3]) == 0
         assert run(["eval", "--workspace", bench, "--model", "tree", "--split", name]) == 0
         eval_row = read_rows(bench / "reports" / f"eval-{name}-tree-test.csv")[0]
+        for column in _REPORT_COLUMNS:
+            assert eval_row[column] == rows[name][column], (name, column)
+
+
+def test_bench_gbm_rows_match_train_and_eval(tmp_path):
+    # boosting fits its splits in lockstep groups; each row still scores
+    # the model train fits on that split's file
+    ws = tmp_path / "ws"
+    assert run(["bench", "--workspace", ws, "--n", 40, "--seed", 3, "--model", "gbm",
+                "--trees", 20]) == 0
+    rows = {r["split"]: r for r in read_rows(ws / "reports" / "bench.csv")}
+    for name in ("ood-geom-alpha_3_5", "ood-head-q_ge170", "id-f10"):
+        assert run(["train", "--workspace", ws, "--model", "gbm", "--split", name,
+                    "--trees", 20, "--seed", 3]) == 0
+        assert run(["eval", "--workspace", ws, "--model", "gbm", "--split", name]) == 0
+        eval_row = read_rows(ws / "reports" / f"eval-{name}-gbm-test.csv")[0]
         for column in _REPORT_COLUMNS:
             assert eval_row[column] == rows[name][column], (name, column)
 

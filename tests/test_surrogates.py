@@ -1,9 +1,11 @@
 """Tests for metrics, trees, forests, boosting, and model files."""
 
+import collections
 import hashlib
 import json
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -923,7 +925,8 @@ def test_forest_in_groups_of_three_matches_the_one_tree_loop_and_file(
     for got, member in zip(_forest_members(forest), want):
         _assert_same_nodes(got, member)
     # the same file as a forest packed from the one-tree loop's members
-    reference = trees._pack(want, X.shape[1], dict(forest.info), average=True)
+    reference = trees._pack([(f, v, [f.size]) for f, v in want], X.shape[1],
+                            dict(forest.info), average=True)
     save_model(tmp_path / "grouped.wnsm", forest)
     save_model(tmp_path / "reference.wnsm", reference)
     raw = (tmp_path / "grouped.wnsm").read_bytes()
@@ -983,7 +986,7 @@ def test_packing_holds_the_members_and_one_packed_kind():
 
     def pack():
         # members made while traced, so dropping them lowers the count
-        members = [tuple(a.copy() for a in arrays) for arrays in source]
+        members = [(f.copy(), v.copy(), [f.size]) for f, v in source]
         return trees._pack(members, X.shape[1], dict(forest.info), average=True)
 
     pack()  # warm-up
@@ -1114,6 +1117,147 @@ def test_gbm_targets_whose_squares_overflow_give_an_infinite_path():
         boosted = fit_gbm(X, y, n_trees=5, learning_rate=1.0)
     assert boosted.info["train_mse_path"] == (math.inf,) * 6
     _check_gbm_against_stage_loop(X, y, 5, 3, 1.0, 1)
+
+
+# boosting several row sets in lockstep
+
+
+def _assert_same_model(got, want):
+    for name in ("feature", "value", "offsets"):
+        _assert_same_nodes([getattr(got, name)], [getattr(want, name)])
+    assert np.float64(got.base).tobytes() == np.float64(want.base).tobytes()
+    got_path, want_path = (np.asarray(m.info["train_mse_path"]) for m in (got, want))
+    assert got_path.tobytes() == want_path.tobytes()
+
+
+def _boost_groups(monkeypatch):
+    """A list that records the set sizes of every group boosted in lockstep."""
+    groups = []
+    boost = trees._boost
+
+    def spy(values, ranks, y, sizes, *rest):
+        groups.append([int(size) for size in sizes])
+        return boost(values, ranks, y, sizes, *rest)
+
+    monkeypatch.setattr(trees, "_boost", spy)
+    return groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cart_problems(), st.data())
+def test_gbm_sets_match_fit_gbm_on_each_set(problem, data):
+    X, y, params = problem
+    n = X.shape[0]
+    # sets of distinct rows in row order, which may share rows, and a
+    # budget that cuts the groups anywhere from one set each to all at once
+    row_sets = data.draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(sorted),
+        min_size=1, max_size=5))
+    budget = data.draw(st.integers(1, 2 * n))
+    n_trees = data.draw(st.integers(1, 8))
+    rate = data.draw(st.sampled_from((0.05, 0.5, 1.0)))
+    kwargs = dict(n_trees=n_trees, max_depth=data.draw(st.sampled_from((None, 1, 2, 3))),
+                  learning_rate=rate, min_samples_leaf=params.min_samples_leaf)
+    want = []
+    with mock.patch.object(trees, "_BOOST_ROWS", budget), np.errstate(all="ignore"):
+        for rows in row_sets:
+            try:
+                want.append(fit_gbm(X[rows], y[rows], **kwargs))
+            except ValueError:  # residuals that overflow
+                want.append(None)
+        got = []
+        try:
+            for model in trees.fit_gbm_sets(X, y, row_sets, **kwargs):
+                got.append(model)
+        except ValueError:
+            # a group fails as a whole when one of its sets fails alone
+            assert None in want[len(got):]
+        else:
+            assert len(got) == len(want)
+    for model, reference in zip(got, want):
+        _assert_same_model(model, reference)
+
+
+def _routing(monkeypatch):
+    """A list with one Counter per grown stage, of ("wide" or "narrow", rows)
+    for every node scored, level by level."""
+    stages = []
+    grow, wide, narrow = trees._grow, trees._wide_histograms, trees._narrow_splits
+
+    def grow_spy(*args, **kwargs):
+        stages.append(collections.Counter())
+        return grow(*args, **kwargs)
+
+    def wide_spy(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, *rest):
+        stages[-1].update(("wide", int(size)) for size in sizes[nodes])
+        return wide(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, *rest)
+
+    def narrow_spy(ranks, y_sq, counts, order, begin, sizes, *rest):
+        stages[-1].update(("narrow", int(size)) for size in sizes)
+        return narrow(ranks, y_sq, counts, order, begin, sizes, *rest)
+
+    monkeypatch.setattr(trees, "_grow", grow_spy)
+    monkeypatch.setattr(trees, "_wide_histograms", wide_spy)
+    monkeypatch.setattr(trees, "_narrow_splits", narrow_spy)
+    return stages
+
+
+def test_gbm_sets_on_oracle_rows_score_every_node_as_alone(monkeypatch):
+    X, y = _oracle_rows(60, seed=41, sigma=0.005)
+    geometry = np.repeat(np.arange(60), 19)
+    row_sets = [
+        np.flatnonzero(geometry < 2),  # 38 rows of two geometries
+        np.arange(0, X.shape[0], 3),  # 380 rows, 13 of them in the first set
+        np.flatnonzero(geometry >= 30),  # 570 rows, more than the budget
+        np.flatnonzero(geometry == 5),  # 19 rows, a group of one set
+    ]
+    stages = _routing(monkeypatch)
+    alone = []
+    for rows in row_sets:
+        stages.clear()
+        alone.append((fit_gbm(X[rows], y[rows], n_trees=6), list(stages)))
+    # The first set's 38 rows on 9 features outnumber its own distinct
+    # values but not those of its group's union, so the root of its first
+    # tree is wide alone and would be narrow under the union's counts.
+    d = X.shape[1]
+    own = sum(v.size for v in trees._ranks(X[row_sets[0]])[0])
+    union = sum(v.size for v in trees._ranks(X[np.concatenate(row_sets[:2])])[0])
+    assert own < 38 * d <= union
+    assert alone[0][1][0][("wide", 38)] == 1
+
+    stages.clear()
+    groups = _boost_groups(monkeypatch)
+    monkeypatch.setattr(trees, "_BOOST_ROWS", 500)
+    got = list(trees.fit_gbm_sets(X, y, row_sets, n_trees=6))
+    assert groups == [[38, 380], [570], [19]]
+    for model, (want, _) in zip(got, alone):
+        _assert_same_model(model, want)
+    # each lockstep stage scores its sets' nodes as their own fits do
+    want_stages = [sum((alone[k][1][s] for k in group), collections.Counter())
+                   for group in ([0, 1], [2], [3]) for s in range(6)]
+    assert stages == want_stages
+
+
+def test_gbm_sets_hand_over_one_model_at_a_time():
+    X, y = _oracle_rows(20, seed=43, sigma=0.005)
+    fits = trees.fit_gbm_sets(X, y, [np.arange(0, 380, 2), np.arange(1, 380, 2)],
+                              n_trees=5)
+    # the generator keeps no reference to a model it handed over
+    first = weakref.ref(next(fits))
+    assert first() is None
+    assert next(fits).n_trees == 5
+    with pytest.raises(StopIteration):
+        next(fits)
+
+
+def test_gbm_sets_guards():
+    X, y = np.ones((4, 1)), np.arange(4.0)
+    with pytest.raises(EmptyData):
+        list(trees.fit_gbm_sets(X, y, [np.arange(2), np.arange(0)]))
+    with pytest.raises(ValueError):
+        list(trees.fit_gbm_sets(X, y, [np.arange(2)], n_trees=0))
+    with pytest.raises(ValueError):
+        list(trees.fit_gbm_sets(X, np.full(4, np.inf), [np.arange(2)]))
 
 
 # one predict loop for every ensemble kind
@@ -1266,6 +1410,24 @@ def test_fits_on_oracle_rows_write_the_pinned_bytes(tmp_path):
         path = tmp_path / f"{name}.wnsm"
         save_model(path, model)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_FITS[name], name
+
+
+def test_save_model_writes_each_array_without_copying_it(tmp_path):
+    X, y = _oracle_rows(200, seed=11, sigma=0.005)
+    forest = fit_forest(X, y, n_trees=100, seed=3)
+    kind, header, blobs = serialize._describe(forest)
+    largest = max(blob.nbytes for blob in blobs)
+    path = tmp_path / "forest.wnsm"
+    save_model(path, forest)  # warm-up
+    peak, _ = _peak_traced_bytes(lambda: save_model(path, forest))
+    # a copy of an array for the write would hold at least its bytes
+    assert peak < largest, (peak, largest)
+    # the bytes are the prefix, the header and each array's bytes in turn
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    prefix = serialize._PREFIX.pack(serialize._MAGIC, serialize._VERSION, kind,
+                                    len(header_bytes))
+    want = prefix + header_bytes + b"".join(blob.tobytes() for blob in blobs)
+    assert path.read_bytes() == want
 
 
 def test_model_file_garbage_rejected(tmp_path):
