@@ -1,9 +1,10 @@
-"""Whole-file artifact writes.
+"""Whole-file artifact writes, and the lines of text artifacts read back.
 
 Every writer in the pipeline goes through ``_atomic_write``, so a process
 that dies mid-write leaves the previous file, or none, but never a
 truncated one that ``--force``-less reruns refuse to replace or a later
-stage reads.
+stage reads.  Every text reader iterates ``_utf8_lines``, so a byte that
+is not UTF-8 fails as a parse error that names the file.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import ParseError
 
 
 @contextmanager
@@ -35,3 +38,14 @@ def _atomic_write(path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _utf8_lines(fh):
+    """The lines of ``fh``, a text file opened as UTF-8.  A byte it cannot
+    decode raises :class:`ParseError` naming the file, where the decoder's
+    ``UnicodeDecodeError`` would end the command in a traceback; the file
+    is decoded a chunk at a time, so the error gives no line number."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{fh.name}: not UTF-8 text ({exc.reason})") from None

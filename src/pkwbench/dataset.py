@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .atomic import _atomic_write
+from .atomic import _atomic_write, _utf8_lines
 from .errors import EmptyBin, ParseError, TooFewGeometries
 from .geometry import (  # feature_vector is imported from here too
     PkwDerived,
@@ -301,8 +301,8 @@ def read_manifest(path, labels: list[LabeledSample] | None = None
     geometries: dict[str, GeometryRecord] = {}
     provenance: dict = {}
     fixed = PkwFixed()
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(_utf8_lines(fh), start=1):
             if not line.strip():
                 continue
             try:
@@ -346,8 +346,8 @@ def _read_csv(path, required, convert) -> list:
     :class:`ParseError` with the row's line number.
     """
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(_utf8_lines(fh))
         for row in reader:
             try:
                 missing = [c for c in required if row.get(c) is None]

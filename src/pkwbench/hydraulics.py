@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import _utf8_lines
 from .errors import MissingGeometry, NonPhysical, OutOfRange, ParseError, UnitError
 from .geometry import PkwDerived, PkwFixed, feasible_bounds
 
@@ -193,8 +194,8 @@ def ingest_labels(path, crest_lengths: dict[str, float],
     value; the number of replacements is logged.
     """
     fixed = fixed if fixed is not None else PkwFixed()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(_utf8_lines(fh))
         header = reader.fieldnames or []
         if "Q_lps" not in header:
             for name in header:

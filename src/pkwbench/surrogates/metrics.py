@@ -83,9 +83,14 @@ def r_squared(y_true, y_pred) -> float:
     ratio of residual to total sum of squares is then 0/0.
     """
     y, p = _as_columns(y_true, y_pred)
+    # constancy is read from the targets: the float mean of equal targets
+    # can differ from them, and leave a tiny ss_tot for a huge negative r2
+    if y.min() == y.max():
+        raise ZeroVariance("targets are constant; r2 is undefined")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
-        raise ZeroVariance("targets are constant; r2 is undefined")
+        raise ZeroVariance("the targets' squared deviations underflow to zero; "
+                           "r2 is undefined")
     ss_res = float(np.sum((y - p) ** 2))
     return 1.0 - ss_res / ss_tot
 
@@ -103,10 +108,13 @@ def compute_metrics(y_true, y_pred) -> MetricReport:
         r2 = r_squared(y, p)
     except ZeroVariance:
         r2 = None
+    max_ae = float(np.max(abs_err))
     return MetricReport(
         mse=float(np.mean(err**2)),
-        mae=float(np.mean(abs_err)),
-        max_ae=float(np.max(abs_err)),
+        # the exact mean never exceeds the max, but the float mean of equal
+        # errors can round above it
+        mae=min(float(np.mean(abs_err)), max_ae),
+        max_ae=max_ae,
         r2=r2,
         n_samples=int(y.size),
     )

@@ -13,16 +13,17 @@ is scored from histograms over those values, whose bins are each
 feature's value ranks, so every candidate is found and nothing is
 binned approximately: the "hist" split finding of XGBoost (Chen &
 Guestrin, KDD 2016) and LightGBM (Ke et al., NeurIPS 2017), with
-LightGBM's sibling subtraction.  Smaller nodes are scanned over their
-rows sorted by each feature.  Both sum the same targets, in another
-order, so a near-tied split can go either way.
+LightGBM's sibling subtraction.  Smaller nodes are read from their rows
+sorted by each feature.  Either way each (node, feature) pair is one row
+of prefix sums, over the feature's bins or over the node's sorted rows,
+and one scorer picks every row's best boundary.  Histograms sum the
+targets in another order, so a near-tied split can go either way.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -232,7 +233,7 @@ def _check_training_pair(X, y):
     return X, y
 
 
-# The sorted scan's element budget: narrow nodes' (node, feature) rows are
+# Narrow nodes' element budget: their (node, feature) rows are
 # batched into blocks of at most this many elements, so each temporary
 # stays under 64 KiB of float64 and the allocator keeps reusing the same
 # small blocks.  A narrow node holds at most the mean distinct-value count
@@ -370,11 +371,12 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
     ``root_bins``, of the node's root.  ``root_bins[t, j]`` counts the
     distinct values of feature ``j`` on root ``t``'s rows, so roots that
     stand for separate fits, ranked over their union, each route their
-    nodes as a fit on their own rows would.  A wide node is scored from
-    histograms (:func:`_wide_histograms`, :func:`_wide_splits`),
-    and the last level's histograms are dropped before the scores are
-    taken.  A *narrow* node is scanned over its rows sorted by each feature
-    (:func:`_narrow_splits`).
+    nodes as a fit on their own rows would.  A wide node's (node, feature)
+    pairs are rows of histogram bins (:func:`_wide_histograms`,
+    :func:`_wide_splits`), and the last level's histograms are dropped
+    before the scores are taken.  A *narrow* node's pairs are rows of its
+    rows sorted by each feature (:func:`_narrow_splits`).  One scorer,
+    :func:`_row_splits`, takes both kinds of row.
     Sorted rows are kept only for narrow nodes and their descendants, each
     level's regrouped from the last by the same stable sort on the child
     index; a narrow node without them, the root or a child of a wide node,
@@ -613,26 +615,6 @@ def _segments(starts, sizes):
     return np.arange(ends[-1]) + np.repeat(starts - ends + sizes, sizes)
 
 
-class _Bounds(NamedTuple):
-    """The boundaries of a block of sorted rows.
-
-    Boundary ``i`` lies after position ``at[i]`` of row ``row[i]``, whose
-    value differs from the next one's, where both children keep at least
-    ``min_samples_leaf`` rows.  ``left[i]`` and ``last[i]`` are the flat
-    indices of that position and of the row's last one in an array of the
-    rows, and ``n_left`` and ``n_right`` the child sizes, which are summed
-    counts for a grower that weights rows by counts.  Boundaries are
-    ordered by row, then by position.
-    """
-
-    row: np.ndarray
-    at: np.ndarray
-    left: np.ndarray
-    last: np.ndarray
-    n_left: np.ndarray
-    n_right: np.ndarray
-
-
 def _scores(left, total, n_left, n_right):
     """The summed squared error of the two children of a split, from the
     left child's sums of the targets, in the real part, and of their
@@ -642,10 +624,12 @@ def _scores(left, total, n_left, n_right):
     The sums come from one complex ``cumsum`` along a row of sorted targets
     or of histogram bins, each part added in the same order as a float
     ``cumsum`` of it, and are scored with the operands and operations of a
-    float pass, so ties, the first-minimum rule and inf or NaN scores are
-    the same, bit for bit, as with two float prefix sums.  Once its own
-    part is scored, ``left`` is overwritten with the right child's sums,
-    ``total - left``, so the right child takes no array of its own.
+    float pass, so every score is the one two float prefix sums give, bit
+    for bit, but for a NaN's sign, which no split reads.  The formula is
+    elementwise, so :func:`_row_splits` scores every position of a row,
+    boundary or not.  Once its own part is scored, ``left`` is overwritten
+    with the right child's sums, ``total - left``, so the right child takes
+    no array of its own.
     """
     # (sq_left - sum_left * sum_left / n_left)
     #     + (sq_right - sum_right * sum_right / n_right), in place
@@ -653,23 +637,11 @@ def _scores(left, total, n_left, n_right):
     scored /= n_left
     np.subtract(left.imag, scored, out=scored)
     right = np.subtract(total, left, out=left)
-    # the last sum adds two contiguous arrays, as a float pass does: numpy's
-    # vector and scalar loops may return different NaNs of two NaN addends
     right_sum = np.multiply(right.real, right.real)
     right_sum /= n_right
     np.subtract(right.imag, right_sum, out=right_sum)
     scored += right_sum
     return scored
-
-
-def _scan_scores(y_sq, pos, bounds):
-    """The score of every boundary of sorted rows ``pos``: ``y_sq``, from
-    :func:`_with_squares`, gathered and summed along each row in one
-    complex ``cumsum``."""
-    sums = y_sq.take(pos)
-    np.cumsum(sums, axis=1, out=sums)
-    return _scores(sums.take(bounds.left), sums.take(bounds.last), bounds.n_left,
-                   bounds.n_right)
 
 
 def _narrow_splits(ranks, y_sq, counts, order, begin, sizes, cand, min_leaf):
@@ -680,9 +652,14 @@ def _narrow_splits(ranks, y_sq, counts, order, begin, sizes, cand, min_leaf):
     Node ``k`` lists its rows sorted by feature ``j`` in ``order[j,
     begin[k]:begin[k] + sizes[k]]``.  Each (node, feature) pair is one row
     of a prefix sum that starts at zero on its own sorted rows, so its
-    scores are the ones a scan of that node alone computes, bit for bit.
-    Pairs are batched by size class, which pads a row to at most twice its
-    length, into blocks of at most ``_BLOCK`` elements.
+    scores are the ones a scan of that node alone computes, bit for bit,
+    and :func:`_row_splits` scores it.  A boundary follows each position
+    whose rank the next one's passes.  Pairs are batched by size class,
+    which pads a row to at most twice its length, into blocks of at most
+    ``_BLOCK`` elements; a padded position repeats the row's last one, so
+    no boundary lies in the padding.  Without ``counts`` a left child of
+    ``i + 1`` positions holds that many rows; with them, the child sizes
+    are the prefix sums of the counts along each row.
     """
     n_nodes, n_cand = cand.shape
     n = ranks.shape[1]
@@ -698,60 +675,32 @@ def _narrow_splits(ranks, y_sq, counts, order, begin, sizes, cand, min_leaf):
         per_block = max(1, _BLOCK // int(pair_size[members].max()))
         for first in range(0, members.size, per_block):
             block = members[first : first + per_block]
-            node = pair_node[block]
             features = pair_feature[block]
-            pos, bounds = _block_bounds(ranks, order, begin[node], sizes[node], features,
-                                        min_leaf, counts)
-            # each row's first minimum over a row of inf where no boundary
-            # lies, the lowest threshold; a NaN is the minimum wherever it
-            # occurs, and a row without boundaries scores inf: neither splits
-            full = np.full(pos.shape, math.inf)
-            full[bounds.row, bounds.at] = _scan_scores(y_sq, pos, bounds)
-            score[block] = full.min(axis=1)
-            at = full.argmin(axis=1) + np.arange(0, pos.size, pos.shape[1])
-            offset = features * n
-            cut[block] = ranks.take(offset + pos.take(at))
-            above[block] = ranks.take(offset + pos.take(at + 1))
+            starts = begin[pair_node[block]]
+            last = pair_size[block] - 1
+            width = int(last.max()) + 1
+            if starts[0] == starts[-1]:
+                # one node: its sorted rows are plain slices
+                pos = order[features, starts[0] : starts[0] + width]
+            else:
+                slot = np.minimum(starts[:, None] + np.arange(width), (starts + last)[:, None])
+                pos = order[features[:, None], slot]
+            # a flat take gathers about twice as fast as 2-D fancy indexing
+            xs = np.take(ranks, pos + (features * n)[:, None])
+            edge = np.zeros(pos.shape, dtype=bool)
+            np.less(xs[:, :-1], xs[:, 1:], out=edge[:, :-1])
+            if counts is None:
+                running = np.empty(pos.shape)
+                running[:] = np.arange(1.0, width + 1)
+            else:
+                running = np.cumsum(counts.take(pos), axis=1)
+            sums = y_sq.take(pos)
+            np.cumsum(sums, axis=1, out=sums)
+            score[block], at = _row_splits(running, sums, edge, last, min_leaf)
+            at += np.arange(0, pos.size, width)
+            cut[block] = xs.take(at)
+            above[block] = xs.take(at + 1)
     return score.reshape(cand.shape), cut.reshape(cand.shape), above.reshape(cand.shape)
-
-
-def _block_bounds(ranks, order, starts, sizes, features, min_leaf, counts=None):
-    """The sorted rows of a block of (node, feature) pairs, padded to the
-    widest node, and their :class:`_Bounds`.
-
-    Row ``r`` lists node ``r``'s rows sorted by ``features[r]``, from
-    ``order[features[r], starts[r]]`` on.  A padded position repeats the
-    row's last one, so no boundary lies in the padding, and a block of one
-    node's pairs reads its rows as slices.  Without ``counts`` a left child
-    of ``at + 1`` positions holds that many rows; with them, the child sizes
-    are the prefix sums of the counts along each row.
-    """
-    width = int(sizes.max())
-    if starts[0] == starts[-1]:
-        # one node: its sorted rows are plain slices
-        pos = order[features, starts[0] : starts[0] + width]
-    else:
-        slot = np.minimum(starts[:, None] + np.arange(width), (starts + sizes - 1)[:, None])
-        pos = order[features[:, None], slot]
-    # a flat take gathers about twice as fast as 2-D fancy indexing
-    xs = np.take(ranks, pos + (features * ranks.shape[1])[:, None])
-    row, at = np.nonzero(xs[:, :-1] < xs[:, 1:])
-    size = sizes[row]
-    left = row * width + at
-    last = left - at + size - 1
-    if counts is None:
-        n_left = at + 1.0
-        n_right = size - n_left
-    else:
-        running = np.cumsum(counts.take(pos), axis=1).ravel()
-        n_left = running.take(left)
-        n_right = running.take(last) - n_left
-    bounds = (row, at, left, last, n_left, n_right)
-    if min_leaf > 1:
-        # with min_leaf 1 every child of a boundary holds a row
-        keep = (n_left >= min_leaf) & (n_right >= min_leaf)
-        bounds = (a[keep] for a in bounds)
-    return pos, _Bounds(*bounds)
 
 
 def _wide_histograms(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand,
@@ -851,14 +800,15 @@ def _wide_splits(count, sums, pair_bins, min_leaf):
     filled bins, the consecutive distinct values of the node.  Counts are
     whole numbers, summed exactly, so the candidates and the child sizes
     are those of a scan over sorted rows; only the sums of the targets are
-    added in another order.  Within a row the first minimum wins (the
-    lowest threshold).  Pairs are scored in blocks of at most
-    ``_HIST_CELLS`` bins, each row padded with empty bins to the widest.
+    added in another order.  :func:`_row_splits` scores the rows.  Pairs
+    are scored in blocks of at most ``_HIST_CELLS`` bins, each row padded
+    with empty bins to the widest.
     """
     sizes = pair_bins.ravel()
     width = int(sizes.max())
     ends = np.cumsum(sizes)
-    fill = np.arange(width) < sizes[:, None]
+    last = sizes - 1
+    fill = np.arange(width) <= last[:, None]
     step = max(1, _HIST_CELLS // width)
     score = np.empty(sizes.size)
     cut = np.empty(sizes.size, dtype=np.intp)
@@ -871,37 +821,48 @@ def _wide_splits(count, sums, pair_bins, min_leaf):
             block = np.zeros(mask.shape, dtype=part.dtype)
             block[mask] = part[lo:hi]
             blocks.append(block)
+        running, block_sums = blocks
+        k = np.arange(mask.shape[0])
+        # a filled bin ends a left child, but the last one
+        edge = running > 0
+        np.cumsum(running, axis=1, out=running)
+        edge[k, running.argmax(axis=1)] = False
+        np.cumsum(block_sums, axis=1, out=block_sums)
         at = slice(i, i + step)
-        score[at], cut[at], above[at] = _hist_splits(*blocks, min_leaf)
+        score[at], pick = _row_splits(running, block_sums, edge, last[at], min_leaf)
+        cut[at] = pick
+        # the first bin whose running count passes the pick's is the next filled
+        above[at] = np.argmax(running > running[k, pick][:, None], axis=1)
     return tuple(part.reshape(pair_bins.shape) for part in (score, cut, above))
 
 
-def _hist_splits(count, sums, min_leaf):
-    """Each histogram row's best split: its score, its bin and the next
-    filled bin, or inf when no boundary passes the size rule.
+def _row_splits(running, sums, edge, last, min_leaf):
+    """Each row's best split: its score and the position of the left
+    child's last element, or inf where no boundary passes the size rules.
 
-    Every bin is scored as the left child's last and the scores of bins
-    that end no boundary are replaced by inf, so the row's first minimum
-    is the one :func:`_narrow_splits` picks over the boundaries alone.
-    ``count`` and ``sums`` are overwritten with their prefix sums.
+    A row is a (node, feature) pair's sorted rows or histogram bins, padded
+    past its position ``last``.  ``running`` and ``sums`` are its prefix
+    sums of the child sizes and of the targets (:func:`_with_squares`),
+    whose values at ``last`` are the node's totals, whatever the padding
+    holds.  ``edge`` marks the boundaries: the positions that end a value
+    with another value after them.  A boundary whose children do not both
+    hold ``min_leaf`` is dropped.  Every position is scored and those that
+    end no boundary are replaced by inf, so within a row the first minimum
+    wins (the lowest threshold); a NaN is the minimum wherever it occurs,
+    and a row without boundaries scores inf: neither splits.  ``sums`` and
+    ``edge`` are overwritten.
     """
-    # a filled bin with rows after it ends a left child
-    edge = count > 0
-    running = np.cumsum(count, axis=1, out=count)
-    n_right = running[:, -1:] - running
-    edge &= n_right > 0
+    first = np.arange(0, sums.size, sums.shape[1])  # each row's flat start
+    ends = first + last
+    n_right = running.take(ends)[:, None] - running
     if min_leaf > 1:
         edge &= (running >= min_leaf) & (n_right >= min_leaf)
-    sums = np.cumsum(sums, axis=1, out=sums)
-    # a copy of the totals: a view into sums would make the in-place right
+    # the totals are a copy: a view into sums would make the in-place right
     # sums copy every row
-    scored = _scores(sums, sums[:, -1:].copy(), running, n_right)
+    scored = _scores(sums, sums.take(ends)[:, None], running, n_right)
     scored[~edge] = math.inf
     at = scored.argmin(axis=1)
-    k = np.arange(count.shape[0])
-    # the first bin whose running count passes the pick's is the next filled
-    above = np.argmax(running > running[k, at][:, None], axis=1)
-    return scored.min(axis=1), at, above
+    return scored.take(first + at), at
 
 
 def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:

@@ -1201,6 +1201,26 @@ def test_truncated_csv_artifacts_fail_with_a_parse_error(tmp_path, capsys, artif
     assert f"{artifact.split('/')[-1]} row {last_row}:" in record["message"]
 
 
+def test_labels_that_are_not_utf8_fail_with_one_error_record(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    steps = [
+        ["sample", "--workspace", ws, "--n", N_DESIGNS, "--seed", MASTER_SEED],
+        ["label", "--workspace", ws, "--sigma", "0.0", "--seed", 13],
+    ]
+    for argv in steps:
+        assert run(argv) == 0
+    labels = ws / "labels" / "labels.csv"
+    labels.write_bytes(labels.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    assert run(["split", "--workspace", ws, "--policy", "id", "--seed", 17]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "ParseError"
+    assert record["command"] == "split"
+    assert "labels.csv: not UTF-8 text" in record["message"]
+
+
 def test_truncated_manifest_fails_with_a_parse_error(tmp_path, capsys):
     ws = tmp_path / "ws"
     steps = [

@@ -306,6 +306,26 @@ def test_split_round_trip(tmp_path, manifest):
         assert back.test == split.test
 
 
+def test_text_artifacts_that_are_not_utf8_raise_a_parse_error(tmp_path, manifest):
+    split = split_id(manifest, seed=0)
+    paths = {
+        read_manifest: tmp_path / "manifest.jsonl",
+        read_labels_csv: tmp_path / "labels.csv",
+        read_split_csv: tmp_path / f"{split.name}.csv",
+    }
+    write_manifest(paths[read_manifest], manifest, FIXED)
+    write_labels_csv(paths[read_labels_csv], manifest.labels)
+    write_split_csv(paths[read_split_csv], split)
+    for read, path in paths.items():
+        # one 0xff byte in the second line
+        text = path.read_bytes()
+        at = text.index(b"\n") + 2
+        path.write_bytes(text[:at] + b"\xff" + text[at:])
+        with pytest.raises(ParseError, match="not UTF-8 text") as info:
+            read(path)
+        assert str(path) in str(info.value)
+
+
 def test_policy_from_name():
     assert policy_from_name("id") == "id-by-geometry"
     assert policy_from_name("id-f40") == "fraction-subset"

@@ -232,6 +232,14 @@ def test_ingest_labels_duplicate_last_wins(tmp_path, caplog):
     assert "1 duplicate" in caplog.text
 
 
+def test_ingest_labels_of_latin1_text_raise_a_parse_error(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes("geometry_id,Q_lps,c_D\ng1,100,0.4 # débit\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8 text") as err:
+        ingest_labels(path, {"g1": 4.0})
+    assert str(path) in str(err.value)
+
+
 def test_ingest_labels_errors(tmp_path):
     mapping = {"g1": 4.0}
 

@@ -122,6 +122,30 @@ def test_metrics_constant_targets_leave_r2_undefined():
         r_squared(y, p)
 
 
+def test_metrics_of_equal_errors_keep_the_mean_at_the_max():
+    # the float mean of three 0.1 errors rounds to 0.10000000000000002
+    assert np.mean([0.1] * 3) > 0.1
+    rep = compute_metrics([0.0, 0.0, 0.0], [0.1, 0.1, 0.1])
+    assert rep.mae == rep.max_ae == 0.1
+    assert rep.r2 is None
+
+
+def test_constant_targets_with_an_inexact_mean_leave_r2_undefined():
+    # the float mean of equal targets can differ from them, which leaves
+    # a tiny nonzero total sum of squares
+    for value, n in ((0.1, 3), (0.7, 19)):
+        assert np.mean([value] * n) != value
+        y = np.full(n, value)
+        p = y.copy()
+        p[-1] += 0.1
+        with pytest.raises(ZeroVariance):
+            r_squared(y, p)
+        assert compute_metrics(y, p).r2 is None
+    # targets whose deviations square to zero have no r2 either
+    with pytest.raises(ZeroVariance, match="underflow"):
+        r_squared([0.0, 5e-324], [0.0, 0.0])
+
+
 def test_metrics_guards():
     with pytest.raises(EmptyData):
         compute_metrics([], [])
@@ -693,6 +717,26 @@ _Y_POOL = (-0.0, 0.0, 1.0, -2.5, 3.0, 1e155, -1e155, math.inf, -math.inf,
            math.nan, 5e-324, -2.5e-310, 1e-160)
 
 
+def _assert_same_scores(got, want):
+    """Equal bytes, signed zeros and infinities included, and NaN where
+    ``want`` is NaN: a NaN's sign depends on which of numpy's loops adds
+    two NaNs, and no split reads it."""
+    nan = np.isnan(want)
+    assert np.isnan(got).tolist() == nan.tolist()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _sorted_block(order, ranks, starts, sizes, features):
+    """The sorted rows of a block of (node, feature) pairs as the grower
+    lays them out: row ``r`` lists node ``r``'s rows sorted by
+    ``features[r]``, padded to the widest node by repeating its last, and
+    the rows' ranks."""
+    width = sizes.max()
+    slot = np.minimum(starts[:, None] + np.arange(width), (starts + sizes - 1)[:, None])
+    pos = order[features[:, None], slot]
+    return pos, ranks[features[:, None], pos]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_packed_scores_match_the_two_cumsum_formula(data):
@@ -703,18 +747,46 @@ def test_packed_scores_match_the_two_cumsum_formula(data):
     min_leaf = data.draw(st.integers(1, 3))
     subset = np.array(sorted(data.draw(
         st.sets(st.integers(0, d - 1), min_size=1, max_size=d))))
-    _, order = cart_reference.presort(X, np.arange(n), [n])
+    # the rows cut into up to four nodes of unequal sizes
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3)))
+    sizes = np.diff([0, *cuts, n])
     _, ranks = trees._ranks(X)
     y_sq = trees._with_squares(y)
-    # the node as one block on every feature, on a subset, and on two
-    # copies of one feature
+    _, whole = cart_reference.presort(X, np.arange(n), [n])
+    _, apart = cart_reference.presort(X, np.arange(n), sizes)
+    # every row as one node, on every feature, on a subset and on two copies
+    # of one feature; then every node on the subset in one block, whose
+    # smaller nodes' rows are padded
+    blocks = [(whole, np.zeros(f.size, dtype=np.intp), np.full(f.size, n), f)
+              for f in (np.arange(d), subset, np.repeat(subset[:1], 2))]
+    blocks.append((apart, np.repeat(np.cumsum(sizes) - sizes, subset.size),
+                   np.repeat(sizes, subset.size), np.tile(subset, sizes.size)))
     with np.errstate(all="ignore"):
-        for features in (np.arange(d), subset, np.repeat(subset[:1], 2)):
-            pos, bounds = trees._block_bounds(
-                ranks, order, np.zeros(features.size, dtype=np.intp),
-                np.full(features.size, n), features, min_leaf)
-            want = cart_reference.scores(y, pos, bounds).tobytes()
-            assert trees._scan_scores(y_sq, pos, bounds).tobytes() == want
+        for order, starts, size, features in blocks:
+            pos, xs = _sorted_block(order, ranks, starts, size, features)
+            width = pos.shape[1]
+            edge = np.zeros(pos.shape, dtype=bool)
+            edge[:, :-1] = xs[:, :-1] < xs[:, 1:]
+            running = np.tile(np.arange(1.0, width + 1), (pos.shape[0], 1))
+            sums = np.cumsum(y_sq[pos], axis=1)
+            # the float formula's score of every boundary of both min_leaf
+            # children, inf elsewhere
+            row, at = np.nonzero(edge)
+            n_left = at + 1.0
+            bounds = collections.namedtuple("bounds", "left last n_left n_right")(
+                row * width + at, row * width + size[row] - 1, n_left, size[row] - n_left)
+            keep = (bounds.n_left >= min_leaf) & (bounds.n_right >= min_leaf)
+            want = np.full(pos.shape, math.inf)
+            want[row[keep], at[keep]] = cart_reference.scores(y, pos, bounds)[keep]
+            # each position alone, then the row's first minimum
+            for c in range(width):
+                alone = edge & (np.arange(width) == c)
+                got, _ = trees._row_splits(running, sums.copy(), alone, size - 1, min_leaf)
+                _assert_same_scores(got, want[:, c])
+            got, pick = trees._row_splits(running, sums.copy(), edge.copy(), size - 1,
+                                          min_leaf)
+            assert pick.tolist() == want.argmin(axis=1).tolist()
+            _assert_same_scores(got, want[np.arange(pos.shape[0]), pick])
 
 
 @pytest.mark.parametrize("weighted", [False, True])
