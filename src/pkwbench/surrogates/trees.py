@@ -624,8 +624,8 @@ def _scores(left, total, n_left, n_right):
     The sums come from one complex ``cumsum`` along a row of sorted targets
     or of histogram bins, each part added in the same order as a float
     ``cumsum`` of it, and are scored with the operands and operations of a
-    float pass, so every score is the one two float prefix sums give, bit
-    for bit, but for a NaN's sign, which no split reads.  The formula is
+    float pass, so ties, the first-minimum rule and inf or NaN scores are
+    the same, bit for bit, as with two float prefix sums.  The formula is
     elementwise, so :func:`_row_splits` scores every position of a row,
     boundary or not.  Once its own part is scored, ``left`` is overwritten
     with the right child's sums, ``total - left``, so the right child takes
@@ -637,6 +637,8 @@ def _scores(left, total, n_left, n_right):
     scored /= n_left
     np.subtract(left.imag, scored, out=scored)
     right = np.subtract(total, left, out=left)
+    # the last sum adds two contiguous arrays, as a float pass does: numpy's
+    # vector and scalar loops may return different NaNs of two NaN addends
     right_sum = np.multiply(right.real, right.real)
     right_sum /= n_right
     np.subtract(right.imag, right_sum, out=right_sum)
@@ -822,17 +824,15 @@ def _wide_splits(count, sums, pair_bins, min_leaf):
             block[mask] = part[lo:hi]
             blocks.append(block)
         running, block_sums = blocks
-        k = np.arange(mask.shape[0])
-        # a filled bin ends a left child, but the last one
+        # a filled bin ends a left child
         edge = running > 0
         np.cumsum(running, axis=1, out=running)
-        edge[k, running.argmax(axis=1)] = False
         np.cumsum(block_sums, axis=1, out=block_sums)
         at = slice(i, i + step)
         score[at], pick = _row_splits(running, block_sums, edge, last[at], min_leaf)
         cut[at] = pick
         # the first bin whose running count passes the pick's is the next filled
-        above[at] = np.argmax(running > running[k, pick][:, None], axis=1)
+        above[at] = np.argmax(running > running[np.arange(pick.size), pick][:, None], axis=1)
     return tuple(part.reshape(pair_bins.shape) for part in (score, cut, above))
 
 
@@ -844,9 +844,10 @@ def _row_splits(running, sums, edge, last, min_leaf):
     past its position ``last``.  ``running`` and ``sums`` are its prefix
     sums of the child sizes and of the targets (:func:`_with_squares`),
     whose values at ``last`` are the node's totals, whatever the padding
-    holds.  ``edge`` marks the boundaries: the positions that end a value
-    with another value after them.  A boundary whose children do not both
-    hold ``min_leaf`` is dropped.  Every position is scored and those that
+    holds.  ``edge`` marks the positions that may end a left child: a
+    sorted position whose value the next one's passes, or a filled bin.
+    One that leaves the right child empty, or a child below ``min_leaf``,
+    is dropped.  Every position is scored and those that
     end no boundary are replaced by inf, so within a row the first minimum
     wins (the lowest threshold); a NaN is the minimum wherever it occurs,
     and a row without boundaries scores inf: neither splits.  ``sums`` and
@@ -855,6 +856,7 @@ def _row_splits(running, sums, edge, last, min_leaf):
     first = np.arange(0, sums.size, sums.shape[1])  # each row's flat start
     ends = first + last
     n_right = running.take(ends)[:, None] - running
+    edge &= n_right > 0
     if min_leaf > 1:
         edge &= (running >= min_leaf) & (n_right >= min_leaf)
     # the totals are a copy: a view into sums would make the in-place right

@@ -717,15 +717,6 @@ _Y_POOL = (-0.0, 0.0, 1.0, -2.5, 3.0, 1e155, -1e155, math.inf, -math.inf,
            math.nan, 5e-324, -2.5e-310, 1e-160)
 
 
-def _assert_same_scores(got, want):
-    """Equal bytes, signed zeros and infinities included, and NaN where
-    ``want`` is NaN: a NaN's sign depends on which of numpy's loops adds
-    two NaNs, and no split reads it."""
-    nan = np.isnan(want)
-    assert np.isnan(got).tolist() == nan.tolist()
-    assert got[~nan].tobytes() == want[~nan].tobytes()
-
-
 def _sorted_block(order, ranks, starts, sizes, features):
     """The sorted rows of a block of (node, feature) pairs as the grower
     lays them out: row ``r`` lists node ``r``'s rows sorted by
@@ -769,24 +760,26 @@ def test_packed_scores_match_the_two_cumsum_formula(data):
             edge[:, :-1] = xs[:, :-1] < xs[:, 1:]
             running = np.tile(np.arange(1.0, width + 1), (pos.shape[0], 1))
             sums = np.cumsum(y_sq[pos], axis=1)
-            # the float formula's score of every boundary of both min_leaf
-            # children, inf elsewhere
-            row, at = np.nonzero(edge)
-            n_left = at + 1.0
+            # the float formula's score of every position of the block,
+            # laid out as the block is, inf but at the boundaries whose
+            # children both hold min_leaf
+            row = np.repeat(np.arange(pos.shape[0]), width)
+            n_left = running.ravel()
             bounds = collections.namedtuple("bounds", "left last n_left n_right")(
-                row * width + at, row * width + size[row] - 1, n_left, size[row] - n_left)
-            keep = (bounds.n_left >= min_leaf) & (bounds.n_right >= min_leaf)
-            want = np.full(pos.shape, math.inf)
-            want[row[keep], at[keep]] = cart_reference.scores(y, pos, bounds)[keep]
+                np.arange(pos.size), row * width + size[row] - 1, n_left,
+                size[row] - n_left)
+            want = cart_reference.scores(y, pos, bounds).reshape(pos.shape)
+            keep = edge & (running >= min_leaf) & (running <= size[:, None] - min_leaf)
+            want[~keep] = math.inf
             # each position alone, then the row's first minimum
             for c in range(width):
                 alone = edge & (np.arange(width) == c)
                 got, _ = trees._row_splits(running, sums.copy(), alone, size - 1, min_leaf)
-                _assert_same_scores(got, want[:, c])
+                assert got.tobytes() == want[:, c].tobytes()
             got, pick = trees._row_splits(running, sums.copy(), edge.copy(), size - 1,
                                           min_leaf)
             assert pick.tolist() == want.argmin(axis=1).tolist()
-            _assert_same_scores(got, want[np.arange(pos.shape[0]), pick])
+            assert got.tobytes() == want[np.arange(pos.shape[0]), pick].tobytes()
 
 
 @pytest.mark.parametrize("weighted", [False, True])
