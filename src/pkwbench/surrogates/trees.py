@@ -243,13 +243,22 @@ def _check_training_pair(X, y):
 _BLOCK = 8000
 
 # The histogram bins scored at a time.  A histogram is kept at its
-# feature's bins, but is scored in a block of rows padded to the widest,
-# and scoring takes about 55 bytes of temporaries a padded bin, so this
-# bounds them to about 3.6 MB; on the benchmark's 3,040 x 9 matrix, at most
-# 159 bins a feature, every level is scored at once.  A paper-scale tree
-# (57,684 x 9, 19 to 2,986 bins a feature) peaked at 73 MB RSS scoring
-# whole levels, and at 62 MB with this bound.
-_HIST_CELLS = 65_536
+# feature's bins, and a level's (node, feature) rows are scored in blocks
+# of rows sorted by their bins, each padded to its widest; scoring takes
+# about 55 bytes of temporaries a padded bin, so this bounds them to about
+# 0.9 MB.  On the benchmark's 3,040 x 9 matrix (at most 159 bins a
+# feature, 1,431 in all) a lone depth-3 boosting tree scores every level
+# in one block.  The gbm-matrix's 12 lockstep fits score about 46,000 bins
+# at their deepest level.  In-process, against groups of 7,168 rows
+# scored over their union's bins and padded to the widest feature (30
+# stages, one pinned CPU, six alternating pairs each), they took 0.82x at
+# 8,192 cells, 0.73-0.78x at 16,384, 0.80x at 32,768 and 0.97x at
+# 65,536, whose blocks of up to 3.6 MB of temporaries exceed a core's
+# 2 MiB L2 cache.  A
+# paper-scale tree (57,684 x 9, 19 to 2,986 bins a feature) fits in the
+# same time and peaked at 111.4-111.6 MB RSS, against 114.7-114.8 MB with
+# 65,536 cells and every row padded to the widest (BENCH_29.json).
+_HIST_CELLS = 16_384
 
 # The rows a forest grows together: consecutive trees join a group while
 # their distinct rows add up to at most _GROUP_ROWS (a group holds at least
@@ -268,16 +277,16 @@ _GROUP_ROWS = 12_288
 
 # The rows a group of boosting fits grows in lockstep (fit_gbm_sets),
 # counted as _GROUP_ROWS counts a forest's, over each fit's rows.  Each
-# level of a group's stage scores every root's nodes over the union's
-# bins, so its scoring blocks fill toward _HIST_CELLS, which a lone
-# depth-3 tree on 3,040 rows never nears, and peak memory grows with the
-# budget.  On the benchmark's gbm-matrix (12 fits of 304 to 3,040 rows),
-# bench time and peak RSS against separate fits, one run each at seed 14,
-# were: 6,144 rows 0.83x and +1.7 MB; 7,168 rows 0.77x and +2.1 MB; 8,192
-# rows 0.81x and +2.7 MB.  12,288 rows (seed 11) took 0.67x and +6.3 MB,
-# past the benchmark's 10% bound on peak RSS.  Over ten pairs, 7,168 rows
-# read 0.74x and +1.9 MB (BENCH_27.json).
-_BOOST_ROWS = 7_168
+# root reads its own fit's bins, so a node's histograms and scoring rows
+# are those of its fit alone; what grows with the group's rows is its
+# per-row arrays, the largest a root level's histogram keys, 8 bytes a
+# row and feature.  On the benchmark's gbm-matrix the 12 fits (304 to
+# 3,040 rows, 23,123 to 23,142 in all at seeds 1-15) form one group of
+# 300 grower calls, where groups of 7,168 rows made 1,200: in-process the
+# fits took 0.74x and their traced peak went from 4.5 to 6.0 MB, and over
+# ten pairs bench_ref_s read 0.66x and peak RSS 2.8 MB more
+# (BENCH_29.json).  At paper scale only id-f10 and id-f20 share a group.
+_BOOST_ROWS = 24_576
 
 
 def _ranks(X):
@@ -344,15 +353,20 @@ def _with_squares(y, counts=None):
 
 
 def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None,
-          counts=None, fitted=None, root_bins=None):
+          counts=None, fitted=None):
     """Grow one tree per root, together, level by level, and return their
     node arrays.
 
-    ``ranks`` and ``values`` are :func:`_ranks` of the rows, with ``values``
-    taken over every row of the fit.  Tree ``t``'s root holds the ``t``-th
-    run of ``sizes[t]`` consecutive rows (one root of every row without
-    ``sizes``) and, with fewer than ``d`` candidate features, draws its
-    feature subsets from ``feature_rngs[t]``.
+    Tree ``t``'s root holds the ``t``-th run of ``sizes[t]`` consecutive
+    rows (one root of every row without ``sizes``) and, with fewer than
+    ``d`` candidate features, draws its feature subsets from
+    ``feature_rngs[t]``.  ``values`` holds the roots' tables, each a list
+    of every feature's sorted distinct values: one table that every root
+    reads, as a tree or a forest's trees read their fit's, or one table a
+    root, as the fits of a boosting group each read their own.  ``ranks``
+    is :func:`_ranks` of each root's rows among its table's values, laid
+    end to end.  A node reads its root's table for everything that counts
+    values: its bins, its histograms, its thresholds and the wide rule.
 
     ``counts``, when given, weights each row by the times it was drawn.
     The split search then sums ``w * y`` and ``w * y**2``, a child's size
@@ -367,11 +381,7 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
     scores every candidate feature of every node of every tree, and a
     stable sort on the child index regroups the rows for the next level.
     A node is *wide* when its rows times its candidate features outnumber
-    the bins of those features: the distinct values of the fit or, with
-    ``root_bins``, of the node's root.  ``root_bins[t, j]`` counts the
-    distinct values of feature ``j`` on root ``t``'s rows, so roots that
-    stand for separate fits, ranked over their union, each route their
-    nodes as a fit on their own rows would.  A wide node's (node, feature)
+    its table's bins of those features.  A wide node's (node, feature)
     pairs are rows of histogram bins (:func:`_wide_histograms`,
     :func:`_wide_splits`), and the last level's histograms are dropped
     before the scores are taken.  A *narrow* node's pairs are rows of its
@@ -383,17 +393,13 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
     sorts its rows on its ranks (:func:`_sort_rows`).  So a level whose
     nodes are all wide reads and regroups no sorted rows.
 
-    A node's split and children depend on its own rows alone, and its
-    parent's histograms, and with fewer than ``d`` candidate features, each
-    tree that has splittable nodes at a depth draws one permutation per
-    node from its own generator, for those nodes in level order, as it
-    would alone; a tree with none draws nothing.  So a tree grown next to
-    others is, bit for bit, the tree grown alone.  Values of other roots'
-    rows are bins that none of a root's rows fill: its histograms sum
-    exact zeros there, its thresholds are read from the values its rows
-    hold, and every score's first minimum stays first, so with
-    ``root_bins`` the tree is also the one grown on its rows' own
-    :func:`_ranks`.  With one root, nothing is tracked per tree.
+    A node's split and children depend on its own rows alone, its
+    parent's histograms and its root's table, and with fewer than ``d``
+    candidate features, each tree that has splittable nodes at a depth
+    draws one permutation per node from its own generator, for those nodes
+    in level order, as it would alone; a tree with none draws nothing.  So
+    a tree grown next to others is, bit for bit, the tree grown alone on
+    its table.  With one root, nothing is tracked per tree.
 
     Returns ``(feature, value, n_nodes)``: the trees' node arrays laid end
     to end in root order, and each tree's node count.  A tree's arrays are
@@ -405,13 +411,16 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
     features.
     """
     d, n = ranks.shape
-    bins = np.array([v.size for v in values])
-    edges = np.concatenate(values)
-    first_edge = np.cumsum(bins) - bins
+    # each table's bins per feature, and where each feature's values
+    # start in edges
+    bins = np.array([[v.size for v in table] for table in values])
+    edges = np.concatenate([v for table in values for v in table])
+    first_edge = (np.cumsum(bins) - bins.ravel()).reshape(bins.shape)
     y_sq = _with_squares(yr, counts)
     sizes = np.array([n] if sizes is None else sizes)
     n_roots = sizes.size
     several = n_roots > 1
+    own = len(values) > 1  # each root reads its own table
     n_cand = min(max_features, d)
     full = n_cand == d
     every = np.broadcast_to(np.arange(d), (n, d))  # every feature, for any node
@@ -465,12 +474,11 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
                     rng.permuted(block, axis=1, out=block)
             cand = cand[:, :n_cand]
             cand.sort(axis=1)
-        # a node is wide when its rows on its candidates outnumber their bins
-        if root_bins is not None:
-            n_bins = root_bins[tree[nodes][:, None], cand].sum(axis=1)
-        else:
-            n_bins = bins.sum() if full else bins[cand].sum(axis=1)
-        wide = sizes[nodes] * n_cand > n_bins
+        # each (node, candidate) pair's bins, from the node's table; a
+        # node is wide when its rows on its candidates outnumber them
+        table = tree[nodes] if own else np.zeros(nodes.size, dtype=np.intp)
+        pair_bins = bins[table[:, None], cand]
+        wide = sizes[nodes] * n_cand > pair_bins.sum(axis=1)
         narrow = nodes[~wide]
         fresh = narrow[~ranked[narrow]]
         if fresh.size:
@@ -483,7 +491,7 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
                 if held:
                     grown[:, :held] = order[:, :held]
                 order = grown
-            _sort_rows(ranks, bins, fresh_rows, sizes[fresh],
+            _sort_rows(ranks, bins.max(axis=0), fresh_rows, sizes[fresh],
                        order[:, held : held + fresh_rows.size])
             begin[fresh] = held + np.cumsum(sizes[fresh]) - sizes[fresh]
             ranked[fresh] = True
@@ -498,11 +506,12 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
             above = np.empty(cand.shape, dtype=np.intp)
             hists = None
             if wide.any():
-                hists = _wide_histograms(ranks, bins, y_sq, counts, rows, starts, sizes,
+                wide_bins = pair_bins[wide]
+                hists = _wide_histograms(ranks, wide_bins, y_sq, counts, rows, starts, sizes,
                                          nodes[wide], cand[wide], carry)
                 carry = None  # the parents' histograms go before the scores
                 score[wide], cut[wide], above[wide] = _wide_splits(
-                    *hists, bins[cand[wide]], params.min_samples_leaf)
+                    *hists, wide_bins, params.min_samples_leaf)
             if narrow.size:
                 score[~wide], cut[~wide], above[~wide] = _narrow_splits(
                     ranks, y_sq, counts, order, begin[narrow], sizes[narrow], cand[~wide],
@@ -517,8 +526,9 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
             break
         j = cand[k, pick][found]
         cut = cut[k, pick][found]
-        lo = edges[first_edge[j] + cut]
-        hi = edges[first_edge[j] + above[k, pick][found]]
+        first = first_edge[table[found], j]
+        lo = edges[first + cut]
+        hi = edges[first + above[k, pick][found]]
         with np.errstate(over="ignore"):
             mid = 0.5 * (lo + hi)
         feature[split] = j
@@ -547,10 +557,12 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
             ranks.take(np.repeat(flat, sizes) + rows) > np.repeat(top, sizes))
         carry = None
         if full and hists is not None:
-            # each split node's row in this level's histograms, or -1
-            row_of = np.full(sizes.size, -1)
-            row_of[nodes[wide]] = np.arange(np.count_nonzero(wide))
-            carry = hists, row_of[split]
+            # where each split node's row starts in this level's
+            # histograms, or -1
+            width = wide_bins.sum(axis=1)
+            row_at = np.full(sizes.size, -1)
+            row_at[nodes[wide]] = np.cumsum(width) - width
+            carry = hists, row_at[split]
         keep = ranked[split]
         kept = int(sizes[split][keep].sum()) if held else 0
         depth += 1
@@ -705,61 +717,74 @@ def _narrow_splits(ranks, y_sq, counts, order, begin, sizes, cand, min_leaf):
     return score.reshape(cand.shape), cut.reshape(cand.shape), above.reshape(cand.shape)
 
 
-def _wide_histograms(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand,
+def _wide_histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes, cand,
                      carry=None):
     """The histograms of a level's wide nodes, as :func:`_histograms`
     returns them.
 
     ``carry``, with every feature a candidate, holds the last level's
-    histograms and the index in them of each split node, or -1.  A node
-    whose parent has histograms there and that holds more rows than its
-    sibling, or as many and is the right child, takes its parent's
-    histograms minus its sibling's, which are built from the sibling's rows
-    whether the sibling is searched or not.  Counts subtract exactly.
-    Every other node builds its own.
+    histograms and where each split node's row of them starts, or -1.  A
+    node whose parent has histograms there and that holds more rows than
+    its sibling, or as many and is the right child, takes its parent's
+    histograms minus its sibling's: the sibling's own row when the sibling
+    is a wide node of the level, or else one built from the sibling's rows
+    in the node's own row.  Counts subtract exactly.  Every other node
+    builds its own.  A node's row spans its root's bins of every feature,
+    so rows of different roots differ in width, and a node, its sibling and
+    their parent share one.  Every row is built or subtracted in place, so
+    the level holds its rows and its parents' and no copy of either.
     """
     if carry is None:
-        return _histograms(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand)
-    parents, parent_row = carry
-    parent = parent_row[nodes // 2]
+        return _histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes, cand)
+    parents, parent_at = carry
+    parent = parent_at[nodes // 2]
     sibling = nodes ^ 1
     # the larger child, or the right one of two equal children
     sub = (parent >= 0) & (sizes[nodes] + (nodes & 1) > sizes[sibling])
-    # the node each histogram is built for, in ascending order: the
-    # node itself or, for the larger child, its sibling
-    target = np.where(sub, sibling, nodes)
-    first = np.ones(target.size, dtype=bool)
-    np.not_equal(target[1:], target[:-1], out=first[1:])
-    built = target[first]
-    inverse = np.cumsum(first) - 1
-    # every node's candidates are every feature, so each node's bins are
-    # one row of bins.sum()
-    hists = _histograms(ranks, bins, y_sq, counts, rows, starts, sizes, built,
-                        cand[: built.size])
-    hists = [part.reshape(built.size, -1)[inverse] for part in hists]
-    for part, held in zip(hists, parents):
-        part[sub] = held.reshape(-1, part.shape[1])[parent[sub]] - part[sub]
-    return [part.ravel() for part in hists]
+    slot = np.full(sizes.size, -1)
+    slot[nodes] = np.arange(nodes.size)
+    # a larger child whose sibling is built here reads the sibling's row
+    reuse = sub & (slot[sibling] >= 0)
+    width = pair_bins.sum(axis=1)
+    at = np.cumsum(width) - width
+    build = ~reuse
+    offset = at[build, None] + np.cumsum(pair_bins[build], axis=1) - pair_bins[build]
+    hists = _histograms_at(offset, int(width.sum()), ranks, y_sq, counts, rows, starts, sizes,
+                           np.where(sub, sibling, nodes)[build], cand[build])
+    for k in np.flatnonzero(sub).tolist():
+        w = width[k]
+        # the sibling's own row, or its rows built in this node's
+        source = at[slot[sibling[k]]] if reuse[k] else at[k]
+        for part, whole in zip(hists, parents):
+            np.subtract(whole[parent[k] : parent[k] + w], part[source : source + w],
+                        out=part[at[k] : at[k] + w])
+    return hists
 
 
-def _histograms(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand):
+def _histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes, cand):
     """The histograms of every (node, candidate) pair of ``nodes``: the
     summed count and the summed ``w * y`` and ``w * y**2``, as real and
     imaginary parts, per bin of the pair's feature.
 
     Each is one flat array of the pairs' bins laid end to end, in the order
-    of ``cand``, node by node, each pair taking its feature's ``bins``.  A
-    bin sums its rows in row order, as ``np.bincount`` over the node's rows
-    alone sums them.  Without ``counts`` the counts are integers.
+    of ``cand``, node by node, pair ``(k, c)`` taking ``pair_bins[k, c]``
+    bins.  A bin sums its rows in row order, as ``np.bincount`` over the
+    node's rows alone sums them.  Without ``counts`` the counts are
+    integers.
     """
+    offset = np.cumsum(pair_bins).reshape(cand.shape) - pair_bins
+    return _histograms_at(offset, int(pair_bins.sum()), ranks, y_sq, counts, rows, starts,
+                          sizes, nodes, cand)
+
+
+def _histograms_at(offset, total, ranks, y_sq, counts, rows, starts, sizes, nodes, cand):
+    """:func:`_histograms` in arrays of ``total`` bins, pair ``(k, c)``'s
+    from bin ``offset[k, c]`` on; bins no pair takes stay zero."""
     n_cand = cand.shape[1]
     size = sizes[nodes]
     # the level's rows are every node's rows
     pos = rows if nodes.size == sizes.size else rows[_segments(starts[nodes], size)]
     node = np.repeat(np.arange(nodes.size), size)
-    # each pair's first bin
-    pair_bins = bins[cand]
-    offset = np.cumsum(pair_bins).reshape(cand.shape) - pair_bins
     # a take along the rows of a contiguous (candidates, nodes) array
     # gathers faster than fancy indexing of its transpose
     key = np.ascontiguousarray(offset.T).take(node, axis=1)
@@ -768,15 +793,13 @@ def _histograms(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand):
     else:
         key += ranks.take(np.ascontiguousarray(cand.T).take(node, axis=1) * ranks.shape[1]
                           + pos)
-    key = key.ravel()
     del node
-    total = int(pair_bins.sum())
     # each row's values once per candidate, as the keys list the rows
     drawn = None
     if counts is not None:
         drawn = np.empty((n_cand, pos.size))
         drawn[:] = counts[pos]
-    count = np.bincount(key, None if drawn is None else drawn.ravel(), total)
+    count = np.bincount(key.ravel(), None if drawn is None else drawn.ravel(), total)
     del drawn
     # complex addition adds the parts apart, each bin in key order.  A
     # candidate's keys fill its own bins, so one add.at per candidate adds
@@ -786,16 +809,16 @@ def _histograms(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand):
     # 16 bytes a key
     sums = np.zeros(total, dtype=np.complex128)
     values = y_sq[pos]
-    for keys in key.reshape(n_cand, -1):
+    for keys in key:
         np.add.at(sums, keys, values)
     return count, sums
 
 
 def _wide_splits(count, sums, pair_bins, min_leaf):
     """Each wide (node, candidate) pair's best split, from its histograms
-    (:func:`_histograms`) and its feature's bins ``pair_bins``: ``(score,
-    cut, above)`` arrays of the shape of ``pair_bins``, as
-    :func:`_narrow_splits` returns them.
+    (:func:`_histograms`) and its bins ``pair_bins``: ``(score, cut,
+    above)`` arrays of the shape of ``pair_bins``, as :func:`_narrow_splits`
+    returns them.
 
     The prefix sums of a histogram row over its bins, which start at zero,
     give every candidate split of the pair: each boundary between two
@@ -803,36 +826,43 @@ def _wide_splits(count, sums, pair_bins, min_leaf):
     whole numbers, summed exactly, so the candidates and the child sizes
     are those of a scan over sorted rows; only the sums of the targets are
     added in another order.  :func:`_row_splits` scores the rows.  Pairs
-    are scored in blocks of at most ``_HIST_CELLS`` bins, each row padded
-    with empty bins to the widest.
+    are taken in order of their bins, a stable sort, and cut into blocks
+    of at most ``_HIST_CELLS`` cells (one row at least), each row padded
+    to its block's widest by repeating its last bin, and the results go
+    back to the pairs' order.  A row is scored elementwise, its totals read
+    at its own last bin, and a padded bin leaves the right child empty, so
+    no block changes a row's result.
     """
     sizes = pair_bins.ravel()
-    width = int(sizes.max())
-    ends = np.cumsum(sizes)
-    last = sizes - 1
-    fill = np.arange(width) <= last[:, None]
-    step = max(1, _HIST_CELLS // width)
+    at = np.cumsum(sizes) - sizes
+    by_width = np.argsort(sizes, kind="stable")
+    widths = sizes[by_width]
     score = np.empty(sizes.size)
     cut = np.empty(sizes.size, dtype=np.intp)
     above = np.empty(sizes.size, dtype=np.intp)
-    for i in range(0, sizes.size, step):
-        lo, hi = ends[i] - sizes[i], ends[min(i + step, sizes.size) - 1]
-        mask = fill[i : i + step]
-        blocks = []
-        for part in (count, sums):
-            block = np.zeros(mask.shape, dtype=part.dtype)
-            block[mask] = part[lo:hi]
-            blocks.append(block)
-        running, block_sums = blocks
-        # a filled bin ends a left child
+    lo = 0
+    while lo < sizes.size:
+        # the most rows, one at least, whose block padded to the last and
+        # widest of them holds at most _HIST_CELLS cells
+        cells = np.arange(1, sizes.size - lo + 1) * widths[lo:]
+        hi = lo + max(1, int(np.searchsorted(cells, _HIST_CELLS, side="right")))
+        block_rows = by_width[lo:hi]
+        last = sizes[block_rows] - 1
+        # each row's bins, its last one repeated to the block's width
+        held = at[block_rows, None] + np.minimum(np.arange(widths[hi - 1]), last[:, None])
+        running, block_sums = count.take(held), sums.take(held)
+        del held
+        # a filled bin ends a left child; one past the last leaves the
+        # right child empty, and _row_splits drops it
         edge = running > 0
         np.cumsum(running, axis=1, out=running)
         np.cumsum(block_sums, axis=1, out=block_sums)
-        at = slice(i, i + step)
-        score[at], pick = _row_splits(running, block_sums, edge, last[at], min_leaf)
-        cut[at] = pick
+        score[block_rows], pick = _row_splits(running, block_sums, edge, last, min_leaf)
+        cut[block_rows] = pick
         # the first bin whose running count passes the pick's is the next filled
-        above[at] = np.argmax(running > running[np.arange(pick.size), pick][:, None], axis=1)
+        above[block_rows] = np.argmax(
+            running > running[np.arange(pick.size), pick][:, None], axis=1)
+        lo = hi
     return tuple(part.reshape(pair_bins.shape) for part in (score, cut, above))
 
 
@@ -872,7 +902,7 @@ def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:
     X, y = _check_training_pair(X, y)
     params = params or TreeParams()
     values, ranks = _ranks(X)
-    return _pack([_grow(ranks, values, y, params, X.shape[1])], X.shape[1],
+    return _pack([_grow(ranks, [values], y, params, X.shape[1])], X.shape[1],
                  {"params": params})
 
 
@@ -892,7 +922,7 @@ def _grow_bagged(values, ranks, y, group, params, max_features):
     sizes = [r.size for r in rows]
     rows = np.concatenate(rows)
     counts = None if counts[0] is None else np.concatenate(counts)
-    return _grow(ranks.take(rows, axis=1), values, y[rows], params, max_features, rngs,
+    return _grow(ranks.take(rows, axis=1), [values], y[rows], params, max_features, rngs,
                  sizes, counts)
 
 
@@ -1008,7 +1038,7 @@ def fit_gbm(
     X, y = _check_training_pair(X, y)
     params = _boosting_params(n_trees, max_depth, learning_rate, min_samples_leaf)
     values, ranks = _ranks(X)
-    (model,) = _boost(values, ranks, y, [X.shape[0]], n_trees, params, learning_rate)
+    (model,) = _boost([values], ranks, y, [X.shape[0]], n_trees, params, learning_rate)
     return model
 
 
@@ -1026,36 +1056,40 @@ def fit_gbm_sets(
 
     Consecutive sets are boosted together in groups: a set joins a group
     while the group's rows add up to at most ``_BOOST_ROWS``, and a group
-    holds at least one set, so a larger set grows alone.  A group's rows
-    are ranked once, over their union, and each stage grows every set's
-    tree in one :func:`_grow` call, one root per set, so the sets share
-    every level's passes.  The grower's wide rule reads each root's own
-    distinct values, so every node is scored as it would be in its set's
-    own fit (see :func:`_grow`).
+    holds at least one set, so a larger set grows alone.  Each set is
+    ranked on its own rows, as :func:`fit_gbm` ranks them, and each stage
+    grows every set's tree in one :func:`_grow` call, one root per set,
+    each reading its set's own table, so the sets share every level's
+    passes and every node is scored as in its set's own fit.
 
     A group holds its stages as one ``(feature, value)`` pair per stage and
     packs a set's model only when it is asked for, so a caller that drops
     each model before taking the next holds one at a time.
     ``X`` and ``y`` are checked as :func:`fit_gbm` checks them, every row
-    at once.  Sets may share rows; each must hold at least one.
+    at once, and every set before any is ranked: each must be a 1-D array
+    of integer row indices holding at least one row.  Sets may share rows.
     """
     X, y = _check_training_pair(X, y)
     params = _boosting_params(n_trees, max_depth, learning_rate, min_samples_leaf)
     groups = []
     used = _BOOST_ROWS
-    for rows in row_sets:
-        if not len(rows):
-            raise EmptyData("cannot fit on an empty row set")
-        if used + len(rows) > _BOOST_ROWS:
+    for k, rows in enumerate(row_sets):
+        rows = np.asarray(rows)
+        if rows.ndim == 1 and not rows.size:
+            raise EmptyData(f"row set {k} is empty: cannot fit on an empty row set")
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError(f"row set {k} must be a 1-D array of integer row indices, "
+                             f"got {rows.ndim}-D {rows.dtype}")
+        if used + rows.size > _BOOST_ROWS:
             groups.append([])
             used = 0
         groups[-1].append(rows)
-        used += len(rows)
+        used += rows.size
     for group in groups:
-        rows = np.concatenate(group)
-        values, ranks = _ranks(X[rows])
-        yield from _boost(values, ranks, y[rows], [len(r) for r in group], n_trees,
-                          params, learning_rate)
+        tables, ranks = zip(*(_ranks(X[rows]) for rows in group))
+        ranks = np.concatenate(ranks, axis=1)
+        yield from _boost(tables, ranks, y[np.concatenate(group)], [r.size for r in group],
+                          n_trees, params, learning_rate)
 
 
 def _boosting_params(n_trees, max_depth, learning_rate, min_samples_leaf):
@@ -1066,60 +1100,48 @@ def _boosting_params(n_trees, max_depth, learning_rate, min_samples_leaf):
     return TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 
 
-def _boost(values, ranks, y, sizes, n_trees, params, learning_rate):
+def _boost(tables, ranks, y, sizes, n_trees, params, learning_rate):
     """Boost one model per run of ``sizes[m]`` consecutive rows, together,
     and yield each run's model in run order.
 
-    ``values`` and ``ranks`` are :func:`_ranks` of every run's rows.  Each
-    stage grows every run's tree in one :func:`_grow` call, a root per run,
-    whose wide rule reads each root's own distinct values when there are
-    several.  Each run keeps its own base, current predictions and
-    training MSE, taken on its own slice of the rows.  Each stage is kept
-    as one ``(feature, value)`` pair for every run, not one per run, the
-    pairs are joined once the stages end, and a run's model is packed only
-    when it is taken.
+    ``tables[m]`` is run ``m``'s sorted distinct values per feature and
+    ``ranks`` each run's rows ranked among them, laid end to end
+    (:func:`_ranks` of each run's rows).  Each stage grows every run's tree
+    in one :func:`_grow` call, a root per run reading its own table.  Each
+    run keeps its own base, current predictions and training MSE, taken on
+    its own slice of the rows: one :func:`_segment_sums` of every run's
+    squared errors a stage gives each run's ``np.mean``, bit for bit.  Each
+    stage is kept as one ``(feature, value)`` pair for every run, not one
+    per run, the pairs are joined once the stages end, and a run's model is
+    packed only when it is taken.
     """
     d, n = ranks.shape
     sizes = np.asarray(sizes)
-    runs = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
-    root_bins = _root_bins(values, ranks, sizes) if len(runs) > 1 else None
-    bases = [float(np.mean(y[run])) for run in runs]
+    starts = np.cumsum(sizes) - sizes
+    bases = _segment_sums(y, starts, sizes) / sizes
     current = np.repeat(bases, sizes)
-    paths = [[float(np.mean((y[run] - current[run]) ** 2))] for run in runs]
+    residual = y - current
+    paths = [_segment_sums(residual * residual, starts, sizes) / sizes]
     fitted = np.empty(n)
     stages = []
     for _ in range(n_trees):
-        residual = y - current
         # an overflowing mean or leaf value makes the residuals infinite
         if not np.isfinite(residual).all():
             raise ValueError("targets must be finite")
-        stages.append(_grow(ranks, values, residual, params, d, sizes=sizes, fitted=fitted,
-                            root_bins=root_bins))
+        stages.append(_grow(ranks, tables, residual, params, d, sizes=sizes, fitted=fitted))
         current = current + learning_rate * fitted
-        for run, path in zip(runs, paths):
-            path.append(float(np.mean((y[run] - current[run]) ** 2)))
+        residual = y - current
+        paths.append(_segment_sums(residual * residual, starts, sizes) / sizes)
     del residual, current, fitted
+    paths = np.array(paths).T
     # each stage's node count for each run, and where those nodes start
     n_nodes = np.array([stage[2] for stage in stages])
     feature, value = (np.concatenate(kind) for kind in list(zip(*stages))[:2])
     del stages
     first = (np.cumsum(n_nodes) - n_nodes.ravel()).reshape(n_nodes.shape)
-    for m, (base, path) in enumerate(zip(bases, paths)):
+    for m, (base, path) in enumerate(zip(bases.tolist(), paths)):
         at = _segments(first[:, m], n_nodes[:, m])
         info = {"params": params, "learning_rate": learning_rate,
-                "train_mse_path": tuple(path)}
+                "train_mse_path": tuple(path.tolist())}
         yield _pack([(feature[at], value[at], n_nodes[:, m])], d, info, base=base,
                     rate=learning_rate)
-
-
-def _root_bins(values, ranks, sizes):
-    """The ``root_bins`` of :func:`_grow` for roots of ``sizes[t]``
-    consecutive rows: the distinct values of each feature on each root's
-    rows, an ``(n_roots, d)`` array."""
-    root = np.repeat(np.arange(sizes.size), sizes)
-    out = np.empty((sizes.size, len(values)), dtype=np.intp)
-    for j, feature_values in enumerate(values):
-        seen = np.zeros((sizes.size, feature_values.size), dtype=bool)
-        seen[root, ranks[j]] = True
-        out[:, j] = seen.sum(axis=1)
-    return out

@@ -247,6 +247,32 @@ def histograms(ranks, bins, y, counts, rows):
             for rank, size in zip(ranks, bins)]
 
 
+def hist_split(count, s, q, min_leaf):
+    """Score every boundary between filled bins of one feature's histogram
+    (counts, sums of ``w * y`` and of ``w * y**2``); return the first
+    minimum score, its bin and the next filled bin (or None).
+
+    Every bin is scored, and the empty ones and those that leave a child
+    empty or below ``min_leaf`` are dropped; a NaN anywhere is the
+    minimum.
+    """
+    n_left = np.cumsum(count)
+    sum_left = np.cumsum(s)
+    sq_left = np.cumsum(q)
+    n_right = n_left[-1] - n_left
+    sum_right = sum_left[-1] - sum_left
+    sq_right = sq_left[-1] - sq_left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = (sq_left - sum_left * sum_left / n_left) + (
+            sq_right - sum_right * sum_right / n_right
+        )
+    usable = (count > 0) & (n_right > 0) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    score = np.where(usable, score, math.inf)
+    pos = int(np.argmin(score))
+    filled = np.flatnonzero(count[pos + 1 :] > 0)
+    return score[pos], pos, pos + 1 + int(filled[0]) if filled.size else None
+
+
 def _best_hist_split(values, hists, feature_ids, min_leaf):
     """Score every boundary between filled bins of each candidate
     feature's histogram; return (feature, threshold) or None.
@@ -256,31 +282,11 @@ def _best_hist_split(values, hists, feature_ids, min_leaf):
     minimum is lowest wins; a node whose best is not below inf does not
     split.
     """
-    mins = []
-    picks = []
-    for j in feature_ids:
-        count, s, q = hists[j]
-        n_left = np.cumsum(count)
-        sum_left = np.cumsum(s)
-        sq_left = np.cumsum(q)
-        n_right = n_left[-1] - n_left
-        sum_right = sum_left[-1] - sum_left
-        sq_right = sq_left[-1] - sq_left
-        # every bin is scored, and the empty and the last ones are dropped
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = (sq_left - sum_left * sum_left / n_left) + (
-                sq_right - sum_right * sum_right / n_right
-            )
-        usable = (count > 0) & (n_right > 0) & (n_left >= min_leaf) & (n_right >= min_leaf)
-        score = np.where(usable, score, math.inf)
-        pos = int(np.argmin(score))
-        mins.append(score[pos])
-        picks.append(pos)
-    k = int(np.argmin(mins))
-    if not mins[k] < math.inf:
+    best = [hist_split(*hists[j], min_leaf) for j in feature_ids]
+    k = int(np.argmin([score for score, _, _ in best]))
+    if not best[k][0] < math.inf:
         return None
-    j, pos = feature_ids[k], picks[k]
-    upper = pos + 1 + int(np.flatnonzero(hists[j][0][pos + 1 :] > 0)[0])
+    j, (_, pos, upper) = feature_ids[k], best[k]
     lo, hi = values[j][pos], values[j][upper]
     thr = 0.5 * (lo + hi)
     if thr >= hi:

@@ -53,7 +53,8 @@ from pkwbench.dataset import (
 from pkwbench.geometry import PkwFixed, PkwSample, derive, feature_vector
 from pkwbench.hydraulics import OracleConfig, paper_schedule, total_head
 from pkwbench.pointcloud import read_cloud
-from pkwbench.surrogates import attach_discharge, compute_metrics, load_model, save_model
+from pkwbench.surrogates import attach_discharge, compute_metrics, load_model, save_model, trees
+from test_surrogates import _boost_groups
 
 N_DESIGNS = 12
 MASTER_SEED = 7
@@ -1060,19 +1061,36 @@ def test_bench_split_files_match_the_split_command(tmp_path):
 
 
 def test_bench_gbm_rows_match_train_and_eval(tmp_path):
-    # boosting fits its splits in lockstep groups; each row still scores
-    # the model train fits on that split's file
+    # boosting fits its splits in one lockstep group; each row still scores
+    # the model train fits on that split's file.  Groups of at most 7,168
+    # rows cut these splits into [id, alpha_le2], [alpha_3_5, alpha_ge6],
+    # [the ood-head splits, id-f10] and [id-f20 .. id-f80]; one split of
+    # each is checked
     ws = tmp_path / "ws"
-    assert run(["bench", "--workspace", ws, "--n", 40, "--seed", 3, "--model", "gbm",
+    assert run(["bench", "--workspace", ws, "--n", 200, "--seed", 3, "--model", "gbm",
                 "--trees", 20]) == 0
     rows = {r["split"]: r for r in read_rows(ws / "reports" / "bench.csv")}
-    for name in ("ood-geom-alpha_3_5", "ood-head-q_ge170", "id-f10"):
+    for name in ("ood-geom-alpha_le2", "ood-geom-alpha_3_5", "ood-head-q_ge170", "id-f10",
+                 "id-f40"):
         assert run(["train", "--workspace", ws, "--model", "gbm", "--split", name,
                     "--trees", 20, "--seed", 3]) == 0
         assert run(["eval", "--workspace", ws, "--model", "gbm", "--split", name]) == 0
         eval_row = read_rows(ws / "reports" / f"eval-{name}-gbm-test.csv")[0]
         for column in _REPORT_COLUMNS:
             assert eval_row[column] == rows[name][column], (name, column)
+
+
+def test_bench_boosts_its_distinct_gbm_fits_in_one_group(tmp_path, monkeypatch):
+    # at n=200 the 12 distinct fits (id-f100 reuses id's) hold 23,123 to
+    # 23,142 rows, inside the default lockstep budget
+    groups = _boost_groups(monkeypatch)
+    ws = tmp_path / "ws"
+    assert run(["bench", "--workspace", ws, "--n", 200, "--seed", 11, "--model", "gbm",
+                "--trees", 2]) == 0
+    rows = read_rows(ws / "reports" / "bench.csv")
+    n_train = [int(r["n_train"]) for r in rows if r["split"] != "id-f100"]
+    assert groups == [n_train]
+    assert len(n_train) == 12 and sum(n_train) <= trees._BOOST_ROWS
 
 
 def test_bench_pointnet_runs_with_an_empty_validation_partition(tmp_path):

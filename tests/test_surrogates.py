@@ -800,8 +800,8 @@ def test_histograms_take_each_feature_bins(weighted):
     sizes = np.array([70, 130])
     y_sq = trees._with_squares(y, counts)
     for cand in (np.array([[0, 2], [1, 2]]), np.tile(np.arange(3), (2, 1))):
-        count, sums = trees._histograms(ranks, bins, y_sq, counts, rows, np.array([0, 70]),
-                                        sizes, np.arange(2), cand)
+        count, sums = trees._histograms(ranks, bins[cand], y_sq, counts, rows,
+                                        np.array([0, 70]), sizes, np.arange(2), cand)
         assert count.size == sums.size == bins[cand].sum()
         ends = np.cumsum(bins[cand]).reshape(cand.shape)
         for k, c in np.ndindex(cand.shape):
@@ -812,6 +812,51 @@ def test_histograms_take_each_feature_bins(weighted):
             assert np.array_equal(count[at], want[0])
             assert sums[at].real.tobytes() == want[1].tobytes()
             assert sums[at].imag.tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("min_leaf", [1, 3])
+def test_wide_splits_in_width_sorted_blocks_match_the_per_pair_reference(
+    monkeypatch, weighted, min_leaf
+):
+    # three nodes of four candidates whose features hold 1, 2, 19 and 200
+    # bins, in mixed order, with empty bins and tied sums; blocks of at most
+    # 300 cells cut the level, each padded only to its own widest row
+    rng = np.random.default_rng(11)
+    pair_bins = np.array([[19, 1, 200, 2], [2, 200, 19, 1], [200, 19, 2, 1]])
+    count, sums = [], []
+    for width in pair_bins.ravel():
+        filled = rng.integers(0, 4, width)
+        count.append(filled.astype(float) if weighted else filled)
+        s = rng.integers(-3, 4, width) * filled * 0.5
+        sums.append(s + 1j * (s * s + filled))
+    count, sums = np.concatenate(count), np.concatenate(sums)
+    blocks = []
+    row_splits = trees._row_splits
+
+    def spy(running, *rest):
+        blocks.append(running.shape)
+        return row_splits(running, *rest)
+
+    monkeypatch.setattr(trees, "_row_splits", spy)
+    monkeypatch.setattr(trees, "_HIST_CELLS", 300)
+    with np.errstate(all="ignore"):  # empty children divide by zero
+        score, cut, above = trees._wide_splits(count, sums, pair_bins, min_leaf)
+    # rows taken by width: 1-bin, 2-bin and 19-bin rows, then each 200 alone
+    assert blocks == [(9, 19), (1, 200), (1, 200), (1, 200)]
+    assert score.shape == cut.shape == above.shape == pair_bins.shape
+    ends = np.cumsum(pair_bins).reshape(pair_bins.shape)
+    found = 0
+    for k, c in np.ndindex(pair_bins.shape):
+        at = slice(ends[k, c] - pair_bins[k, c], ends[k, c])
+        want, pos, upper = cart_reference.hist_split(
+            count[at], sums[at].real, sums[at].imag, min_leaf)
+        assert score[k, c].tobytes() == np.float64(want).tobytes(), (k, c)
+        assert cut[k, c] == pos, (k, c)
+        if want < math.inf:
+            assert above[k, c] == upper, (k, c)
+            found += 1
+    assert found >= 6
 
 
 # Feature values with -0.0 == 0.0 ties, repeats and subnormals
@@ -1282,8 +1327,9 @@ def test_gbm_sets_on_oracle_rows_score_every_node_as_alone(monkeypatch):
         stages.clear()
         alone.append((fit_gbm(X[rows], y[rows], n_trees=6), list(stages)))
     # The first set's 38 rows on 9 features outnumber its own distinct
-    # values but not those of its group's union, so the root of its first
-    # tree is wide alone and would be narrow under the union's counts.
+    # values but not those of its group's rows together, so the root of
+    # its first tree is wide alone, and a group ranked over the union of
+    # its sets' rows would route it narrow.  Each root reads its own set's.
     d = X.shape[1]
     own = sum(v.size for v in trees._ranks(X[row_sets[0]])[0])
     union = sum(v.size for v in trees._ranks(X[np.concatenate(row_sets[:2])])[0])
@@ -1303,6 +1349,38 @@ def test_gbm_sets_on_oracle_rows_score_every_node_as_alone(monkeypatch):
     assert stages == want_stages
 
 
+def test_gbm_sets_histograms_hold_each_roots_own_bins(monkeypatch):
+    # a lockstep group's histograms span, for each wide node, the bins of
+    # its own set's features: the root level and, after every root splits,
+    # the level below, built or subtracted from the parents
+    X, y = _oracle_rows(40, seed=47, sigma=0.005)
+    geometry = np.repeat(np.arange(40), 19)
+    row_sets = [np.flatnonzero(geometry < 12), np.flatnonzero(geometry < 30)[::2],
+                np.flatnonzero(geometry >= 25)]
+    own = [sum(v.size for v in trees._ranks(X[rows])[0]) for rows in row_sets]
+    union = sum(v.size for v in trees._ranks(X[np.concatenate(row_sets)])[0])
+    assert len(set(own)) == 3 and max(own) < union
+    levels = []
+    wide_histograms = trees._wide_histograms
+
+    def spy(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes, cand, carry=None):
+        hists = wide_histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes,
+                                cand, carry)
+        levels.append((sizes.size, nodes.tolist(), hists[0].size, hists[1].size))
+        return hists
+
+    monkeypatch.setattr(trees, "_wide_histograms", spy)
+    got = list(trees.fit_gbm_sets(X, y, row_sets, n_trees=4, max_depth=2))
+    for model, rows in zip(got, row_sets):
+        _assert_same_model(model, fit_gbm(X[rows], y[rows], n_trees=4, max_depth=2))
+    roots = [level for level in levels if level[0] == 3]
+    below = [level for level in levels if level[0] == 6]
+    assert len(roots) == len(below) == 4
+    for n_nodes, nodes, n_count, n_sums in roots + below:
+        want = sum(own[node * 3 // n_nodes] for node in nodes)
+        assert n_count == n_sums == want
+
+
 def test_gbm_sets_hand_over_one_model_at_a_time():
     X, y = _oracle_rows(20, seed=43, sigma=0.005)
     fits = trees.fit_gbm_sets(X, y, [np.arange(0, 380, 2), np.arange(1, 380, 2)],
@@ -1319,6 +1397,14 @@ def test_gbm_sets_guards():
     X, y = np.ones((4, 1)), np.arange(4.0)
     with pytest.raises(EmptyData):
         list(trees.fit_gbm_sets(X, y, [np.arange(2), np.arange(0)]))
+    # a boolean mask, which fit_gbm(X[mask], ...) takes, and float indices
+    # are refused before any set is ranked, naming the set's position
+    with pytest.raises(ValueError, match="row set 1 must be a 1-D array of integer"):
+        list(trees.fit_gbm_sets(X, y, [np.arange(2), np.array([True, False, True, True])]))
+    with pytest.raises(ValueError, match="row set 0 must be a 1-D array of integer"):
+        list(trees.fit_gbm_sets(X, y, [np.array([0.0, 1.0])]))
+    with pytest.raises(ValueError, match="row set 0 must be a 1-D array of integer"):
+        list(trees.fit_gbm_sets(X, y, [np.array([[0, 1]])]))
     with pytest.raises(ValueError):
         list(trees.fit_gbm_sets(X, y, [np.arange(2)], n_trees=0))
     with pytest.raises(ValueError):
