@@ -58,9 +58,9 @@ from .pointcloud import normalize_unit_cube, read_cloud, sample_surface, write_c
 from .sampling import paper_default_space, screening_space, generate_batch, VARIABLE_NAMES
 from .stlio import read_stl, write_stl
 from .surrogates import (
+    PairClouds,
     PointNetConfig,
     PointNetMini,
-    attach_discharge,
     compute_metrics,
     fit_forest,
     fit_gbm,
@@ -68,6 +68,7 @@ from .surrogates import (
     fit_pointnet_mini,
     fit_tree,
     load_model,
+    normalize_discharge,
     save_model,
 )
 
@@ -222,27 +223,36 @@ def _pair_table(manifest: DatasetManifest):
     return table, index
 
 
-def _cloud_arrays(ws: Path, table: _PairTable, rows, n_points: int):
-    """Each row's cloud cut to its first ``n_points`` points, discharge
-    attached, and the targets.  ``sample_surface`` draws points i.i.d. by
-    area, so the prefix is itself an area-weighted sample of the surface."""
-    gids = table.gid[rows].tolist()
-    prefixes: dict[str, np.ndarray] = {}
-    for gid in gids:
-        if gid not in prefixes:
-            path = ws / "clouds" / f"{gid}.wnpc"
-            if not path.exists():
-                raise MissingArtifact(f"no point cloud for {gid}; run cloud first")
-            cloud = read_cloud(path, geometry_id=gid)
-            if cloud.n_points < n_points:
-                raise MissingArtifact(
-                    f"cloud for {gid} has {cloud.n_points} points, need {n_points}"
-                )
-            # a copy, so the whole cloud is freed
-            prefixes[gid] = cloud.points[:n_points].copy()
-    clouds = [prefixes[gid] for gid in gids]
-    points = np.stack(clouds) if clouds else np.empty((0, n_points, 3))
-    return attach_discharge(points, table.Q[rows]), table.y[rows]
+# the sorted ids of some geometries, and each one's cloud cut to its first
+# points, in one (geometries, points, 3) float32 array
+_Clouds = collections.namedtuple("_Clouds", "names points")
+
+
+def _load_clouds(ws: Path, gids, n_points: int) -> _Clouds:
+    """The first ``n_points`` points of each of ``gids``'s clouds, read once
+    per geometry.  ``sample_surface`` draws points i.i.d. by area, so the
+    prefix is itself an area-weighted sample of the surface.  Clouds are
+    float32 on disk, so the float32 copy holds their values exactly."""
+    names = np.unique(gids)
+    points = np.empty((names.size, n_points, 3), dtype=np.float32)
+    for k, gid in enumerate(names.tolist()):
+        path = ws / "clouds" / f"{gid}.wnpc"
+        if not path.exists():
+            raise MissingArtifact(f"no point cloud for {gid}; run cloud first")
+        cloud = read_cloud(path, geometry_id=gid, n_points=n_points)
+        if cloud.n_points < n_points:
+            raise MissingArtifact(
+                f"cloud for {gid} has {cloud.n_points} points, need {n_points}"
+            )
+        points[k] = cloud.points
+    return _Clouds(names, points)
+
+
+def _cloud_pairs(table: _PairTable, clouds: _Clouds, rows):
+    """The network input of ``rows`` over ``clouds``, and the targets."""
+    index = np.searchsorted(clouds.names, table.gid[rows])
+    return (PairClouds(clouds.points, index, normalize_discharge(table.Q[rows])),
+            table.y[rows])
 
 
 def _metric_row(split, model_name, partition, n_train, report, paper_scale):
@@ -569,7 +579,7 @@ def _ensemble_size(args, model_name: str) -> int:
     return 300 if model_name == "gbm" else 100
 
 
-def _fit_model(model_name, args, ws, table, split, seed):
+def _fit_model(model_name, args, ws, table, split, seed, clouds=None):
     if model_name in ("tree", "forest", "gbm"):
         X, y = table.X[split.train], table.y[split.train]
         if model_name == "tree":
@@ -577,25 +587,29 @@ def _fit_model(model_name, args, ws, table, split, seed):
         if model_name == "forest":
             return fit_forest(X, y, n_trees=_ensemble_size(args, "forest"), seed=seed)
         return fit_gbm(X, y, n_trees=_ensemble_size(args, "gbm"))
-    X, y = _cloud_arrays(ws, table, split.train, args.points)
+    if clouds is None:
+        clouds = _load_clouds(ws, table.gid[np.concatenate([split.train, split.val])],
+                              args.points)
+    X, y = _cloud_pairs(table, clouds, split.train)
     # no validation pairs: the training set doubles as the validation set
     Xv = yv = None
     if len(split.val):
-        Xv, yv = _cloud_arrays(ws, table, split.val, args.points)
+        Xv, yv = _cloud_pairs(table, clouds, split.val)
     config = PointNetConfig(max_epochs=args.epochs, seed=seed)
     return fit_pointnet_mini(X, y, Xv, yv, config=config)
 
 
-def _bench_models(model_name, args, ws, table, splits, seed):
+def _bench_models(model_name, args, ws, table, splits, seed, clouds):
     """Each split's model, fitted on its training rows, in split order, one
     at a time as they are asked for.  Boosting fits the splits in lockstep
-    groups (``fit_gbm_sets``), each model the one ``train`` fits."""
+    groups (``fit_gbm_sets``), each model the one ``train`` fits.  The
+    network reads its points from ``clouds``."""
     if model_name == "gbm":
         yield from fit_gbm_sets(table.X, table.y, [split.train for split in splits],
                                 n_trees=_ensemble_size(args, "gbm"))
         return
     for split in splits:
-        yield _fit_model(model_name, args, ws, table, split, seed)
+        yield _fit_model(model_name, args, ws, table, split, seed, clouds)
 
 
 def _cmd_train(args) -> int:
@@ -617,13 +631,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _eval_model(ws, table, model, rows):
+def _eval_model(ws, table, model, rows, clouds=None):
     if isinstance(model, PointNetMini):
         # the network reads as many points per cloud as it was trained on
         if "points" not in model.history:
             raise MalformedModel("the network records no point count per cloud; "
                                  "rerun `pkwbench train --force` to refit it")
-        X, y = _cloud_arrays(ws, table, rows, model.history["points"])
+        if clouds is None:
+            clouds = _load_clouds(ws, table.gid[rows], model.history["points"])
+        X, y = _cloud_pairs(table, clouds, rows)
     else:
         X, y = table.X[rows], table.y[rows]
     return compute_metrics(y, model.predict(X))
@@ -716,11 +732,14 @@ def _cmd_bench(args) -> int:
     distinct = {}
     for key, split in zip(keys, splits):
         distinct.setdefault(key, split)
+    # every network fit and eval reads its points from one copy of the clouds
+    clouds = _load_clouds(ws, table.gid, args.points) if "pointnet" in models else None
     rows = []
     for model_name in models:
-        fits = _bench_models(model_name, args, ws, table, list(distinct.values()), seed)
+        fits = _bench_models(model_name, args, ws, table, list(distinct.values()), seed,
+                             clouds)
         # each model is scored and dropped before the next one is handed over
-        reports = {key: _eval_model(ws, table, next(fits), split.test)
+        reports = {key: _eval_model(ws, table, next(fits), split.test, clouds)
                    for key, split in distinct.items()}
         rows += [_metric_row(split, model_name, "test", len(split.train), reports[key],
                              args.paper_scale)

@@ -8,6 +8,7 @@ consulting the source mesh.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -161,25 +162,32 @@ def write_cloud(path, cloud: PointCloud) -> None:
         fh.write(payload)
 
 
-def read_cloud(path, geometry_id: str = "") -> PointCloud:
+def read_cloud(path, geometry_id: str = "", n_points: int | None = None) -> PointCloud:
+    """Read a cloud file; with ``n_points``, only its first ``n_points``
+    points (all of them if it holds fewer).  The file's size is checked
+    against the header's count either way, so a file cut anywhere raises
+    ``MalformedCloud`` even when the prefix itself is whole."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise MalformedCloud(f"file is {len(blob)} bytes, header needs {_HEADER.size}")
-    magic, version, count, flag, scale, ox, oy, oz = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise MalformedCloud(f"bad magic {magic!r}")
-    if version != _VERSION:
-        raise MalformedCloud(f"unsupported version {version}")
-    if flag not in _FLAG_FRAMES:
-        raise MalformedCloud(f"unknown frame flag {flag}")
-    expected = _HEADER.size + 12 * count
-    if len(blob) != expected:
-        raise MalformedCloud(
-            f"payload holds {len(blob) - _HEADER.size} bytes, "
-            f"{count} points need {12 * count}")
-    pts = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
-    pts = pts.reshape(count, 3).astype(np.float64)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise MalformedCloud(f"file is {size} bytes, header needs {_HEADER.size}")
+        magic, version, count, flag, scale, ox, oy, oz = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise MalformedCloud(f"bad magic {magic!r}")
+        if version != _VERSION:
+            raise MalformedCloud(f"unsupported version {version}")
+        if flag not in _FLAG_FRAMES:
+            raise MalformedCloud(f"unknown frame flag {flag}")
+        if size != _HEADER.size + 12 * count:
+            raise MalformedCloud(
+                f"payload holds {size - _HEADER.size} bytes, "
+                f"{count} points need {12 * count}")
+        take = count if n_points is None else min(n_points, count)
+        blob = fh.read(12 * take)
+    if len(blob) != 12 * take:
+        raise MalformedCloud(f"payload ends after {len(blob)} bytes of {12 * take}")
+    pts = np.frombuffer(blob, dtype="<f4").reshape(take, 3).astype(np.float64)
     try:
         return PointCloud(points=pts, frame=_FLAG_FRAMES[flag], scale=scale,
                           offset=np.array([ox, oy, oz]),

@@ -2,8 +2,8 @@
 
 Tabular models (tree, forest, boosting) consume the engineered feature
 vector and all fit to one packed type, ``TreeEnsemble``; the point-cloud
-network consumes sampled surface points with the discharge appended per
-point.  Everything trains deterministically from an
+network encodes each geometry's sampled surface points once and joins the
+discharge after the pool.  Everything trains deterministically from an
 explicit seed and round-trips through one binary container format.
 """
 
@@ -15,6 +15,7 @@ from .metrics import (
     timed_single_predictions,
 )
 from .pointnet import (
+    PairClouds,
     PointNetConfig,
     PointNetMini,
     attach_discharge,
@@ -36,6 +37,7 @@ __all__ = [
     "fit_forest",
     "fit_gbm",
     "fit_gbm_sets",
+    "PairClouds",
     "PointNetConfig",
     "PointNetMini",
     "attach_discharge",

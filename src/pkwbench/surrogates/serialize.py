@@ -11,9 +11,11 @@ stores 12 bytes per node: its feature and value arrays in level order,
 from which the child links follow; an internal node's value is its
 threshold.  Version 2 gave the three tree models that one kind, version 3
 dropped the two stored link arrays, and version 4 dropped internal nodes'
-means.  Older tree files are not read: a tree is cheap to refit, so
-``load_model`` asks for ``pkwbench train --force`` instead of keeping a
-second reader.  Version 3 network files, stored alike, still load.
+means.  A point network file is at version 5, since the network's
+discharge joins after the pool and its first and fourth weight shapes
+changed.  Files of any other version are not read: a model is cheap to
+refit, so ``load_model`` asks for ``pkwbench train --force`` instead of
+keeping a second reader.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from .trees import TreeEnsemble, TreeParams
 __all__ = ["save_model", "load_model"]
 
 _MAGIC = b"WNSM"
-_VERSION = 4
 _PREFIX = struct.Struct("<4sHBI")  # magic, version, kind, header length
 
 _KIND_TREE = 1
 _KIND_POINTNET = 4
+# the one container version each kind is written and read at
+_VERSIONS = {_KIND_TREE: 4, _KIND_POINTNET: 5}
 
 _TREE_FIELDS = (("feature", "<i4"), ("value", "<f8"))
 
@@ -130,7 +133,7 @@ def save_model(path, model):
     kind, header, blobs = _describe(model)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with _atomic_write(path, "wb") as fh:
-        fh.write(_PREFIX.pack(_MAGIC, _VERSION, kind, len(header_bytes)))
+        fh.write(_PREFIX.pack(_MAGIC, _VERSIONS[kind], kind, len(header_bytes)))
         fh.write(header_bytes)
         for blob in blobs:
             # the array's own buffer: tobytes() would copy it first
@@ -146,12 +149,12 @@ def load_model(path):
     magic, version, kind, header_len = _PREFIX.unpack_from(raw)
     if magic != _MAGIC:
         raise MalformedModel(f"bad magic {magic!r}")
-    # a point network's bytes are the same at version 3
-    reads = (3, _VERSION) if kind == _KIND_POINTNET else (_VERSION,)
-    if version not in reads:
+    if kind not in _VERSIONS:
+        raise MalformedModel(f"unknown model kind {kind}")
+    if version != _VERSIONS[kind]:
         raise MalformedModel(
             f"unsupported container version {version}; this build reads version "
-            f"{' or '.join(map(str, reads))} only, so rerun `pkwbench train --force` "
+            f"{_VERSIONS[kind]} only, so rerun `pkwbench train --force` "
             "to refit the model"
         )
     header_end = _PREFIX.size + header_len
@@ -165,10 +168,8 @@ def load_model(path):
     try:
         if kind == _KIND_TREE:
             model = _load_trees(header, reader)
-        elif kind == _KIND_POINTNET:
-            model = _load_pointnet(header, reader)
         else:
-            raise MalformedModel(f"unknown model kind {kind}")
+            model = _load_pointnet(header, reader)
     except KeyError as exc:
         raise MalformedModel(f"header is missing field {exc}") from exc
     reader.finish()

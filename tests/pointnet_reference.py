@@ -1,15 +1,14 @@
-"""Earlier versions of the point network, for differential tests.
+"""Slow, plain versions of the point network, for differential tests.
 
-``ReferencePointNet._forward``, ``predict`` and ``loss_and_gradients`` are
-``pkwbench.surrogates.pointnet`` as it was before its layers ran in place,
-the pool read its values at the argmax and evaluation ran in batch-sized
-chunks.  Its backward pass is dense: it scatters the pooled gradient into a
-full (clouds, points, channels) array and backpropagates every point.
-
-``CachedPointNet._forward``, ``_predict`` and ``loss_and_gradients`` are the
-network as it was before the encoder ran one cloud at a time: a training
-step caches every per-point activation of the batch, and the backward pass
-gathers the critical rows from that cache instead of recomputing them.
+``PairwisePointNet`` is the network written the direct way.  Every pair's
+cloud is encoded on its own, with no grouping of equal clouds: the
+per-point layers are one row-major product per layer over the whole batch,
+and every per-point activation is cached.  The head runs on one row at a
+time, each output summed as the bias, then input 0, 1, ... in turn, with
+the pair's q the last input of layer 3.  Its backward pass is dense: it
+scatters each pair's pooled gradient into a full (pairs, points, channels)
+array and backpropagates every point.  It takes ``(n, points, 4)`` arrays
+only.
 
 ``RowMajorPointNet._encode`` is the encoder as it was before it ran
 channels first in blocks of points: each cloud's per-point layers are one
@@ -17,14 +16,11 @@ row-major product per layer over all of its points, and the pool reduces
 the (points, 128) pre-activation along its strided point axis.
 
 ``fit_pointnet_mini`` is the training loop, copied unchanged except that it
-builds the ``network`` class it is given, evaluates through that class's
-``predict``, and records ``train_mse`` as the size-weighted mean of the
-epoch's batch losses, as the production loop does; the training loop before
-that re-evaluated the whole training set each epoch, which changes no
-weight.  The differential tests in ``test_pointnet.py`` require the
-production network to return the same losses and predictions bit for bit,
-and the same gradients, and the parameters and histories a fit derives from
-them, up to reassociation of float64 sums.
+builds and evaluates the pairwise network.  The differential tests in
+``test_pointnet.py`` require the production network to return the same
+losses and predictions bit for bit, and the same gradients, and the
+parameters and histories a fit derives from them, up to reassociation of
+float64 sums.
 """
 
 import numpy as np
@@ -40,32 +36,39 @@ from pkwbench.surrogates.pointnet import (
 )
 
 
-class ReferencePointNet(PointNetMini):
-    """Full-set forward pass, full-size pool mask and max reduction."""
+class PairwisePointNet(PointNetMini):
+    """Every pair encoded on its own, the head one row at a time."""
 
-    def _forward(self, X, need_cache=False):
-        h = X
-        cache = {"acts": [X]}
-        for i in range(len(_LAYER_DIMS)):
-            z = h @ self.params[f"W{i}"] + self.params[f"b{i}"]
-            last = i == len(_LAYER_DIMS) - 1
-            h = z if last else np.maximum(z, 0.0)
-            if need_cache:
-                cache[f"mask{i}"] = None if last else z > 0.0
-            if i == _POOL_AFTER:
-                # first-maximum argmax keeps tie routing deterministic
-                cache["argmax"] = np.argmax(h, axis=1)
-                cache["pre_pool_shape"] = h.shape
-                h = np.max(h, axis=1)
-            if need_cache:
-                cache["acts"].append(h)
-        return h[:, 0], cache
+    def _head_row(self, pooled, q):
+        """One pair's hidden layer and prediction, summed in the fixed order."""
+        W3, b3, W4, b4 = (self.params[k] for k in ("W3", "b3", "W4", "b4"))
+        inputs = np.append(np.maximum(pooled, 0.0), q)
+        hidden = b3.copy()
+        for j in range(inputs.size):
+            hidden += inputs[j] * W3[j]
+        hidden = np.maximum(hidden, 0.0)
+        out = b4.copy()
+        for j in range(hidden.size):
+            out += hidden[j] * W4[j]
+        return inputs, hidden, out[0]
+
+    def _forward(self, X):
+        """Per-point activations of every pair, the pool and the head rows."""
+        acts = [X[:, :, :3]]
+        for i in range(_POOL_AFTER + 1):
+            z = acts[-1] @ self.params[f"W{i}"] + self.params[f"b{i}"]
+            acts.append(np.maximum(z, 0.0) if i < _POOL_AFTER else z)
+        pre_pool = acts[-1]
+        # first-maximum argmax keeps tie routing deterministic
+        argmax = np.argmax(pre_pool, axis=1)
+        pooled = np.take_along_axis(pre_pool, argmax[:, None, :], axis=1)[:, 0]
+        rows = [self._head_row(p, x[0, 3]) for p, x in zip(pooled, X)]
+        return acts, argmax, rows
 
     def predict(self, X) -> np.ndarray:
-        """Predict one scalar per cloud; accepts a single cloud too."""
-        X = _check_clouds(X)
-        out, _ = self._forward(X)
-        return out
+        """Predict one scalar per pair; accepts a single cloud too."""
+        _, _, rows = self._forward(_check_clouds(X))
+        return np.array([out for _, _, out in rows])
 
     def loss_and_gradients(self, X, y):
         """Mean squared error over the batch and its parameter gradients."""
@@ -73,145 +76,39 @@ class ReferencePointNet(PointNetMini):
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape[0] != X.shape[0]:
             raise ShapeMismatch(f"{X.shape[0]} clouds but {y.shape[0]} targets")
-        out, cache = self._forward(X, need_cache=True)
-        err = out - y
+        acts, argmax, rows = self._forward(X)
+        err = np.array([out for _, _, out in rows]) - y
         loss = float(np.mean(err**2))
-        grads = {}
-        # d loss / d output, padded back to the (n, 1) layer shape
-        delta = (2.0 / y.size) * err[:, None]
-        acts = cache["acts"]
-        for i in reversed(range(len(_LAYER_DIMS))):
-            a_in = acts[i]
-            if i == _POOL_AFTER + 1:
-                # route the pooled gradient back to the winning points
-                pooled_grad = delta @ self.params[f"W{i}"].T
-                a_in_flat = a_in
-                grads[f"W{i}"] = a_in_flat.T @ delta
-                grads[f"b{i}"] = delta.sum(axis=0)
-                delta = np.zeros(cache["pre_pool_shape"])
-                np.put_along_axis(
-                    delta, cache["argmax"][:, None, :], pooled_grad[:, None, :], axis=1
-                )
-                delta *= cache[f"mask{i - 1}"]
-                continue
-            if a_in.ndim == 3:
-                flat_in = a_in.reshape(-1, a_in.shape[2])
-                flat_delta = delta.reshape(-1, delta.shape[2])
-            else:
-                flat_in = a_in
-                flat_delta = delta
+        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        W3, W4 = self.params["W3"], self.params["W4"]
+        # d loss / d pooled pre-activation, one row per pair
+        pooled_grad = np.zeros((X.shape[0], W3.shape[0] - 1))
+        for k, ((inputs, hidden, _), e) in enumerate(zip(rows, err)):
+            d_out = 2.0 / y.size * e
+            grads["W4"][:, 0] += hidden * d_out
+            grads["b4"][0] += d_out
+            d_hidden = W4[:, 0] * d_out * (hidden > 0.0)
+            grads["W3"] += np.outer(inputs, d_hidden)
+            grads["b3"] += d_hidden
+            pooled_grad[k] = (W3[:-1] @ d_hidden) * (inputs[:-1] > 0.0)
+        # route each pair's pooled gradient back to its winning points
+        delta = np.zeros(acts[-1].shape)
+        np.put_along_axis(delta, argmax[:, None, :], pooled_grad[:, None, :], axis=1)
+        for i in reversed(range(_POOL_AFTER + 1)):
+            flat_in = acts[i].reshape(-1, acts[i].shape[2])
+            flat_delta = delta.reshape(-1, delta.shape[2])
             grads[f"W{i}"] = flat_in.T @ flat_delta
             grads[f"b{i}"] = flat_delta.sum(axis=0)
             if i > 0:
-                delta = delta @ self.params[f"W{i}"].T
-                if i - 1 != _POOL_AFTER:
-                    delta = delta * cache[f"mask{i - 1}"]
-        return loss, grads
-
-
-class CachedPointNet(PointNetMini):
-    """Batch-sized evaluation chunks; a training step caches activations."""
-
-    def _forward(self, h, cache=None, layers=range(len(_LAYER_DIMS))):
-        """Run ``h`` through ``layers``; fill ``cache`` for backprop if given.
-
-        Each layer adds its bias and applies ReLU in place.  ReLU is
-        monotone, so it commutes with the max pool: the pooled layer pools
-        its biased pre-activation and applies ReLU to the pooled vectors
-        only.  Without a cache the pool is a plain ``max``; with one it
-        reads each channel at its first-maximum point and caches those
-        ``argmax`` indices, the critical points the backward pass runs on.
-        """
-        for i in layers:
-            z = h @ self.params[f"W{i}"]
-            z += self.params[f"b{i}"]
-            if i == _POOL_AFTER:
-                if cache is None:
-                    z = z.max(axis=1)
-                else:
-                    # argmax over a non-last axis copies its input, so it
-                    # runs one cloud at a time
-                    argmax = np.empty((z.shape[0], z.shape[2]), dtype=np.intp)
-                    for cloud, out in zip(z, argmax):
-                        np.argmax(cloud, axis=0, out=out)
-                    z = np.take_along_axis(z, argmax[:, None, :], axis=1)[:, 0]
-                    cache["argmax"] = argmax
-            if i < len(_LAYER_DIMS) - 1:
-                np.maximum(z, 0.0, out=z)
-            if cache is not None:
-                cache["acts"].append(z)
-            h = z
-        return h
-
-    def _predict(self, X) -> np.ndarray:
-        """Predictions for checked clouds, holding one batch's activations.
-
-        The per-point layers and the pool run on ``config.batch_size``
-        clouds at a time; the head then runs once on all pooled vectors.
-        The per-point products are one GEMM per cloud, so chunking them
-        changes no bits, whereas BLAS rounds a 2-D product by its row
-        count (a one-row chunk goes through gemv), so the head is not
-        chunked.  Predictions equal a full-set pass bit for bit.
-        """
-        size = self.config.batch_size
-        encoder = range(_POOL_AFTER + 1)
-        # an empty set still runs one (empty) chunk, so the result is (0,)
-        pooled = np.concatenate([
-            self._forward(X[start : start + size], layers=encoder)
-            for start in range(0, max(X.shape[0], 1), size)
-        ])
-        head = range(_POOL_AFTER + 1, len(_LAYER_DIMS))
-        return self._forward(pooled, layers=head)[:, 0]
-
-    def loss_and_gradients(self, X, y):
-        """Mean squared error over the batch and its parameter gradients.
-
-        The head backpropagates densely on the pooled vectors.  Below the
-        pool only each cloud's critical points (the distinct argmax rows
-        of its channels) receive a gradient, so the per-point layers
-        backpropagate on those R rows alone, gathered from the cached
-        activations: no (clouds, points, channels) gradient is built.
-        """
-        X = _check_clouds(X)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if y.shape[0] != X.shape[0]:
-            raise ShapeMismatch(f"{X.shape[0]} clouds but {y.shape[0]} targets")
-        cache = {"acts": [X]}
-        out = self._forward(X, cache)[:, 0]
-        err = out - y
-        loss = float(np.mean(err**2))
-        grads = {}
-        # d loss / d output, padded back to the (n, 1) layer shape
-        delta = (2.0 / y.size) * err[:, None]
-        acts = cache["acts"]
-        for i in reversed(range(_POOL_AFTER + 1, len(_LAYER_DIMS))):
-            grads[f"W{i}"] = acts[i].T @ delta
-            grads[f"b{i}"] = delta.sum(axis=0)
-            delta = delta @ self.params[f"W{i}"].T
-            delta *= acts[i] > 0.0
-        # delta is d loss / d pooled pre-activation; each (cloud, channel)
-        # sends it to one critical row, and owns that row's cell alone
-        n_clouds, n_points = X.shape[:2]
-        keys = cache["argmax"] + n_points * np.arange(n_clouds)[:, None]
-        rows, slot = np.unique(keys, return_inverse=True)
-        channels = np.arange(keys.shape[1])
-        delta_rows = np.zeros((rows.size, keys.shape[1]))
-        delta_rows[slot.reshape(keys.shape), channels] = delta
-        for i in reversed(range(_POOL_AFTER + 1)):
-            a_in = acts[i].reshape(-1, acts[i].shape[2])[rows]
-            grads[f"W{i}"] = a_in.T @ delta_rows
-            grads[f"b{i}"] = delta_rows.sum(axis=0)
-            if i > 0:
-                delta_rows = delta_rows @ self.params[f"W{i}"].T
-                delta_rows *= a_in > 0.0
+                delta = (delta @ self.params[f"W{i}"].T) * (acts[i] > 0.0)
         return loss, grads
 
 
 class RowMajorPointNet(PointNetMini):
     """Row-major per-point layers over whole clouds, pooled along axis 0."""
 
-    def _encode(self, X, critical=False):
-        """Pooled layer-2 pre-activations of checked clouds, ``(n, 128)``.
+    def _encode(self, clouds, critical=False):
+        """Pooled layer-2 pre-activations of each of ``clouds``, ``(n, 128)``.
 
         The per-point layers run one cloud at a time.  With ``critical``
         each channel is read at its first-maximum point, and those
@@ -219,10 +116,11 @@ class RowMajorPointNet(PointNetMini):
         ``max`` and the second value is ``None``.
         """
         width = _LAYER_DIMS[_POOL_AFTER][1]
-        pooled = np.empty((X.shape[0], width))
-        argmax = np.empty((X.shape[0], width), dtype=np.intp) if critical else None
+        pooled = np.empty((len(clouds), width))
+        argmax = np.empty((len(clouds), width), dtype=np.intp) if critical else None
         channels = np.arange(width)
-        for c, h in enumerate(X):
+        for c, h in enumerate(clouds):
+            h = np.asarray(h, dtype=float)
             for i in range(_POOL_AFTER + 1):
                 z = h @ self.params[f"W{i}"]
                 z += self.params[f"b{i}"]
@@ -243,7 +141,6 @@ def fit_pointnet_mini(
     val_clouds=None,
     val_y=None,
     config: PointNetConfig | None = None,
-    network=ReferencePointNet,
 ) -> PointNetMini:
     """Train the network and return it with the best-validation weights.
 
@@ -270,7 +167,7 @@ def fit_pointnet_mini(
             raise ShapeMismatch(f"{Xv.shape[0]} clouds but {yv.shape[0]} targets")
 
     rng = np.random.default_rng(config.seed)
-    model = network(_init_params(rng), config=config)
+    model = PairwisePointNet(_init_params(rng), config=config)
     m_state = {k: np.zeros_like(v) for k, v in model.params.items()}
     v_state = {k: np.zeros_like(v) for k, v in model.params.items()}
     step = 0

@@ -998,9 +998,9 @@ def test_bench_fits_each_distinct_training_set_once(tmp_path, monkeypatch):
     fitted = []
     fit = pkwbench.cli._fit_model
 
-    def counting_fit(model_name, args, ws, manifest, split, seed):
+    def counting_fit(model_name, args, ws, manifest, split, seed, *clouds):
         fitted.append(split.name)
-        return fit(model_name, args, ws, manifest, split, seed)
+        return fit(model_name, args, ws, manifest, split, seed, *clouds)
 
     monkeypatch.setattr(pkwbench.cli, "_fit_model", counting_fit)
     ws = tmp_path / "ws"
@@ -1105,6 +1105,24 @@ def test_bench_pointnet_runs_with_an_empty_validation_partition(tmp_path):
     assert len(rows) == 13
     assert {r["model"] for r in rows} == {"pointnet"}
     assert not read_split_csv(ws / "splits" / "ood-geom-alpha_le2.csv").val
+
+
+def test_bench_reads_each_cloud_prefix_once(tmp_path, monkeypatch):
+    # every network fit and eval of bench shares one copy of the clouds
+    reads = []
+
+    def counting(path, geometry_id="", n_points=None):
+        reads.append((geometry_id, n_points))
+        return read_cloud(path, geometry_id, n_points)
+
+    monkeypatch.setattr(cli, "read_cloud", counting)
+    argv = ["bench", "--workspace", tmp_path / "ws", "--n", N_DESIGNS, "--seed", 5,
+            "--model", "pointnet", "--cloud-points", 200, "--points", 32,
+            "--epochs", 1]
+    assert run(argv) == 0
+    assert len(reads) == N_DESIGNS
+    assert len({gid for gid, _ in reads}) == N_DESIGNS
+    assert {n for _, n in reads} == {32}
 
 
 def test_bench_stages_match_the_standalone_commands(tmp_path):

@@ -234,6 +234,36 @@ def test_binary_empty_cloud(tmp_path):
     np.testing.assert_allclose(back.offset, [0.1, 0.2, 0.3])
 
 
+def test_prefix_read_is_the_first_rows_of_a_full_read(tmp_path):
+    cloud = _box_cloud(0.7, 0.5, 0.2, n=1000, seed=13)
+    path = tmp_path / "c.wnpc"
+    write_cloud(path, cloud)
+    full = read_cloud(path, geometry_id="g3")
+    for n in (1, 7, 999, 1000):
+        prefix = read_cloud(path, geometry_id="g3", n_points=n)
+        assert prefix.points.tobytes() == full.points[:n].tobytes()
+        assert prefix.frame == full.frame and prefix.scale == full.scale
+        assert np.array_equal(prefix.offset, full.offset)
+        assert prefix.source_geometry_id == "g3"
+    # a cloud with fewer points than asked for is read whole
+    assert read_cloud(path, n_points=5000).points.tobytes() == full.points.tobytes()
+
+
+def test_prefix_read_of_a_file_cut_past_the_prefix_raises(tmp_path):
+    cloud = _box_cloud(1.0, 1.0, 1.0, n=100, seed=14)
+    path = tmp_path / "c.wnpc"
+    write_cloud(path, cloud)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.wnpc"
+    for size in (len(blob) - 1, len(blob) - 12 * 50, 47 + 12 * 10):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(MalformedCloud, match="100 points need"):
+            read_cloud(cut, n_points=10)
+    cut.write_bytes(blob + b"\0" * 12)
+    with pytest.raises(MalformedCloud):
+        read_cloud(cut, n_points=10)
+
+
 def test_binary_rejects_garbage(tmp_path):
     cloud = _box_cloud(1.0, 1.0, 1.0, n=10)
     path = tmp_path / "c.wnpc"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import pointnet_reference
 from pkwbench.errors import MalformedModel, NonFiniteLoss, ShapeMismatch
 from pkwbench.surrogates import (
+    PairClouds,
     PointNetConfig,
     PointNetMini,
     attach_discharge,
@@ -21,7 +22,7 @@ from pkwbench.surrogates import (
 from pkwbench.surrogates import pointnet
 from pkwbench.surrogates.pointnet import _POINT_BLOCK, _init_params
 
-N_PARAMETERS = 21_121  # frozen by the layer widths 4-64-64-128 pool 64-1
+N_PARAMETERS = 21_121  # frozen by the layer widths 3-64-64-128 pool, q, 64-1
 
 
 def _toy_clouds(n_clouds, n_points, seed):
@@ -84,9 +85,20 @@ def test_single_cloud_prediction_shape():
     model = _quick_fit(X, np.array([0.3, 0.4]))
     out = model.predict(X[0])
     assert out.shape == (1,)
-    # BLAS rounds the head by its row count, so a one-row predict may
-    # differ from a batch predict by reassociation only
-    assert abs(out[0] - model.predict(X)[0]) <= 1e-12
+    # the head sums each row in a fixed order, so one row is its batch row
+    assert out[0] == model.predict(X)[0]
+
+
+def test_one_row_predicts_its_row_of_a_65_pair_batch_byte_for_byte():
+    rng = np.random.default_rng(50)
+    # 13 clouds with 5 discharges each, so rows share clouds too
+    X = attach_discharge(np.repeat(rng.random((13, 40, 3)), 5, axis=0),
+                         rng.uniform(0.05, 0.25, size=65))
+    for seed in range(5):
+        model = PointNetMini(_init_params(np.random.default_rng(seed)))
+        batch = model.predict(X)
+        for k in range(65):
+            assert model.predict(X[k]).tobytes() == batch[k : k + 1].tobytes(), k
 
 
 def test_analytic_gradients_match_finite_differences():
@@ -214,6 +226,100 @@ def test_shape_guards():
             model.predict(X_bad)
 
 
+def test_a_discharge_channel_that_varies_within_a_cloud_is_rejected():
+    X = _toy_clouds(3, 8, seed=46)
+    model = PointNetMini(_init_params(np.random.default_rng(47)))
+    X[1, 5, 3] += 1e-9
+    for call in (model.predict, lambda X: model.loss_and_gradients(X, np.zeros(3)),
+                 lambda X: fit_pointnet_mini(X, np.zeros(3))):
+        with pytest.raises(ShapeMismatch, match="cloud 1"):
+            call(X)
+
+
+def test_equal_clouds_group_by_their_bytes_without_a_copy():
+    rng = np.random.default_rng(48)
+    pts = rng.random((3, 4 * _POINT_BLOCK + 10, 3))
+    # cloud 1 differs from cloud 0 in the last point's last coordinate only
+    pts[1] = pts[0]
+    pts[1, -1, 2] = np.nextafter(pts[1, -1, 2], 2.0)
+    # cloud 3 is cloud 2 but for the sign of one zero
+    pts[2, 0, 0] = 0.0
+    pts = np.concatenate([pts, pts[2:3]])
+    pts[3, 0, 0] = -0.0
+    order = [2, 0, 3, 1, 0, 2, 2]
+    X = attach_discharge(pts[order], rng.uniform(0.05, 0.25, size=len(order)))
+    peak = _peak_traced_bytes(lambda: pointnet._as_pairs(X))
+    pairs = pointnet._as_pairs(X)
+    assert pairs.index.tolist() == [0, 1, 2, 3, 1, 0, 0]
+    assert np.shares_memory(pairs.clouds, X)
+    assert np.array_equal(pairs.qhat, X[:, 0, 3])
+    # a copy of one cloud would hold 8 * 3 * 4106 bytes; grouping holds a
+    # block of points of two clouds at a time
+    assert peak < 2 * 8 * 3 * _POINT_BLOCK + 4096, peak
+
+
+def test_each_distinct_cloud_is_encoded_once_a_pass(monkeypatch):
+    encoded = []
+    encode = PointNetMini._encode
+
+    def counting(self, clouds, critical=False):
+        encoded.append(len(clouds))
+        return encode(self, clouds, critical)
+
+    monkeypatch.setattr(PointNetMini, "_encode", counting)
+    rng = np.random.default_rng(49)
+    X = attach_discharge(np.repeat(rng.random((40, 16, 3)), 3, axis=0)[rng.permutation(120)],
+                         rng.uniform(0.05, 0.25, size=120))
+    model = PointNetMini(_init_params(rng))
+    model.predict(X)
+    assert sum(encoded) == 40
+    encoded.clear()
+    model.loss_and_gradients(X[:30], np.zeros(30))
+    assert encoded == [len({X[k, :, :3].tobytes() for k in range(30)})]
+    # a fit encodes each batch's distinct clouds; validation runs 32 clouds
+    # at a time
+    encoded.clear()
+    fit = fit_pointnet_mini(X, np.zeros(120), config=PointNetConfig(max_epochs=2))
+    assert len(fit.history["val_mse"]) == 2
+    rng = np.random.default_rng(0)
+    _init_params(rng)
+    want = []
+    for _ in range(2):
+        order = rng.permutation(120)
+        want += [len({X[k, :, :3].tobytes() for k in order[s : s + 32]})
+                 for s in range(0, 120, 32)]
+        want += [32, 8]
+    assert encoded == want
+
+
+def test_compact_input_is_checked():
+    rng = np.random.default_rng(51)
+    clouds = rng.random((3, 8, 3))
+    model = PointNetMini(_init_params(rng))
+    good = PairClouds(clouds, np.array([2, 0, 2]), np.array([0.1, 0.5, 0.9]))
+    assert model.predict(good).shape == (3,)
+    # float32 clouds read as their float64 values
+    narrow = PairClouds(clouds.astype(np.float32), good.index, good.qhat)
+    wide = PairClouds(narrow.clouds.astype(float), good.index, good.qhat)
+    assert np.array_equal(model.predict(narrow), model.predict(wide))
+    for bad in (PairClouds(clouds, np.array([3, 0, 2]), good.qhat),
+                PairClouds(clouds, np.array([-1, 0, 2]), good.qhat),
+                PairClouds(clouds, np.array([0.0, 1.0, 2.0]), good.qhat),
+                PairClouds(clouds, good.index, good.qhat[:2]),
+                PairClouds(clouds[:, :, :2], good.index, good.qhat),
+                PairClouds(clouds[:, :0], good.index, good.qhat)):
+        with pytest.raises(ShapeMismatch):
+            model.predict(bad)
+    # a cloud no pair names is never read
+    clouds[1, 3, 0] = np.nan
+    assert np.array_equal(model.predict(good), model.predict(PairClouds(
+        np.where(np.isnan(clouds), 0.0, clouds), good.index, good.qhat)))
+    for bad in (PairClouds(clouds, np.array([1]), np.array([0.5])),
+                PairClouds(clouds, np.array([0]), np.array([np.inf]))):
+        with pytest.raises(ValueError, match="finite"):
+            model.predict(bad)
+
+
 def test_network_round_trip(tmp_path):
     X = _toy_clouds(6, 8, seed=16)
     y = np.random.default_rng(17).uniform(0.3, 0.6, size=6)
@@ -231,28 +337,31 @@ def test_network_round_trip(tmp_path):
         load_model(truncated)
 
 
-@pytest.mark.parametrize("version, loads", [(2, False), (3, True)])
-def test_network_file_reads_version_3_but_not_2(tmp_path, version, loads):
-    # version 4 changed the tree layout only; a network file is the same
+@pytest.mark.parametrize("version", [2, 3, 4, 5])
+def test_network_file_reads_version_5_only(tmp_path, version):
+    # version 5 moved the discharge after the pool: a network written at
+    # version 3 or 4 has other weight shapes and is refitted, not read
     X = _toy_clouds(4, 8, seed=18)
     model = fit_pointnet_mini(X, np.full(4, 0.4), config=PointNetConfig(max_epochs=1))
     path = tmp_path / "net.wnsm"
     save_model(path, model)
     raw = path.read_bytes()
+    assert raw[4:6] == (5).to_bytes(2, "little")
     path.write_bytes(raw[:4] + version.to_bytes(2, "little") + raw[6:])
-    if loads:
+    if version == 5:
         assert np.array_equal(load_model(path).predict(X), model.predict(X))
     else:
         with pytest.raises(MalformedModel, match=rf"version {version}.*train --force"):
             load_model(path)
 
 
-# differential tests against the full-set network in pointnet_reference.py
+# differential tests against the pairwise network in pointnet_reference.py
 
-# The backward pass below the pool sums over the critical rows only, where
-# the reference sums over every point; BLAS then reduces in another order,
-# so gradients, and the weights and MSEs a fit derives from them, may differ
-# from the reference by reassociation of float64 sums.
+# The backward pass below the pool sums over the critical rows only, and a
+# cloud's pairs share one pooled gradient, where the reference sums every
+# point of every pair; BLAS then reduces in another order, so gradients, and
+# the weights and MSEs a fit derives from them, may differ from the
+# reference by reassociation of float64 sums.
 _REASSOCIATION = 1e-12
 
 
@@ -263,26 +372,43 @@ def _assert_close(got, want, what):
     assert np.all(np.abs(got - want) <= bound), what
 
 
+def _compact(X):
+    """``PairClouds`` of an ``(n, points, 4)`` array, built by hand: one
+    copy of each distinct cloud in the order it first appears."""
+    clouds, index = [], []
+    for cloud in X[:, :, :3]:
+        match = [g for g, kept in enumerate(clouds) if kept.tobytes() == cloud.tobytes()]
+        index.append(match[0] if match else len(clouds))
+        if not match:
+            clouds.append(cloud.copy())
+    shape = (len(clouds),) + X.shape[1:2] + (3,)
+    return PairClouds(np.array(clouds).reshape(shape), np.array(index, dtype=np.intp),
+                      X[:, 0, 3].copy())
+
+
 @st.composite
 def _net_problems(draw):
-    """Clouds, targets and a batch size that stress batching and the pool.
+    """Pairs, targets and a batch size that stress batching and the pool.
 
-    Set sizes are drawn independently of the batch size, so most are not
-    multiples of it and many fit in a single batch.  Clouds may hold one
-    point or repeat their points (argmax ties), and scaled inputs of both
-    signs leave whole ReLU channels dead.
+    Pairs draw their clouds from a few distinct ones, so clouds repeat with
+    other discharges, in any order.  Set sizes are drawn independently of
+    the batch size, so most are not multiples of it and many fit in a
+    single batch.  Clouds may hold one point or repeat their points (argmax
+    ties), and scaled inputs of both signs leave whole ReLU channels dead.
     """
     n = draw(st.integers(1, 40))
+    n_clouds = draw(st.integers(1, n))
     n_points = draw(st.integers(1, 12))
     batch_size = draw(st.sampled_from((1, 2, 3, 5, 8, 32)))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    pts = rng.random((n, n_points, 3))
+    pts = rng.random((n_clouds, n_points, 3))
     if draw(st.booleans()):
         pts = draw(st.sampled_from((-50.0, 50.0))) * (pts - 0.5)
     if n_points > 1 and draw(st.booleans()):
         pts[:, n_points // 2 :] = pts[:, : n_points - n_points // 2]
-    X = attach_discharge(pts, rng.uniform(0.05, 0.25, size=n))
+    X = attach_discharge(pts[rng.integers(n_clouds, size=n)],
+                         rng.uniform(0.05, 0.25, size=n))
     y = rng.uniform(0.3, 0.6, size=n)
     return X, y, batch_size, seed
 
@@ -330,53 +456,51 @@ def test_loss_gradients_and_predict_match_the_reference(point_blocks, problem,
     if dead:
         params = _kill_channels(params, rng)
     config = PointNetConfig(batch_size=batch_size)
-    references = [
-        network(params, config=config)
-        for network in (pointnet_reference.ReferencePointNet,
-                        pointnet_reference.CachedPointNet)
-    ]
-    wants = [(*reference.loss_and_gradients(X, y), reference.predict(X))
-             for reference in references]
+    reference = pointnet_reference.PairwisePointNet(params, config=config)
+    want_loss, want_grads = reference.loss_and_gradients(X, y)
+    want_predicted = reference.predict(X)
     row_major = pointnet_reference.RowMajorPointNet(params, config=config)
-    _, row_major_grads = row_major.loss_and_gradients(X, y)
     model = PointNetMini(params, config=config)
     for _ in point_blocks():
-        loss, grads = model.loss_and_gradients(X, y)
-        predicted = model.predict(X)
-        for want_loss, want_grads, want_predicted in wants:
+        # the backward pass sums its critical rows a block at a time
+        _, row_major_grads = row_major.loss_and_gradients(X, y)
+        # the array and the compact form are one input, bit for bit
+        for form in (X, _compact(X)):
+            loss, grads = model.loss_and_gradients(form, y)
             assert loss == want_loss
             assert grads.keys() == want_grads.keys()
             for key, grad in grads.items():
                 _assert_close(grad, want_grads[key], key)
-            assert np.array_equal(predicted, want_predicted)
-        # with the row-major encoder the backward pass is this one, so
-        # every gradient is bit-identical
-        for key, grad in grads.items():
-            assert np.array_equal(grad, row_major_grads[key]), key
+                # with the row-major encoder the backward pass is this one,
+                # so every gradient is bit-identical
+                assert np.array_equal(grad, row_major_grads[key]), key
+            assert np.array_equal(model.predict(form), want_predicted)
 
 
-def test_fit_keeps_the_cached_networks_weights():
-    """On clouds of the benchmark's size, with a validation set.
-
-    The backward pass recomputes layers 0 and 1 as one product over the
-    gathered critical rows, while the forward pass ran one product per
-    cloud, and a BLAS may round a product by its row count.  So weights
-    and losses are held to the reassociation bound, not to the bit."""
-    X = _toy_clouds(70, 512, seed=25)
-    y = np.random.default_rng(26).uniform(0.3, 0.6, size=70)
-    Xv = _toy_clouds(20, 512, seed=27)
-    yv = np.random.default_rng(28).uniform(0.3, 0.6, size=20)
-    config = PointNetConfig(max_epochs=3, seed=3)
-    got = fit_pointnet_mini(X, y, Xv, yv, config=config)
-    want = pointnet_reference.fit_pointnet_mini(
-        X, y, Xv, yv, config=config, network=pointnet_reference.CachedPointNet
-    )
-    _assert_close(got.parameter_vector(), want.parameter_vector(), "parameters")
-    assert got.history.keys() == want.history.keys()
+def _assert_fits_alike(got, want, X):
     assert got.history["best_epoch"] == want.history["best_epoch"]
-    assert got.history["points"] == 512
+    assert got.history["points"] == want.history["points"]
+    _assert_close(got.parameter_vector(), want.parameter_vector(), "parameters")
     for key in ("train_mse", "val_mse", "best_val_mse"):
         _assert_close(got.history[key], want.history[key], key)
+    _assert_close(got.predict(X), want.predict(X), "predictions")
+
+
+def test_fit_at_benchmark_size_matches_the_reference():
+    """On clouds of the benchmark's size, each with five discharges, and
+    with a validation set."""
+    rng = np.random.default_rng(25)
+    X = attach_discharge(np.repeat(rng.random((14, 512, 3)), 5, axis=0),
+                         rng.uniform(0.05, 0.25, size=70))
+    y = rng.uniform(0.3, 0.6, size=70)
+    Xv = attach_discharge(np.repeat(rng.random((4, 512, 3)), 5, axis=0),
+                          rng.uniform(0.05, 0.25, size=20))
+    yv = rng.uniform(0.3, 0.6, size=20)
+    config = PointNetConfig(max_epochs=3, seed=3)
+    got = fit_pointnet_mini(X, y, Xv, yv, config=config)
+    want = pointnet_reference.fit_pointnet_mini(X, y, Xv, yv, config=config)
+    assert got.history["points"] == 512
+    _assert_fits_alike(got, want, X)
 
 
 @settings(max_examples=100, deadline=None,
@@ -391,17 +515,13 @@ def test_fit_matches_the_reference(point_blocks, problem, n_val, max_epochs,
     Xv = X[:n_val][::-1] if n_val else None
     yv = y[:n_val][::-1] if n_val else None
     want = pointnet_reference.fit_pointnet_mini(X, y, Xv, yv, config=config)
-    row_major = pointnet_reference.fit_pointnet_mini(
-        X, y, Xv, yv, config=config, network=pointnet_reference.RowMajorPointNet)
     for _ in point_blocks():
         got = fit_pointnet_mini(X, y, Xv, yv, config=config)
-        assert got.history["best_epoch"] == want.history["best_epoch"]
-        _assert_close(got.parameter_vector(), want.parameter_vector(), "parameters")
-        for key in ("train_mse", "val_mse", "best_val_mse"):
-            _assert_close(got.history[key], want.history[key], key)
-        _assert_close(got.predict(X), want.predict(X), "predictions")
-        assert np.array_equal(got.parameter_vector(), row_major.parameter_vector())
-        assert got.history == row_major.history
+        _assert_fits_alike(got, want, X)
+        compact = fit_pointnet_mini(_compact(X), y, Xv if Xv is None else _compact(Xv),
+                                    yv, config=config)
+        assert np.array_equal(compact.parameter_vector(), got.parameter_vector())
+        assert compact.history == got.history
 
 
 def test_predict_on_no_clouds_is_empty():
@@ -466,7 +586,7 @@ def test_gradient_step_builds_no_dense_pre_pool_gradient():
     y = np.random.default_rng(23).uniform(0.3, 0.6, size=32)
     params = _init_params(np.random.default_rng(24))
     model = PointNetMini(params)
-    reference = pointnet_reference.ReferencePointNet(params)
+    reference = pointnet_reference.PairwisePointNet(params)
     peak = _peak_traced_bytes(lambda: model.loss_and_gradients(X, y))
     reference_peak = _peak_traced_bytes(lambda: reference.loss_and_gradients(X, y))
     # one (clouds, points, 128) float64 array, the size of that gradient
@@ -514,13 +634,14 @@ def test_step_memory_does_not_grow_with_the_points():
 
 
 def _assert_encodes_like_the_row_major_reference(X, params):
-    """Pooled values and argmax rows equal the reference's, NaN included;
-    returns the critical pass's."""
+    """Pooled values and argmax rows of the (x, y, z) clouds of ``X`` equal
+    the reference's, NaN included; returns the critical pass's."""
     model = PointNetMini(params)
     reference = pointnet_reference.RowMajorPointNet(params)
+    clouds = X[:, :, :3]
     for critical in (False, True):
-        pooled, argmax = model._encode(X, critical)
-        want_pooled, want_argmax = reference._encode(X, critical)
+        pooled, argmax = model._encode(clouds, critical)
+        want_pooled, want_argmax = reference._encode(clouds, critical)
         assert np.array_equal(pooled, want_pooled, equal_nan=True), critical
         if critical:
             assert np.array_equal(argmax, want_argmax)
@@ -534,6 +655,16 @@ def test_encode_matches_the_row_major_reference(n_points):
     X = _toy_clouds(3, n_points, seed=n_points)
     params = _init_params(np.random.default_rng(n_points + 1))
     _assert_encodes_like_the_row_major_reference(X, params)
+
+
+def test_float32_clouds_encode_as_their_float64_values():
+    clouds = np.random.default_rng(44).random((3, 1500, 3)).astype(np.float32)
+    model = PointNetMini(_init_params(np.random.default_rng(45)))
+    for critical in (False, True):
+        got = model._encode(clouds, critical)
+        want = model._encode(clouds.astype(float), critical)
+        assert np.array_equal(got[0], want[0])
+        assert critical == (got[1] is not None) and np.array_equal(got[1], want[1])
 
 
 def test_encode_ties_across_a_block_boundary_keep_the_first_index():

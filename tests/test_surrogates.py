@@ -1575,7 +1575,7 @@ def test_save_model_writes_each_array_without_copying_it(tmp_path):
     assert peak < largest, (peak, largest)
     # the bytes are the prefix, the header and each array's bytes in turn
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    prefix = serialize._PREFIX.pack(serialize._MAGIC, serialize._VERSION, kind,
+    prefix = serialize._PREFIX.pack(serialize._MAGIC, serialize._VERSIONS[kind], kind,
                                     len(header_bytes))
     want = prefix + header_bytes + b"".join(blob.tobytes() for blob in blobs)
     assert path.read_bytes() == want
