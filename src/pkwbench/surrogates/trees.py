@@ -16,8 +16,11 @@ Guestrin, KDD 2016) and LightGBM (Ke et al., NeurIPS 2017), with
 LightGBM's sibling subtraction.  Smaller nodes are read from their rows
 sorted by each feature.  Either way each (node, feature) pair is one row
 of prefix sums, over the feature's bins or over the node's sorted rows,
-and one scorer picks every row's best boundary.  Histograms sum the
-targets in another order, so a near-tied split can go either way.
+and one scorer picks every row's best boundary, in blocks of rows taken
+in order of their widths.  Histograms sum the targets in another order,
+so a near-tied split can go either way.  Trees of a forest, and fits of
+a boosting group, grow together in groups of consecutive members under a
+row budget.
 """
 
 from __future__ import annotations
@@ -233,59 +236,56 @@ def _check_training_pair(X, y):
     return X, y
 
 
-# Narrow nodes' element budget: their (node, feature) rows are
-# batched into blocks of at most this many elements, so each temporary
-# stays under 64 KiB of float64 and the allocator keeps reusing the same
-# small blocks.  A narrow node holds at most the mean distinct-value count
-# of its candidate features in rows, so only candidates averaging more than
-# 4,000 distinct values make a block of a single row.  predict batches its
-# (row, member) cells by the same budget.
+# The cells a block of sorted rows holds in the narrow search (_blocks), and
+# the (row, member) cells predict walks at a time.  A narrow level's rows run
+# from two positions to a few hundred on the benchmark's 3,040 x 9 matrix,
+# and a block pads its rows to its widest, so a larger budget pads short
+# rows to long ones: against 16,384 cells a full-depth tree took 0.87-0.90x
+# and a 10-tree forest 0.97-0.98x (one pinned CPU, four runs of 12
+# alternating pairs), and paper-scale (57,684 x 9) fits 0.98-1.03x
+# (BENCH_32.json).  predict's rows do not interact, so any block gives the
+# same bytes; a paper-scale batch (7,201 rows, a 10-tree forest) took
+# 21-25 ms at 8,000, 16,384 or 65,536 cells, and the bound keeps its index
+# arrays at about 64 KB each.
 _BLOCK = 8000
 
-# The histogram bins scored at a time.  A histogram is kept at its
-# feature's bins, and a level's (node, feature) rows are scored in blocks
-# of rows sorted by their bins, each padded to its widest; scoring takes
-# about 55 bytes of temporaries a padded bin, so this bounds them to about
-# 0.9 MB.  On the benchmark's 3,040 x 9 matrix (at most 159 bins a
-# feature, 1,431 in all) a lone depth-3 boosting tree scores every level
-# in one block.  The gbm-matrix's 12 lockstep fits score about 46,000 bins
-# at their deepest level.  In-process, against groups of 7,168 rows
-# scored over their union's bins and padded to the widest feature (30
-# stages, one pinned CPU, six alternating pairs each), they took 0.82x at
-# 8,192 cells, 0.73-0.78x at 16,384, 0.80x at 32,768 and 0.97x at
-# 65,536, whose blocks of up to 3.6 MB of temporaries exceed a core's
-# 2 MiB L2 cache.  A
-# paper-scale tree (57,684 x 9, 19 to 2,986 bins a feature) fits in the
-# same time and peaked at 111.4-111.6 MB RSS, against 114.7-114.8 MB with
-# 65,536 cells and every row padded to the widest (BENCH_29.json).
+# The cells a block of histogram rows holds in the wide search (_blocks).
+# Scoring takes about 55 bytes of temporaries a padded cell, so this
+# bounds them to about 0.9 MB, inside a core's 2 MiB L2 cache; 65,536
+# cells took 1.24-1.33x the time of 16,384 in lockstep boosting fits
+# (BENCH_29.json).  Histogram rows are long (19 to 2,986 bins a feature at
+# paper scale), so a block holds few of them and each scorer call's fixed
+# cost counts: a 30-stage paper-scale boosting fit made 720 scorer calls
+# at 8,192 cells against 330 here, and its scoring took 8% longer
+# (BENCH_32.json).  A lone depth-3 boosting tree on the benchmark's matrix
+# (at most 159 bins a feature, 1,431 in all) scores every level in one
+# block.
 _HIST_CELLS = 16_384
 
-# The rows a forest grows together: consecutive trees join a group while
-# their distinct rows add up to at most _GROUP_ROWS (a group holds at least
-# one tree), and share every level's passes, whose cost is mostly fixed per
-# numpy call.  The budget is counted in distinct rows because a group's
-# memory grows with them, about 130 bytes each for the ranks, the sorted
-# rows of narrow nodes, the targets and the counts.  A level of at most
-# 12,288 rows still has at most 6,144 splits, so every child key fits in
-# uint16 and the regroup's stable argsorts stay on numpy's radix sort:
-# 26 us per 3,040 keys, against 231 us as int32.
-# Four trees of the benchmark's 3,040 rows took 0.69x the bench time for
-# 2.7% more peak memory (BENCH_16.json).  A bootstrap tree holds about
-# 1,920 of them, so a group now holds six.  Boosting groups its fits by
-# _BOOST_ROWS instead.
+# The rows a forest grows together (_groups): a group's trees share every
+# level's passes, whose cost is mostly fixed per numpy call.  The budget is
+# counted in distinct rows because a group's memory grows with them, about
+# 130 bytes each for the ranks, the sorted rows of narrow nodes, the
+# targets and the counts.  A bootstrap tree of the benchmark's 3,040 rows
+# holds about 1,920, so a group holds six.  Four trees together took 0.69x
+# the bench time for 2.7% more peak memory (BENCH_16.json).  At
+# _BOOST_ROWS a 10-tree fit forms one group and took 0.86-0.91x the time,
+# but its traced peak went from 3.4 to 5.2 MB (BENCH_32.json), so the
+# forest keeps the smaller budget.
 _GROUP_ROWS = 12_288
 
-# The rows a group of boosting fits grows in lockstep (fit_gbm_sets),
-# counted as _GROUP_ROWS counts a forest's, over each fit's rows.  Each
-# root reads its own fit's bins, so a node's histograms and scoring rows
-# are those of its fit alone; what grows with the group's rows is its
-# per-row arrays, the largest a root level's histogram keys, 8 bytes a
-# row and feature.  On the benchmark's gbm-matrix the 12 fits (304 to
-# 3,040 rows, 23,123 to 23,142 in all at seeds 1-15) form one group of
-# 300 grower calls, where groups of 7,168 rows made 1,200: in-process the
-# fits took 0.74x and their traced peak went from 4.5 to 6.0 MB, and over
-# ten pairs bench_ref_s read 0.66x and peak RSS 2.8 MB more
-# (BENCH_29.json).  At paper scale only id-f10 and id-f20 share a group.
+# The rows a group of boosting fits grows in lockstep (fit_gbm_sets, by
+# _groups), counted over each fit's rows.  Each root reads its own fit's
+# bins, so what grows with the group's rows is its per-row arrays, the
+# largest a root level's histogram keys, 8 bytes a row and feature.  On the
+# benchmark's gbm-matrix the 12 fits (23,123 to 23,142 rows in all at seeds
+# 1-15) form one group of 300 grower calls: over ten pairs bench_ref_s read
+# 0.66x that of groups of 7,168 rows and peak RSS 2.8 MB more
+# (BENCH_29.json), and at _GROUP_ROWS the same fits took 1.11-1.15x the time
+# (BENCH_32.json).  A level of at most 24,576 rows has at most 12,288 splits,
+# so every child key fits in uint16 and the regroup's stable argsorts stay
+# on numpy's radix sort: 26 us per 3,040 keys, against 231 us as int32.  At
+# paper scale only id-f10 and id-f20 share a group.
 _BOOST_ROWS = 24_576
 
 
@@ -476,8 +476,8 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
             cand.sort(axis=1)
         # each (node, candidate) pair's bins, from the node's table; a
         # node is wide when its rows on its candidates outnumber them
-        table = tree[nodes] if own else np.zeros(nodes.size, dtype=np.intp)
-        pair_bins = bins[table[:, None], cand]
+        table = tree[nodes][:, None] if own else 0
+        pair_bins = bins[table, cand]
         wide = sizes[nodes] * n_cand > pair_bins.sum(axis=1)
         narrow = nodes[~wide]
         fresh = narrow[~ranked[narrow]]
@@ -526,7 +526,7 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
             break
         j = cand[k, pick][found]
         cut = cut[k, pick][found]
-        first = first_edge[table[found], j]
+        first = first_edge[tree[split] if own else 0, j]
         lo = edges[first + cut]
         hi = edges[first + above[k, pick][found]]
         with np.errstate(over="ignore"):
@@ -668,52 +668,44 @@ def _narrow_splits(ranks, y_sq, counts, order, begin, sizes, cand, min_leaf):
     of a prefix sum that starts at zero on its own sorted rows, so its
     scores are the ones a scan of that node alone computes, bit for bit,
     and :func:`_row_splits` scores it.  A boundary follows each position
-    whose rank the next one's passes.  Pairs are batched by size class,
-    which pads a row to at most twice its length, into blocks of at most
-    ``_BLOCK`` elements; a padded position repeats the row's last one, so
-    no boundary lies in the padding.  Without ``counts`` a left child of
-    ``i + 1`` positions holds that many rows; with them, the child sizes
-    are the prefix sums of the counts along each row.
+    whose rank the next one's passes.  Pairs are scored in the blocks of
+    :func:`_blocks`, of at most ``_BLOCK`` cells, each row padded by
+    repeating its last position, so no boundary lies in the padding.
+    Without ``counts`` a left child of ``i + 1`` positions holds that many
+    rows; with them, the child sizes are the prefix sums of the counts
+    along each row.
     """
-    n_nodes, n_cand = cand.shape
+    n_cand = cand.shape[1]
     n = ranks.shape[1]
-    score = np.empty(n_nodes * n_cand)
-    cut = np.empty(n_nodes * n_cand, dtype=np.intp)
-    above = np.empty(n_nodes * n_cand, dtype=np.intp)
-    pair_node = np.repeat(np.arange(n_nodes), n_cand)
     pair_feature = cand.ravel()
-    pair_size = sizes[pair_node]
-    size_class = np.frexp(pair_size - 1)[1]
-    for cls in np.unique(size_class):
-        members = np.flatnonzero(size_class == cls)
-        per_block = max(1, _BLOCK // int(pair_size[members].max()))
-        for first in range(0, members.size, per_block):
-            block = members[first : first + per_block]
-            features = pair_feature[block]
-            starts = begin[pair_node[block]]
-            last = pair_size[block] - 1
-            width = int(last.max()) + 1
-            if starts[0] == starts[-1]:
-                # one node: its sorted rows are plain slices
-                pos = order[features, starts[0] : starts[0] + width]
-            else:
-                slot = np.minimum(starts[:, None] + np.arange(width), (starts + last)[:, None])
-                pos = order[features[:, None], slot]
-            # a flat take gathers about twice as fast as 2-D fancy indexing
-            xs = np.take(ranks, pos + (features * n)[:, None])
-            edge = np.zeros(pos.shape, dtype=bool)
-            np.less(xs[:, :-1], xs[:, 1:], out=edge[:, :-1])
-            if counts is None:
-                running = np.empty(pos.shape)
-                running[:] = np.arange(1.0, width + 1)
-            else:
-                running = np.cumsum(counts.take(pos), axis=1)
-            sums = y_sq.take(pos)
-            np.cumsum(sums, axis=1, out=sums)
-            score[block], at = _row_splits(running, sums, edge, last, min_leaf)
-            at += np.arange(0, pos.size, width)
-            cut[block] = xs.take(at)
-            above[block] = xs.take(at + 1)
+    # where each pair's sorted rows start in the flat order
+    pair_start = np.repeat(begin, n_cand) + pair_feature * order.shape[1]
+    pair_size = np.repeat(sizes, n_cand)
+    score = np.empty(pair_feature.size)
+    cut = np.empty(pair_feature.size, dtype=np.intp)
+    above = np.empty(pair_feature.size, dtype=np.intp)
+    for block, width in _blocks(pair_size, _BLOCK):
+        features = pair_feature[block]
+        starts = pair_start[block]
+        last = pair_size[block] - 1
+        # each row's sorted rows, its last one repeated to the block's width;
+        # a flat take gathers about twice as fast as 2-D fancy indexing
+        pos = order.take(np.minimum(starts[:, None] + np.arange(width),
+                                    (starts + last)[:, None]))
+        xs = np.take(ranks, pos + (features * n)[:, None])
+        edge = np.zeros(pos.shape, dtype=bool)
+        np.less(xs[:, :-1], xs[:, 1:], out=edge[:, :-1])
+        if counts is None:
+            running = np.empty(pos.shape)
+            running[:] = np.arange(1.0, width + 1)
+        else:
+            running = np.cumsum(counts.take(pos), axis=1)
+        sums = y_sq.take(pos)
+        np.cumsum(sums, axis=1, out=sums)
+        score[block], at = _row_splits(running, sums, edge, last, min_leaf)
+        at += np.arange(0, pos.size, width)
+        cut[block] = xs.take(at)
+        above[block] = xs.take(at + 1)
     return score.reshape(cand.shape), cut.reshape(cand.shape), above.reshape(cand.shape)
 
 
@@ -825,31 +817,19 @@ def _wide_splits(count, sums, pair_bins, min_leaf):
     filled bins, the consecutive distinct values of the node.  Counts are
     whole numbers, summed exactly, so the candidates and the child sizes
     are those of a scan over sorted rows; only the sums of the targets are
-    added in another order.  :func:`_row_splits` scores the rows.  Pairs
-    are taken in order of their bins, a stable sort, and cut into blocks
-    of at most ``_HIST_CELLS`` cells (one row at least), each row padded
-    to its block's widest by repeating its last bin, and the results go
-    back to the pairs' order.  A row is scored elementwise, its totals read
-    at its own last bin, and a padded bin leaves the right child empty, so
-    no block changes a row's result.
+    added in another order.  :func:`_row_splits` scores the rows, in the
+    blocks of :func:`_blocks`, of at most ``_HIST_CELLS`` cells, each row
+    padded by repeating its last bin, which leaves the right child empty.
     """
     sizes = pair_bins.ravel()
     at = np.cumsum(sizes) - sizes
-    by_width = np.argsort(sizes, kind="stable")
-    widths = sizes[by_width]
     score = np.empty(sizes.size)
     cut = np.empty(sizes.size, dtype=np.intp)
     above = np.empty(sizes.size, dtype=np.intp)
-    lo = 0
-    while lo < sizes.size:
-        # the most rows, one at least, whose block padded to the last and
-        # widest of them holds at most _HIST_CELLS cells
-        cells = np.arange(1, sizes.size - lo + 1) * widths[lo:]
-        hi = lo + max(1, int(np.searchsorted(cells, _HIST_CELLS, side="right")))
-        block_rows = by_width[lo:hi]
-        last = sizes[block_rows] - 1
+    for block, width in _blocks(sizes, _HIST_CELLS):
+        last = sizes[block] - 1
         # each row's bins, its last one repeated to the block's width
-        held = at[block_rows, None] + np.minimum(np.arange(widths[hi - 1]), last[:, None])
+        held = at[block, None] + np.minimum(np.arange(width), last[:, None])
         running, block_sums = count.take(held), sums.take(held)
         del held
         # a filled bin ends a left child; one past the last leaves the
@@ -857,13 +837,40 @@ def _wide_splits(count, sums, pair_bins, min_leaf):
         edge = running > 0
         np.cumsum(running, axis=1, out=running)
         np.cumsum(block_sums, axis=1, out=block_sums)
-        score[block_rows], pick = _row_splits(running, block_sums, edge, last, min_leaf)
-        cut[block_rows] = pick
+        score[block], pick = _row_splits(running, block_sums, edge, last, min_leaf)
+        cut[block] = pick
         # the first bin whose running count passes the pick's is the next filled
-        above[block_rows] = np.argmax(
+        above[block] = np.argmax(
             running > running[np.arange(pick.size), pick][:, None], axis=1)
-        lo = hi
     return tuple(part.reshape(pair_bins.shape) for part in (score, cut, above))
+
+
+def _blocks(widths, cells):
+    """Cut rows of ``widths`` positions into blocks to score, and yield
+    each block's rows and its width.
+
+    The rows are taken in order of their widths, a stable sort, and a
+    block holds the most of them, one at least, that padded to the last
+    and widest hold at most ``cells`` cells.  When every row fits one
+    block, the block is every row in its own order, as a slice.  A row is
+    scored elementwise and its totals are read at its own last position,
+    and its padding repeats that position, so no blocking changes a row's
+    result.
+    """
+    top = int(widths.max())
+    if widths.size * top <= cells:
+        yield slice(None), top
+        return
+    by_width = np.argsort(widths, kind="stable")
+    sorted_widths = widths[by_width]
+    lo = 0
+    while lo < widths.size:
+        # past cells // width rows a block overflows at any width
+        room = sorted_widths[lo : lo + max(1, cells // int(sorted_widths[lo]))]
+        held = np.arange(1, room.size + 1) * room
+        hi = lo + max(1, int(np.searchsorted(held, cells, side="right")))
+        yield by_width[lo:hi], int(sorted_widths[hi - 1])
+        lo = hi
 
 
 def _row_splits(running, sums, edge, last, min_leaf):
@@ -904,6 +911,29 @@ def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:
     values, ranks = _ranks(X)
     return _pack([_grow(ranks, [values], y, params, X.shape[1])], X.shape[1],
                  {"params": params})
+
+
+def _groups(member, n_members, budget):
+    """Yield members ``0`` to ``n_members - 1`` in groups of consecutive
+    members whose rows add up to at most ``budget``; a group holds at least
+    one member.
+
+    ``member(k)`` returns member ``k`` and its row count.  A member whose
+    rows would overflow the group is dropped, the group is yielded, and the
+    member is made again once the caller asks for the next group, so no
+    group is handed over beside the next one's first member.
+    """
+    group, used = [], 0
+    for k in range(n_members):
+        item, rows = member(k)
+        if group and used + rows > budget:
+            del item
+            yield group
+            group, used = [], 0
+            item, rows = member(k)
+        group.append(item)
+        used += rows
+    yield group
 
 
 def _grow_bagged(values, ranks, y, group, params, max_features):
@@ -956,18 +986,17 @@ def fit_forest(
     tree's in the last bits, and near-tied splits can go the other way.
     X is ranked once per fit, and each tree reads its rows' ranks.
 
-    The trees grow together in groups of at most ``_GROUP_ROWS`` rows
-    (at least one tree), counting each tree's distinct rows, each group
-    from several roots in one :func:`_grow` call, so they share every
-    level's passes.  A tree whose rows would overflow the group is drawn,
-    then dropped while the group grows, and drawn again from a fresh
-    generator of the same seed, so no group grows beside the next one's
-    rows.  Members are independent and each draws only from its own
-    generator, so the forest is the same, bit for bit, for any group size.
-    The budget is counted in rows because a group's memory and its child
-    keys grow with its rows, not its trees.  With ``n_trees=1``,
-    ``bootstrap=False`` and ``max_features`` equal to the full feature
-    count the result degenerates to :func:`fit_tree`.
+    The trees grow together in the groups of :func:`_groups`, of at most
+    ``_GROUP_ROWS`` distinct rows, each group from several roots in one
+    :func:`_grow` call, so they share every level's passes.  A tree whose
+    rows would overflow the group is drawn, then dropped while the group
+    grows, and drawn again from a fresh generator of the same seed, so no
+    group grows beside the next one's rows.  Members are independent and
+    each draws only from its own generator, so the forest is the same, bit
+    for bit, for any group size.  The budget is counted in rows because a
+    group's memory and its child keys grow with its rows, not its trees.
+    With ``n_trees=1``, ``bootstrap=False`` and ``max_features`` equal to
+    the full feature count the result degenerates to :func:`fit_tree`.
     """
     X, y = _check_training_pair(X, y)
     if n_trees < 1:
@@ -984,25 +1013,13 @@ def fit_forest(
     def draw(k):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
         if not bootstrap:
-            return rng, np.arange(n), None
+            return (rng, np.arange(n), None), n
         counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
         rows = np.flatnonzero(counts)
-        return rng, rows, counts[rows].astype(float)
+        return (rng, rows, counts[rows].astype(float)), rows.size
 
-    chunks = []
-    group = []
-    used = 0
-    for k in range(n_trees):
-        tree = draw(k)
-        size = tree[1].size
-        if group and used + size > _GROUP_ROWS:
-            del tree
-            chunks.append(_grow_bagged(values, ranks, y, group, params, max_features))
-            group, used = [], 0
-            tree = draw(k)
-        group.append(tree)
-        used += size
-    chunks.append(_grow_bagged(values, ranks, y, group, params, max_features))
+    chunks = [_grow_bagged(values, ranks, y, group, params, max_features)
+              for group in _groups(draw, n_trees, _GROUP_ROWS)]
     info = {"params": params, "seed": seed, "bootstrap": bootstrap,
             "max_features": max_features}
     return _pack(chunks, d, info, average=True)
@@ -1054,9 +1071,9 @@ def fit_gbm_sets(
     """Yield ``fit_gbm(X[rows], y[rows], ...)`` for each ``rows`` of
     ``row_sets``, in order, bit for bit.
 
-    Consecutive sets are boosted together in groups: a set joins a group
-    while the group's rows add up to at most ``_BOOST_ROWS``, and a group
-    holds at least one set, so a larger set grows alone.  Each set is
+    Consecutive sets are boosted together in the groups of
+    :func:`_groups`, of at most ``_BOOST_ROWS`` rows, so a larger set grows
+    alone.  Each set is
     ranked on its own rows, as :func:`fit_gbm` ranks them, and each stage
     grows every set's tree in one :func:`_grow` call, one root per set,
     each reading its set's own table, so the sets share every level's
@@ -1067,12 +1084,12 @@ def fit_gbm_sets(
     each model before taking the next holds one at a time.
     ``X`` and ``y`` are checked as :func:`fit_gbm` checks them, every row
     at once, and every set before any is ranked: each must be a 1-D array
-    of integer row indices holding at least one row.  Sets may share rows.
+    of integer row indices in ``[0, len(X))`` holding at least one row.
+    Sets may share rows.
     """
     X, y = _check_training_pair(X, y)
     params = _boosting_params(n_trees, max_depth, learning_rate, min_samples_leaf)
-    groups = []
-    used = _BOOST_ROWS
+    sets = []
     for k, rows in enumerate(row_sets):
         rows = np.asarray(rows)
         if rows.ndim == 1 and not rows.size:
@@ -1080,12 +1097,10 @@ def fit_gbm_sets(
         if rows.ndim != 1 or rows.dtype.kind not in "iu":
             raise ValueError(f"row set {k} must be a 1-D array of integer row indices, "
                              f"got {rows.ndim}-D {rows.dtype}")
-        if used + rows.size > _BOOST_ROWS:
-            groups.append([])
-            used = 0
-        groups[-1].append(rows)
-        used += rows.size
-    for group in groups:
+        if rows.min() < 0 or rows.max() >= X.shape[0]:
+            raise ValueError(f"row set {k} holds row indices outside [0, {X.shape[0]})")
+        sets.append(rows)
+    for group in _groups(lambda k: (sets[k], sets[k].size), len(sets), _BOOST_ROWS):
         tables, ranks = zip(*(_ranks(X[rows]) for rows in group))
         ranks = np.concatenate(ranks, axis=1)
         yield from _boost(tables, ranks, y[np.concatenate(group)], [r.size for r in group],

@@ -1409,6 +1409,67 @@ def test_gbm_sets_guards():
         list(trees.fit_gbm_sets(X, y, [np.arange(2)], n_trees=0))
     with pytest.raises(ValueError):
         list(trees.fit_gbm_sets(X, np.full(4, np.inf), [np.arange(2)]))
+    # a row index outside the rows is refused before any set is boosted,
+    # naming the set's position: a negative one would wrap around, and one
+    # past the end would fail only once its group is reached
+    with pytest.raises(ValueError, match=r"row set 0 holds row indices outside \[0, 4\)"):
+        list(trees.fit_gbm_sets(X, y, [np.array([-1, -2, 0])]))
+    rows = np.arange(50.0)
+    fits = trees.fit_gbm_sets(rows[:, None], rows, [np.arange(10), np.arange(10, 20),
+                                                    np.array([3, 70])], n_trees=2)
+    with mock.patch.object(trees, "_BOOST_ROWS", 20), pytest.raises(
+            ValueError, match=r"row set 2 holds row indices outside \[0, 50\)"):
+        next(fits)
+
+
+def _model_bytes(model):
+    return [getattr(model, name).tobytes() for name in ("feature", "value", "offsets")] + [
+        np.float64(model.base).tobytes(),
+        np.asarray(model.info.get("train_mse_path", ()), dtype=float).tobytes()]
+
+
+@pytest.mark.parametrize("cells", [1, 10**9])
+@pytest.mark.parametrize("group_rows", [1, 10**9])
+def test_fits_at_any_block_and_group_budget_match_the_defaults(cells, group_rows):
+    # One row a block or every row in one, and one member a group or every
+    # member in one, give the bytes of the default budgets, under which the
+    # tree's narrow levels span several blocks
+    X, y = _oracle_rows(60, seed=53, sigma=0.005)
+    row_sets = [np.arange(0, X.shape[0], 2), np.arange(300, 900), np.arange(X.shape[0])]
+
+    def fits():
+        with np.errstate(all="ignore"):
+            return [fit_tree(X, y, TreeParams(min_samples_leaf=2)),
+                    fit_forest(X, y, n_trees=4, seed=7, max_features=4),
+                    fit_gbm(X, y, n_trees=8, max_depth=4),
+                    *trees.fit_gbm_sets(X, y, row_sets, n_trees=6, max_depth=5)]
+
+    calls, blocks = [0], []
+    row_splits, narrow_splits = trees._row_splits, trees._narrow_splits
+
+    def spy(running, *rest):
+        calls[0] += 1
+        return row_splits(running, *rest)
+
+    def narrow_spy(*args):
+        before = calls[0]
+        out = narrow_splits(*args)
+        blocks.append(calls[0] - before)
+        return out
+
+    with mock.patch.object(trees, "_row_splits", spy), \
+            mock.patch.object(trees, "_narrow_splits", narrow_spy):
+        fit_tree(X, y, TreeParams(min_samples_leaf=2))
+    assert max(blocks) > 1
+    want = fits()
+    with mock.patch.object(trees, "_BLOCK", cells), \
+            mock.patch.object(trees, "_HIST_CELLS", cells), \
+            mock.patch.object(trees, "_GROUP_ROWS", group_rows), \
+            mock.patch.object(trees, "_BOOST_ROWS", group_rows):
+        got = fits()
+    assert len(got) == len(want) == 6
+    for model, reference in zip(got, want):
+        assert _model_bytes(model) == _model_bytes(reference)
 
 
 # one predict loop for every ensemble kind
