@@ -16,11 +16,23 @@ discharge joins after the pool and its first and fourth weight shapes
 changed.  Files of any other version are not read: a model is cheap to
 refit, so ``load_model`` asks for ``pkwbench train --force`` instead of
 keeping a second reader.
+
+``load_model`` reads the fixed header and the JSON block, and derives from
+the block each payload array's name, dtype and shape: a tree ensemble's
+``feature`` and ``value`` hold ``offsets[-1]`` entries each, and a
+network's arrays are listed under ``weights``.  The file's size must equal
+the header, the block and those arrays' bytes, so a file cut anywhere or
+carrying extra bytes raises ``MalformedModel`` before any array is
+allocated.  Each array is then read from the file straight into its own
+buffer, so loading holds no second copy of the payload.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -43,14 +55,6 @@ _VERSIONS = {_KIND_TREE: 4, _KIND_POINTNET: 5}
 _TREE_FIELDS = (("feature", "<i4"), ("value", "<f8"))
 
 
-def _params_to_json(params: TreeParams) -> dict:
-    return {
-        "max_depth": params.max_depth,
-        "min_samples_leaf": params.min_samples_leaf,
-        "min_samples_split": params.min_samples_split,
-    }
-
-
 def _params_from_json(obj) -> TreeParams:
     try:
         return TreeParams(
@@ -62,28 +66,6 @@ def _params_from_json(obj) -> TreeParams:
         raise MalformedModel(f"bad tree hyperparameter block: {exc}") from exc
 
 
-class _PayloadReader:
-    def __init__(self, buf):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, count, dtype) -> np.ndarray:
-        dt = np.dtype(dtype)
-        nbytes = int(count) * dt.itemsize
-        end = self.pos + nbytes
-        if end > len(self.buf):
-            raise MalformedModel("model payload is truncated")
-        out = np.frombuffer(self.buf[self.pos : end], dtype=dt).copy()
-        self.pos = end
-        return out
-
-    def finish(self):
-        if self.pos != len(self.buf):
-            raise MalformedModel(
-                f"{len(self.buf) - self.pos} unexpected trailing payload bytes"
-            )
-
-
 def _describe(model):
     if isinstance(model, TreeEnsemble):
         header = {
@@ -92,7 +74,7 @@ def _describe(model):
             "base": model.base,
             "rate": model.rate,
             "average": model.average,
-            "info": {**model.info, "params": _params_to_json(model.info["params"])},
+            "info": {**model.info, "params": dataclasses.asdict(model.info["params"])},
         }
         blobs = [
             np.ascontiguousarray(getattr(model, name), dtype=dtype)
@@ -103,22 +85,12 @@ def _describe(model):
         keys = model._key_order()
         header = {
             "weights": [[k, list(model.params[k].shape)] for k in keys],
-            "config": {
-                f.name: getattr(model.config, f.name)
-                for f in model.config.__dataclass_fields__.values()
-            },
-            "history": _history_to_json(model.history),
+            "config": dataclasses.asdict(model.config),
+            "history": model.history,
         }
         blobs = [np.ascontiguousarray(model.params[k], dtype="<f8") for k in keys]
         return _KIND_POINTNET, header, blobs
     raise TypeError(f"cannot serialize {type(model).__name__}")
-
-
-def _history_to_json(history):
-    out = {}
-    for key, val in history.items():
-        out[key] = list(val) if isinstance(val, tuple) else val
-    return out
 
 
 def _tuples_from_json(obj):
@@ -143,50 +115,83 @@ def save_model(path, model):
 def load_model(path):
     """Read a model container back; the kind byte selects the class."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _PREFIX.size:
-        raise MalformedModel(f"file is only {len(raw)} bytes")
-    magic, version, kind, header_len = _PREFIX.unpack_from(raw)
-    if magic != _MAGIC:
-        raise MalformedModel(f"bad magic {magic!r}")
-    if kind not in _VERSIONS:
-        raise MalformedModel(f"unknown model kind {kind}")
-    if version != _VERSIONS[kind]:
-        raise MalformedModel(
-            f"unsupported container version {version}; this build reads version "
-            f"{_VERSIONS[kind]} only, so rerun `pkwbench train --force` "
-            "to refit the model"
-        )
-    header_end = _PREFIX.size + header_len
-    if len(raw) < header_end:
-        raise MalformedModel("header is truncated")
-    try:
-        header = json.loads(raw[_PREFIX.size : header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedModel(f"unreadable header: {exc}") from exc
-    reader = _PayloadReader(raw[header_end:])
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_PREFIX.size)
+        if len(prefix) < _PREFIX.size:
+            raise MalformedModel(f"file is only {size} bytes")
+        magic, version, kind, header_len = _PREFIX.unpack(prefix)
+        if magic != _MAGIC:
+            raise MalformedModel(f"bad magic {magic!r}")
+        if kind not in _VERSIONS:
+            raise MalformedModel(f"unknown model kind {kind}")
+        if version != _VERSIONS[kind]:
+            raise MalformedModel(
+                f"unsupported container version {version}; this build reads version "
+                f"{_VERSIONS[kind]} only, so rerun `pkwbench train --force` "
+                "to refit the model"
+            )
+        if size < _PREFIX.size + header_len:
+            raise MalformedModel("header is truncated")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise MalformedModel(f"unreadable header: {exc}") from exc
+        arrays = _declared_arrays(kind, header)
+        payload = sum(math.prod(shape) * np.dtype(dtype).itemsize
+                      for _, dtype, shape in arrays)
+        if size != _PREFIX.size + header_len + payload:
+            raise MalformedModel(f"payload holds {size - _PREFIX.size - header_len} "
+                                 f"bytes, the header declares {payload}")
+        fields = {name: _read_array(fh, dtype, shape) for name, dtype, shape in arrays}
     try:
         if kind == _KIND_TREE:
-            model = _load_trees(header, reader)
-        else:
-            model = _load_pointnet(header, reader)
+            return _load_trees(header, fields)
+        return _load_pointnet(header, fields)
     except KeyError as exc:
         raise MalformedModel(f"header is missing field {exc}") from exc
-    reader.finish()
-    return model
 
 
-def _load_trees(header, reader):
+def _declared_arrays(kind, header):
+    """The ``(name, dtype, shape)`` of each payload array ``header``
+    declares, in file order."""
     try:
-        offsets = np.array(header["offsets"], dtype=np.int64)
-        fields = {name: reader.take(offsets[-1], dtype) for name, dtype in _TREE_FIELDS}
+        if kind == _KIND_TREE:
+            count = int(np.array(header["offsets"], dtype=np.int64)[-1])
+            arrays = [(name, dtype, [count]) for name, dtype in _TREE_FIELDS]
+        else:
+            arrays = [(key, "<f8", shape) for key, shape in header["weights"]]
+    except KeyError as exc:
+        raise MalformedModel(f"header is missing field {exc}") from exc
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:
+        raise MalformedModel(f"bad array declarations: {exc}") from exc
+    for name, _, shape in arrays:
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise MalformedModel(f"array {name!r} declares shape {shape!r}, "
+                                 "not a list of non-negative integers")
+    if len({name for name, _, _ in arrays}) != len(arrays):
+        raise MalformedModel("an array name is declared twice")
+    return arrays
+
+
+def _read_array(fh, dtype, shape):
+    # flat, then shaped: a reader that casts its buffer to bytes, as the
+    # pure-Python raw file does, fails on a view with a zero in its shape
+    out = np.empty(math.prod(shape), dtype=dtype)
+    if fh.readinto(out) != out.nbytes:
+        raise MalformedModel("model payload is truncated")
+    return out.reshape(shape)
+
+
+def _load_trees(header, fields):
+    try:
         info = _tuples_from_json(header["info"])
         info["params"] = _params_from_json(info["params"])
         # construction checks that every member's node count fits its splits
         # and every split names a known feature, so predict cannot overrun
         return TreeEnsemble(
             **fields,
-            offsets=offsets,
+            offsets=np.array(header["offsets"], dtype=np.int64),
             n_features=header["n_features"],
             base=float(header["base"]),
             rate=float(header["rate"]),
@@ -197,11 +202,7 @@ def _load_trees(header, reader):
         raise MalformedModel(f"inconsistent tree arrays: {exc}") from exc
 
 
-def _load_pointnet(header, reader):
-    params = {}
-    for key, shape in header["weights"]:
-        flat = reader.take(int(np.prod(shape)), "<f8")
-        params[key] = flat.reshape(shape)
+def _load_pointnet(header, params):
     try:
         config = PointNetConfig(**header["config"])
     except (TypeError, ValueError) as exc:

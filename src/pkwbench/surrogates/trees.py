@@ -916,7 +916,7 @@ def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:
 def _groups(member, n_members, budget):
     """Yield members ``0`` to ``n_members - 1`` in groups of consecutive
     members whose rows add up to at most ``budget``; a group holds at least
-    one member.
+    one member, so zero members yield no group.
 
     ``member(k)`` returns member ``k`` and its row count.  A member whose
     rows would overflow the group is dropped, the group is yielded, and the
@@ -933,7 +933,8 @@ def _groups(member, n_members, budget):
             item, rows = member(k)
         group.append(item)
         used += rows
-    yield group
+    if group:
+        yield group
 
 
 def _grow_bagged(values, ranks, y, group, params, max_features):

@@ -1,6 +1,7 @@
 """Tests for metrics, trees, forests, boosting, and model files."""
 
 import collections
+import gc
 import hashlib
 import json
 import math
@@ -26,6 +27,7 @@ from pkwbench.hydraulics import OracleConfig, paper_schedule, synthetic_cd
 from pkwbench.sampling import generate_batch, paper_default_space
 from pkwbench.surrogates import (
     MetricReport,
+    PointNetMini,
     TreeEnsemble,
     TreeParams,
     compute_metrics,
@@ -38,6 +40,7 @@ from pkwbench.surrogates import (
     timed_single_predictions,
 )
 from pkwbench.surrogates import serialize, trees
+from pkwbench.surrogates.pointnet import _init_params
 
 # hand arithmetic: errors (0.02, -0.02, 0.01), squared sum 9e-4,
 # total sum of squares around the mean 0.02, so R^2 = 1 - 0.045
@@ -1065,16 +1068,25 @@ def test_forest_memory_grows_with_the_group_not_the_trees(monkeypatch):
     fit_forest(X, y, n_trees=3, seed=1)  # warm-up
     groups.clear()
     entered.clear()
-    one_peak, _ = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=3, seed=1))
-    assert groups == [3]  # one full group
-    groups.clear()
-    eight_peak, eight = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=8, seed=1))
-    assert groups == [3, 3, 2]
+    # A full collection empties the interpreter's free lists, so the traced
+    # bytes at a group's entry move with the collector's phase.  Collect
+    # once and let no collection run until both fits are read: the
+    # three-tree fit then leaves objects on the lists that the eight-tree
+    # fit reuses untraced, and the eight-tree fit reads a few kB less.
+    gc.collect()
+    gc.disable()
+    try:
+        one_peak, _ = _peak_traced_bytes(lambda: fit_forest(X, y, n_trees=3, seed=1))
+        eight_peak, eight = _peak_traced_bytes(
+            lambda: fit_forest(X, y, n_trees=8, seed=1))
+    finally:
+        gc.enable()
+    assert groups == [3, 3, 3, 2]  # one full group, then the eight trees'
     # The fourth tree's draw overflows the first group, which grows before
     # the tree is drawn again, so the eight-tree fit enters its first group
-    # holding what the three-tree fit holds there, give or take a few
-    # interpreter objects; the fourth tree's rows and counts would take
-    # 16 bytes for each of its about 480 distinct rows.
+    # holding at most what the three-tree fit holds there; the fourth
+    # tree's rows and counts would take 16 bytes for each of its about 480
+    # distinct rows.
     assert entered[1] <= entered[0] + 256, entered
     # While a group grows, the fit also holds the trees grown before it as
     # member arrays, 12 bytes a node, and nothing of the next tree.  The six
@@ -1420,6 +1432,8 @@ def test_gbm_sets_guards():
     with mock.patch.object(trees, "_BOOST_ROWS", 20), pytest.raises(
             ValueError, match=r"row set 2 holds row indices outside \[0, 50\)"):
         next(fits)
+    # no sets boost no group
+    assert list(trees.fit_gbm_sets(X, y, [])) == []
 
 
 def _model_bytes(model):
@@ -1624,9 +1638,15 @@ def test_fits_on_oracle_rows_write_the_pinned_bytes(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_FITS[name], name
 
 
-def test_save_model_writes_each_array_without_copying_it(tmp_path):
+@pytest.fixture(scope="module")
+def forest_n200():
+    """A 100-tree forest on the n=200 oracle rows, 272,898 nodes."""
     X, y = _oracle_rows(200, seed=11, sigma=0.005)
-    forest = fit_forest(X, y, n_trees=100, seed=3)
+    return fit_forest(X, y, n_trees=100, seed=3)
+
+
+def test_save_model_writes_each_array_without_copying_it(tmp_path, forest_n200):
+    forest = forest_n200
     kind, header, blobs = serialize._describe(forest)
     largest = max(blob.nbytes for blob in blobs)
     path = tmp_path / "forest.wnsm"
@@ -1640,6 +1660,18 @@ def test_save_model_writes_each_array_without_copying_it(tmp_path):
                                     len(header_bytes))
     want = prefix + header_bytes + b"".join(blob.tobytes() for blob in blobs)
     assert path.read_bytes() == want
+
+
+def test_load_model_reads_each_array_without_copying_it(tmp_path, forest_n200):
+    path = tmp_path / "forest.wnsm"
+    save_model(path, forest_n200)
+    load_model(path)  # warm-up
+    peak, back = _peak_traced_bytes(lambda: load_model(path))
+    held = sum(getattr(back, name).nbytes for name in ("feature", "value", "child", "offsets"))
+    # the payload is 12 of every 20 bytes held, so a second copy of it, as
+    # from reading the whole file before the arrays, would take 1.6x
+    assert peak <= 1.15 * held, (peak, held, peak / held)
+    _assert_trees_equal(forest_n200, back)
 
 
 def test_model_file_garbage_rejected(tmp_path):
@@ -1669,12 +1701,25 @@ def _write(tmp_path, payload):
     return path
 
 
-def _rewrite(raw, edit_header=None, field=None, index=0, value=0):
-    """A saved tree model with its JSON header or one payload entry changed."""
+def _parts(raw):
+    """A saved model's magic, version and kind, its JSON header and its
+    payload."""
     magic, version, kind, header_len = serialize._PREFIX.unpack_from(raw)
     start = serialize._PREFIX.size
-    header = json.loads(raw[start : start + header_len])
-    payload = bytearray(raw[start + header_len :])
+    return ((magic, version, kind), json.loads(raw[start : start + header_len]),
+            raw[start + header_len :])
+
+
+def _join(fields, header, payload):
+    """The file of :func:`_parts`' pieces, any of them edited."""
+    text = json.dumps(header, sort_keys=True).encode()
+    return serialize._PREFIX.pack(*fields, len(text)) + text + payload
+
+
+def _rewrite(raw, edit_header=None, field=None, index=0, value=0):
+    """A saved tree model with its JSON header or one payload entry changed."""
+    fields, header, payload = _parts(raw)
+    payload = bytearray(payload)
     n_nodes = len(payload) // sum(np.dtype(t).itemsize for _, t in serialize._TREE_FIELDS)
     at = 0
     for name, dtype in serialize._TREE_FIELDS:
@@ -1684,8 +1729,7 @@ def _rewrite(raw, edit_header=None, field=None, index=0, value=0):
         at += column.nbytes
     if edit_header is not None:
         edit_header(header)
-    text = json.dumps(header, sort_keys=True).encode()
-    return serialize._PREFIX.pack(magic, version, kind, len(text)) + text + bytes(payload)
+    return _join(fields, header, bytes(payload))
 
 
 def test_model_file_with_bad_tree_links_rejected(tmp_path):
@@ -1713,6 +1757,10 @@ def test_model_file_with_bad_tree_links_rejected(tmp_path):
         dict(edit_header=offsets([0, 1, n])),
         dict(edit_header=offsets([0])),
         dict(edit_header=offsets("x")),
+        # a negative node count, or offsets that are not a list
+        dict(edit_header=offsets([0, -12])),
+        dict(edit_header=offsets({"0": 0})),
+        dict(edit_header=offsets(7)),
     ]
     assert load_model(path).n_nodes == n
     assert load_model(_write(tmp_path, _rewrite(raw))).n_nodes == n
@@ -1720,6 +1768,84 @@ def test_model_file_with_bad_tree_links_rejected(tmp_path):
         bad = _write(tmp_path, _rewrite(raw, **case))
         with pytest.raises(MalformedModel):
             load_model(bad)
+
+
+def _saved(tmp_path, kind):
+    """The bytes of a small saved forest or network, and its arrays in file
+    order."""
+    rng = np.random.default_rng(97)
+    if kind == "tree":
+        model = fit_forest(rng.random((30, 3)), rng.random(30), n_trees=2, seed=1)
+    else:
+        model = PointNetMini(_init_params(rng))
+    path = tmp_path / f"{kind}.wnsm"
+    save_model(path, model)
+    return path.read_bytes(), serialize._describe(model)[2]
+
+
+@pytest.mark.parametrize("kind", ["tree", "network"])
+def test_model_file_cut_in_any_part_or_extended_is_rejected(tmp_path, kind):
+    raw, blobs = _saved(tmp_path, kind)
+    start = serialize._PREFIX.size
+    at = len(raw) - sum(blob.nbytes for blob in blobs)
+    # halfway into the prefix, the header and each array, and one byte short
+    cuts = [start // 2, (start + at) // 2]
+    for blob in blobs:
+        cuts.append(at + blob.nbytes // 2)
+        at += blob.nbytes
+    cuts.append(len(raw) - 1)
+    assert len(set(cuts)) == len(blobs) + 3
+    for bad in [raw[:cut] for cut in cuts] + [raw + b"\0"]:
+        with pytest.raises(MalformedModel):
+            load_model(_write(tmp_path, bad))
+
+
+def test_malformed_network_headers_are_rejected(tmp_path):
+    fields, header, payload = _parts(_saved(tmp_path, "network")[0])
+    assert header["weights"][2] == ["W1", [64, 64]]
+    # W1's bytes, so a file that declares W1 empty can hold just the rest
+    w1_at = 8 * sum(math.prod(shape) for _, shape in header["weights"][:2])
+    without_w1 = payload[:w1_at] + payload[w1_at + 8 * 64 * 64 :]
+
+    def w1_shape(shape):
+        edited = json.loads(json.dumps(header))
+        edited["weights"][2][1] = shape
+        return edited
+
+    cases = [
+        ([1, 2], payload),
+        ({**header, "weights": [1, 2]}, payload),
+        (w1_shape("ab"), payload),
+        # a negative count must not read the payload from its end
+        (w1_shape([-1, 64]), payload),
+        # a zero-size array reads nothing, and the network refuses its shape
+        (w1_shape([0, 64]), without_w1),
+        # W1 declared twice, with its bytes twice: every key is there, and
+        # one of the two W1 arrays would be dropped
+        ({**header, "weights": header["weights"] + [["W1", [64, 64]]]},
+         payload + payload[w1_at : w1_at + 8 * 64 * 64]),
+    ]
+    for edited, body in cases:
+        with pytest.raises(MalformedModel):
+            load_model(_write(tmp_path, _join(fields, edited, body)))
+
+
+@pytest.mark.parametrize("kind", ["tree", "network"])
+def test_model_file_declaring_more_than_it_holds_allocates_nothing(tmp_path, kind):
+    fields, header, payload = _parts(_saved(tmp_path, kind)[0])
+    # 10**8 nodes or W1 of 10**8 entries: 400 MB or more for one array
+    if kind == "tree":
+        header["offsets"][-1] = 10**8
+    else:
+        header["weights"][2][1] = [10**4, 10**4]
+    path = _write(tmp_path, _join(fields, header, payload))
+
+    def load():
+        with pytest.raises(MalformedModel, match="the header declares"):
+            load_model(path)
+
+    peak, _ = _peak_traced_bytes(load)
+    assert peak < 10**8, peak
 
 
 @pytest.mark.parametrize("version", [1, 2, 3])
