@@ -711,10 +711,16 @@ def _cmd_bench(args) -> int:
     # sample writes exactly --n designs, and every split starts from the id
     # split, so a count it cannot divide fails before any stage writes
     require_id_split(args.n)
-    ws = _workspace(args)
-    seed = _require_seed(args)
     # a model named twice is fitted and reported once, in first-seen order
     models = list(dict.fromkeys(args.model or ["forest"]))
+    # the network reads --points of each cloud, so clouds of fewer points
+    # fail before any stage spends time or disk on them
+    if "pointnet" in models and args.points > args.cloud_points:
+        raise MissingArtifact(
+            f"--points {args.points} exceeds --cloud-points {args.cloud_points}: the "
+            "network reads --points points of each cloud, so give it at most --cloud-points")
+    ws = _workspace(args)
+    seed = _require_seed(args)
     report_path = _claim(ws / "reports" / "bench.csv", args.force)
 
     # the stage commands read their options from bench's own arguments

@@ -435,7 +435,10 @@ def read_split_csv(path) -> SplitAssignment:
     parts: dict[str, set] = {part: set() for part in _PARTITIONS}
     for part, pair in _read_csv(path, _SPLIT_COLUMNS, _split_pair_from_row):
         parts[part].add(pair)
-    return SplitAssignment(name=stem, policy=policy,
-                           train=frozenset(parts["train"]),
-                           val=frozenset(parts["val"]),
-                           test=frozenset(parts["test"]))
+    try:
+        return SplitAssignment(name=stem, policy=policy,
+                               train=frozenset(parts["train"]),
+                               val=frozenset(parts["val"]),
+                               test=frozenset(parts["test"]))
+    except ValueError as exc:  # a pair in two partitions, or a straddling geometry
+        raise ParseError(f"{path}: {exc}") from None

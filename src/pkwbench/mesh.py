@@ -21,8 +21,11 @@ the rows of every distinct profile, by the station, tessellation and
 volume code alike.
 
 Tessellation emits top and bottom skins per region plus the exposed parts of
-every vertical interface.  It evaluates the profiles over all stations of
-all chains and edges at once, collects the triangle corners in arrays, and
+every vertical interface.  A vertical wall runs along a plan edge or across
+a chain at a station; both kinds take the profiles of their two sides from
+one side rule (``_Profiles.sides``) and their exposed bands from one band
+rule (``_bands``).  It evaluates the profiles over all stations of all
+chains and edges at once, collects the triangle corners in arrays, and
 welds them in one numpy pass on an integer lattice at 1e-9 m, so shared
 corners coincide exactly.
 """
@@ -254,6 +257,15 @@ class _Profiles:
         table = np.array([self.index[id(p)] for p in profiles] + [-1])
         return table[piece]
 
+    def sides(self, left, left_piece: np.ndarray, right, right_piece: np.ndarray) -> np.ndarray:
+        """The profiles on the two sides of a wall, ``(m, 4)``: z_lo and
+        z_hi of ``left[left_piece[i]]``, then of ``right[right_piece[i]]``,
+        for every i; -1 on a void side (a piece of -1)."""
+        return np.stack([self.ids([r.z_lo for r in left], left_piece),
+                         self.ids([r.z_hi for r in left], left_piece),
+                         self.ids([r.z_lo for r in right], right_piece),
+                         self.ids([r.z_hi for r in right], right_piece)], axis=1)
+
     def values(self, pid: np.ndarray, x: np.ndarray, at: np.ndarray) -> np.ndarray:
         """The value at ``x[i]`` of profile ``pid[i]``, on its row for the
         interval that holds ``at[i]``, for every i; NaN where ``pid[i]``
@@ -274,23 +286,27 @@ def _pieces_at(pieces: list[PlanRegion], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_slots(edge_groups, mid: np.ndarray, profiles: _Profiles) -> np.ndarray:
-    """The profiles on the two sides of every plan edge over every interval.
+def _edge_intervals(edge_groups, x: np.ndarray, profiles: _Profiles):
+    """Every plan edge over every interval between the stations ``x``.
 
-    Returns ``(n_edges * len(mid), 4)`` profile indices, edge by edge: z_lo
-    and z_hi of the piece below the edge in y, then of the piece above, each
-    picked by the interval midpoint; -1 on a void side.
+    Returns ``(pid, xa, xb, v_a, v_mid, v_b)``, one row per interval, edge
+    by edge: ``pid`` holds the ``(m, 4)`` profiles of ``_Profiles.sides``
+    for the pieces below and above the edge in y, each picked by the
+    interval midpoint; ``xa`` and ``xb`` the interval ends; ``v_a``,
+    ``v_mid`` and ``v_b`` the values of those profiles at the start, the
+    midpoint and the end, each on its row for the midpoint.
     """
-    slots = []
-    for line, below, above in edge_groups:
-        left, right = _pieces_at(below, mid), _pieces_at(above, mid)
-        slots.append(np.stack([
-            profiles.ids([r.z_lo for r in below], left),
-            profiles.ids([r.z_hi for r in below], left),
-            profiles.ids([r.z_lo for r in above], right),
-            profiles.ids([r.z_hi for r in above], right),
-        ], axis=1))
-    return np.concatenate(slots)
+    xa, xb = x[:-1], x[1:]
+    mid = 0.5 * (xa + xb)
+    pid = np.concatenate([
+        profiles.sides(below, _pieces_at(below, mid), above, _pieces_at(above, mid))
+        for _, below, above in edge_groups])
+    n_edges = len(edge_groups)
+    at = np.repeat(np.tile(mid, n_edges), 4)
+    xa, xb = np.tile(xa, n_edges), np.tile(xb, n_edges)
+    v_a, v_mid, v_b = (profiles.values(pid.ravel(), xs, at).reshape(-1, 4)
+                       for xs in (np.repeat(xa, 4), at, np.repeat(xb, 4)))
+    return pid, xa, xb, v_a, v_mid, v_b
 
 
 def _crossing_stations(edge_groups, mandatory: list[float], profiles: _Profiles) -> list[float]:
@@ -301,15 +317,8 @@ def _crossing_stations(edge_groups, mandatory: list[float], profiles: _Profiles)
     changes sign between the interval ends; the crossing is interpolated
     linearly.  The list is unordered.
     """
-    m = np.asarray(mandatory, dtype=np.float64)
-    xa, xb = m[:-1], m[1:]
-    mid = 0.5 * (xa + xb)
-    pid = _edge_slots(edge_groups, mid, profiles)
-    n_edges = len(edge_groups)
-    at = np.repeat(np.tile(mid, n_edges), 4)
-    xa, xb = np.tile(xa, n_edges), np.tile(xb, n_edges)
-    v_a = profiles.values(pid.ravel(), np.repeat(xa, 4), at).reshape(-1, 4)
-    v_b = profiles.values(pid.ravel(), np.repeat(xb, 4), at).reshape(-1, 4)
+    pid, xa, xb, v_a, _, v_b = _edge_intervals(
+        edge_groups, np.asarray(mandatory, dtype=np.float64), profiles)
     i, j = np.triu_indices(4, 1)
     da, db = v_a[:, i] - v_a[:, j], v_b[:, i] - v_b[:, j]
     row, k = np.nonzero((da * db < 0.0) & np.all(pid >= 0, axis=1)[:, None])
@@ -534,28 +543,20 @@ def _skin_quads(chains, chain_pieces, x: np.ndarray, profiles: _Profiles) -> np.
     return np.stack(quads, axis=1)
 
 
-def _edge_bands(walls, edge_groups, x: np.ndarray, profiles: _Profiles):
-    """Exposed wall faces along every plan edge, station interval by interval.
+def _bands(walls, v_mid, v_a, v_b, xa, ya, xb, yb, toward_left, toward_right):
+    """Add the exposed bands of walls between two sides to ``walls``.
 
-    Below and above an edge in y lie pieces; over an interval either side
-    may be missing (void).  The bands lie between consecutive profile values
-    at the interval midpoint, and a band is emitted where exactly one side
-    is solid.  A missing side's two profile slots hold NaN, which sorts last
-    and fails every comparison, so it neither bounds a band nor counts as
-    solid.
+    Each row is one wall face from line (xa, ya) to line (xb, yb) with the
+    ``(m, 4)`` profile values of ``_Profiles.sides`` at its two lines and in
+    between (``v_a``, ``v_b``, ``v_mid``).  The bands lie between
+    consecutive values of ``v_mid``, and a band is added where exactly one
+    side is solid there, facing ``toward_left`` if that is the left side
+    and ``toward_right`` if not; its ends take the same two profiles' values
+    in ``v_a`` and ``v_b``.  A void side's two values are NaN, which sorts
+    last and fails every comparison, so it neither bounds a band nor counts
+    as solid.  A band of zero height adds a face of no area, which gives no
+    triangle.
     """
-    xa, xb = x[:-1], x[1:]
-    mid = 0.5 * (xa + xb)
-    pid = _edge_slots(edge_groups, mid, profiles).ravel()
-    ya = np.concatenate([line.value(xa) for line, _, _ in edge_groups])
-    yb = np.concatenate([line.value(xb) for line, _, _ in edge_groups])
-    n_edges = len(edge_groups)
-    at = np.repeat(np.tile(mid, n_edges), 4)
-    xa, xb = np.tile(xa, n_edges), np.tile(xb, n_edges)
-    v_mid = profiles.values(pid, at, at).reshape(-1, 4)
-    v_a = profiles.values(pid, np.repeat(xa, 4), at).reshape(-1, 4)
-    v_b = profiles.values(pid, np.repeat(xb, 4), at).reshape(-1, 4)
-
     order = np.argsort(v_mid, axis=1, kind="stable")
     ranked = np.take_along_axis(v_mid, order, axis=1)
     band_mid = 0.5 * (ranked[:, :-1] + ranked[:, 1:])
@@ -565,26 +566,39 @@ def _edge_bands(walls, edge_groups, x: np.ndarray, profiles: _Profiles):
     f_lo, f_hi = order[row, k], order[row, k + 1]
     walls.add(xa[row], ya[row], v_a[row, f_lo], v_a[row, f_hi],
               xb[row], yb[row], v_b[row, f_lo], v_b[row, f_hi],
-              np.where(in_left[row, k, None], _PLUS_Y, _MINUS_Y))
+              np.where(in_left[row, k, None], toward_left, toward_right))
+
+
+def _edge_bands(walls, edge_groups, x: np.ndarray, profiles: _Profiles):
+    """Exposed wall faces along every plan edge, station interval by interval.
+
+    Below and above an edge in y lie pieces; over an interval either side
+    may be missing (void).  ``_bands`` finds the exposed bands from the
+    profile values at the interval midpoint, the one band rule that
+    ``_station_bands`` uses too.
+    """
+    _, xa, xb, v_a, v_mid, v_b = _edge_intervals(edge_groups, x, profiles)
+    ya = np.concatenate([line.value(x[:-1]) for line, _, _ in edge_groups])
+    yb = np.concatenate([line.value(x[1:]) for line, _, _ in edge_groups])
+    _bands(walls, v_mid, v_a, v_b, xa, ya, xb, yb, _PLUS_Y, _MINUS_Y)
 
 
 def _station_bands(walls, chains, chain_pieces, x: np.ndarray, profiles: _Profiles):
     """Exposed wall faces of every chain at its stations.
 
     At each station the pieces of the intervals on either side may differ
-    (a profile jumps, or the chain starts or ends).  The bands lie between
-    consecutive distinct profile values there, and a band is emitted where
-    exactly one side is solid; a station with the same two profile values
-    on both sides has none.  Missing sides hold NaN, as in ``_edge_bands``.
+    (a profile jumps, or the chain starts or ends).  A station wall runs
+    across the chain from y_lo to y_hi, so its values are the same at both
+    lines and in between: ``_bands``, the band rule of ``_edge_bands``, gets
+    the station values for all three.  A station with the same two profile
+    values on both sides has only bands of zero height, or none.
     """
     mid = 0.5 * (x[:-1] + x[1:])
     none = np.array([-1])
     slots, ya, yb = [], [], []
     for chain, piece in zip(chains, chain_pieces):
-        left, right = np.concatenate([none, piece]), np.concatenate([piece, none])
-        z_lo, z_hi = [r.z_lo for r in chain], [r.z_hi for r in chain]
-        slots.append(np.stack([profiles.ids(z_lo, left), profiles.ids(z_hi, left),
-                               profiles.ids(z_lo, right), profiles.ids(z_hi, right)], axis=1))
+        slots.append(profiles.sides(chain, np.concatenate([none, piece]),
+                                    chain, np.concatenate([piece, none])))
         ya.append(chain[0].y_lo.value(x))
         yb.append(chain[0].y_hi.value(x))
     n_chains = len(slots)
@@ -593,18 +607,8 @@ def _station_bands(walls, chains, chain_pieces, x: np.ndarray, profiles: _Profil
     mid_l, mid_r = np.concatenate([[np.nan], mid]), np.concatenate([mid, [np.nan]])
     at = np.tile(np.stack([mid_l, mid_l, mid_r, mid_r], axis=1), (n_chains, 1)).ravel()
     xs = np.tile(x, n_chains)
-    lz0, lz1, rz0, rz1 = profiles.values(
-        np.concatenate(slots).ravel(), np.repeat(xs, 4), at).reshape(-1, 4).T
-
-    vals = np.sort(np.stack([lz0, lz1, rz0, rz1], axis=1), axis=1)
-    z0, z1 = vals[:, :-1], vals[:, 1:]
-    zm = 0.5 * (z0 + z1)
-    in_left = (lz0[:, None] <= zm) & (zm <= lz1[:, None])
-    in_right = (rz0[:, None] <= zm) & (zm <= rz1[:, None])
-    row, k = np.nonzero((z0 != z1) & (in_left != in_right))
-    z0, z1 = z0[row, k], z1[row, k]
-    walls.add(xs[row], np.concatenate(ya)[row], z0, z1, xs[row], np.concatenate(yb)[row], z0, z1,
-              np.where(in_left[row, k, None], _PLUS_X, _MINUS_X))
+    v = profiles.values(np.concatenate(slots).ravel(), np.repeat(xs, 4), at).reshape(-1, 4)
+    _bands(walls, v, v, v, xs, np.concatenate(ya), xs, np.concatenate(yb), _PLUS_X, _MINUS_X)
 
 
 def tessellate(regions: list[PlanRegion], x_segments: int = 8) -> tuple[TriangleMesh, MeshReport]:

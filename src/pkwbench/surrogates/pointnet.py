@@ -248,7 +248,9 @@ class PointNetMini:
     """Fitted network; construct through :func:`fit_pointnet_mini`.
 
     Instances are also buildable directly from a parameter dict, which is
-    what deserialization and the tests' finite-difference probes use.
+    what deserialization and the tests' finite-difference probes use.  The
+    model keeps the float64 arrays it is given, not copies of them, so a
+    later change to one of them changes its weights.
     """
 
     def __init__(self, params, config=None, history=None):
@@ -260,7 +262,7 @@ class PointNetMini:
                 raise ShapeMismatch(f"W{i} must have shape {(fan_in, fan_out)}")
             if params[f"b{i}"].shape != (fan_out,):
                 raise ShapeMismatch(f"b{i} must have shape {(fan_out,)}")
-        self.params = {k: np.array(v, dtype=float) for k, v in params.items()}
+        self.params = {k: np.asarray(v, dtype=float) for k, v in params.items()}
         self.config = config or PointNetConfig()
         self.history = history or {}
 

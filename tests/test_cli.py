@@ -738,6 +738,47 @@ def test_train_on_a_split_of_unknown_name_is_one_error_record(pipeline, tmp_path
     assert not (ws / "models" / f"{name}-tree.wnsm").exists()
 
 
+def _overlap_a_pair(rows):
+    """Repeat the first train pair as a test pair."""
+    pair = next(row for row in rows if row["partition"] == "train")
+    return rows + [{**pair, "partition": "test"}]
+
+
+def _move_one_pair(rows):
+    """Move one pair of a train geometry to test."""
+    k = next(k for k, row in enumerate(rows) if row["partition"] == "train")
+    return rows[:k] + [{**rows[k], "partition": "test"}] + rows[k + 1:]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("edit, detail", [
+    (_overlap_a_pair, "has overlapping partitions"),
+    (_move_one_pair, "straddles partitions"),
+], ids=["overlap", "straddle"])
+def test_split_file_with_mixed_partitions_is_one_parse_error(pipeline, tmp_path, capsys,
+                                                             edit, detail, command):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline, ws, ignore=shutil.ignore_patterns("models", "reports"))
+    split_path = ws / "splits" / "id.csv"
+    rows = read_rows(split_path)
+    with open(split_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(edit(rows))
+    argv = {"train": ["train", "--workspace", ws, "--model", "tree", "--split", "id",
+                      "--seed", 19],
+            "eval": ["eval", "--workspace", ws, "--model", "tree", "--split", "id"]}
+    capsys.readouterr()
+    assert run(argv[command]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "ParseError"
+    assert record["command"] == command
+    assert "splits/id.csv" in record["message"]
+    assert detail in record["message"]
+
+
 def test_trained_model_round_trips_from_workspace(pipeline):
     model_path = pipeline / "models" / "id-tree.wnsm"
     assert model_path.exists()
@@ -983,6 +1024,23 @@ def test_bench_with_too_few_designs_fails_before_writing(tmp_path, capsys):
     assert record["command"] == "bench"
     # no params/ or labels/ artifact, so a rerun needs no --force
     assert not [p for p in ws.rglob("*") if p.is_file()]
+
+
+def test_bench_network_wanting_more_points_than_the_clouds_fails_before_writing(
+        tmp_path, capsys):
+    ws = tmp_path / "ws"
+    argv = ["bench", "--workspace", ws, "--n", 10, "--seed", 3, "--model", "pointnet",
+            "--points", 64, "--cloud-points", 32]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "MissingArtifact"
+    assert record["command"] == "bench"
+    assert "--points 64" in record["message"]
+    assert "--cloud-points 32" in record["message"]
+    # no stage ran, and not even the workspace was made
+    assert not ws.exists()
 
 
 def test_bench_is_reproducible(tmp_path):

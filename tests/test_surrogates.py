@@ -1674,6 +1674,21 @@ def test_load_model_reads_each_array_without_copying_it(tmp_path, forest_n200):
     _assert_trees_equal(forest_n200, back)
 
 
+def test_load_model_reads_a_network_without_copying_it(tmp_path):
+    network = PointNetMini(_init_params(np.random.default_rng(5)))
+    path = tmp_path / "network.wnsm"
+    save_model(path, network)
+    load_model(path)  # warm-up
+    peak, back = _peak_traced_bytes(lambda: load_model(path))
+    held = sum(v.nbytes for v in back.params.values())
+    # the model keeps the arrays read from the file; a copy of each would
+    # take 2x
+    assert peak <= 1.15 * held, (peak, held, peak / held)
+    assert back.params.keys() == network.params.keys()
+    for key, value in network.params.items():
+        assert back.params[key].tobytes() == value.tobytes(), key
+
+
 def test_model_file_garbage_rejected(tmp_path):
     rng = np.random.default_rng(73)
     tree = fit_tree(rng.random((20, 2)), rng.random(20))
