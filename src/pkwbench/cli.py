@@ -153,13 +153,16 @@ def _require_seed(args) -> int:
 def _parse_overrides(pairs, what):
     out = {}
     for item in pairs or ():
-        name, _, value = item.partition("=")
+        name, _, text = item.partition("=")
         if name not in VARIABLE_NAMES:
             raise PkwError(f"unknown design variable {name!r} in --{what}")
         try:
-            out[name] = float(value)
+            value = float(text)
         except ValueError:
-            raise PkwError(f"bad value for {name!r} in --{what}: {value!r}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise PkwError(f"bad value for {name!r} in --{what}: {text!r}")
+        out[name] = value
     return out
 
 
@@ -168,15 +171,27 @@ def _from_cli_units(name: str, value: float) -> float:
 
 
 def _build_space(args):
+    """The ``--space`` design space with the ``--step-mm``, ``--lo-mm`` and
+    ``--hi-mm`` overrides applied.  Overrides that leave a variable a step
+    of zero or less, or a lower bound at or above its upper bound, are a
+    ``PkwError`` that names them and the variable; the base spaces are
+    valid, so only an override can."""
     space = screening_space() if args.space == "screening" else paper_default_space()
-    edits = {}
+    edits, flags = {}, collections.defaultdict(list)
     for what, field in (("step-mm", "step"), ("lo-mm", "lower"), ("hi-mm", "upper")):
         overrides = _parse_overrides(getattr(args, what.replace("-", "_")), what)
         if overrides:
             values = list(getattr(space, field))
             for name, value in overrides.items():
                 values[VARIABLE_NAMES.index(name)] = _from_cli_units(name, value)
+                flags[name].append(f"--{what} {name}={value:g}")
             edits[field] = tuple(values)
+    lower, upper, step = (edits.get(field, getattr(space, field))
+                          for field in ("lower", "upper", "step"))
+    for j, name in enumerate(VARIABLE_NAMES):
+        if not (lower[j] < upper[j] and step[j] > 0):
+            raise PkwError(f"{', '.join(flags[name])}: design variable {name} needs a "
+                           "lower bound below its upper bound and a step above zero")
     return dataclasses.replace(space, **edits) if edits else space
 
 
@@ -269,11 +284,8 @@ def _metric_row(split, model_name, partition, n_train, report, paper_scale):
         "max_ae": f"{report.max_ae:.9g}",
     }
     if paper_scale:
-        scaled = report.scaled()
-        row["mse_1e5"] = f"{scaled['mse_1e5']:.9g}"
-        row["r2_100"] = "" if scaled["r2_100"] is None else f"{scaled['r2_100']:.9g}"
-        row["mae_1e3"] = f"{scaled['mae_1e3']:.9g}"
-        row["max_ae_10"] = f"{scaled['max_ae_10']:.9g}"
+        for column, value in report.scaled().items():
+            row[column] = "" if value is None else f"{value:.9g}"
     return row
 
 

@@ -254,8 +254,7 @@ class PointNetMini:
     """
 
     def __init__(self, params, config=None, history=None):
-        expected = {f"{kind}{i}" for i in range(len(_LAYER_DIMS)) for kind in "Wb"}
-        if set(params) != expected:
+        if set(params) != set(self._key_order()):
             raise ShapeMismatch(f"parameter keys {sorted(params)} do not match")
         for i, (fan_in, fan_out) in enumerate(_LAYER_DIMS):
             if params[f"W{i}"].shape != (fan_in, fan_out):

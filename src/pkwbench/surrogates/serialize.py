@@ -94,10 +94,7 @@ def _describe(model):
 
 
 def _tuples_from_json(obj):
-    out = {}
-    for key, val in obj.items():
-        out[key] = tuple(val) if isinstance(val, list) else val
-    return out
+    return {key: tuple(val) if isinstance(val, list) else val for key, val in obj.items()}
 
 
 def save_model(path, model):

@@ -711,8 +711,15 @@ def _narrow_splits(ranks, y_sq, counts, order, begin, sizes, cand, min_leaf):
 
 def _wide_histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes, cand,
                      carry=None):
-    """The histograms of a level's wide nodes, as :func:`_histograms`
-    returns them.
+    """The histograms of every (node, candidate) pair of a level's wide
+    ``nodes``: the summed count and the summed ``w * y`` and ``w * y**2``,
+    as real and imaginary parts, per bin of the pair's feature.
+
+    Each is one flat array of the pairs' bins laid end to end, in the order
+    of ``cand``, node by node, pair ``(k, c)`` taking ``pair_bins[k, c]``
+    bins.  A bin sums its rows in row order, as ``np.bincount`` over the
+    node's rows alone sums them.  Without ``counts`` the counts are
+    integers.
 
     ``carry``, with every feature a candidate, holds the last level's
     histograms and where each split node's row of them starts, or -1.  A
@@ -720,71 +727,47 @@ def _wide_histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes,
     its sibling, or as many and is the right child, takes its parent's
     histograms minus its sibling's: the sibling's own row when the sibling
     is a wide node of the level, or else one built from the sibling's rows
-    in the node's own row.  Counts subtract exactly.  Every other node
-    builds its own.  A node's row spans its root's bins of every feature,
-    so rows of different roots differ in width, and a node, its sibling and
-    their parent share one.  Every row is built or subtracted in place, so
-    the level holds its rows and its parents' and no copy of either.
+    in the node's own row.  Counts subtract exactly.  Every other node, and
+    every node without ``carry``, builds its own.  A node's row spans its
+    root's bins of every feature, so rows of different roots differ in
+    width, and a node, its sibling and their parent share one.  Every row
+    is built or subtracted in place, so the level holds its rows and its
+    parents' and no copy of either.
     """
-    if carry is None:
-        return _histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes, cand)
-    parents, parent_at = carry
-    parent = parent_at[nodes // 2]
-    sibling = nodes ^ 1
-    # the larger child, or the right one of two equal children
-    sub = (parent >= 0) & (sizes[nodes] + (nodes & 1) > sizes[sibling])
-    slot = np.full(sizes.size, -1)
-    slot[nodes] = np.arange(nodes.size)
-    # a larger child whose sibling is built here reads the sibling's row
-    reuse = sub & (slot[sibling] >= 0)
     width = pair_bins.sum(axis=1)
     at = np.cumsum(width) - width
-    build = ~reuse
+    total = int(width.sum())
+    # the histogram rows that are built, and the node whose rows fill each
+    build, source, subtract = slice(None), nodes, []
+    if carry is not None:
+        parents, parent_at = carry
+        parent = parent_at[nodes // 2]
+        sibling = nodes ^ 1
+        # the larger child, or the right one of two equal children
+        sub = (parent >= 0) & (sizes[nodes] + (nodes & 1) > sizes[sibling])
+        slot = np.full(sizes.size, -1)
+        slot[nodes] = np.arange(nodes.size)
+        # a larger child whose sibling is built here reads the sibling's row
+        reuse = sub & (slot[sibling] >= 0)
+        build = ~reuse
+        source = np.where(sub, sibling, nodes)[build]
+        subtract = np.flatnonzero(sub).tolist()
+    # pair (k, c)'s bins start at bin offset[k, c]; bins of a subtracted
+    # row stay zero until it is subtracted
     offset = at[build, None] + np.cumsum(pair_bins[build], axis=1) - pair_bins[build]
-    hists = _histograms_at(offset, int(width.sum()), ranks, y_sq, counts, rows, starts, sizes,
-                           np.where(sub, sibling, nodes)[build], cand[build])
-    for k in np.flatnonzero(sub).tolist():
-        w = width[k]
-        # the sibling's own row, or its rows built in this node's
-        source = at[slot[sibling[k]]] if reuse[k] else at[k]
-        for part, whole in zip(hists, parents):
-            np.subtract(whole[parent[k] : parent[k] + w], part[source : source + w],
-                        out=part[at[k] : at[k] + w])
-    return hists
-
-
-def _histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes, cand):
-    """The histograms of every (node, candidate) pair of ``nodes``: the
-    summed count and the summed ``w * y`` and ``w * y**2``, as real and
-    imaginary parts, per bin of the pair's feature.
-
-    Each is one flat array of the pairs' bins laid end to end, in the order
-    of ``cand``, node by node, pair ``(k, c)`` taking ``pair_bins[k, c]``
-    bins.  A bin sums its rows in row order, as ``np.bincount`` over the
-    node's rows alone sums them.  Without ``counts`` the counts are
-    integers.
-    """
-    offset = np.cumsum(pair_bins).reshape(cand.shape) - pair_bins
-    return _histograms_at(offset, int(pair_bins.sum()), ranks, y_sq, counts, rows, starts,
-                          sizes, nodes, cand)
-
-
-def _histograms_at(offset, total, ranks, y_sq, counts, rows, starts, sizes, nodes, cand):
-    """:func:`_histograms` in arrays of ``total`` bins, pair ``(k, c)``'s
-    from bin ``offset[k, c]`` on; bins no pair takes stay zero."""
     n_cand = cand.shape[1]
-    size = sizes[nodes]
+    size = sizes[source]
     # the level's rows are every node's rows
-    pos = rows if nodes.size == sizes.size else rows[_segments(starts[nodes], size)]
-    node = np.repeat(np.arange(nodes.size), size)
+    pos = rows if source.size == sizes.size else rows[_segments(starts[source], size)]
+    node = np.repeat(np.arange(source.size), size)
     # a take along the rows of a contiguous (candidates, nodes) array
     # gathers faster than fancy indexing of its transpose
     key = np.ascontiguousarray(offset.T).take(node, axis=1)
     if n_cand == ranks.shape[0]:
         key += ranks.take(pos, axis=1)
     else:
-        key += ranks.take(np.ascontiguousarray(cand.T).take(node, axis=1) * ranks.shape[1]
-                          + pos)
+        key += ranks.take(
+            np.ascontiguousarray(cand[build].T).take(node, axis=1) * ranks.shape[1] + pos)
     del node
     # each row's values once per candidate, as the keys list the rows
     drawn = None
@@ -803,12 +786,20 @@ def _histograms_at(offset, total, ranks, y_sq, counts, rows, starts, sizes, node
     values = y_sq[pos]
     for keys in key:
         np.add.at(sums, keys, values)
+    del key, values
+    for k in subtract:
+        w = width[k]
+        # the sibling's own row, or its rows built in this node's
+        row = at[slot[sibling[k]]] if reuse[k] else at[k]
+        for part, whole in zip((count, sums), parents):
+            np.subtract(whole[parent[k] : parent[k] + w], part[row : row + w],
+                        out=part[at[k] : at[k] + w])
     return count, sums
 
 
 def _wide_splits(count, sums, pair_bins, min_leaf):
     """Each wide (node, candidate) pair's best split, from its histograms
-    (:func:`_histograms`) and its bins ``pair_bins``: ``(score, cut,
+    (:func:`_wide_histograms`) and its bins ``pair_bins``: ``(score, cut,
     above)`` arrays of the shape of ``pair_bins``, as :func:`_narrow_splits`
     returns them.
 
@@ -1050,13 +1041,12 @@ def fit_gbm(
     rows while partitioning them, which are the tree's predictions for
     those rows, so no stage walks its tree again.  The result is the same,
     bit for bit, as fitting each stage with :func:`fit_tree` and adding its
-    ``predict(X)``.  This is the one-fit case of the stage loop that
-    :func:`fit_gbm_sets` runs over a group of fits.
+    ``predict(X)``.  It is the one model :func:`fit_gbm_sets` yields for
+    the one set of every row.
     """
     X, y = _check_training_pair(X, y)
-    params = _boosting_params(n_trees, max_depth, learning_rate, min_samples_leaf)
-    values, ranks = _ranks(X)
-    (model,) = _boost([values], ranks, y, [X.shape[0]], n_trees, params, learning_rate)
+    (model,) = fit_gbm_sets(X, y, [np.arange(X.shape[0])], n_trees, max_depth,
+                            learning_rate, min_samples_leaf)
     return model
 
 
@@ -1089,7 +1079,11 @@ def fit_gbm_sets(
     Sets may share rows.
     """
     X, y = _check_training_pair(X, y)
-    params = _boosting_params(n_trees, max_depth, learning_rate, min_samples_leaf)
+    if n_trees < 1:
+        raise ValueError("boosting needs at least one stage")
+    if not 0.0 < learning_rate <= 1.0:
+        raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate}")
+    params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     sets = []
     for k, rows in enumerate(row_sets):
         rows = np.asarray(rows)
@@ -1106,14 +1100,6 @@ def fit_gbm_sets(
         ranks = np.concatenate(ranks, axis=1)
         yield from _boost(tables, ranks, y[np.concatenate(group)], [r.size for r in group],
                           n_trees, params, learning_rate)
-
-
-def _boosting_params(n_trees, max_depth, learning_rate, min_samples_leaf):
-    if n_trees < 1:
-        raise ValueError("boosting needs at least one stage")
-    if not 0.0 < learning_rate <= 1.0:
-        raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate}")
-    return TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 
 
 def _boost(tables, ranks, y, sizes, n_trees, params, learning_rate):

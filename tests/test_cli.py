@@ -121,6 +121,43 @@ def test_sample_artifacts_and_meta(pipeline):
     assert head["n_requested"] == N_DESIGNS
 
 
+def _meta_paths(ws):
+    return sorted(p.relative_to(ws).as_posix() for p in ws.rglob("*.meta.json"))
+
+
+def test_each_command_writes_one_sidecar_next_to_its_main_output(tmp_path):
+    # the manifest holds its provenance inside the file; STLs, clouds and
+    # the split files bench writes have no sidecar of their own
+    ws = tmp_path / "chain"
+    for argv in (
+        ["sample", "--n", N_DESIGNS, "--seed", MASTER_SEED],
+        ["mesh"],
+        ["cloud", "--n", CLOUD_POINTS, "--seed", 11],
+        ["label", "--seed", 13],
+        ["split", "--policy", "id", "--seed", 17],
+        ["train", "--model", "tree", "--split", "id", "--seed", 19],
+        ["eval", "--model", "tree", "--split", "id"],
+    ):
+        assert run([argv[0], "--workspace", ws, *argv[1:]]) == 0, argv[0]
+    assert _meta_paths(ws) == [
+        "clouds/clouds.meta.json",
+        "labels/labels.csv.meta.json",
+        "meshes/mesh_reports.csv.meta.json",
+        "models/id-tree.wnsm.meta.json",
+        "params/designs.csv.meta.json",
+        "reports/eval-id-tree-test.csv.meta.json",
+        "splits/id.csv.meta.json",
+    ]
+    ws = tmp_path / "bench"
+    assert run(["bench", "--workspace", ws, "--n", 40, "--seed", 3, "--model", "tree"]) == 0
+    assert len(list((ws / "splits").glob("*.csv"))) == 13
+    assert _meta_paths(ws) == [
+        "labels/labels.csv.meta.json",
+        "params/designs.csv.meta.json",
+        "reports/bench.csv.meta.json",
+    ]
+
+
 def test_sample_is_deterministic_across_workspaces(tmp_path):
     ws_a, ws_b = tmp_path / "a", tmp_path / "b"
     for ws in (ws_a, ws_b):
@@ -178,6 +215,26 @@ def test_unknown_design_variable_is_rejected(tmp_path, capsys):
             "--lo-mm", "Bogus=3"]
     assert run(argv) == 1
     assert "unknown design variable" in stderr_record(capsys)["message"]
+
+
+@pytest.mark.parametrize("command", ["sample", "bench"])
+@pytest.mark.parametrize("flag, override", [
+    ("--lo-mm", "B_b=900"), ("--hi-mm", "B_b=1"), ("--step-mm", "B_b=0"),
+    ("--lo-mm", "B_b=nan"),
+])
+def test_bad_space_override_is_one_error_record(tmp_path, capsys, command, flag, override):
+    # a bound at or past the other bound, a step of zero or a bound that is
+    # not a number leaves no design space to sample
+    ws = tmp_path / "ws"
+    n = 5 if command == "sample" else 10
+    assert run([command, "--workspace", ws, "--n", n, "--seed", 1, flag, override]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "PkwError"
+    assert record["command"] == command
+    assert flag in record["message"] and "B_b" in record["message"]
+    assert not [p for p in (ws / "params").rglob("*") if p.is_file()]
 
 
 def test_workspace_env_variable_is_honoured(tmp_path, monkeypatch):

@@ -803,8 +803,8 @@ def test_histograms_take_each_feature_bins(weighted):
     sizes = np.array([70, 130])
     y_sq = trees._with_squares(y, counts)
     for cand in (np.array([[0, 2], [1, 2]]), np.tile(np.arange(3), (2, 1))):
-        count, sums = trees._histograms(ranks, bins[cand], y_sq, counts, rows,
-                                        np.array([0, 70]), sizes, np.arange(2), cand)
+        count, sums = trees._wide_histograms(ranks, bins[cand], y_sq, counts, rows,
+                                             np.array([0, 70]), sizes, np.arange(2), cand)
         assert count.size == sums.size == bins[cand].sum()
         ends = np.cumsum(bins[cand]).reshape(cand.shape)
         for k, c in np.ndindex(cand.shape):
