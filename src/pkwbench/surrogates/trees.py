@@ -20,13 +20,16 @@ and one scorer picks every row's best boundary, in blocks of rows taken
 in order of their widths.  Histograms sum the targets in another order,
 so a near-tied split can go either way.  Trees of a forest, and fits of
 a boosting group, grow together in groups of consecutive members under a
-row budget.
+row budget.  Every stage of a boosting group grows from the same roots,
+so the group builds the half of its root level's search that reads no
+targets once and reads it in every stage.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -53,12 +56,28 @@ class TreeParams:
     min_samples_split: int = 2
 
     def __post_init__(self):
+        for name in ("max_depth", "min_samples_leaf", "min_samples_split"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
+
+
+def _count(name, value):
+    """``value`` as an ``int``, or a ``ValueError`` that names ``name`` when
+    it is not a whole number: a bool, a float, or anything else that
+    ``operator.index`` refuses.  A float count would be read as a bound
+    (2.5 levels grow 3) or fail deep inside a fit."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,7 +243,10 @@ def _check_matrix(X, n_features=None):
 
 def _check_training_pair(X, y):
     X = _check_matrix(X)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float)
+    if not (y.ndim == 1 or y.ndim == 2 and y.shape[1] == 1):
+        raise ShapeMismatch(f"target must be 1-D or one column, got shape {y.shape}")
+    y = y.reshape(-1)
     if X.shape[0] == 0:
         raise EmptyData("cannot fit on an empty design matrix")
     if X.shape[1] == 0:
@@ -277,9 +299,12 @@ _GROUP_ROWS = 12_288
 # The rows a group of boosting fits grows in lockstep (fit_gbm_sets, by
 # _groups), counted over each fit's rows.  Each root reads its own fit's
 # bins, so what grows with the group's rows is its per-row arrays, the
-# largest a root level's histogram keys, 8 bytes a row and feature.  On the
-# benchmark's gbm-matrix the 12 fits (23,123 to 23,142 rows in all at seeds
-# 1-15) form one group of 300 grower calls: over ten pairs bench_ref_s read
+# largest its roots' histogram keys, 8 bytes a row and feature, which the
+# group builds once and holds for all of its stages (_held_roots): 1.7 MB
+# for the 23,123 rows of the benchmark's 12 fits, and 4.2 MB for a lone
+# paper-scale fit of 57,684 rows.  On the benchmark's gbm-matrix the 12
+# fits (23,123 to 23,142 rows in all at seeds 1-15) form one group of 300
+# grower calls: over ten pairs bench_ref_s read
 # 0.66x that of groups of 7,168 rows and peak RSS 2.8 MB more
 # (BENCH_29.json), and at _GROUP_ROWS the same fits took 1.11-1.15x the time
 # (BENCH_32.json).  A level of at most 24,576 rows has at most 12,288 splits,
@@ -352,21 +377,33 @@ def _with_squares(y, counts=None):
     return out
 
 
-def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None,
-          counts=None, fitted=None):
+def _tables(values):
+    """What the grower reads of the roots' tables ``values``, each a list
+    of every feature's sorted distinct values: each table's bins per
+    feature, a ``(tables, d)`` array, every table's values laid end to end,
+    and where each table's feature starts in them.  A fit computes it once
+    for all of its :func:`_grow` calls."""
+    bins = np.array([[v.size for v in table] for table in values])
+    edges = np.concatenate([v for table in values for v in table])
+    first_edge = (np.cumsum(bins) - bins.ravel()).reshape(bins.shape)
+    return bins, edges, first_edge
+
+
+def _grow(ranks, tables, yr, params, max_features, feature_rngs=None, sizes=None,
+          counts=None, fitted=None, roots=None):
     """Grow one tree per root, together, level by level, and return their
     node arrays.
 
     Tree ``t``'s root holds the ``t``-th run of ``sizes[t]`` consecutive
     rows (one root of every row without ``sizes``) and, with fewer than
     ``d`` candidate features, draws its feature subsets from
-    ``feature_rngs[t]``.  ``values`` holds the roots' tables, each a list
-    of every feature's sorted distinct values: one table that every root
-    reads, as a tree or a forest's trees read their fit's, or one table a
-    root, as the fits of a boosting group each read their own.  ``ranks``
-    is :func:`_ranks` of each root's rows among its table's values, laid
-    end to end.  A node reads its root's table for everything that counts
-    values: its bins, its histograms, its thresholds and the wide rule.
+    ``feature_rngs[t]``.  ``tables`` is :func:`_tables` of the roots'
+    tables: one table that every root reads, as a tree or a forest's trees
+    read their fit's, or one table a root, as the fits of a boosting group
+    each read their own.  ``ranks`` is :func:`_ranks` of each root's rows
+    among its table's values, laid end to end.  A node reads its root's
+    table for everything that counts values: its bins, its histograms, its
+    thresholds and the wide rule.
 
     ``counts``, when given, weights each row by the times it was drawn.
     The split search then sums ``w * y`` and ``w * y**2``, a child's size
@@ -393,6 +430,13 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
     sorts its rows on its ranks (:func:`_sort_rows`).  So a level whose
     nodes are all wide reads and regroups no sorted rows.
 
+    ``roots``, a dict a boosting group keeps across its stages, holds the
+    root level's half of the wide search that reads no targets
+    (:func:`_held_roots`): a stage whose wide roots are those it was built
+    for reads it instead of building its own, and any other stage builds
+    it anew.  Every stage grows from the same rows, ranks and tables, so
+    the held half is the one the stage would build, bit for bit.
+
     A node's split and children depend on its own rows alone, its
     parent's histograms and its root's table, and with fewer than ``d``
     candidate features, each tree that has splittable nodes at a depth
@@ -411,16 +455,12 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
     features.
     """
     d, n = ranks.shape
-    # each table's bins per feature, and where each feature's values
-    # start in edges
-    bins = np.array([[v.size for v in table] for table in values])
-    edges = np.concatenate([v for table in values for v in table])
-    first_edge = (np.cumsum(bins) - bins.ravel()).reshape(bins.shape)
+    bins, edges, first_edge = tables
     y_sq = _with_squares(yr, counts)
     sizes = np.array([n] if sizes is None else sizes)
     n_roots = sizes.size
     several = n_roots > 1
-    own = len(values) > 1  # each root reads its own table
+    own = bins.shape[0] > 1  # each root reads its own table
     n_cand = min(max_features, d)
     full = n_cand == d
     every = np.broadcast_to(np.arange(d), (n, d))  # every feature, for any node
@@ -507,11 +547,16 @@ def _grow(ranks, values, yr, params, max_features, feature_rngs=None, sizes=None
             hists = None
             if wide.any():
                 wide_bins = pair_bins[wide]
+                layout = bounds = None
+                if roots is not None and not depth:
+                    layout, bounds = _held_roots(roots, ranks, wide_bins, counts, rows, starts,
+                                                 sizes, nodes[wide], cand[wide],
+                                                 params.min_samples_leaf)
                 hists = _wide_histograms(ranks, wide_bins, y_sq, counts, rows, starts, sizes,
-                                         nodes[wide], cand[wide], carry)
+                                         nodes[wide], cand[wide], carry, layout)
                 carry = None  # the parents' histograms go before the scores
                 score[wide], cut[wide], above[wide] = _wide_splits(
-                    *hists, wide_bins, params.min_samples_leaf)
+                    *hists, wide_bins, params.min_samples_leaf, bounds)
             if narrow.size:
                 score[~wide], cut[~wide], above[~wide] = _narrow_splits(
                     ranks, y_sq, counts, order, begin[narrow], sizes[narrow], cand[~wide],
@@ -709,38 +754,31 @@ def _narrow_splits(ranks, y_sq, counts, order, begin, sizes, cand, min_leaf):
     return score.reshape(cand.shape), cut.reshape(cand.shape), above.reshape(cand.shape)
 
 
-def _wide_histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes, cand,
-                     carry=None):
-    """The histograms of every (node, candidate) pair of a level's wide
-    ``nodes``: the summed count and the summed ``w * y`` and ``w * y**2``,
-    as real and imaginary parts, per bin of the pair's feature.
+def _wide_layout(ranks, pair_bins, counts, rows, starts, sizes, nodes, cand, carry=None,
+                 key_type=np.intp):
+    """The half of :func:`_wide_histograms` that reads no targets: where
+    each row of the level's wide ``nodes`` falls in their histograms, and
+    their counts.
 
-    Each is one flat array of the pairs' bins laid end to end, in the order
-    of ``cand``, node by node, pair ``(k, c)`` taking ``pair_bins[k, c]``
-    bins.  A bin sums its rows in row order, as ``np.bincount`` over the
-    node's rows alone sums them.  Without ``counts`` the counts are
-    integers.
-
-    ``carry``, with every feature a candidate, holds the last level's
-    histograms and where each split node's row of them starts, or -1.  A
-    node whose parent has histograms there and that holds more rows than
-    its sibling, or as many and is the right child, takes its parent's
-    histograms minus its sibling's: the sibling's own row when the sibling
-    is a wide node of the level, or else one built from the sibling's rows
-    in the node's own row.  Counts subtract exactly.  Every other node, and
-    every node without ``carry``, builds its own.  A node's row spans its
-    root's bins of every feature, so rows of different roots differ in
-    width, and a node, its sibling and their parent share one.  Every row
-    is built or subtracted in place, so the level holds its rows and its
-    parents' and no copy of either.
+    Returns ``(key, pos, count, moves)``.  ``pos`` lists the rows whose
+    histograms are built, node by node, and ``key[c, i]`` is the bin that
+    row ``pos[i]`` fills on its node's ``c``-th candidate: a ``(candidates,
+    rows)`` array of ``key_type``, intp, 8 bytes a row and candidate, unless
+    a narrower type is asked for.  ``count`` is the
+    summed count per bin, ``np.bincount`` of the keys, and integers without
+    ``counts``.  ``moves`` lists each subtracted row as ``(to, row, parent,
+    width)``: bins ``to`` to ``to + width`` take the parent's bins from
+    ``parent`` minus bins ``row`` onward of the level's own, the sibling's
+    row or the sibling's rows built in this node's (see
+    :func:`_wide_histograms`); the counts here are already subtracted.
     """
     width = pair_bins.sum(axis=1)
     at = np.cumsum(width) - width
     total = int(width.sum())
     # the histogram rows that are built, and the node whose rows fill each
-    build, source, subtract = slice(None), nodes, []
+    build, source, moves = slice(None), nodes, []
     if carry is not None:
-        parents, parent_at = carry
+        (parents, _), parent_at = carry
         parent = parent_at[nodes // 2]
         sibling = nodes ^ 1
         # the larger child, or the right one of two equal children
@@ -751,10 +789,14 @@ def _wide_histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes,
         reuse = sub & (slot[sibling] >= 0)
         build = ~reuse
         source = np.where(sub, sibling, nodes)[build]
-        subtract = np.flatnonzero(sub).tolist()
+        k = np.flatnonzero(sub)
+        # the sibling's own row, or its rows built in this node's
+        row = np.where(reuse[k], at[slot[sibling[k]]], at[k])
+        moves = list(zip(*(part.tolist() for part in (at[k], row, parent[k], width[k]))))
     # pair (k, c)'s bins start at bin offset[k, c]; bins of a subtracted
     # row stay zero until it is subtracted
     offset = at[build, None] + np.cumsum(pair_bins[build], axis=1) - pair_bins[build]
+    offset = offset.astype(key_type, copy=False)
     n_cand = cand.shape[1]
     size = sizes[source]
     # the level's rows are every node's rows
@@ -769,35 +811,94 @@ def _wide_histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes,
         key += ranks.take(
             np.ascontiguousarray(cand[build].T).take(node, axis=1) * ranks.shape[1] + pos)
     del node
-    # each row's values once per candidate, as the keys list the rows
+    # each row's count once per candidate, as the keys list the rows
     drawn = None
     if counts is not None:
         drawn = np.empty((n_cand, pos.size))
         drawn[:] = counts[pos]
     count = np.bincount(key.ravel(), None if drawn is None else drawn.ravel(), total)
     del drawn
+    for to, row, whole, w in moves:
+        np.subtract(parents[whole : whole + w], count[row : row + w], out=count[to : to + w])
+    return key, pos, count, moves
+
+
+def _wide_histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes, cand,
+                     carry=None, layout=None):
+    """The histograms of every (node, candidate) pair of a level's wide
+    ``nodes``: the summed count and the summed ``w * y`` and ``w * y**2``,
+    as real and imaginary parts, per bin of the pair's feature.
+
+    Each is one flat array of the pairs' bins laid end to end, in the order
+    of ``cand``, node by node, pair ``(k, c)`` taking ``pair_bins[k, c]``
+    bins.  A bin sums its rows in row order, as ``np.bincount`` over the
+    node's rows alone sums them.  Without ``counts`` the counts are
+    integers.  The counts are :func:`_wide_layout`'s, which reads no
+    targets; ``layout``, when given, is that layout of these arguments,
+    held from an earlier boosting stage, and its counts are returned as
+    they are.  Only the sums are built here, from its keys.
+
+    ``carry``, with every feature a candidate, holds the last level's
+    histograms and where each split node's row of them starts, or -1.  A
+    node whose parent has histograms there and that holds more rows than
+    its sibling, or as many and is the right child, takes its parent's
+    histograms minus its sibling's: the sibling's own row when the sibling
+    is a wide node of the level, or else one built from the sibling's rows
+    in the node's own row.  Counts subtract exactly.  Every other node, and
+    every node without ``carry``, builds its own.  A node's row spans its
+    root's bins of every feature, so rows of different roots differ in
+    width, and a node, its sibling and their parent share one.  Every row
+    is built or subtracted in place, so the level holds its rows and its
+    parents' and no copy of either.
+    """
+    if layout is None:
+        layout = _wide_layout(ranks, pair_bins, counts, rows, starts, sizes, nodes, cand,
+                              carry)
+    key, pos, count, moves = layout
+    del layout
     # complex addition adds the parts apart, each bin in key order.  A
     # candidate's keys fill its own bins, so one add.at per candidate adds
     # every bin in that order, and a 1-D add.at of the rows' values takes
     # numpy's fast path: 61 us for 9 x 3,040 keys, against 91 us for one
     # add.at of every key and its broadcast copy of the values, which took
     # 16 bytes a key
-    sums = np.zeros(total, dtype=np.complex128)
+    sums = np.zeros(count.size, dtype=np.complex128)
     values = y_sq[pos]
     for keys in key:
         np.add.at(sums, keys, values)
-    del key, values
-    for k in subtract:
-        w = width[k]
-        # the sibling's own row, or its rows built in this node's
-        row = at[slot[sibling[k]]] if reuse[k] else at[k]
-        for part, whole in zip((count, sums), parents):
-            np.subtract(whole[parent[k] : parent[k] + w], part[row : row + w],
-                        out=part[at[k] : at[k] + w])
+    del key, pos, values
+    if moves:
+        parents = carry[0][1]
+        for to, row, whole, w in moves:
+            np.subtract(parents[whole : whole + w], sums[row : row + w],
+                        out=sums[to : to + w])
     return count, sums
 
 
-def _wide_splits(count, sums, pair_bins, min_leaf):
+def _wide_bounds(count, pair_bins, min_leaf):
+    """The half of :func:`_wide_splits` that reads no targets, one block of
+    :func:`_blocks` at a time, of at most ``_HIST_CELLS`` cells.
+
+    Yields each block's ``(block, held, running, edge, n_right, last)``:
+    the pairs it holds, their bins ``held``, each row padded by repeating
+    its last bin, which leaves the right child empty, the prefix sums of
+    their counts, the boundaries that pass the size rules, the right
+    child's sizes (:func:`_boundaries`) and each row's last position.
+    """
+    sizes = pair_bins.ravel()
+    at = np.cumsum(sizes) - sizes
+    for block, width in _blocks(sizes, _HIST_CELLS):
+        last = sizes[block] - 1
+        held = at[block, None] + np.minimum(np.arange(width), last[:, None])
+        running = count.take(held)
+        # a filled bin ends a left child; one past the last leaves the
+        # right child empty, and _boundaries drops it
+        edge = running > 0
+        np.cumsum(running, axis=1, out=running)
+        yield block, held, running, edge, _boundaries(running, edge, last, min_leaf), last
+
+
+def _wide_splits(count, sums, pair_bins, min_leaf, bounds=None):
     """Each wide (node, candidate) pair's best split, from its histograms
     (:func:`_wide_histograms`) and its bins ``pair_bins``: ``(score, cut,
     above)`` arrays of the shape of ``pair_bins``, as :func:`_narrow_splits`
@@ -808,32 +909,50 @@ def _wide_splits(count, sums, pair_bins, min_leaf):
     filled bins, the consecutive distinct values of the node.  Counts are
     whole numbers, summed exactly, so the candidates and the child sizes
     are those of a scan over sorted rows; only the sums of the targets are
-    added in another order.  :func:`_row_splits` scores the rows, in the
-    blocks of :func:`_blocks`, of at most ``_HIST_CELLS`` cells, each row
-    padded by repeating its last bin, which leaves the right child empty.
+    added in another order.  The counts' half, :func:`_wide_bounds`, reads
+    no targets; ``bounds``, when given, is that half of these arguments as
+    a list, held from an earlier boosting stage.  :func:`_row_splits`
+    scores each of its blocks from the sums.
     """
-    sizes = pair_bins.ravel()
-    at = np.cumsum(sizes) - sizes
-    score = np.empty(sizes.size)
-    cut = np.empty(sizes.size, dtype=np.intp)
-    above = np.empty(sizes.size, dtype=np.intp)
-    for block, width in _blocks(sizes, _HIST_CELLS):
-        last = sizes[block] - 1
-        # each row's bins, its last one repeated to the block's width
-        held = at[block, None] + np.minimum(np.arange(width), last[:, None])
-        running, block_sums = count.take(held), sums.take(held)
-        del held
-        # a filled bin ends a left child; one past the last leaves the
-        # right child empty, and _row_splits drops it
-        edge = running > 0
-        np.cumsum(running, axis=1, out=running)
+    score = np.empty(pair_bins.size)
+    cut = np.empty(pair_bins.size, dtype=np.intp)
+    above = np.empty(pair_bins.size, dtype=np.intp)
+    if bounds is None:
+        bounds = _wide_bounds(count, pair_bins, min_leaf)
+    for block, held, running, edge, n_right, last in bounds:
+        block_sums = sums.take(held)
         np.cumsum(block_sums, axis=1, out=block_sums)
-        score[block], pick = _row_splits(running, block_sums, edge, last, min_leaf)
+        score[block], pick = _row_splits(running, block_sums, edge, last, min_leaf, n_right)
         cut[block] = pick
         # the first bin whose running count passes the pick's is the next filled
         above[block] = np.argmax(
             running > running[np.arange(pick.size), pick][:, None], axis=1)
     return tuple(part.reshape(pair_bins.shape) for part in (score, cut, above))
+
+
+def _held_roots(held, ranks, pair_bins, counts, rows, starts, sizes, nodes, cand, min_leaf):
+    """The root level's :func:`_wide_layout` and :func:`_wide_bounds`, as
+    a list, for its wide ``nodes``, from ``held`` when it holds them for
+    those nodes, or else built, made read-only and held in place of what
+    ``held`` held.
+
+    A boosting group's stages grow from the same rows, ranks and tables,
+    so the half of the root level's search that reads no targets changes
+    only with its wide roots: a root whose residuals are all equal does not
+    split and drops out.  A group holds its root keys for all of its
+    stages, in the narrowest unsigned type that holds the level's bins: 2
+    bytes a row and feature on the benchmark's rows, against 8 as intp.
+    """
+    if "nodes" not in held or not np.array_equal(held["nodes"], nodes):
+        held.clear()  # the stale half goes before the new one is built
+        layout = _wide_layout(ranks, pair_bins, counts, rows, starts, sizes, nodes, cand,
+                              key_type=np.min_scalar_type(int(pair_bins.sum()) - 1))
+        bounds = list(_wide_bounds(layout[2], pair_bins, min_leaf))
+        for part in (*layout, *(part for block in bounds for part in block)):
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        held.update(nodes=nodes, layout=layout, bounds=bounds)
+    return held["layout"], held["bounds"]
 
 
 def _blocks(widths, cells):
@@ -864,7 +983,23 @@ def _blocks(widths, cells):
         lo = hi
 
 
-def _row_splits(running, sums, edge, last, min_leaf):
+def _boundaries(running, edge, last, min_leaf):
+    """Drop from ``edge``, in place, the positions that leave a row's right
+    child empty or a child below ``min_leaf``, and return the right
+    child's sizes at every position.
+
+    A row is padded past its position ``last``, and ``running``, its
+    prefix sums of the child sizes, holds the node's size there.
+    """
+    ends = np.arange(0, running.size, running.shape[1]) + last
+    n_right = running.take(ends)[:, None] - running
+    edge &= n_right > 0
+    if min_leaf > 1:
+        edge &= (running >= min_leaf) & (n_right >= min_leaf)
+    return n_right
+
+
+def _row_splits(running, sums, edge, last, min_leaf, n_right=None):
     """Each row's best split: its score and the position of the left
     child's last element, or inf where no boundary passes the size rules.
 
@@ -874,19 +1009,19 @@ def _row_splits(running, sums, edge, last, min_leaf):
     whose values at ``last`` are the node's totals, whatever the padding
     holds.  ``edge`` marks the positions that may end a left child: a
     sorted position whose value the next one's passes, or a filled bin.
-    One that leaves the right child empty, or a child below ``min_leaf``,
-    is dropped.  Every position is scored and those that
-    end no boundary are replaced by inf, so within a row the first minimum
-    wins (the lowest threshold); a NaN is the minimum wherever it occurs,
-    and a row without boundaries scores inf: neither splits.  ``sums`` and
-    ``edge`` are overwritten.
+    :func:`_boundaries` drops those that leave the right child empty or a
+    child below ``min_leaf``, unless ``n_right``, the right child's sizes,
+    is given, and ``edge`` with it already holds only those that pass.
+    Every position is scored and those that end no boundary are replaced
+    by inf, so within a row the first minimum wins (the lowest threshold);
+    a NaN is the minimum wherever it occurs, and a row without boundaries
+    scores inf: neither splits.  ``sums`` is overwritten, and ``edge`` when
+    ``n_right`` is not given.
     """
+    if n_right is None:
+        n_right = _boundaries(running, edge, last, min_leaf)
     first = np.arange(0, sums.size, sums.shape[1])  # each row's flat start
     ends = first + last
-    n_right = running.take(ends)[:, None] - running
-    edge &= n_right > 0
-    if min_leaf > 1:
-        edge &= (running >= min_leaf) & (n_right >= min_leaf)
     # the totals are a copy: a view into sums would make the in-place right
     # sums copy every row
     scored = _scores(sums, sums.take(ends)[:, None], running, n_right)
@@ -900,7 +1035,7 @@ def fit_tree(X, y, params: TreeParams | None = None) -> TreeEnsemble:
     X, y = _check_training_pair(X, y)
     params = params or TreeParams()
     values, ranks = _ranks(X)
-    return _pack([_grow(ranks, [values], y, params, X.shape[1])], X.shape[1],
+    return _pack([_grow(ranks, _tables([values]), y, params, X.shape[1])], X.shape[1],
                  {"params": params})
 
 
@@ -928,7 +1063,7 @@ def _groups(member, n_members, budget):
         yield group
 
 
-def _grow_bagged(values, ranks, y, group, params, max_features):
+def _grow_bagged(tables, ranks, y, group, params, max_features):
     """Grow one forest tree per ``(generator, rows, counts)`` entry of
     ``group``, together, each on its own rows, as one chunk of
     :func:`_pack`.
@@ -937,14 +1072,14 @@ def _grow_bagged(values, ranks, y, group, params, max_features):
     ``counts`` the times each was drawn, or ``None`` for a tree on every
     row once; the generator draws the tree's feature subsets.  The trees
     take consecutive runs of the group's ranks, gathered from the fit's
-    :func:`_ranks`.  The arrays live only for this call, so a fit holds one
-    group's at a time.
+    :func:`_ranks`, and read the fit's :func:`_tables`.  The arrays live
+    only for this call, so a fit holds one group's at a time.
     """
     rngs, rows, counts = zip(*group)
     sizes = [r.size for r in rows]
     rows = np.concatenate(rows)
     counts = None if counts[0] is None else np.concatenate(counts)
-    return _grow(ranks.take(rows, axis=1), [values], y[rows], params, max_features, rngs,
+    return _grow(ranks.take(rows, axis=1), tables, y[rows], params, max_features, rngs,
                  sizes, counts)
 
 
@@ -991,16 +1126,18 @@ def fit_forest(
     the full feature count the result degenerates to :func:`fit_tree`.
     """
     X, y = _check_training_pair(X, y)
+    n_trees = _count("n_trees", n_trees)
     if n_trees < 1:
         raise ValueError("a forest needs at least one tree")
     params = params or TreeParams()
     d = X.shape[1]
-    if max_features is None:
-        max_features = math.ceil(d / 3)
+    max_features = math.ceil(d / 3) if max_features is None else _count(
+        "max_features", max_features)
     if not 1 <= max_features <= d:
         raise ValueError(f"max_features must be in [1, {d}], got {max_features}")
     n = X.shape[0]
     values, ranks = _ranks(X)
+    tables = _tables([values])
 
     def draw(k):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
@@ -1010,7 +1147,7 @@ def fit_forest(
         rows = np.flatnonzero(counts)
         return (rng, rows, counts[rows].astype(float)), rows.size
 
-    chunks = [_grow_bagged(values, ranks, y, group, params, max_features)
+    chunks = [_grow_bagged(tables, ranks, y, group, params, max_features)
               for group in _groups(draw, n_trees, _GROUP_ROWS)]
     info = {"params": params, "seed": seed, "bootstrap": bootstrap,
             "max_features": max_features}
@@ -1068,7 +1205,9 @@ def fit_gbm_sets(
     ranked on its own rows, as :func:`fit_gbm` ranks them, and each stage
     grows every set's tree in one :func:`_grow` call, one root per set,
     each reading its set's own table, so the sets share every level's
-    passes and every node is scored as in its set's own fit.
+    passes and every node is scored as in its set's own fit.  A group
+    builds its roots' histogram layout once and reads it in every stage
+    whose wide roots are the same (see :func:`_boost`).
 
     A group holds its stages as one ``(feature, value)`` pair per stage and
     packs a set's model only when it is asked for, so a caller that drops
@@ -1079,6 +1218,7 @@ def fit_gbm_sets(
     Sets may share rows.
     """
     X, y = _check_training_pair(X, y)
+    n_trees = _count("n_trees", n_trees)
     if n_trees < 1:
         raise ValueError("boosting needs at least one stage")
     if not 0.0 < learning_rate <= 1.0:
@@ -1096,20 +1236,27 @@ def fit_gbm_sets(
             raise ValueError(f"row set {k} holds row indices outside [0, {X.shape[0]})")
         sets.append(rows)
     for group in _groups(lambda k: (sets[k], sets[k].size), len(sets), _BOOST_ROWS):
-        tables, ranks = zip(*(_ranks(X[rows]) for rows in group))
+        values, ranks = zip(*(_ranks(X[rows]) for rows in group))
         ranks = np.concatenate(ranks, axis=1)
-        yield from _boost(tables, ranks, y[np.concatenate(group)], [r.size for r in group],
+        yield from _boost(values, ranks, y[np.concatenate(group)], [r.size for r in group],
                           n_trees, params, learning_rate)
 
 
-def _boost(tables, ranks, y, sizes, n_trees, params, learning_rate):
+def _boost(values, ranks, y, sizes, n_trees, params, learning_rate):
     """Boost one model per run of ``sizes[m]`` consecutive rows, together,
     and yield each run's model in run order.
 
-    ``tables[m]`` is run ``m``'s sorted distinct values per feature and
+    ``values[m]`` is run ``m``'s sorted distinct values per feature and
     ``ranks`` each run's rows ranked among them, laid end to end
     (:func:`_ranks` of each run's rows).  Each stage grows every run's tree
-    in one :func:`_grow` call, a root per run reading its own table.  Each
+    in one :func:`_grow` call, a root per run reading its own table; the
+    tables' :func:`_tables` are taken once for every stage.  Every stage
+    grows from the same roots, rows and ranks, so the half of the root
+    level's wide search that reads no targets, its histogram keys and
+    counts and the counts' side of its split search, is built once and
+    held, read-only, for every stage whose wide roots are the same
+    (:func:`_held_roots`); a root whose residuals are all equal drops out,
+    and the next stage builds it anew.  Each
     run keeps its own base, current predictions and training MSE, taken on
     its own slice of the rows: one :func:`_segment_sums` of every run's
     squared errors a stage gives each run's ``np.mean``, bit for bit.  Each
@@ -1118,6 +1265,8 @@ def _boost(tables, ranks, y, sizes, n_trees, params, learning_rate):
     packed only when it is taken.
     """
     d, n = ranks.shape
+    tables = _tables(values)
+    held = {}  # the root level's layout, across the stages
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
     bases = _segment_sums(y, starts, sizes) / sizes
@@ -1130,11 +1279,12 @@ def _boost(tables, ranks, y, sizes, n_trees, params, learning_rate):
         # an overflowing mean or leaf value makes the residuals infinite
         if not np.isfinite(residual).all():
             raise ValueError("targets must be finite")
-        stages.append(_grow(ranks, tables, residual, params, d, sizes=sizes, fitted=fitted))
+        stages.append(_grow(ranks, tables, residual, params, d, sizes=sizes, fitted=fitted,
+                            roots=held))
         current = current + learning_rate * fitted
         residual = y - current
         paths.append(_segment_sums(residual * residual, starts, sizes) / sizes)
-    del residual, current, fitted
+    del residual, current, fitted, held
     paths = np.array(paths).T
     # each stage's node count for each run, and where those nodes start
     n_nodes = np.array([stage[2] for stage in stages])

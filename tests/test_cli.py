@@ -400,6 +400,17 @@ def test_version_flag_reports_package_version(capsys):
     assert pkwbench.__version__ in capsys.readouterr().out
 
 
+def test_module_runs_the_command_line():
+    # python -m pkwbench runs the CLI from a checkout, src on the import path
+    src = str(Path(pkwbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "pkwbench", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == pkwbench.__version__
+
+
 # mesh and cloud stages
 
 
@@ -1206,6 +1217,35 @@ def test_bench_boosts_its_distinct_gbm_fits_in_one_group(tmp_path, monkeypatch):
     n_train = [int(r["n_train"]) for r in rows if r["split"] != "id-f100"]
     assert groups == [n_train]
     assert len(n_train) == 12 and sum(n_train) <= trees._BOOST_ROWS
+
+
+def test_bench_group_builds_its_root_layout_once_in_300_stages(tmp_path, monkeypatch):
+    # every stage of the 12-fit group grows from the same wide roots, so
+    # the half of the root level's search that reads no targets is built
+    # once and read in all 300 stages
+    groups = _boost_groups(monkeypatch)
+    stages, layouts = [0], []
+    grow, wide_layout = trees._grow, trees._wide_layout
+
+    def grow_spy(*args, **kwargs):
+        stages[0] += 1
+        return grow(*args, **kwargs)
+
+    def layout_spy(ranks, pair_bins, counts, rows, starts, sizes, nodes, *rest, **kwargs):
+        layouts.append((sizes.tolist(), nodes.tolist()))
+        return wide_layout(ranks, pair_bins, counts, rows, starts, sizes, nodes, *rest,
+                           **kwargs)
+
+    monkeypatch.setattr(trees, "_grow", grow_spy)
+    monkeypatch.setattr(trees, "_wide_layout", layout_spy)
+    ws = tmp_path / "ws"
+    assert run(["bench", "--workspace", ws, "--n", 200, "--seed", 11, "--model", "gbm"]) == 0
+    assert len(groups) == 1 and len(groups[0]) == 12
+    assert stages[0] == 300
+    roots = [nodes for sizes, nodes in layouts if sizes == groups[0]]
+    assert roots == [list(range(12))]
+    # the levels below build their own in every stage
+    assert len(layouts) > 300
 
 
 def test_bench_pointnet_runs_with_an_empty_validation_partition(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for metrics, trees, forests, boosting, and model files."""
 
 import collections
+import dataclasses
 import gc
 import hashlib
 import json
@@ -275,6 +276,47 @@ def test_tree_guards():
     tree = fit_tree(np.ones((3, 2)), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ShapeMismatch):
         tree.predict(np.ones((3, 5)))
+
+
+def test_two_column_target_names_its_shape():
+    X = np.ones((50, 2))
+    with pytest.raises(ShapeMismatch, match=r"target must be 1-D or one column, got shape "
+                                            r"\(50, 2\)"):
+        fit_tree(X, np.ones((50, 2)))
+    # one column is a target of one value a row
+    tree = fit_tree(X, np.arange(50.0).reshape(-1, 1))
+    assert tree.predict(X).shape == (50,)
+
+
+# A count that is not a whole number is refused, naming the parameter:
+# TreeParams(max_depth=2.5) grew 3 levels, and a float tree or feature count
+# ended in a TypeError deep inside the fit
+_X_COUNTS, _Y_COUNTS = np.arange(100.0).reshape(50, 2), np.arange(50.0) % 7
+
+
+@pytest.mark.parametrize("name, fit", [
+    ("max_depth", lambda v: TreeParams(max_depth=v)),
+    ("min_samples_leaf", lambda v: TreeParams(min_samples_leaf=v)),
+    ("min_samples_split", lambda v: TreeParams(min_samples_split=v)),
+    ("max_features", lambda v: fit_forest(_X_COUNTS, _Y_COUNTS, n_trees=2, max_features=v)),
+    ("n_trees", lambda v: fit_forest(_X_COUNTS, _Y_COUNTS, n_trees=v)),
+    ("n_trees", lambda v: fit_gbm(_X_COUNTS, _Y_COUNTS, n_trees=v)),
+], ids=["max_depth", "min_samples_leaf", "min_samples_split", "forest_max_features",
+        "forest_n_trees", "gbm_n_trees"])
+def test_counts_must_be_integers(name, fit):
+    for value in (2.5, 2.0, True, np.float64(2.0), np.bool_(True), "2"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+            fit(value)
+    # integers of any integer type are taken as ints
+    fit(np.int64(2))
+
+
+def test_tree_params_hold_plain_ints():
+    params = TreeParams(max_depth=np.int32(3), min_samples_leaf=np.uint8(2),
+                        min_samples_split=np.int64(4))
+    assert params == TreeParams(max_depth=3, min_samples_leaf=2, min_samples_split=4)
+    assert all(type(v) is int for v in dataclasses.astuple(params))
+    assert TreeParams().max_depth is None
 
 
 # exact CART against the per-node reference grower
@@ -588,10 +630,11 @@ def _spy_wide_nodes(monkeypatch, record):
     takes a parent's histograms."""
     wide_histograms = trees._wide_histograms
 
-    def spy(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand, carry=None):
+    def spy(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand, carry=None,
+            layout=None):
         record(sizes[nodes], cand.shape[1], carry is not None)
         return wide_histograms(ranks, bins, y_sq, counts, rows, starts, sizes, nodes, cand,
-                               carry)
+                               carry, layout)
 
     monkeypatch.setattr(trees, "_wide_histograms", spy)
 
@@ -1375,9 +1418,10 @@ def test_gbm_sets_histograms_hold_each_roots_own_bins(monkeypatch):
     levels = []
     wide_histograms = trees._wide_histograms
 
-    def spy(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes, cand, carry=None):
+    def spy(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes, cand, carry=None,
+            layout=None):
         hists = wide_histograms(ranks, pair_bins, y_sq, counts, rows, starts, sizes, nodes,
-                                cand, carry)
+                                cand, carry, layout)
         levels.append((sizes.size, nodes.tolist(), hists[0].size, hists[1].size))
         return hists
 
@@ -1391,6 +1435,51 @@ def test_gbm_sets_histograms_hold_each_roots_own_bins(monkeypatch):
     for n_nodes, nodes, n_count, n_sums in roots + below:
         want = sum(own[node * 3 // n_nodes] for node in nodes)
         assert n_count == n_sums == want
+
+
+def test_gbm_group_rebuilds_its_root_layout_once_a_root_drops_out(monkeypatch):
+    # Two sets boosted in one group at rate 1 and depth 1: ordinary rows,
+    # and eight rows whose targets, 0.0 and 4.0 on four rows each, feature
+    # 0 splits.  The first stage fits those eight exactly, so their
+    # residuals are 0 from the second stage on and their root drops out.
+    # Both roots are wide.  The group builds its roots' layout for both,
+    # then for the first alone, and reads that in every later stage.
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.integers(0, 5, (40, 2)),
+                   np.column_stack([np.repeat([0, 1], 4), np.tile([2, 3], 4)])]).astype(float)
+    y = np.concatenate([rng.normal(size=40), np.repeat([0.0, 4.0], 4)])
+    row_sets = [np.arange(40), np.arange(40, 48)]
+    kwargs = dict(n_trees=6, max_depth=1, learning_rate=1.0)
+    alone = [fit_gbm(X[rows], y[rows], **kwargs) for rows in row_sets]
+    builds, held = [], []
+    wide_layout, held_roots = trees._wide_layout, trees._held_roots
+
+    def layout_spy(ranks, pair_bins, counts, rows, starts, sizes, nodes, *rest, **kwargs):
+        builds.append(nodes.tolist())
+        return wide_layout(ranks, pair_bins, counts, rows, starts, sizes, nodes, *rest,
+                           **kwargs)
+
+    def held_spy(*args):
+        held.append(held_roots(*args))
+        return held[-1]
+
+    monkeypatch.setattr(trees, "_wide_layout", layout_spy)
+    monkeypatch.setattr(trees, "_held_roots", held_spy)
+    got = list(trees.fit_gbm_sets(X, y, row_sets, **kwargs))
+    assert builds == [[0, 1], [0]]
+    assert len(held) == 6
+    assert got[1].info["train_mse_path"][2:] == (0.0,) * 5
+    for model, want, rows in zip(got, alone, row_sets):
+        _assert_same_model(model, want)
+        _assert_same_boosting(model, cart_reference.fit_gbm(
+            X[rows], y[rows], 6, 1.0, TreeParams(max_depth=1)))
+    # the held layout and split bounds are read-only, and the held keys
+    # take the narrowest type that holds the roots' bins
+    (key, pos, count, _), bounds = held[-1]
+    assert held[2][0][0] is key and key.dtype == np.uint8
+    for array in (key, pos, count, *(part for block in bounds for part in block[1:5])):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
 
 
 def test_gbm_sets_hand_over_one_model_at_a_time():
